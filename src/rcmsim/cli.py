@@ -58,25 +58,8 @@ def _cmd_compare(args) -> int:
     entries = []
     for path in args.metrics:
         with open(path, "r", encoding="utf-8") as fh:
-            m = json.load(fh)
-        label = os.path.basename(os.path.dirname(path)) or path
-        entries.append(
-            (
-                label,
-                MetricsRecord(
-                    tip_mae=tuple(m["tip_mae"]),
-                    residual_mae=tuple(m["residual_mae"]),
-                    residual_norm_mean=m["residual_norm_mean"],
-                    mean_abs_torque=m["mean_abs_torque"],
-                    mean_abs_torque_per_joint=tuple(m["mean_abs_torque_per_joint"]),
-                    peak_torque=m["peak_torque"],
-                    peak_total_torque=m["peak_total_torque"],
-                    total_torque_consumption=m["total_torque_consumption"],
-                    smoothness=m["smoothness"],
-                    settle_time=m["settle_time"],
-                ),
-            )
-        )
+            record = MetricsRecord.from_dict(json.load(fh))
+        entries.append((os.path.basename(os.path.dirname(path)) or path, record))
     table = compare_runs(entries)
     print(render_comparison(table))
     return EXIT_OK

@@ -23,10 +23,11 @@ import numpy as np
 
 from .errors import SingularExtendedJacobian
 from .numerics import matrix_sqrt, orth_projector, pinv, projector_and_pinv, small_inv
-from .projection import sym_inv, task_space_terms, torque_decomposition
+from .projection import sym_inv, task_space_terms
 from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin
 from .robot import JointState, KinFrames, RobotModel, kinematics
 from .scenarios import TaskReference
+from .schema import NON_NEGATIVE, POSITIVE, fail
 
 P_APPROACH = "p_approach"
 Z_APPROACH = "z_approach"
@@ -42,7 +43,7 @@ def _as_diag(value, size: int, name: str) -> np.ndarray:
     if arr.shape != (size,):
         raise ValueError(f"{name}: expected scalar or length-{size} vector")
     if np.any(arr < 0):
-        raise ValueError(f"{name}: gains must be non-negative")
+        fail(name, NON_NEGATIVE.message)
     return arr
 
 
@@ -83,8 +84,8 @@ class GainSet:
         kd_null = (
             2.0 * np.sqrt(kp_null) if kd_null is None else _as_diag(kd_null, n_joints, "kd_null")
         )
-        if observer_gain < 0:
-            raise ValueError("observer_gain must be non-negative")
+        if not NON_NEGATIVE.ok(observer_gain):
+            fail("observer_gain", NON_NEGATIVE.message)
         return cls(
             kp_task=kp_task,
             kd_task=kd_task,
@@ -231,8 +232,8 @@ def observer_step(
     commanded over the elapsed period (zero-order hold). ``kin``, when given,
     is the frame pass at ``state`` (the next tick's snapshot holds it).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not POSITIVE.ok(dt):
+        fail("dt", POSITIVE.message)
     qd = state.qdot
     if kin is None:
         kin = kinematics(model, state.q, qd)
@@ -328,7 +329,6 @@ def p_approach_torque(
     mode: RcmMode = RcmMode.TWO_D,
     compensation: str = COMP_FULL,
     constraint_bias_feedforward: bool = True,
-    torque_inverse: str = "moore_penrose",
     on_singular: str = "damp",
     snap: ControlSnapshot | None = None,
     x_c_ref: np.ndarray | None = None,
@@ -351,7 +351,6 @@ def p_approach_torque(
     """
     snap = snap or build_snapshot(model, state, trocar, mode)
     cs = snap.constraint
-    n = model.n
     Minv, J = snap.Minv, snap.J_task
     # Products use ndarray.dot, which costs less per call than @ on these
     # small operands; this runs every tick.
@@ -370,10 +369,8 @@ def p_approach_torque(
     # J^T f_f + N_bar tau_0 with N_bar = I - J^T Lambda_f B
     tau_f = J.T.dot(f_f - Lambda_f.dot(B.dot(tau_0))) + tau_0
 
-    if torque_inverse == "moore_penrose":
-        tau_par = P.dot(tau_f)
-    else:
-        tau_par, _ = torque_decomposition(tau_f, np.zeros(n), P, snap.M, torque_inverse)
+    # The Moore-Penrose inverse of the orthogonal projector P is P itself.
+    tau_par = P.dot(tau_f)
     f_c = Lambda_c.dot(a_cmd + cs.J.dot(Minv.dot(snap.h - tau_par)))
     tau_perp = cs.J.T.dot(f_c)
     tau_comp = compensation_torque(tau_ext_hat, compensation, snap)

@@ -37,8 +37,9 @@ class ModelError(RcmSimError):
     """Robot model file is missing or malformed; message names the field path."""
 
 
-class ConfigError(RcmSimError):
-    """Run configuration is missing or malformed; message names the field path."""
+class ConfigError(RcmSimError, ValueError):
+    """Run configuration or library input is malformed (also a ``ValueError``);
+    the message names the field path."""
 
 
 class SimulationDiverged(RcmSimError):

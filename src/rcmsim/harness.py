@@ -7,25 +7,30 @@ from an exported CSV reproduces the metrics file exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import controllers as ctl
-from .errors import ConfigError, SimulationDiverged
+from .errors import ConfigError, ModelError, SimulationDiverged
 from .rcm import RcmMode
 from .robot import default_model_path, load_model
-from .scenarios import (
-    DisturbanceEvent,
-    DisturbanceSchedule,
-    SpiralParams,
-    TrocarSchedule,
+from .scenarios import DisturbanceEvent, DisturbanceSchedule, SpiralParams, TrocarSchedule
+from .schema import NON_NEGATIVE, Rule, Schema, fail, setting
+from .sim import (
+    ALPHA,
+    ControlSetup,
+    Scenario,
+    SimConfig,
+    check_joint_vectors,
+    check_trocar_support,
+    run_episode,
 )
-from .sim import EnvModel, Scenario, SimConfig, ControlSetup, run_episode
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +43,7 @@ EXIT_DIVERGED = 3
 
 
 @dataclass
-class GainsConfig:
+class GainsConfig(Schema):
     """Proportional gains; derivative gains default to 2 sqrt(kp) element-wise.
 
     ``null_damping`` is the baseline null-space joint damping used whenever no
@@ -48,87 +53,83 @@ class GainsConfig:
     does not alter the task or pivot dynamics.
     """
 
-    kp_task: float = 1000.0
-    kd_task: float | None = None
-    kp_rcm: float = 1500.0
-    kd_rcm: float | None = None
-    kp_null: float = 5.0
-    kd_null: float | None = None
-    observer_gain: float = 50.0
-    null_damping: float = 4.0
+    kp_task: float = setting(1000.0, NON_NEGATIVE)
+    kd_task: float | None = setting(None, NON_NEGATIVE)
+    kp_rcm: float = setting(1500.0, NON_NEGATIVE)
+    kd_rcm: float | None = setting(None, NON_NEGATIVE)
+    kp_null: float = setting(5.0, NON_NEGATIVE)
+    kd_null: float | None = setting(None, NON_NEGATIVE)
+    observer_gain: float = setting(50.0, NON_NEGATIVE)
+    null_damping: float = setting(4.0, NON_NEGATIVE)
 
 
 @dataclass
-class SpiralConfig:
-    radius: float = 0.02
-    pitch: float = 0.015
-    duration: float = 20.0
-    turns: int = 3
-    accel_fraction: float = 0.2
-
-
-@dataclass
-class TrocarConfig:
-    mode: str = "static"
-    amplitude: float = 0.04
-    frequency: float = 0.2
-
-
-@dataclass
-class DisturbanceConfig:
-    t0: float = 0.0
-    t1: float = 0.0
-    joint_torque: list[float] | None = None
-    flange_wrench: list[float] | None = None
-    link2_force: list[float] | None = None
-
-
-@dataclass
-class ScenarioConfig:
-    alpha: float = 0.5
-    spiral: SpiralConfig = field(default_factory=SpiralConfig)
-    trocar: TrocarConfig = field(default_factory=TrocarConfig)
-    disturbances: list[DisturbanceConfig] = field(default_factory=list)
+class ScenarioConfig(Schema):
+    alpha: float = setting(rule=ALPHA)
+    spiral: SpiralParams = field(default_factory=SpiralParams)
+    trocar: TrocarSchedule = field(default_factory=TrocarSchedule)
+    disturbances: list[DisturbanceEvent] = field(default_factory=list)
     q_init: list[float] | None = None
     observer: bool = False
-    compensation: str = "full"
+    compensation: str = setting(
+        ctl.COMP_FULL,
+        Rule(lambda v: v in (ctl.COMP_OFF, ctl.COMP_FULL, ctl.COMP_PRESERVE_NULL),
+             "must be off/full/preserve_null"),
+    )
     nullspace: bool = False
 
 
 @dataclass
-class EnvConfig:
-    mode: str = "off"
-    stiffness: float = 5000.0
-    damping: float = 50.0
+class SimSection(SimConfig):
+    """``SimConfig`` whose duration defaults (null) to the spiral duration."""
+
+    duration: float | None = None
+
+
+@functools.cache
+def _joint_count(model_path: str | None) -> int:
+    return load_model(model_path or default_model_path()).n
 
 
 @dataclass
-class SimSection:
-    dt: float = 1e-3
-    duration: float | None = None  # defaults to the spiral duration
-    integrator: str = "semi_implicit"
-    env: EnvConfig = field(default_factory=EnvConfig)
-    sensor_noise_std: float = 0.0
-    noise_seed: int = 0
-
-
-@dataclass
-class RunConfig:
+class RunConfig(Schema):
     """Serializable description of one closed-loop run."""
 
-    controller: str
+    controller: str = setting(
+        rule=Rule(lambda v: v in (ctl.P_APPROACH, ctl.Z_APPROACH, ctl.UK),
+                  f"must be one of {ctl.P_APPROACH}/{ctl.Z_APPROACH}/{ctl.UK}"),
+    )
     scenario: ScenarioConfig
     label: str = ""
-    model: str | None = None
-    rcm_mode: str | None = None
+    model: str | None = setting(
+        None, Rule(os.path.exists, "file not found: {value}"), kind="a path string"
+    )
+    rcm_mode: str | None = setting(
+        None, Rule(lambda v: v.lower() in ("2d", "3d"), "expected '2d' or '3d'"),
+        kind="'2d' or '3d'",
+    )
     gains: GainsConfig = field(default_factory=GainsConfig)
     sim: SimSection = field(default_factory=SimSection)
-    settle_time: float = 1.0
+    settle_time: float = setting(1.0, NON_NEGATIVE)
     constraint_bias_feedforward: bool = True
-    output: str | None = None
+    output: str | None = setting(None, kind="a directory path string")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def duration(self) -> float:
+        """Run duration: the sim section's, else the spiral's."""
+        return self.sim.duration if self.sim.duration is not None else self.scenario.spiral.duration
+
+    def check(self, path: str):
+        sc = self.scenario
+        if self.settle_time >= self.duration:
+            fail("settle_time", "must be smaller than the run duration")
+        check_trocar_support("scenario", self.controller, sc.trocar)
+        try:
+            n = _joint_count(self.model)
+        except ModelError as exc:
+            fail("model", str(exc))
+        check_joint_vectors(n, sc.q_init, "scenario.q_init",
+                            sc.disturbances, "scenario.disturbances")
 
     def build(self):
         """Materialize (model, control setup, scenario, sim config)."""
@@ -138,119 +139,27 @@ class RunConfig:
         kd_null = g.kd_null
         if kd_null is None and kp_null == 0.0:
             kd_null = g.null_damping
-        gains = ctl.GainSet.from_proportional(
-            kp_task=g.kp_task,
-            kp_rcm=g.kp_rcm,
-            kp_null=kp_null,
-            observer_gain=g.observer_gain,
-            n_joints=model.n,
-            kd_task=g.kd_task,
-            kd_rcm=g.kd_rcm,
-            kd_null=kd_null,
-        )
+        params = vars(g) | {"kp_null": kp_null, "kd_null": kd_null}
+        del params["null_damping"]  # folded into kd_null above
+        gains = ctl.GainSet.from_proportional(n_joints=model.n, **params)
+        sc = self.scenario
         control = ControlSetup(
             variant=self.controller,
             gains=gains,
             rcm_mode=RcmMode.parse(self.rcm_mode) if self.rcm_mode else None,
-            observer=self.scenario.observer,
-            compensation=self.scenario.compensation if self.scenario.observer else "off",
+            observer=sc.observer,
+            compensation=sc.compensation if sc.observer else ctl.COMP_OFF,
             constraint_bias_feedforward=self.constraint_bias_feedforward,
         )
-        sc = self.scenario
         scenario = Scenario(
             alpha=sc.alpha,
-            spiral=SpiralParams(
-                radius=sc.spiral.radius,
-                pitch=sc.spiral.pitch,
-                duration=sc.spiral.duration,
-                turns=sc.spiral.turns,
-                accel_fraction=sc.spiral.accel_fraction,
-            ),
-            trocar=TrocarSchedule(
-                mode=sc.trocar.mode,
-                amplitude=sc.trocar.amplitude,
-                frequency=sc.trocar.frequency,
-            ),
-            disturbances=DisturbanceSchedule(
-                events=[
-                    DisturbanceEvent(
-                        t0=d.t0,
-                        t1=d.t1,
-                        joint_torque=_opt_arr(d.joint_torque),
-                        flange_wrench=_opt_arr(d.flange_wrench),
-                        link2_force=_opt_arr(d.link2_force),
-                    )
-                    for d in sc.disturbances
-                ]
-            ),
-            q_init=_opt_arr(sc.q_init),
+            spiral=sc.spiral,
+            trocar=sc.trocar,
+            disturbances=DisturbanceSchedule(sc.disturbances),
+            q_init=None if sc.q_init is None else np.asarray(sc.q_init, dtype=float),
         )
-        sim = SimConfig(
-            dt=self.sim.dt,
-            duration=self.sim.duration if self.sim.duration is not None else sc.spiral.duration,
-            integrator=self.sim.integrator,
-            env=EnvModel(
-                mode=self.sim.env.mode,
-                stiffness=self.sim.env.stiffness,
-                damping=self.sim.env.damping,
-            ),
-            sensor_noise_std=self.sim.sensor_noise_std,
-            noise_seed=self.sim.noise_seed,
-        )
+        sim = SimConfig(**(vars(self.sim) | {"duration": self.duration}))
         return model, control, scenario, sim
-
-
-def _opt_arr(value):
-    return None if value is None else np.asarray(value, dtype=float)
-
-
-def _expect(cond: bool, path: str, msg: str):
-    if not cond:
-        raise ConfigError(f"{path}: {msg}")
-
-
-def _take(data: dict, path: str, key: str, kind, default, required=False):
-    if key not in data:
-        if required:
-            raise ConfigError(f"{_join(path, key)}: missing required field")
-        return default
-    value = data.pop(key)
-    if kind is float:
-        _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-                _join(path, key), "expected a number")
-        return float(value)
-    if kind is int:
-        _expect(isinstance(value, int) and not isinstance(value, bool),
-                _join(path, key), "expected an integer")
-        return value
-    if kind is bool:
-        _expect(isinstance(value, bool), _join(path, key), "expected true/false")
-        return value
-    if kind is str:
-        _expect(isinstance(value, str), _join(path, key), "expected a string")
-        return value
-    return value
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _no_extras(data: dict, path: str):
-    if data:
-        key = sorted(data.keys())[0]
-        raise ConfigError(f"{_join(path, key)}: unknown field")
-
-
-def _float_list(value, path: str, length: int | None = None):
-    if value is None:
-        return None
-    _expect(isinstance(value, list), path, "expected a list of numbers")
-    _expect(all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value),
-            path, "expected a list of numbers")
-    if length is not None:
-        _expect(len(value) == length, path, f"expected {length} numbers")
-    return [float(v) for v in value]
 
 
 def config_from_dict(data: dict, label_hint: str = "") -> RunConfig:
@@ -258,164 +167,10 @@ def config_from_dict(data: dict, label_hint: str = "") -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     data = json.loads(json.dumps(data))  # deep copy, JSON-typed
-
-    controller = _take(data, "", "controller", str, None, required=True)
-    _expect(controller in (ctl.P_APPROACH, ctl.Z_APPROACH, ctl.UK), "controller",
-            f"must be one of {ctl.P_APPROACH}/{ctl.Z_APPROACH}/{ctl.UK}")
-    label = _take(data, "", "label", str, "")
-    model = _take(data, "", "model", (str, type(None)), None)
-    if model is not None:
-        _expect(isinstance(model, str), "model", "expected a path string")
-        _expect(os.path.exists(model), "model", f"file not found: {model}")
-    rcm_mode = _take(data, "", "rcm_mode", (str, type(None)), None)
-    if rcm_mode is not None:
-        _expect(isinstance(rcm_mode, str) and rcm_mode.lower() in ("2d", "3d"),
-                "rcm_mode", "expected '2d' or '3d'")
-    settle = _take(data, "", "settle_time", float, 1.0)
-    _expect(settle >= 0, "settle_time", "must be non-negative")
-    bias_ff = _take(data, "", "constraint_bias_feedforward", bool, True)
-    output = _take(data, "", "output", (str, type(None)), None)
-    if output is not None:
-        _expect(isinstance(output, str), "output", "expected a directory path string")
-
-    gains_raw = _take(data, "", "gains", dict, {})
-    _expect(isinstance(gains_raw, dict), "gains", "expected an object")
-    gains = GainsConfig(
-        kp_task=_take(gains_raw, "gains", "kp_task", float, 1000.0),
-        kd_task=_opt_float(gains_raw, "gains", "kd_task"),
-        kp_rcm=_take(gains_raw, "gains", "kp_rcm", float, 1500.0),
-        kd_rcm=_opt_float(gains_raw, "gains", "kd_rcm"),
-        kp_null=_take(gains_raw, "gains", "kp_null", float, 5.0),
-        kd_null=_opt_float(gains_raw, "gains", "kd_null"),
-        observer_gain=_take(gains_raw, "gains", "observer_gain", float, 50.0),
-        null_damping=_take(gains_raw, "gains", "null_damping", float, 4.0),
-    )
-    for name in ("kp_task", "kp_rcm", "kp_null", "observer_gain", "null_damping"):
-        _expect(getattr(gains, name) >= 0, f"gains.{name}", "must be non-negative")
-    _no_extras(gains_raw, "gains")
-
-    sc_raw = _take(data, "", "scenario", dict, None, required=True)
-    _expect(isinstance(sc_raw, dict), "scenario", "expected an object")
-    alpha = _take(sc_raw, "scenario", "alpha", float, None, required=True)
-    _expect(0.0 < alpha <= 1.0, "scenario.alpha", "must lie in (0, 1]")
-
-    spiral_raw = _take(sc_raw, "scenario", "spiral", dict, {})
-    spiral = SpiralConfig(
-        radius=_take(spiral_raw, "scenario.spiral", "radius", float, 0.02),
-        pitch=_take(spiral_raw, "scenario.spiral", "pitch", float, 0.015),
-        duration=_take(spiral_raw, "scenario.spiral", "duration", float, 20.0),
-        turns=_take(spiral_raw, "scenario.spiral", "turns", int, 3),
-        accel_fraction=_take(spiral_raw, "scenario.spiral", "accel_fraction", float, 0.2),
-    )
-    _expect(spiral.radius > 0, "scenario.spiral.radius", "must be positive")
-    _expect(spiral.pitch >= 0, "scenario.spiral.pitch", "must be non-negative")
-    _expect(spiral.duration > 0, "scenario.spiral.duration", "must be positive")
-    _expect(spiral.turns >= 1, "scenario.spiral.turns", "must be at least 1")
-    _expect(0 < spiral.accel_fraction < 0.5, "scenario.spiral.accel_fraction",
-            "must lie in (0, 0.5)")
-    _no_extras(spiral_raw, "scenario.spiral")
-
-    trocar_raw = _take(sc_raw, "scenario", "trocar", dict, {})
-    trocar = TrocarConfig(
-        mode=_take(trocar_raw, "scenario.trocar", "mode", str, "static"),
-        amplitude=_take(trocar_raw, "scenario.trocar", "amplitude", float, 0.04),
-        frequency=_take(trocar_raw, "scenario.trocar", "frequency", float, 0.2),
-    )
-    _expect(trocar.mode in ("static", "sinusoidal"), "scenario.trocar.mode",
-            "must be 'static' or 'sinusoidal'")
-    _expect(trocar.amplitude >= 0, "scenario.trocar.amplitude", "must be non-negative")
-    _expect(trocar.frequency >= 0, "scenario.trocar.frequency", "must be non-negative")
-    _no_extras(trocar_raw, "scenario.trocar")
-
-    dist_raw = _take(sc_raw, "scenario", "disturbances", list, [])
-    _expect(isinstance(dist_raw, list), "scenario.disturbances", "expected a list")
-    disturbances = []
-    for i, item in enumerate(dist_raw):
-        path = f"scenario.disturbances[{i}]"
-        _expect(isinstance(item, dict), path, "expected an object")
-        ev = DisturbanceConfig(
-            t0=_take(item, path, "t0", float, None, required=True),
-            t1=_take(item, path, "t1", float, None, required=True),
-            joint_torque=_float_list(_take(item, path, "joint_torque", list, None), f"{path}.joint_torque"),
-            flange_wrench=_float_list(_take(item, path, "flange_wrench", list, None), f"{path}.flange_wrench", 6),
-            link2_force=_float_list(_take(item, path, "link2_force", list, None), f"{path}.link2_force", 3),
-        )
-        _expect(0 <= ev.t0 < ev.t1, path, "window must satisfy 0 <= t0 < t1")
-        n_set = sum(x is not None for x in (ev.joint_torque, ev.flange_wrench, ev.link2_force))
-        _expect(n_set == 1, path, "set exactly one of joint_torque/flange_wrench/link2_force")
-        _no_extras(item, path)
-        disturbances.append(ev)
-
-    q_init = _float_list(_take(sc_raw, "scenario", "q_init", list, None), "scenario.q_init")
-    observer = _take(sc_raw, "scenario", "observer", bool, False)
-    compensation = _take(sc_raw, "scenario", "compensation", str, "full")
-    _expect(compensation in ("off", "full", "preserve_null"), "scenario.compensation",
-            "must be off/full/preserve_null")
-    nullspace = _take(sc_raw, "scenario", "nullspace", bool, False)
-    _no_extras(sc_raw, "scenario")
-
-    sim_raw = _take(data, "", "sim", dict, {})
-    env_raw = _take(sim_raw, "sim", "env", dict, {})
-    env = EnvConfig(
-        mode=_take(env_raw, "sim.env", "mode", str, "off"),
-        stiffness=_take(env_raw, "sim.env", "stiffness", float, 5000.0),
-        damping=_take(env_raw, "sim.env", "damping", float, 50.0),
-    )
-    _expect(env.mode in ("off", "soft"), "sim.env.mode", "must be 'off' or 'soft'")
-    _expect(env.stiffness >= 0 and env.damping >= 0, "sim.env", "gains must be non-negative")
-    _no_extras(env_raw, "sim.env")
-    sim = SimSection(
-        dt=_take(sim_raw, "sim", "dt", float, 1e-3),
-        duration=_opt_float(sim_raw, "sim", "duration"),
-        integrator=_take(sim_raw, "sim", "integrator", str, "semi_implicit"),
-        env=env,
-        sensor_noise_std=_take(sim_raw, "sim", "sensor_noise_std", float, 0.0),
-        noise_seed=_take(sim_raw, "sim", "noise_seed", int, 0),
-    )
-    _expect(sim.dt > 0, "sim.dt", "must be positive")
-    _expect(sim.sensor_noise_std >= 0, "sim.sensor_noise_std", "must be non-negative")
-    if sim.duration is not None:
-        _expect(sim.duration >= sim.dt, "sim.duration", "must cover at least one step")
-    _expect(sim.integrator in ("semi_implicit", "rk4"), "sim.integrator",
-            "must be 'semi_implicit' or 'rk4'")
-    _no_extras(sim_raw, "sim")
-    _no_extras(data, "")
-
-    cfg = RunConfig(
-        controller=controller,
-        label=label or label_hint or controller,
-        model=model,
-        rcm_mode=rcm_mode,
-        gains=gains,
-        scenario=ScenarioConfig(
-            alpha=alpha,
-            spiral=spiral,
-            trocar=trocar,
-            disturbances=disturbances,
-            q_init=q_init,
-            observer=observer,
-            compensation=compensation,
-            nullspace=nullspace,
-        ),
-        sim=sim,
-        settle_time=settle,
-        constraint_bias_feedforward=bias_ff,
-        output=output,
-    )
-    duration = cfg.sim.duration if cfg.sim.duration is not None else cfg.scenario.spiral.duration
-    _expect(cfg.settle_time < duration, "settle_time", "must be smaller than the run duration")
+    cfg = RunConfig.from_dict(data)
+    cfg.label = cfg.label or label_hint or cfg.controller
+    cfg.validate()
     return cfg
-
-
-def _opt_float(data: dict, path: str, key: str):
-    if key not in data:
-        return None
-    value = data.pop(key)
-    if value is None:
-        return None
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            _join(path, key), "expected a number or null")
-    return float(value)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -456,18 +211,13 @@ class MetricsRecord:
     settle_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "tip_mae": list(self.tip_mae),
-            "residual_mae": list(self.residual_mae),
-            "residual_norm_mean": self.residual_norm_mean,
-            "mean_abs_torque": self.mean_abs_torque,
-            "mean_abs_torque_per_joint": list(self.mean_abs_torque_per_joint),
-            "peak_torque": self.peak_torque,
-            "peak_total_torque": self.peak_total_torque,
-            "total_torque_consumption": self.total_torque_consumption,
-            "smoothness": self.smoothness,
-            "settle_time": self.settle_time,
-        }
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "MetricsRecord":
+        values = ((f.name, data[f.name]) for f in fields(cls))
+        return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in values})
 
 
 def compute_metrics(trace, settle_time: float = 1.0) -> MetricsRecord:
@@ -596,24 +346,7 @@ def run_matrix(configs: list[RunConfig], out_dir: str, jobs: int = 1) -> int:
     entries = []
     for cfg, res in zip(configs, results):
         if res["status"] == "ok":
-            m = res["metrics"]
-            entries.append(
-                (
-                    cfg.label,
-                    MetricsRecord(
-                        tip_mae=tuple(m["tip_mae"]),
-                        residual_mae=tuple(m["residual_mae"]),
-                        residual_norm_mean=m["residual_norm_mean"],
-                        mean_abs_torque=m["mean_abs_torque"],
-                        mean_abs_torque_per_joint=tuple(m["mean_abs_torque_per_joint"]),
-                        peak_torque=m["peak_torque"],
-                        peak_total_torque=m["peak_total_torque"],
-                        total_torque_consumption=m["total_torque_consumption"],
-                        smoothness=m["smoothness"],
-                        settle_time=m["settle_time"],
-                    ),
-                )
-            )
+            entries.append((cfg.label, MetricsRecord.from_dict(res["metrics"])))
         else:
             logger.error("run %s diverged: %s", cfg.label, res.get("detail", ""))
     if entries:

@@ -186,35 +186,3 @@ def gauss_acceleration_split(
         return free
     return Jc_pinv @ (np.asarray(xddot_c) - np.asarray(b_c)) + free
 
-
-def torque_decomposition(
-    tau_f: np.ndarray,
-    tau_c: np.ndarray,
-    P: np.ndarray,
-    M: np.ndarray | None = None,
-    variant: str = "moore_penrose",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split control torque into free-motion and constrained components.
-
-    tau_parallel = P^+ P tau_f, tau_perp = (I - P^+ P) tau_c. For the
-    orthogonal projector the Moore-Penrose inverse is P itself; the
-    ``m_weighted`` variant uses the inertia-weighted {1}-inverse
-    M^-1 P (P M^-1 P)^+ for sensitivity studies. Either way
-    P tau_perp = 0 exactly.
-    """
-    n = P.shape[0]
-    if variant == "moore_penrose":
-        PpP = P
-    elif variant == "m_weighted":
-        if M is None:
-            raise ValueError("m_weighted variant needs the inertia matrix")
-        Minv_P = np.linalg.solve(M, P)
-        core = P @ Minv_P
-        w, Q = np.linalg.eigh(0.5 * (core + core.T))
-        inv_w = np.where(np.abs(w) > 1e-12 * np.abs(w).max(), 1.0 / np.where(w == 0, 1.0, w), 0.0)
-        PpP = Minv_P @ ((Q * inv_w) @ Q.T) @ P
-    else:
-        raise ValueError(f"unknown torque inverse variant {variant!r}")
-    tau_parallel = PpP @ tau_f
-    tau_perp = (np.eye(n) - PpP) @ tau_c
-    return tau_parallel, tau_perp

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rcm import TrocarState
-from .robot import RobotModel, kinematics, point_jacobian
+from .robot import KinFrames, RobotModel
+from .schema import EPISODE_SET, NON_NEGATIVE, POSITIVE, Rule, Schema, fail, length, setting
 
 
 @dataclass(frozen=True)
@@ -22,38 +23,29 @@ class TaskReference:
 
 
 @dataclass
-class SpiralParams:
+class SpiralParams(Schema):
     """Spiral tip trajectory along base z, starting at the initial tip point.
 
     The path begins at ``start`` (center offset -radius along x so t=0 lies on
     the circle) and rises turns*pitch over the duration.
     """
 
-    radius: float = 0.02
-    pitch: float = 0.015
-    duration: float = 20.0
-    turns: int = 3
-    accel_fraction: float = 0.2
-    start: np.ndarray | None = None
-
-    def validate(self):
-        if self.radius <= 0 or self.pitch < 0 or self.duration <= 0 or self.turns < 1:
-            raise ValueError("invalid spiral parameters")
-        if not 0.0 < self.accel_fraction < 0.5:
-            raise ValueError("accel_fraction must lie in (0, 0.5)")
+    radius: float = setting(0.02, POSITIVE)
+    pitch: float = setting(0.015, NON_NEGATIVE)
+    duration: float = setting(20.0, POSITIVE)
+    turns: int = setting(3, Rule(lambda v: v >= 1, "must be at least 1"))
+    accel_fraction: float = setting(0.2, Rule(lambda v: 0.0 < v < 0.5, "must lie in (0, 0.5)"))
+    start: np.ndarray | None = field(default=None, metadata=EPISODE_SET)
 
 
-def trapezoid_profile(t: float, T: float, accel_fraction: float = 0.2):
+def trapezoid_profile(t: float, T: float, accel_fraction: float):
     """Unit trapezoidal-velocity profile: s(0)=0, s(T)=1, zero end rates.
 
     Constant acceleration on [0, aT], constant velocity, constant deceleration
     on [(1-a)T, T]. Outside [0, T] the profile holds the boundary value with
-    zero derivatives. Returns (s, sdot, sddot).
+    zero derivatives. Returns (s, sdot, sddot). Needs T > 0 and
+    0 < accel_fraction < 0.5 (the ``SpiralParams`` rules).
     """
-    if not 0.0 < accel_fraction < 0.5:
-        raise ValueError("accel_fraction must lie in (0, 0.5)")
-    if T <= 0.0:
-        raise ValueError("duration must be positive")
     a = accel_fraction
     v = 1.0 / (T * (1.0 - a))  # plateau rate; integrates to exactly 1
     A = v / (a * T)
@@ -101,20 +93,17 @@ TROCAR_SINUSOIDAL = "sinusoidal"
 
 
 @dataclass
-class TrocarSchedule:
-    """Trocar point over time: static, or sinusoidal along base z."""
+class TrocarSchedule(Schema):
+    """Trocar point over time: static, or sinusoidal along ``axis`` (base z)."""
 
-    mode: str = TROCAR_STATIC
-    p0: np.ndarray | None = None
-    amplitude: float = 0.04
-    frequency: float = 0.2
-    axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-
-    def validate(self):
-        if self.mode not in (TROCAR_STATIC, TROCAR_SINUSOIDAL):
-            raise ValueError(f"unknown trocar mode {self.mode!r}")
-        if self.amplitude < 0 or self.frequency < 0:
-            raise ValueError("amplitude and frequency must be non-negative")
+    mode: str = setting(
+        TROCAR_STATIC,
+        Rule(lambda v: v in (TROCAR_STATIC, TROCAR_SINUSOIDAL), "must be 'static' or 'sinusoidal'"),
+    )
+    p0: np.ndarray | None = field(default=None, metadata=EPISODE_SET)
+    amplitude: float = setting(0.04, NON_NEGATIVE)
+    frequency: float = setting(0.2, NON_NEGATIVE)
+    axis: tuple = field(default=(0.0, 0.0, 1.0), metadata=EPISODE_SET)
 
 
 def trocar_schedule_eval(t: float, sched: TrocarSchedule) -> TrocarState:
@@ -140,62 +129,52 @@ def trocar_schedule_eval(t: float, sched: TrocarSchedule) -> TrocarState:
 
 
 @dataclass
-class DisturbanceEvent:
+class DisturbanceEvent(Schema):
     """One scripted external action on the arm over a time window.
 
     Exactly one of ``flange_wrench`` (6: force then moment, base frame),
     ``joint_torque`` (n) or ``link2_force`` (3, base frame, applied at the
-    link-2 COM) should be set.
+    link-2 COM) is set.
     """
 
     t0: float
     t1: float
-    flange_wrench: np.ndarray | None = None
-    joint_torque: np.ndarray | None = None
-    link2_force: np.ndarray | None = None
+    flange_wrench: list[float] | None = setting(None, length(6))
+    joint_torque: list[float] | None = None
+    link2_force: list[float] | None = setting(None, length(3))
 
-    def validate(self):
-        if self.t0 < 0 or self.t1 <= self.t0:
-            raise ValueError("disturbance window must satisfy 0 <= t0 < t1")
-        set_count = sum(
-            x is not None
-            for x in (self.flange_wrench, self.joint_torque, self.link2_force)
-        )
-        if set_count != 1:
-            raise ValueError("set exactly one of flange_wrench/joint_torque/link2_force")
+    def check(self, path: str):
+        if not 0 <= self.t0 < self.t1:
+            fail(path, "window must satisfy 0 <= t0 < t1")
+        kinds = (self.joint_torque, self.flange_wrench, self.link2_force)
+        if sum(x is not None for x in kinds) != 1:
+            fail(path, "set exactly one of joint_torque/flange_wrench/link2_force")
 
 
 @dataclass
-class DisturbanceSchedule:
+class DisturbanceSchedule(Schema):
     events: list[DisturbanceEvent] = field(default_factory=list)
-
-    def validate(self):
-        for e in self.events:
-            e.validate()
 
 
 def disturbance_eval(
-    t: float, sched: DisturbanceSchedule, model: RobotModel, q: np.ndarray
+    t: float, sched: DisturbanceSchedule, model: RobotModel, kin: KinFrames
 ) -> np.ndarray:
-    """External joint torque at time t.
+    """External joint torque at time t, from the frame pass ``kin`` at the
+    plant's joint positions.
 
     Flange wrenches map through the tool-reference Jacobian transpose; link-2
     forces through the partial Jacobian of the link-2 COM; joint-torque events
     add directly. Zero outside every window.
     """
     tau = np.zeros(model.n)
-    active = [e for e in sched.events if e.t0 <= t <= e.t1]
-    if not active:
-        return tau
-    kin = None
-    for e in active:
+    for e in sched.events:
+        if not e.t0 <= t <= e.t1:
+            continue
         if e.joint_torque is not None:
             tau += np.asarray(e.joint_torque, dtype=float)
         elif e.flange_wrench is not None:
-            if kin is None:
-                kin = kinematics(model, q)
             tau += kin.J_r.T @ np.asarray(e.flange_wrench, dtype=float)
         else:
-            J2, _ = point_jacobian(model, q, 1, model.coms[1])
+            J2, _ = kin.point_jacobian(1, model.coms[1])
             tau += J2.T @ np.asarray(e.link2_force, dtype=float)
     return tau

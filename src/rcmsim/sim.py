@@ -15,8 +15,8 @@ import numpy as np
 
 from . import controllers as ctl
 from .errors import SimulationDiverged
-from .rcm import RcmMode, TrocarState, place_trocar, residual, residual_rate
-from .robot import DEFAULT_HOME, JointState, RobotModel, forward_dynamics
+from .rcm import RcmMode, TrocarState, place_trocar, residual, residual_jacobian, residual_rate
+from .robot import DEFAULT_HOME, JointState, KinFrames, RobotModel, forward_dynamics
 from .robot import kinematics as kinematics_of
 from .scenarios import (
     TROCAR_STATIC,
@@ -27,6 +27,7 @@ from .scenarios import (
     spiral_reference,
     trocar_schedule_eval,
 )
+from .schema import NON_NEGATIVE, POSITIVE, Rule, Schema, fail, join, length, setting
 
 SEMI_IMPLICIT = "semi_implicit"
 RK4 = "rk4"
@@ -36,7 +37,7 @@ ENV_SOFT = "soft"
 
 
 @dataclass
-class EnvModel:
+class EnvModel(Schema):
     """Linear visco-elastic lateral force at the trocar (r-frame plane).
 
     Stand-in for a penetrable soft port: f = -K x - D xdot on the 2D pivot
@@ -44,15 +45,15 @@ class EnvModel:
     transpose. Defaults give 0.2 mm steady penetration under 1 N lateral load.
     """
 
-    mode: str = ENV_OFF
+    mode: str = setting(
+        ENV_OFF, Rule(lambda v: v in (ENV_OFF, ENV_SOFT), "must be 'off' or 'soft'")
+    )
     stiffness: float = 5000.0
     damping: float = 50.0
 
-    def validate(self):
-        if self.mode not in (ENV_OFF, ENV_SOFT):
-            raise ValueError(f"unknown env mode {self.mode!r}")
+    def check(self, path: str):
         if self.stiffness < 0 or self.damping < 0:
-            raise ValueError("environment gains must be non-negative")
+            fail(path, "gains must be non-negative")
 
 
 def environment_force(x2d: np.ndarray, xdot2d: np.ndarray, env: EnvModel) -> np.ndarray:
@@ -66,8 +67,17 @@ def environment_force(x2d: np.ndarray, xdot2d: np.ndarray, env: EnvModel) -> np.
     return -env.stiffness * np.asarray(x2d) - env.damping * np.asarray(xdot2d)
 
 
+def port_torque(kin: KinFrames, qdot: np.ndarray, trocar: TrocarState, env: EnvModel) -> np.ndarray:
+    """Joint torque of the port force: ``environment_force`` on the 2D pivot
+    residual at the frame pass ``kin``, through the residual Jacobian."""
+    x2 = residual(kin.pose_r, trocar.p, RcmMode.TWO_D)
+    xd2 = residual_rate(kin.pose_r, kin.J_r, qdot, trocar, RcmMode.TWO_D)
+    J2 = residual_jacobian(kin.pose_r, kin.J_r, trocar.p, RcmMode.TWO_D)
+    return J2.T @ environment_force(x2, xd2, env)
+
+
 @dataclass
-class SimConfig:
+class SimConfig(Schema):
     """Integration settings plus optional feedback imperfection.
 
     ``sensor_noise_std`` adds seeded zero-mean Gaussian noise to the joint
@@ -76,34 +86,49 @@ class SimConfig:
     seeded per episode.
     """
 
-    dt: float = 1e-3
+    dt: float = setting(1e-3, POSITIVE)
     duration: float = 20.0
-    integrator: str = SEMI_IMPLICIT
+    integrator: str = setting(
+        SEMI_IMPLICIT, Rule(lambda v: v in (SEMI_IMPLICIT, RK4), "must be 'semi_implicit' or 'rk4'")
+    )
     env: EnvModel = field(default_factory=EnvModel)
-    sensor_noise_std: float = 0.0
-    noise_seed: int = 0
+    sensor_noise_std: float = setting(0.0, NON_NEGATIVE)
+    noise_seed: int = setting(0, NON_NEGATIVE)
 
-    def validate(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.duration < self.dt:
-            raise ValueError("duration must cover at least one step")
-        if self.integrator not in (SEMI_IMPLICIT, RK4):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.sensor_noise_std < 0:
-            raise ValueError("sensor_noise_std must be non-negative")
-        self.env.validate()
+    def check(self, path: str):
+        if self.duration is not None and self.duration < self.dt:
+            fail(join(path, "duration"), "must cover at least one step")
+
+
+ALPHA = Rule(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 
 
 @dataclass
-class Scenario:
+class Scenario(Schema):
     """Episode description: trajectory, trocar, disturbances, start state."""
 
-    alpha: float = 0.5
+    alpha: float = setting(0.5, ALPHA)
     spiral: SpiralParams = field(default_factory=SpiralParams)
     trocar: TrocarSchedule = field(default_factory=TrocarSchedule)
     disturbances: DisturbanceSchedule = field(default_factory=DisturbanceSchedule)
     q_init: np.ndarray | None = None
+
+
+def check_joint_vectors(n: int, q_init, q_path: str, events: list, events_path: str):
+    """``q_init`` and every joint-torque disturbance hold one entry per joint."""
+    rule = length(n)
+    if q_init is not None and not rule.ok(q_init):
+        fail(q_path, rule.message)
+    for i, event in enumerate(events):
+        if event.joint_torque is not None and not rule.ok(event.joint_torque):
+            fail(f"{events_path}[{i}].joint_torque", rule.message)
+
+
+def check_trocar_support(path: str, variant: str, trocar: TrocarSchedule):
+    """The extended-Jacobian controller handles a static trocar only."""
+    if variant == ctl.Z_APPROACH and trocar.mode != TROCAR_STATIC:
+        fail(join(path, "trocar.mode"),
+             "the extended-Jacobian controller supports static trocars only")
 
 
 @dataclass
@@ -116,7 +141,6 @@ class ControlSetup:
     observer: bool = False
     compensation: str = ctl.COMP_FULL
     constraint_bias_feedforward: bool = True
-    torque_inverse: str = "moore_penrose"
 
     def __post_init__(self):
         if self.variant not in (ctl.P_APPROACH, ctl.Z_APPROACH, ctl.UK):
@@ -256,17 +280,13 @@ def step(
     ``tau_ext`` holds the scripted external torque for the step; the port
     force (env soft mode) is state dependent and recomputed per RK4 substage.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not POSITIVE.ok(dt):
+        fail("dt", POSITIVE.message)
 
     def env_torque(q, qd):
         if env is None or env.mode == ENV_OFF or trocar is None:
             return 0.0
-        kin = kinematics_of(model, q)
-        x2 = residual(kin.pose_r, trocar.p, RcmMode.TWO_D)
-        xd2 = residual_rate(kin.pose_r, kin.J_r, qd, trocar, RcmMode.TWO_D)
-        J2 = _residual_jac(kin, trocar)
-        return J2.T @ environment_force(x2, xd2, env)
+        return port_torque(kinematics_of(model, q), qd, trocar, env)
 
     if integrator == SEMI_IMPLICIT:
         qdd = forward_dynamics(model, state.q, state.qdot, tau, tau_ext + env_torque(state.q, state.qdot))
@@ -289,12 +309,6 @@ def step(
     return JointState(q_new, qd_new)
 
 
-def _residual_jac(kin, trocar):
-    from .rcm import residual_jacobian
-
-    return residual_jacobian(kin.pose_r, kin.J_r, trocar.p, RcmMode.TWO_D)
-
-
 def run_episode(
     model: RobotModel,
     control: ControlSetup,
@@ -306,21 +320,18 @@ def run_episode(
     Raises SimulationDiverged (carrying the partial trace and the tick index)
     if the state or the controller output becomes non-finite.
     """
-    sim.validate()
-    scenario.disturbances.validate()
+    sim.validate("sim")
+    scenario.validate("scenario")
+    check_joint_vectors(model.n, scenario.q_init, "scenario.q_init",
+                        scenario.disturbances.events, "scenario.disturbances.events")
+    check_trocar_support("scenario", control.variant, scenario.trocar)
     q0 = DEFAULT_HOME.copy() if scenario.q_init is None else np.asarray(scenario.q_init, dtype=float)
-    if q0.shape != (model.n,):
-        raise ValueError(f"q_init must have length {model.n}")
     state = JointState(q0.copy(), np.zeros(model.n))
 
     kin0 = kinematics_of(model, q0)
     p_c0 = place_trocar(kin0.pose_r.p, kin0.pose_t.p, scenario.alpha)
     spiral = replace(scenario.spiral, start=kin0.pose_t.p.copy())
-    spiral.validate()
     trocar_sched = replace(scenario.trocar, p0=p_c0)
-    trocar_sched.validate()
-    if control.variant == ctl.Z_APPROACH and trocar_sched.mode != TROCAR_STATIC:
-        raise ValueError("the extended-Jacobian controller supports static trocars only")
 
     mode = control.rcm_mode
     dt = sim.dt
@@ -367,7 +378,6 @@ def run_episode(
                 mode=mode,
                 compensation=control.compensation,
                 constraint_bias_feedforward=control.constraint_bias_feedforward,
-                torque_inverse=control.torque_inverse,
                 snap=snap,
                 x_c_ref=x_c_ref,
             )
@@ -387,12 +397,9 @@ def run_episode(
             trace.filled = k
             raise SimulationDiverged(k, t, "non-finite controller torque", trace)
 
-        tau_dist = disturbance_eval(t, scenario.disturbances, model, state.q)
+        tau_dist = disturbance_eval(t, scenario.disturbances, model, kin_true)
         if sim.env.mode == ENV_SOFT:
-            x2 = residual(kin_true.pose_r, trocar.p, RcmMode.TWO_D)
-            xd2 = residual_rate(kin_true.pose_r, kin_true.J_r, state.qdot, trocar, RcmMode.TWO_D)
-            J2 = _residual_jac(kin_true, trocar)
-            tau_ext = tau_dist + J2.T @ environment_force(x2, xd2, sim.env)
+            tau_ext = tau_dist + port_torque(kin_true, state.qdot, trocar, sim.env)
         else:
             tau_ext = tau_dist
 

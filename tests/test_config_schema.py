@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rcmsim.cli import main
 from rcmsim.errors import ConfigError
-from rcmsim.harness import config_from_dict
+from rcmsim.harness import EXIT_CONFIG, config_from_dict
 
 DROP = object()  # delete the key instead of setting it
 D = "scenario.disturbances[0]"
@@ -110,7 +111,7 @@ REJECTED = [
     ("scenario.trocar.bogus", 1, "scenario.trocar.bogus: unknown field"),
     ("scenario.disturbances", {}, "scenario.disturbances: expected a list"),
     ("scenario.disturbances", None, "scenario.disturbances: expected a list"),
-    (f"{D}", 5, f"{D}: expected an object"),
+    (D, 5, f"{D}: expected an object"),
     (f"{D}.t0", "x", f"{D}.t0: expected a number"),
     (f"{D}.t0", DROP, f"{D}.t0: missing required field"),
     (f"{D}.t0", -1.0, f"{D}: window must satisfy 0 <= t0 < t1"),
@@ -253,3 +254,68 @@ def test_to_dict_round_trip(data):
     dumped = cfg.to_dict()
     assert json.loads(json.dumps(dumped)) == dumped
     assert config_from_dict(dumped) == cfg
+
+
+# Configs that used to pass the loader and then fail inside the run (a
+# traceback, and in a sweep a missing results.json): each is now rejected at
+# load time with its path. json.dumps writes inf and nan as the bare
+# Infinity and NaN tokens that json.load reads back.
+ESCAPES = {
+    "kd_task": (with_value("gains.kd_task", -1.0), "gains.kd_task: must be non-negative"),
+    "kd_rcm": (with_value("gains.kd_rcm", -1.0), "gains.kd_rcm: must be non-negative"),
+    "kd_null": (with_value("gains.kd_null", -1.0), "gains.kd_null: must be non-negative"),
+    "q_init": (with_value("scenario.q_init", [0.1, 0.2]), "scenario.q_init: expected 7 numbers"),
+    "joint_torque": (
+        with_value(f"{D}.joint_torque", [1.0, 2.0]), f"{D}.joint_torque: expected 7 numbers"
+    ),
+    "moving_trocar": (
+        {"controller": "z_approach",
+         "scenario": {"alpha": 0.5, "trocar": {"mode": "sinusoidal"}}},
+        "scenario.trocar.mode: the extended-Jacobian controller supports static trocars only",
+    ),
+    "spiral": (with_value("scenario.spiral", 5), "scenario.spiral: expected an object"),
+    "trocar": (with_value("scenario.trocar", []), "scenario.trocar: expected an object"),
+    "sim": (with_value("sim", 5), "sim: expected an object"),
+    "env": (with_value("sim.env", "soft"), "sim.env: expected an object"),
+    "noise_seed": (with_value("sim.noise_seed", -1), "sim.noise_seed: must be non-negative"),
+    "dt_inf": (with_value("sim.dt", float("inf")), "sim.dt: must be finite"),
+    "kp_huge_int": (with_value("gains.kp_task", 10**400), "gains.kp_task: must be finite"),
+    "alpha_nan": (with_value("scenario.alpha", float("nan")), "scenario.alpha: must be finite"),
+    "q_init_nan": (
+        with_value("scenario.q_init", [float("nan")] * 7), "scenario.q_init: must be finite"
+    ),
+}
+
+
+def test_malformed_model_file_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("{}")
+    with pytest.raises(ConfigError, match=r"^model: "):
+        config_from_dict({**BASE, "model": str(path)})
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPES))
+def test_escape_rejected_before_any_run(name, tmp_path, capsys):
+    data, message = ESCAPES[name]
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "a_good.json").write_text(json.dumps(BASE))
+    (configs / "b_bad.json").write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["sweep", "--configs", str(configs), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()  # no run of the sweep started
+    assert main(["run", "--config", str(configs / "b_bad.json"), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {message}\n") == 2
+
+
+def test_episode_boundary_uses_the_same_rules(model):
+    from rcmsim.scenarios import SpiralParams
+    from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
+
+    bad = Scenario(alpha=0.5, spiral=SpiralParams(accel_fraction=0.5))
+    with pytest.raises(ConfigError, match=r"^scenario\.spiral\.accel_fraction: must lie in"):
+        run_episode(model, ControlSetup(), bad, SimConfig(duration=0.01))
+    with pytest.raises(ConfigError, match=r"^scenario\.q_init: expected 7 numbers$"):
+        run_episode(model, ControlSetup(), Scenario(q_init=[0.0]), SimConfig(duration=0.01))

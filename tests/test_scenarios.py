@@ -130,7 +130,7 @@ def test_trocar_derivatives_match_finite_difference():
 
 
 def test_disturbance_empty_schedule(model):
-    tau = disturbance_eval(1.0, DisturbanceSchedule(), model, DEFAULT_HOME)
+    tau = disturbance_eval(1.0, DisturbanceSchedule(), model, kinematics(model, DEFAULT_HOME))
     assert np.abs(tau).max() == 0.0
 
 
@@ -138,9 +138,10 @@ def test_disturbance_joint_torque_window(model):
     torque = np.zeros(model.n)
     torque[3] = 2.0
     sched = DisturbanceSchedule([DisturbanceEvent(t0=5.0, t1=10.0, joint_torque=torque)])
-    assert disturbance_eval(7.0, sched, model, DEFAULT_HOME)[3] == 2.0
-    assert np.abs(disturbance_eval(4.9, sched, model, DEFAULT_HOME)).max() == 0.0
-    assert np.abs(disturbance_eval(10.1, sched, model, DEFAULT_HOME)).max() == 0.0
+    kin = kinematics(model, DEFAULT_HOME)
+    assert disturbance_eval(7.0, sched, model, kin)[3] == 2.0
+    assert np.abs(disturbance_eval(4.9, sched, model, kin)).max() == 0.0
+    assert np.abs(disturbance_eval(10.1, sched, model, kin)).max() == 0.0
 
 
 def test_disturbance_flange_wrench_virtual_work(model, rng):
@@ -148,8 +149,8 @@ def test_disturbance_flange_wrench_virtual_work(model, rng):
     sched = DisturbanceSchedule([DisturbanceEvent(t0=0.0, t1=1.0, flange_wrench=wrench)])
     q = DEFAULT_HOME
     qd = rng.uniform(-1, 1, model.n)
-    tau = disturbance_eval(0.5, sched, model, q)
     kin = kinematics(model, q)
+    tau = disturbance_eval(0.5, sched, model, kin)
     assert abs(qd @ tau - (kin.J_r @ qd) @ wrench) < 1e-9
 
 
@@ -157,7 +158,7 @@ def test_disturbance_link2_force_zero_columns(model):
     sched = DisturbanceSchedule(
         [DisturbanceEvent(t0=0.0, t1=1.0, link2_force=np.array([0.0, 10.0, 0.0]))]
     )
-    tau = disturbance_eval(0.5, sched, model, DEFAULT_HOME)
+    tau = disturbance_eval(0.5, sched, model, kinematics(model, DEFAULT_HOME))
     assert np.abs(tau[2:]).max() == 0.0  # mapped through joints 1-2 only
     assert np.abs(tau[:2]).max() > 0.0
 
