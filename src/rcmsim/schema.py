@@ -16,6 +16,8 @@ import typing
 from dataclasses import MISSING, Field, field, fields, is_dataclass
 from typing import Any, Callable, NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -32,7 +34,7 @@ NON_NEGATIVE = Rule(lambda v: v >= 0, "must be non-negative")
 
 
 def length(n: int) -> Rule:
-    return Rule(lambda v: len(v) == n, f"expected {n} numbers")
+    return Rule(lambda v: np.shape(v) == (n,), f"expected {n} numbers")
 
 
 def setting(default=MISSING, rule: Rule | None = None, kind: str | None = None) -> Field:
