@@ -1,7 +1,6 @@
 """Torque-level remote-center-of-motion control: constrained rigid-body
 simulation and controller benchmarking."""
 
-from .backend import backend_name
 from .robot import (
     DEFAULT_HOME,
     JointState,
@@ -19,7 +18,6 @@ __all__ = [
     "JointState",
     "Pose",
     "RobotModel",
-    "backend_name",
     "default_model_path",
     "load_default_model",
     "load_model",

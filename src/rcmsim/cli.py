@@ -67,7 +67,6 @@ def _cmd_compare(args) -> int:
 
 def _bench_payload(ticks: int) -> dict:
     """Time the frame pass as the tick runs it, and a short closed-loop episode."""
-    from .backend import backend_name
     from .controllers import GainSet, build_snapshot
     from .rcm import RcmMode, TrocarState
     from .robot import DEFAULT_HOME, JointState, kinematics, load_default_model
@@ -113,7 +112,6 @@ def _bench_payload(ticks: int) -> dict:
     trace = run_episode(model, control, scenario, sim)
     elapsed = time.perf_counter() - start
     return {
-        "backend": backend_name(),
         "pass_us": pass_times,
         "episode_ticks": trace.filled,
         "episode_seconds": elapsed,

@@ -1,29 +1,33 @@
 """Torque controllers for RCM-constrained tool-tip tracking.
 
-Three variants share one tick interface:
+Every variant is a free-motion torque plus a constraint term Jc^T f, and all
+three share one interface: ``control_torque`` takes the tick's
+``ControlSnapshot``, runs the configured variant and adds the disturbance
+compensation.
 
 * projected controller: orthogonal torque decomposition with an exactly
   enforced pivot constraint and operational-space tip tracking in the
   free-motion subspace;
 * extended-Jacobian controller: stacked constraint/null-space coordinates
   with a metric-weighted null basis (comparison baseline, static trocar);
-* inertia-square-root controller: constrained/unconstrained split through the
-  inertia-weighted pseudoinverse (comparison baseline).
+* Udwadia-Kalaba controller: the unconstrained tip law completed by the
+  ideal constraint force, in its reduced form (comparison baseline).
 
-All controllers are pure functions of (model, joint state, trocar state,
-reference, gains, observer estimate); integration state (observer momentum,
-null-basis continuity) is passed explicitly by the caller.
+The controllers are pure functions of the snapshot, the reference, the
+setup and the episode's start configuration; integration state (observer
+momentum, null-basis continuity) is passed explicitly by the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularExtendedJacobian
-from .numerics import matrix_sqrt, orth_projector, pinv, projector_and_pinv, small_inv
-from .projection import sym_inv, task_space_terms
+from .numerics import null_basis_and_pinv, orth_projector, small_inv
+from .projection import sym_inv
 from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin
 from .robot import JointState, KinFrames, RobotModel, kinematics
 from .scenarios import TaskReference
@@ -34,6 +38,18 @@ Z_APPROACH = "z_approach"
 UK = "uk"
 
 DEFAULT_MODE = {P_APPROACH: RcmMode.TWO_D, Z_APPROACH: RcmMode.TWO_D, UK: RcmMode.THREE_D}
+
+# Gain defaults of library and config runs alike.
+KP_TASK = 1000.0  # N/m
+KP_RCM = 1500.0  # N/m
+OBSERVER_GAIN = 50.0  # 1/s
+# Null-space joint damping applied when no null-space stiffness is active:
+# the simulated arm is frictionless, so internal motion would otherwise
+# wander undamped [N m s/rad].
+NULL_DAMPING = 4.0
+
+# sigma_min/sigma_max below which the extended Jacobian counts as singular
+STACKED_COND_TOL = 1e-10
 
 
 def _as_diag(value, size: int, name: str) -> np.ndarray:
@@ -62,15 +78,15 @@ class GainSet:
     kd_rcm: np.ndarray
     kp_null: np.ndarray
     kd_null: np.ndarray
-    observer_gain: float = 50.0
+    observer_gain: float = OBSERVER_GAIN
 
     @classmethod
     def from_proportional(
         cls,
-        kp_task=1000.0,
-        kp_rcm=1500.0,
+        kp_task=KP_TASK,
+        kp_rcm=KP_RCM,
         kp_null=0.0,
-        observer_gain: float = 50.0,
+        observer_gain: float = OBSERVER_GAIN,
         n_joints: int = 7,
         kd_task=None,
         kd_rcm=None,
@@ -97,25 +113,47 @@ class GainSet:
         )
 
 
+COMP_OFF = "off"
+COMP_FULL = "full"
+COMP_PRESERVE_NULL = "preserve_null"
+
+
+@dataclass
+class ControlSetup:
+    """Which controller runs the episode and how it is configured."""
+
+    variant: str = P_APPROACH
+    gains: GainSet | None = None
+    rcm_mode: RcmMode | None = None  # default depends on the variant
+    observer: bool = False
+    compensation: str = COMP_FULL
+    constraint_bias_feedforward: bool = True
+
+    def __post_init__(self):
+        if self.variant not in (P_APPROACH, Z_APPROACH, UK):
+            raise ValueError(f"unknown controller variant {self.variant!r}")
+        if self.gains is None:
+            self.gains = GainSet.from_proportional(kd_null=NULL_DAMPING)
+        if self.rcm_mode is None:
+            self.rcm_mode = DEFAULT_MODE[self.variant]
+
+
 @dataclass(frozen=True)
 class ControllerOutput:
-    """Torque command plus the decomposition and per-tick diagnostics.
+    """Torque command and its decomposition.
 
-    tau = tau_parallel + tau_perp + tau_ext_hat, with tau_ext_hat the
-    compensation torque actually added (zero when compensation is off).
-    ``constraint_accel_cmd`` is the constraint-space joint acceleration the
-    controller commands (what Jc qddot should equal in closed loop).
+    tau = tau_parallel + tau_perp + tau_ext_hat: ``tau_perp`` is the
+    variant's constraint term Jc^T f, ``tau_parallel`` the free-motion rest
+    and ``tau_ext_hat`` the compensation torque actually added (zero when
+    compensation is off). ``constraint_accel_cmd`` is the constraint-space
+    joint acceleration the controller commands (what Jc qddot should equal in
+    closed loop).
     """
 
     tau: np.ndarray
     tau_parallel: np.ndarray
     tau_perp: np.ndarray
-    tau_null: np.ndarray
     tau_ext_hat: np.ndarray
-    x_c: np.ndarray
-    xdot_c: np.ndarray
-    tip_error: np.ndarray
-    f_task: np.ndarray
     constraint_accel_cmd: np.ndarray
 
 
@@ -129,8 +167,6 @@ class ControlSnapshot:
     """
 
     state: JointState
-    trocar: TrocarState
-    mode: RcmMode
     kin: KinFrames
     M: np.ndarray
     Minv: np.ndarray
@@ -151,8 +187,6 @@ def build_snapshot(
     J_task = kin.Jp_t
     return ControlSnapshot(
         state=state,
-        trocar=trocar,
-        mode=mode,
         kin=kin,
         M=kin.M,
         Minv=np.linalg.inv(kin.M),
@@ -246,11 +280,6 @@ def observer_step(
     return ObserverState(gain=obs.gain, p_hat=p_hat, tau_ext_hat=-r_new, n_prev=n_new)
 
 
-COMP_OFF = "off"
-COMP_FULL = "full"
-COMP_PRESERVE_NULL = "preserve_null"
-
-
 def compensation_torque(
     tau_ext_hat: np.ndarray | None, mode: str, snap: ControlSnapshot
 ) -> np.ndarray:
@@ -275,64 +304,111 @@ def compensation_torque(
     raise ValueError(f"unknown compensation mode {mode!r}")
 
 
-def _constraint_accel_cmd(
-    cs: ConstraintState,
-    mobility_c: np.ndarray,
-    gains: GainSet,
-    bias_feedforward: bool,
+@dataclass(frozen=True)
+class ZCarry:
+    """Null-basis continuity between ticks (previous aligned basis)."""
+
+    Z: np.ndarray
+
+
+class Torque(NamedTuple):
+    """A variant's command before compensation: tau = parallel + perp, with
+    ``perp`` its constraint term Jc^T f; ``accel_cmd`` is the Jc qddot it
+    commands and ``carry`` what the variant hands to its next tick."""
+
+    parallel: np.ndarray
+    perp: np.ndarray
+    accel_cmd: np.ndarray
+    carry: ZCarry | None = None
+
+
+def control_torque(
+    setup: ControlSetup,
+    snap: ControlSnapshot,
+    ref: TaskReference,
+    q_init: np.ndarray,
+    tau_ext_hat: np.ndarray | None = None,
     x_c_ref: np.ndarray | None = None,
-) -> np.ndarray:
-    """Commanded constraint-space joint acceleration (target for Jc qddot).
+    carry: ZCarry | None = None,
+) -> tuple[ControllerOutput, ZCarry | None]:
+    """One controller tick: the configured variant plus the disturbance
+    compensation of ``tau_ext_hat``; returns the output and the carry for
+    the next tick.
 
-    The pivot set-point is zero (or ``x_c_ref`` where the residual has a
-    structurally nonzero component, e.g. the axial part of the 3D residual),
-    so the stabilizing design is -Lambda_c^-1 (Kd xdot + Kp x_err), with
-    ``mobility_c`` = Lambda_c^-1 = Jc M^-1 Jc^T; with
-    ``bias_feedforward`` the acceleration bias is cancelled too, making the
-    realized residual dynamics homogeneous (residual error and its
-    derivatives decay to zero even with a moving trocar).
+    ``q_init`` is the centre of the null-space compliance. ``x_c_ref`` is
+    the pivot-residual set-point (default zero); in the 3D residual its third
+    component is the signed axial offset of the reference frame from the
+    trocar, which is nonzero by construction, so the caller passes the
+    initial residual there.
     """
-    k = cs.J.shape[0]
-    if k == 0:
-        return np.zeros(0)
-    x_err = cs.x if x_c_ref is None else cs.x - np.asarray(x_c_ref, dtype=float)
-    fb = gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * x_err
-    a = -mobility_c.dot(fb)
-    if bias_feedforward:
-        a = a - cs.b
-    return a
-
-
-def without_constraint(snap: ControlSnapshot) -> ControlSnapshot:
-    """Snapshot variant with an empty (k = 0) constraint, for the
-    unconstrained-reduction limit."""
-    n = snap.M.shape[0]
-    empty = ConstraintState(
-        x=np.zeros(0),
-        J=np.zeros((0, n)),
-        J_dot=np.zeros((0, n)),
-        xdot=np.zeros(0),
-        b=np.zeros(0),
-        mode=snap.mode,
+    # resolved at call time, so a wrapper set on the module attribute sees the call
+    variant = (
+        p_approach_torque if setup.variant == P_APPROACH
+        else z_approach_torque if setup.variant == Z_APPROACH
+        else uk_torque
     )
-    return replace(snap, constraint=empty)
+    tau_par, tau_perp, a_cmd, carry = variant(snap, ref, setup, q_init, x_c_ref, carry)
+    tau_comp = compensation_torque(tau_ext_hat, setup.compensation, snap)
+    out = ControllerOutput(
+        tau=tau_par + tau_perp + tau_comp,
+        tau_parallel=tau_par,
+        tau_perp=tau_perp,
+        tau_ext_hat=tau_comp,
+        constraint_accel_cmd=a_cmd,
+    )
+    return out, carry
 
 
-def p_approach_torque(
-    model: RobotModel,
-    state: JointState,
-    trocar: TrocarState,
+def _pivot_pd(cs: ConstraintState, gains: GainSet, x_c_ref: np.ndarray | None) -> np.ndarray:
+    """Kd xdot_c + Kp (x_c - x_c_ref) on the k residual rows."""
+    k = cs.J.shape[0]
+    x_err = cs.x if x_c_ref is None else cs.x - np.asarray(x_c_ref, dtype=float)
+    return gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * x_err
+
+
+def _constraint_inertia(cs: ConstraintState, Minv: np.ndarray):
+    """(M^-1 Jc^T, mobility Jc M^-1 Jc^T, its inverse Lambda_c)."""
+    Minv_JcT = Minv.dot(cs.J.T)
+    mobility_c = cs.J.dot(Minv_JcT)
+    return Minv_JcT, mobility_c, small_inv(mobility_c)
+
+
+def _completion(
+    snap: ControlSnapshot, Lambda_c: np.ndarray, a_cmd: np.ndarray, tau_free: np.ndarray
+) -> np.ndarray:
+    """Jc^T Lambda_c (a_cmd + Jc M^-1 (h - tau_free)): the constraint torque
+    that, added to ``tau_free``, makes Jc qddot = a_cmd exactly."""
+    Jc = snap.constraint.J
+    f_c = Lambda_c.dot(a_cmd + Jc.dot(snap.Minv.dot(snap.h - tau_free)))
+    return Jc.T.dot(f_c)
+
+
+def _task_torque(
+    snap: ControlSnapshot,
     ref: TaskReference,
     gains: GainSet,
     q_init: np.ndarray,
-    tau_ext_hat: np.ndarray | None = None,
-    mode: RcmMode = RcmMode.TWO_D,
-    compensation: str = COMP_FULL,
-    constraint_bias_feedforward: bool = True,
-    on_singular: str = "damp",
-    snap: ControlSnapshot | None = None,
+    Lambda: np.ndarray,
+    h_task: np.ndarray,
+    B: np.ndarray,
+) -> np.ndarray:
+    """J^T f + N_bar tau_0: the tip PD force f through the task inertia
+    ``Lambda`` and bias ``h_task``, and the null-space torque through
+    N_bar = I - J^T Lambda B."""
+    state = snap.state
+    f = free_space_force(Lambda, h_task, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
+    tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
+    return snap.J_task.T.dot(f - Lambda.dot(B.dot(tau_0))) + tau_0
+
+
+def p_approach_torque(
+    snap: ControlSnapshot,
+    ref: TaskReference,
+    setup: ControlSetup,
+    q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-) -> ControllerOutput:
+    carry: ZCarry | None = None,
+) -> Torque:
     """Projected constraint-consistent controller.
 
     The free-motion torque runs operational-space PD tracking of the tip plus
@@ -343,90 +419,32 @@ def p_approach_torque(
     (no unmodelled external torque) this yields Jc qddot = a_cmd to solver
     precision and clean PD error dynamics for the tip.
 
-    The task terms are those of ``projection.task_space_terms`` with the
-    constraint feedforward Jc^+ a_cmd, formed from the snapshot's M^-1
-    instead of a solve with M_f = P M + (I - P): M_f^-1 P equals
-    M^-1 - M^-1 Jc^T Lambda_c Jc M^-1, and M_f^-1 Jc^+ a_cmd equals
-    M^-1 Jc^T Lambda_c a_cmd.
+    The pivot command is -Lambda_c^-1 (Kd xdot + Kp x_err), less the
+    acceleration bias b_c with ``constraint_bias_feedforward`` (the residual
+    dynamics then stay homogeneous with a moving trocar). The task terms
+    are those of the operational-space law on the free-motion inertia
+    M_f = P M + (I - P), formed from the snapshot's M^-1:
+    M_f^-1 P = M^-1 - M^-1 Jc^T Lambda_c Jc M^-1, and the constraint
+    feedforward M_f^-1 Jc^+ a_cmd = M^-1 Jc^T Lambda_c a_cmd.
     """
-    snap = snap or build_snapshot(model, state, trocar, mode)
     cs = snap.constraint
     Minv, J = snap.Minv, snap.J_task
     # Products use ndarray.dot, which costs less per call than @ on these
     # small operands; this runs every tick.
     P = orth_projector(cs.J)
-    Minv_JcT = Minv.dot(cs.J.T)
-    mobility_c = cs.J.dot(Minv_JcT)
-    Lambda_c = small_inv(mobility_c)
-    a_cmd = _constraint_accel_cmd(cs, mobility_c, gains, constraint_bias_feedforward, x_c_ref)
+    Minv_JcT, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
+    a_cmd = -mobility_c.dot(_pivot_pd(cs, setup.gains, x_c_ref))
+    if setup.constraint_bias_feedforward:
+        a_cmd = a_cmd - cs.b
 
     JG = J.dot(Minv_JcT).dot(Lambda_c)
     B = J.dot(Minv) - JG.dot(Minv_JcT.T)  # J M_f^-1 P
-    Lambda_f = sym_inv(B.dot(J.T), on_singular, 1e-6, 1e-9)
-    h_f = Lambda_f.dot(B.dot(snap.h) - snap.Jdot_task.dot(state.qdot) - JG.dot(a_cmd))
-    f_f = free_space_force(Lambda_f, h_f, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
-    tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
-    # J^T f_f + N_bar tau_0 with N_bar = I - J^T Lambda_f B
-    tau_f = J.T.dot(f_f - Lambda_f.dot(B.dot(tau_0))) + tau_0
-
+    Lambda_f = sym_inv(B.dot(J.T), "damp", 1e-6, 1e-9)
+    h_f = Lambda_f.dot(B.dot(snap.h) - snap.Jdot_task.dot(snap.state.qdot) - JG.dot(a_cmd))
+    tau_f = _task_torque(snap, ref, setup.gains, q_init, Lambda_f, h_f, B)
     # The Moore-Penrose inverse of the orthogonal projector P is P itself.
     tau_par = P.dot(tau_f)
-    f_c = Lambda_c.dot(a_cmd + cs.J.dot(Minv.dot(snap.h - tau_par)))
-    tau_perp = cs.J.T.dot(f_c)
-    tau_comp = compensation_torque(tau_ext_hat, compensation, snap)
-    return ControllerOutput(
-        tau=tau_par + tau_perp + tau_comp,
-        tau_parallel=tau_par,
-        tau_perp=tau_perp,
-        tau_null=tau_0,
-        tau_ext_hat=tau_comp,
-        x_c=cs.x,
-        xdot_c=cs.xdot,
-        tip_error=ref.x - snap.kin.pose_t.p,
-        f_task=f_f,
-        constraint_accel_cmd=a_cmd,
-    )
-
-
-def unconstrained_pd_torque(
-    model: RobotModel,
-    state: JointState,
-    ref: TaskReference,
-    gains: GainSet,
-    q_init: np.ndarray,
-    snap: ControlSnapshot | None = None,
-    on_singular: str = "damp",
-) -> np.ndarray:
-    """Standard operational-space PD torque with no constraint (k = 0 limit)."""
-    if snap is None:
-        snap = build_snapshot(
-            model, state, TrocarState.static(np.zeros(3)), RcmMode.TWO_D
-        )
-    n = model.n
-    tst = task_space_terms(
-        snap.M,
-        np.eye(n),
-        snap.J_task,
-        snap.Jdot_task,
-        state.qdot,
-        snap.h,
-        on_singular=on_singular,
-    )
-    f_f = free_space_force(tst.Lambda_f, tst.h_f, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
-    tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
-    return snap.J_task.T @ f_f + tst.N_bar @ tau_0
-
-
-@dataclass(frozen=True)
-class ZCarry:
-    """Null-basis continuity between ticks (previous aligned basis)."""
-
-    Z: np.ndarray
-
-
-def _null_basis(Jc: np.ndarray) -> np.ndarray:
-    _, _, Vt = np.linalg.svd(Jc, full_matrices=True)
-    return Vt[Jc.shape[0]:].T.copy()
+    return Torque(tau_par, _completion(snap, Lambda_c, a_cmd, tau_par), a_cmd)
 
 
 def _align_basis(Z: np.ndarray, Z_ref: np.ndarray) -> np.ndarray:
@@ -455,20 +473,13 @@ def _null_sharp_rate(
 
 
 def z_approach_torque(
-    model: RobotModel,
-    state: JointState,
-    trocar: TrocarState,
+    snap: ControlSnapshot,
     ref: TaskReference,
-    gains: GainSet,
-    tau_ext_hat: np.ndarray | None = None,
-    q_init: np.ndarray | None = None,
-    mode: RcmMode = RcmMode.TWO_D,
-    compensation: str = COMP_FULL,
-    carry: ZCarry | None = None,
-    snap: ControlSnapshot | None = None,
-    cond_tol: float = 1e-10,
+    setup: ControlSetup,
+    q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-) -> tuple[ControllerOutput, ZCarry]:
+    carry: ZCarry | None = None,
+) -> Torque:
     """Extended-Jacobian baseline controller (static trocar).
 
     Stacks the constraint Jacobian over the inertia-weighted inverse of a
@@ -477,19 +488,17 @@ def z_approach_torque(
     stacked-coordinate bias mapped through the stacked Jacobian transpose, so
     a resting arm at zero error receives exactly the gravity torque.
     """
-    snap = snap or build_snapshot(model, state, trocar, mode)
     cs = snap.constraint
-    n = model.n
-    k = cs.J.shape[0]
-    M, h, Minv = snap.M, snap.h, snap.Minv
+    gains = setup.gains
+    M, h, Minv, J = snap.M, snap.h, snap.Minv, snap.J_task
+    qd = snap.state.qdot
 
-    Z = _null_basis(cs.J)
+    Z, Jc_pinv = null_basis_and_pinv(cs.J)
     if carry is not None:
         Z = _align_basis(Z, carry.Z)
     Lambda_n = Z.T @ M @ Z
     Z_sharp = np.linalg.solve(Lambda_n, Z.T @ M)
-    Lambda_c = sym_inv(cs.J @ Minv @ cs.J.T, "damp", 1e-6, 1e-9)
-    P, Jc_pinv = projector_and_pinv(cs.J)
+    _, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
 
     # The gauge-locked basis keeps Z^T Zdot = 0, and d/dt(Jc Z) = 0 then
     # gives Zdot = -Jc^+ Jdot_c Z.
@@ -498,125 +507,63 @@ def z_approach_torque(
 
     J_E = np.concatenate([cs.J, Z_sharp], axis=0)
     sv = np.linalg.svd(J_E, compute_uv=False)
-    if sv[-1] <= cond_tol * sv[0]:
+    if sv[-1] <= STACKED_COND_TOL * sv[0]:
         raise SingularExtendedJacobian(
             f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})"
         )
 
     Minv_h = Minv @ h
-    H_top = Lambda_c @ (cs.J @ Minv_h - cs.J_dot @ state.qdot)
-    H_bot = Lambda_n @ (Z_sharp @ Minv_h - Zs_dot @ state.qdot)
+    H_top = Lambda_c @ (cs.J @ Minv_h - cs.J_dot @ qd)
+    H_bot = Lambda_n @ (Z_sharp @ Minv_h - Zs_dot @ qd)
 
-    x_err = cs.x if x_c_ref is None else cs.x - np.asarray(x_c_ref, dtype=float)
-    f_c = -(gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * x_err)
+    f_c = -_pivot_pd(cs, gains, x_c_ref)
     # Feedforward through this controller's own constrained tip mobility
     # (J Z Lambda_n^-1 Z^T J^T)^-1, so the acceleration reference maps exactly.
-    Lambda_zn = sym_inv(
-        snap.J_task @ Z @ np.linalg.solve(Lambda_n, Z.T @ snap.J_task.T), "damp", 1e-6, 1e-9
+    Lambda_zn = sym_inv(J @ Z @ np.linalg.solve(Lambda_n, Z.T @ J.T), "damp", 1e-6, 1e-9)
+    f_f = free_space_force(Lambda_zn, 0.0, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
+    tau_0 = nullspace_torque(snap.state.q, qd, q_init, gains)
+    f_n = Z.T @ (J.T @ f_f + tau_0)
+    return Torque(
+        Z_sharp.T @ (f_n + H_bot), cs.J.T @ (f_c + H_top), mobility_c @ f_c, ZCarry(Z=Z)
     )
-    e = ref.x - snap.kin.pose_t.p
-    edot = ref.xdot - snap.tip_vel
-    f_f = Lambda_zn @ ref.xddot + gains.kd_task * edot + gains.kp_task * e
-    f_n = Z.T @ (snap.J_task.T @ f_f)
-    tau_0 = np.zeros(n)
-    if q_init is not None and (np.any(gains.kp_null) or np.any(gains.kd_null)):
-        tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
-        f_n = f_n + Z.T @ tau_0
-
-    tau_cmd = J_E.T @ (
-        np.concatenate([f_c + H_top, f_n + H_bot])
-    )
-    tau_comp = compensation_torque(tau_ext_hat, compensation, snap)
-    tau = tau_cmd + tau_comp
-
-    out = ControllerOutput(
-        tau=tau,
-        tau_parallel=P @ tau_cmd,
-        tau_perp=tau_cmd - P @ tau_cmd,
-        tau_null=tau_0,
-        tau_ext_hat=tau_comp,
-        x_c=cs.x,
-        xdot_c=cs.xdot,
-        tip_error=e,
-        f_task=f_f,
-        constraint_accel_cmd=np.linalg.solve(Lambda_c, f_c),
-    )
-    return out, ZCarry(Z=Z)
 
 
 def uk_torque(
-    model: RobotModel,
-    state: JointState,
-    trocar: TrocarState,
+    snap: ControlSnapshot,
     ref: TaskReference,
-    gains: GainSet,
-    tau_ext_hat: np.ndarray | None = None,
-    q_init: np.ndarray | None = None,
-    mode: RcmMode = RcmMode.THREE_D,
-    compensation: str = COMP_FULL,
-    snap: ControlSnapshot | None = None,
+    setup: ControlSetup,
+    q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-) -> ControllerOutput:
-    """Inertia-square-root constrained/unconstrained split baseline.
+    carry: ZCarry | None = None,
+) -> Torque:
+    """Udwadia-Kalaba baseline: the unconstrained tip law completed by the
+    ideal constraint force.
 
-    Q is a Cartesian PD tip torque (same gains as the projected controller's
-    free-space task, optional null-space term) minus the bias; the ideal and
-    non-ideal constraint contributions are built through Pi = Jc M^-1/2:
+    tau_sharp is the operational-space PD tip torque with no constraint
+    (same gains as the projected controller's free-space task, null-space
+    term through the unconstrained dynamically consistent projector) and
+    b_ic = -(Kd xdot_c + Kp x_err) the commanded constraint acceleration.
+    The published form splits the constraint torque through
+    Pi = Jc M^-1/2 into an ideal and a non-ideal part with tau_nic = Jc^T b_ic:
 
-        Q_ic  = M^1/2 Pi^+ (b_ic - Jc M^-1 Q)
+        Q_ic  = M^1/2 Pi^+ (b_ic - Jc M^-1 (tau_sharp - h))
         Q_nic = M^1/2 (I - Pi^+ Pi) M^-1/2 tau_nic
 
-    with b_ic the PD pivot force and tau_nic = Jc^T b_ic. In closed loop the
-    constraint-space acceleration satisfies Jc qddot = b_ic exactly.
+    Since Pi^+ = M^-1/2 Jc^T Lambda_c, M^1/2 Pi^+ = Jc^T Lambda_c, and
+    (I - Pi^+ Pi) M^-1/2 Jc^T = (I - Pi^+ Pi) Pi^T = 0, so Q_nic vanishes and
 
-    ``x_c_ref`` is the residual set-point (default zero). In the 3D residual
-    formulation the third component is the signed axial offset of the
-    reference frame from the trocar, which is nonzero by construction; pass
-    the initial residual there so the pivot is regulated without commanding
-    the tool to stop sliding toward the port.
+        tau = tau_sharp + Jc^T Lambda_c (b_ic - Jc M^-1 (tau_sharp - h)),
+
+    the completion the projected controller applies to its free torque. In
+    closed loop Jc qddot = b_ic exactly.
     """
-    snap = snap or build_snapshot(model, state, trocar, mode)
     cs = snap.constraint
-    n = model.n
-    k = cs.J.shape[0]
-    M, h, Minv = snap.M, snap.h, snap.Minv
-
-    S = matrix_sqrt(M)
-    S_inv = np.linalg.solve(S, np.eye(n))
-
-    Lambda_tip = sym_inv(snap.J_task @ Minv @ snap.J_task.T, "damp", 1e-6, 1e-9)
-    h_tip = Lambda_tip @ (snap.J_task @ (Minv @ h) - snap.Jdot_task @ state.qdot)
-    e = ref.x - snap.kin.pose_t.p
-    edot = ref.xdot - snap.tip_vel
-    f_pd = Lambda_tip @ ref.xddot + gains.kd_task * edot + gains.kp_task * e + h_tip
-    tau_sharp = snap.J_task.T @ f_pd
-    tau_0 = np.zeros(n)
-    if q_init is not None and (np.any(gains.kp_null) or np.any(gains.kd_null)):
-        tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
-        N_x = np.eye(n) - snap.J_task.T @ (Lambda_tip @ (snap.J_task @ Minv))
-        tau_sharp = tau_sharp + N_x @ tau_0
-
-    Q = tau_sharp - h
-    x_err = cs.x if x_c_ref is None else cs.x - np.asarray(x_c_ref, dtype=float)
-    b_ic = -(gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * x_err)
-    Pi = cs.J @ S_inv
-    Pi_pinv = pinv(Pi)
-    Q_ic = S @ (Pi_pinv @ (b_ic - cs.J @ (Minv @ Q)))
-    tau_nic = cs.J.T @ b_ic
-    Q_nic = S @ ((np.eye(n) - Pi_pinv @ Pi) @ (S_inv @ tau_nic))
-
-    tau_comp = compensation_torque(tau_ext_hat, compensation, snap)
-    tau_cmd = Q + Q_ic + Q_nic + h
-    P = orth_projector(cs.J)
-    return ControllerOutput(
-        tau=tau_cmd + tau_comp,
-        tau_parallel=P @ tau_cmd,
-        tau_perp=tau_cmd - P @ tau_cmd,
-        tau_null=tau_0,
-        tau_ext_hat=tau_comp,
-        x_c=cs.x,
-        xdot_c=cs.xdot,
-        tip_error=e,
-        f_task=f_pd,
-        constraint_accel_cmd=b_ic,
-    )
+    gains = setup.gains
+    J, Minv = snap.J_task, snap.Minv
+    B = J.dot(Minv)
+    Lambda_tip = sym_inv(B.dot(J.T), "damp", 1e-6, 1e-9)
+    h_tip = Lambda_tip.dot(B.dot(snap.h) - snap.Jdot_task.dot(snap.state.qdot))
+    tau_sharp = _task_torque(snap, ref, gains, q_init, Lambda_tip, h_tip, B)
+    b_ic = -_pivot_pd(cs, gains, x_c_ref)
+    _, _, Lambda_c = _constraint_inertia(cs, Minv)
+    return Torque(tau_sharp, _completion(snap, Lambda_c, b_ic, tau_sharp), b_ic)

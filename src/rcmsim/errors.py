@@ -13,10 +13,6 @@ class RankDeficientConstraint(RcmSimError):
     """Constraint Jacobian lost row rank; the constraint set is ill-posed."""
 
 
-class NotPositiveDefinite(RcmSimError):
-    """Symmetric positive-definite input expected."""
-
-
 class SingularTaskInertia(RcmSimError):
     """Task-space inertia is singular at this configuration."""
 

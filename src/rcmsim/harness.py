@@ -46,21 +46,23 @@ EXIT_DIVERGED = 3
 class GainsConfig(Schema):
     """Proportional gains; derivative gains default to 2 sqrt(kp) element-wise.
 
-    ``null_damping`` is the baseline null-space joint damping used whenever no
-    null-space stiffness is active: the simulated arm is frictionless, so
-    without it internal (task- and constraint-invisible) motion would wander
-    undamped. It maps through the dynamically consistent null projector and
-    does not alter the task or pivot dynamics.
+    The defaults are the library's (``controllers.KP_TASK`` and the rest), so
+    a config with ``scenario.nullspace`` false runs the gains of a default
+    ``ControlSetup``. The one intended difference is ``kp_null``: 5.0 here,
+    the stiffness of the compliance experiment, applied only with
+    ``scenario.nullspace`` (the library default is no null-space stiffness).
+    ``null_damping`` is the baseline null-space joint damping used whenever
+    no null-space stiffness is active (``controllers.NULL_DAMPING``).
     """
 
-    kp_task: float = setting(1000.0, NON_NEGATIVE)
+    kp_task: float = setting(ctl.KP_TASK, NON_NEGATIVE)
     kd_task: float | None = setting(None, NON_NEGATIVE)
-    kp_rcm: float = setting(1500.0, NON_NEGATIVE)
+    kp_rcm: float = setting(ctl.KP_RCM, NON_NEGATIVE)
     kd_rcm: float | None = setting(None, NON_NEGATIVE)
     kp_null: float = setting(5.0, NON_NEGATIVE)
     kd_null: float | None = setting(None, NON_NEGATIVE)
-    observer_gain: float = setting(50.0, NON_NEGATIVE)
-    null_damping: float = setting(4.0, NON_NEGATIVE)
+    observer_gain: float = setting(ctl.OBSERVER_GAIN, NON_NEGATIVE)
+    null_damping: float = setting(ctl.NULL_DAMPING, NON_NEGATIVE)
 
 
 @dataclass
@@ -100,7 +102,10 @@ class RunConfig(Schema):
                   f"must be one of {ctl.P_APPROACH}/{ctl.Z_APPROACH}/{ctl.UK}"),
     )
     scenario: ScenarioConfig
-    label: str = ""
+    label: str = setting("", Rule(
+        lambda v: v not in (".", "..") and "/" not in v and "\\" not in v,
+        "must be a plain directory name: no '/' or '\\', not '.' or '..'",
+    ))
     model: str | None = setting(
         None, Rule(os.path.exists, "file not found: {value}"), kind="a path string"
     )

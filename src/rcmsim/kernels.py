@@ -19,8 +19,8 @@ on first access, so a kinematics-only caller pays for the frames only.
 Two-dimensional products use ``ndarray.dot``, which costs less per call than
 ``@`` at these sizes; stacked ones use ``@``.
 
-``rnea`` (loop form, compiled by numba when it is installed) is kept as an
-independent algorithm for inverse dynamics.
+``rnea`` (loop form) is kept as an independent algorithm for inverse
+dynamics.
 
 Conventions:
 
@@ -40,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .backend import jit
 
 # skew(v) = v @ _SKEW reshaped to 3x3, so skew(v) @ u == cross(v, u); one
 # BLAS product builds the cross-product matrices of a whole stack of vectors.
@@ -392,7 +390,6 @@ class KinFrames:
         return AtAd + AtAd.T
 
 
-@jit
 def _mdh_step(a, d, alpha, theta):
     """Child-frame rotation and origin in parent coordinates."""
     ca = np.cos(alpha)
@@ -416,7 +413,6 @@ def _mdh_step(a, d, alpha, theta):
     return R, p
 
 
-@jit
 def _cross(a, b):
     c = np.empty(3)
     c[0] = a[1] * b[2] - a[2] * b[1]
@@ -425,7 +421,6 @@ def _cross(a, b):
     return c
 
 
-@jit
 def rnea(dh, q, qd, qdd, gravity, masses, coms, inertias):
     """Recursive Newton-Euler inverse dynamics.
 

@@ -2,41 +2,16 @@
 
 All operators are tolerant of the small, dense matrices this package works
 with (at most ~13 rows: 7 joints + 6 task dimensions); there is no sparse
-path. Singular-value tolerances are relative to the largest singular value so
-the pseudoinverse and the projector built from it stay mutually consistent.
+path. Singular-value tolerances are relative to the largest singular value.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidMatrix, NotPositiveDefinite, RankDeficientConstraint
+from .errors import InvalidMatrix, RankDeficientConstraint
 
 DEFAULT_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PinvOptions:
-    """Pseudoinverse behaviour.
-
-    relative_tolerance: singular values below ``tol * sigma_max`` are treated
-        as zero.
-    damping: when positive, return the damped inverse A^T (A A^T + d^2 I)^-1
-        instead of truncating small singular values.
-    """
-
-    relative_tolerance: float = DEFAULT_RTOL
-    damping: float = 0.0
-
-    def __post_init__(self):
-        if not self.relative_tolerance > 0:
-            raise ValueError("relative_tolerance must be positive")
-        if self.damping < 0:
-            raise ValueError("damping must be non-negative")
-
-
-_DEFAULT_OPTS = PinvOptions()
 
 
 @lru_cache(maxsize=None)
@@ -77,29 +52,11 @@ def _check_finite(A: np.ndarray, name: str) -> np.ndarray:
     return A
 
 
-def pinv(A: np.ndarray, opts: PinvOptions | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD, with optional damping."""
-    opts = opts or _DEFAULT_OPTS
-    A = _check_finite(A, "pinv input")
-    if A.ndim != 2:
-        raise InvalidMatrix("pinv expects a 2-D matrix")
-    if A.size == 0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if opts.damping > 0.0:
-        inv_s = s / (s * s + opts.damping * opts.damping)
-    else:
-        cutoff = opts.relative_tolerance * (s[0] if s.size else 0.0)
-        inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (Vt.T * inv_s) @ U.T
-
-
-def _row_basis(Jc: np.ndarray, opts: PinvOptions | None):
-    """(n, svd): the column count and the thin SVD (U, s, Vt) of a
-    full-row-rank constraint Jacobian, svd None when it has no rows. Raises
+def _row_basis(Jc: np.ndarray, full_matrices: bool = False):
+    """(n, svd): the column count and the SVD (U, s, Vt) of a full-row-rank
+    constraint Jacobian, svd None when it has no rows. Raises
     RankDeficientConstraint when any singular value falls below the relative
     tolerance (the constraint set is then ill-posed)."""
-    opts = opts or _DEFAULT_OPTS
     Jc = _check_finite(Jc, "constraint Jacobian")
     if Jc.ndim != 2:
         raise InvalidMatrix("constraint Jacobian must be 2-D")
@@ -108,64 +65,30 @@ def _row_basis(Jc: np.ndarray, opts: PinvOptions | None):
         return n, None
     if k > n:
         raise RankDeficientConstraint(f"more constraints ({k}) than joints ({n})")
-    U, s, Vt = np.linalg.svd(Jc, full_matrices=False)
-    if s[-1] <= opts.relative_tolerance * s[0]:
+    U, s, Vt = np.linalg.svd(Jc, full_matrices=full_matrices)
+    if s[-1] <= DEFAULT_RTOL * s[0]:
         raise RankDeficientConstraint(
             f"constraint Jacobian rank < {k} (sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})"
         )
     return n, (U, s, Vt)
 
 
-def projector_and_pinv(
-    Jc: np.ndarray, opts: PinvOptions | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Null-space projector of a full-row-rank constraint Jacobian plus its
-    pseudoinverse, from a single SVD.
-
-    Returns (P, Jc_pinv) with P = I - Jc_pinv Jc symmetric and idempotent.
-    Raises RankDeficientConstraint when any singular value falls below the
-    relative tolerance (the constraint set is then ill-posed).
-    """
-    n, svd = _row_basis(Jc, opts)
-    if svd is None:
-        return np.eye(n), np.zeros((n, 0))
-    U, s, Vt = svd
-    # P = I - V1 V1^T is symmetric by construction, unlike I - pinv(Jc) @ Jc.
-    return identity(n) - Vt.T.dot(Vt), (Vt.T / s).dot(U.T)
-
-
-def orth_projector(Jc: np.ndarray, opts: PinvOptions | None = None) -> np.ndarray:
-    """Orthogonal projector onto the null space of ``Jc`` (same checks as
-    ``projector_and_pinv``, without forming the pseudoinverse)."""
-    n, svd = _row_basis(Jc, opts)
+def orth_projector(Jc: np.ndarray) -> np.ndarray:
+    """Orthogonal projector P = I - V1 V1^T onto the null space of ``Jc``,
+    symmetric by construction (unlike I - pinv(Jc) @ Jc)."""
+    n, svd = _row_basis(Jc)
     if svd is None:
         return np.eye(n)
     Vt = svd[2]
     return identity(n) - Vt.T.dot(Vt)
 
 
-def matrix_sqrt(M: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
-    """Symmetric square root of a symmetric positive-definite matrix."""
-    M = _check_finite(M, "matrix_sqrt input")
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotPositiveDefinite("matrix_sqrt expects a square matrix")
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M - M.T)) > sym_tol * scale:
-        raise NotPositiveDefinite("matrix_sqrt input is not symmetric")
-    w, Q = np.linalg.eigh(0.5 * (M + M.T))
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite(f"matrix_sqrt input has eigenvalue {w[0]:.3e} <= 0")
-    S = (Q * np.sqrt(w)) @ Q.T
-    return 0.5 * (S + S.T)
-
-
-def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ w == cross(v, w)."""
-    v = _check_finite(np.asarray(v, dtype=float).reshape(3), "skew input")
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+def null_basis_and_pinv(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal null-space basis Z (n x (n - k)) of ``Jc`` and its
+    pseudoinverse, from one full SVD with the checks of ``orth_projector``."""
+    n, svd = _row_basis(Jc, full_matrices=True)
+    if svd is None:
+        return np.eye(n), np.zeros((n, 0))
+    U, s, Vt = svd
+    k = s.size
+    return Vt[k:].T.copy(), (Vt[:k].T / s).dot(U.T)

@@ -54,16 +54,6 @@ class TrocarState:
 
 
 @dataclass(frozen=True)
-class RcmGeometry:
-    """Relative vectors used by the residual formulas (base frame)."""
-
-    p_cr: np.ndarray  # p_r - p_c
-    p_rt: np.ndarray  # p_t - p_r
-    p_rc: np.ndarray  # p_c - p_r
-    B_r: np.ndarray  # 3x2 lateral-plane basis (first two columns of R_r)
-
-
-@dataclass(frozen=True)
 class ConstraintState:
     """RCM constraint quantities at one instant (k = 2 or 3 rows).
 
@@ -77,13 +67,6 @@ class ConstraintState:
     xdot: np.ndarray
     b: np.ndarray
     mode: RcmMode
-
-
-def rcm_geometry(pose_r: Pose, p_t: np.ndarray, p_c: np.ndarray) -> RcmGeometry:
-    p_cr = pose_r.p - p_c
-    return RcmGeometry(
-        p_cr=p_cr, p_rt=p_t - pose_r.p, p_rc=-p_cr, B_r=pose_r.R[:, :2].copy()
-    )
 
 
 def place_trocar(p_r0: np.ndarray, p_t0: np.ndarray, alpha: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import controllers as ctl
+from .controllers import ControlSetup
 from .errors import SimulationDiverged
 from .rcm import RcmMode, TrocarState, place_trocar, residual, residual_jacobian, residual_rate
 from .robot import DEFAULT_HOME, JointState, KinFrames, RobotModel, forward_dynamics
@@ -131,25 +132,30 @@ def check_trocar_support(path: str, variant: str, trocar: TrocarSchedule):
              "the extended-Jacobian controller supports static trocars only")
 
 
-@dataclass
-class ControlSetup:
-    """Which controller runs the episode and how it is configured."""
+def _trace_columns(n: int) -> list[tuple[str, list[str]]]:
+    """The trace CSV layout: (trace attribute, its column names) in file order."""
 
-    variant: str = ctl.P_APPROACH
-    gains: ctl.GainSet | None = None
-    rcm_mode: RcmMode | None = None  # default depends on the variant
-    observer: bool = False
-    compensation: str = ctl.COMP_FULL
-    constraint_bias_feedforward: bool = True
+    def xyz(prefix, axes="xyz"):
+        return [f"{prefix}_{a}" for a in axes]
 
-    def __post_init__(self):
-        if self.variant not in (ctl.P_APPROACH, ctl.Z_APPROACH, ctl.UK):
-            raise ValueError(f"unknown controller variant {self.variant!r}")
-        if self.gains is None:
-            # Frictionless plant: keep baseline null-space damping by default.
-            self.gains = ctl.GainSet.from_proportional(kd_null=4.0)
-        if self.rcm_mode is None:
-            self.rcm_mode = ctl.DEFAULT_MODE[self.variant]
+    def joints(prefix):
+        return [f"{prefix}{i + 1}" for i in range(n)]
+
+    return [
+        ("t", ["t"]),
+        ("q", joints("q")),
+        ("qd", joints("qd")),
+        ("tau", joints("tau")),
+        ("tip", xyz("tip")),
+        ("ref", xyz("ref")),
+        ("p_r", xyz("pr")),
+        ("p_c", xyz("pc")),
+        ("res2d", xyz("res2d", "xy")),
+        ("res3d", xyz("res3d")),
+        ("p_rcm", xyz("prcm")),
+        ("tau_ext", joints("tauext")),
+        ("tau_ext_hat", joints("tauexthat")),
+    ]
 
 
 class SimTrace:
@@ -182,40 +188,13 @@ class SimTrace:
         self.qdd = np.zeros((records, n_joints))
         self.constraint_gap = np.zeros(records)
 
-    def buffer_ids(self) -> tuple[int, ...]:
-        return tuple(
-            id(a)
-            for a in (
-                self.t, self.q, self.qd, self.tau, self.tau_ext, self.tau_ext_hat,
-                self.tip, self.ref, self.p_r, self.p_c, self.res2d, self.res3d,
-                self.p_rcm, self.qdd, self.constraint_gap,
-            )
-        )
-
     def header(self) -> list[str]:
-        n = self.n
-        cols = ["t"]
-        cols += [f"q{i + 1}" for i in range(n)]
-        cols += [f"qd{i + 1}" for i in range(n)]
-        cols += [f"tau{i + 1}" for i in range(n)]
-        cols += ["tip_x", "tip_y", "tip_z", "ref_x", "ref_y", "ref_z"]
-        cols += ["pr_x", "pr_y", "pr_z", "pc_x", "pc_y", "pc_z"]
-        cols += ["res2d_x", "res2d_y", "res3d_x", "res3d_y", "res3d_z"]
-        cols += ["prcm_x", "prcm_y", "prcm_z"]
-        cols += [f"tauext{i + 1}" for i in range(n)]
-        cols += [f"tauexthat{i + 1}" for i in range(n)]
-        return cols
+        return [name for _, names in _trace_columns(self.n) for name in names]
 
     def table(self) -> np.ndarray:
         m = self.filled
         return np.concatenate(
-            [
-                self.t[:m, None], self.q[:m], self.qd[:m], self.tau[:m],
-                self.tip[:m], self.ref[:m], self.p_r[:m], self.p_c[:m],
-                self.res2d[:m], self.res3d[:m], self.p_rcm[:m],
-                self.tau_ext[:m], self.tau_ext_hat[:m],
-            ],
-            axis=1,
+            [getattr(self, attr)[:m].reshape(m, -1) for attr, _ in _trace_columns(self.n)], axis=1
         )
 
     def to_csv(self, path: str):
@@ -235,27 +214,12 @@ class TraceTable:
     """Column view over a trace CSV; quacks like SimTrace for metrics."""
 
     def __init__(self, header: list[str], data: np.ndarray):
-        self._idx = {name: i for i, name in enumerate(header)}
-        self._data = data
-        n = sum(1 for name in header if name.startswith("q") and name[1:].isdigit())
-        self.n = n
+        idx = {name: i for i, name in enumerate(header)}
+        self.n = sum(1 for name in header if name.startswith("q") and name[1:].isdigit())
         self.filled = data.shape[0]
-        self.t = self._block(["t"])[:, 0]
-        self.q = self._block([f"q{i + 1}" for i in range(n)])
-        self.qd = self._block([f"qd{i + 1}" for i in range(n)])
-        self.tau = self._block([f"tau{i + 1}" for i in range(n)])
-        self.tip = self._block(["tip_x", "tip_y", "tip_z"])
-        self.ref = self._block(["ref_x", "ref_y", "ref_z"])
-        self.p_r = self._block(["pr_x", "pr_y", "pr_z"])
-        self.p_c = self._block(["pc_x", "pc_y", "pc_z"])
-        self.res2d = self._block(["res2d_x", "res2d_y"])
-        self.res3d = self._block(["res3d_x", "res3d_y", "res3d_z"])
-        self.p_rcm = self._block(["prcm_x", "prcm_y", "prcm_z"])
-        self.tau_ext = self._block([f"tauext{i + 1}" for i in range(n)])
-        self.tau_ext_hat = self._block([f"tauexthat{i + 1}" for i in range(n)])
-
-    def _block(self, names: list[str]) -> np.ndarray:
-        return self._data[:, [self._idx[c] for c in names]]
+        for attr, names in _trace_columns(self.n):
+            setattr(self, attr, data[:, [idx[c] for c in names]])
+        self.t = self.t[:, 0]
 
 
 def read_trace_csv(path: str) -> TraceTable:
@@ -343,7 +307,7 @@ def run_episode(
         if control.observer
         else None
     )
-    z_carry: ctl.ZCarry | None = None
+    carry: ctl.ZCarry | None = None
     noise = (
         np.random.default_rng(sim.noise_seed) if sim.sensor_noise_std > 0 else None
     )
@@ -372,27 +336,7 @@ def run_episode(
             obs = ctl.observer_step(obs, model, state, tau_prev, dt, kin=kin_true)
         tau_hat = obs.tau_ext_hat if obs is not None else None
 
-        if control.variant == ctl.P_APPROACH:
-            out = ctl.p_approach_torque(
-                model, meas, trocar, ref, control.gains, q0, tau_hat,
-                mode=mode,
-                compensation=control.compensation,
-                constraint_bias_feedforward=control.constraint_bias_feedforward,
-                snap=snap,
-                x_c_ref=x_c_ref,
-            )
-        elif control.variant == ctl.Z_APPROACH:
-            out, z_carry = ctl.z_approach_torque(
-                model, meas, trocar, ref, control.gains, tau_hat, q0,
-                mode=mode, compensation=control.compensation, carry=z_carry, snap=snap,
-                x_c_ref=x_c_ref,
-            )
-        else:
-            out = ctl.uk_torque(
-                model, meas, trocar, ref, control.gains, tau_hat, q0,
-                mode=mode, compensation=control.compensation, snap=snap,
-                x_c_ref=x_c_ref,
-            )
+        out, carry = ctl.control_torque(control, snap, ref, q0, tau_hat, x_c_ref, carry)
         if not np.isfinite(out.tau).all():
             trace.filled = k
             raise SimulationDiverged(k, t, "non-finite controller torque", trace)

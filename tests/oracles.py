@@ -1,17 +1,36 @@
-"""Independent reference implementations the tests check the frame pass against.
+"""Independent reference implementations the tests check the program against.
 
-Loop-form forward kinematics, point Jacobians and the composite-rigid-body
-inertia (one _mdh_step/_cross step at a time, independent of the vectorised
-frame pass), and central-difference stencils for every time derivative the
-pass computes exactly: Jdot, the constraint rate and acceleration bias, and
-Mdot.
+* Loop-form forward kinematics, point Jacobians and the composite-rigid-body
+  inertia (one _mdh_step/_cross step at a time, independent of the vectorised
+  frame pass), and central-difference stencils for every time derivative the
+  pass computes exactly: Jdot, the constraint rate and acceleration bias, and
+  Mdot.
+* The SVD pseudoinverse, the symmetric matrix square root and the textbook
+  projection operators (P, Pdot, M_f, task-space terms, the Gauss
+  acceleration split) in their general form.
+* Controller references: the unconstrained operational-space PD law, the
+  published inertia-square-root form of the Udwadia-Kalaba controller and
+  the extended-Jacobian controller as written before it shared the
+  controller core.
 """
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from rcmsim.controllers import (
+    ControlSnapshot,
+    GainSet,
+    free_space_force,
+    nullspace_torque,
+)
+from rcmsim.errors import InvalidMatrix, SingularExtendedJacobian
 from rcmsim.kernels import _cross, _mdh_step
-from rcmsim.rcm import residual_jacobian
+from rcmsim.numerics import orth_projector
+from rcmsim.projection import sym_inv
+from rcmsim.rcm import ConstraintState, residual_jacobian
 from rcmsim.robot import Pose
+from rcmsim.scenarios import TaskReference
 
 FD_STEP = 1e-6
 
@@ -249,3 +268,311 @@ def mass_matrix_dot_fd(model, q, qdot, step=FD_STEP):
     M_p = mass_matrix_crba(model, q + step * qdot)
     M_m = mass_matrix_crba(model, q - step * qdot)
     return (M_p - M_m) / (2.0 * step)
+
+
+# --- linear algebra -----------------------------------------------------------
+
+
+class NotPositiveDefinite(ValueError):
+    """Symmetric positive-definite input expected."""
+
+
+@dataclass(frozen=True)
+class PinvOptions:
+    """Pseudoinverse behaviour.
+
+    relative_tolerance: singular values below ``tol * sigma_max`` are treated
+        as zero.
+    damping: when positive, return the damped inverse A^T (A A^T + d^2 I)^-1
+        instead of truncating small singular values.
+    """
+
+    relative_tolerance: float = 1e-10
+    damping: float = 0.0
+
+
+def pinv(A: np.ndarray, opts: PinvOptions | None = None) -> np.ndarray:
+    """Moore-Penrose pseudoinverse via SVD, with optional damping."""
+    opts = opts or PinvOptions()
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise InvalidMatrix("pinv input contains non-finite entries")
+    if A.size == 0:
+        return np.zeros((A.shape[1], A.shape[0]))
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if opts.damping > 0.0:
+        inv_s = s / (s * s + opts.damping * opts.damping)
+    else:
+        cutoff = opts.relative_tolerance * (s[0] if s.size else 0.0)
+        inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    return (Vt.T * inv_s) @ U.T
+
+
+def matrix_sqrt(M: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
+    """Symmetric square root of a symmetric positive-definite matrix."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NotPositiveDefinite("matrix_sqrt expects a square matrix")
+    scale = max(1.0, float(np.max(np.abs(M))))
+    if np.max(np.abs(M - M.T)) > sym_tol * scale:
+        raise NotPositiveDefinite("matrix_sqrt input is not symmetric")
+    w, Q = np.linalg.eigh(0.5 * (M + M.T))
+    if w[0] <= 0.0:
+        raise NotPositiveDefinite(f"matrix_sqrt input has eigenvalue {w[0]:.3e} <= 0")
+    S = (Q * np.sqrt(w)) @ Q.T
+    return 0.5 * (S + S.T)
+
+
+def projector_and_pinv(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Jc^+): the program's null-space projector and the SVD pseudoinverse."""
+    return orth_projector(Jc), pinv(Jc)
+
+
+# --- projection operators -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProjectionState:
+    """Constraint-side projection quantities at one control tick.
+
+    ``Pdot`` is -Jc^+ Jdot_c, the projector rate restricted to its use in the
+    dynamics: it equals d/dt(P) acting on admissible (constraint-null-space)
+    velocities; the full matrix derivative carries an extra transposed term
+    that vanishes on that subspace.
+    """
+
+    P: np.ndarray
+    Pdot: np.ndarray
+    M_f: np.ndarray
+    Lambda_c: np.ndarray
+    Jc_pinv: np.ndarray
+
+
+@dataclass(frozen=True)
+class TaskSpaceTerms:
+    """Task-side operators built on top of a ProjectionState."""
+
+    Lambda_f: np.ndarray
+    h_f: np.ndarray
+    J_sharp_T: np.ndarray
+    N_bar: np.ndarray
+
+
+def projection_state(
+    M: np.ndarray,
+    Jc: np.ndarray,
+    Jc_dot: np.ndarray | None = None,
+) -> ProjectionState:
+    """P, Pdot, free-motion inertia M_f and constraint-space inertia Lambda_c.
+
+    M_f = P M + (I - P) is nonsingular by construction. With an empty
+    constraint (k = 0) this degenerates to P = I, M_f = M.
+    """
+    M = np.asarray(M, dtype=float)
+    Jc = np.asarray(Jc, dtype=float)
+    n = M.shape[0]
+    k = Jc.shape[0] if Jc.ndim == 2 else 0
+    P, Jc_pinv = projector_and_pinv(Jc.reshape(k, n))
+    if Jc_dot is None or k == 0:
+        Pdot = np.zeros((n, n))
+    else:
+        Pdot = -Jc_pinv @ np.asarray(Jc_dot, dtype=float)
+    M_f = P @ M + (np.eye(n) - P)
+    if k == 0:
+        Lambda_c = np.zeros((0, 0))
+    else:
+        Lambda_c = np.linalg.inv(Jc @ np.linalg.solve(M, Jc.T))
+        Lambda_c = 0.5 * (Lambda_c + Lambda_c.T)
+    return ProjectionState(P=P, Pdot=Pdot, M_f=M_f, Lambda_c=Lambda_c, Jc_pinv=Jc_pinv)
+
+
+def task_space_terms(
+    M_f: np.ndarray,
+    P: np.ndarray,
+    J: np.ndarray,
+    J_dot: np.ndarray,
+    qdot: np.ndarray,
+    h: np.ndarray,
+    constraint_feedforward: np.ndarray | None = None,
+    on_singular: str = "raise",
+    damping: float = 1e-6,
+    rtol: float = 1e-9,
+) -> TaskSpaceTerms:
+    """Task-space inertia, bias, dynamically consistent inverse, null projector.
+
+    Lambda_f = (J M_f^-1 P J^T)^-1
+    J#T      = Lambda_f J M_f^-1 P
+    N_bar    = I - J^T J#T
+    h_f      = Lambda_f (J M_f^-1 P h - J_dot qdot - J M_f^-1 u)
+
+    where u = ``constraint_feedforward`` is the constrained joint-acceleration
+    component Jc^+ (xddot_c - b_c); with u = Pdot qdot the bias reduces exactly
+    to the time-invariant-constraint operational-space form, and u defaults to
+    zero (no constraint).
+    """
+    n = M_f.shape[0]
+    J = np.asarray(J, dtype=float)
+    u = (
+        np.zeros(n)
+        if constraint_feedforward is None
+        else np.asarray(constraint_feedforward, dtype=float)
+    )
+    # One LU of M_f serves both the projector image and the feedforward image.
+    right = np.concatenate([P, u[:, None]], axis=1)
+    sol = np.linalg.solve(M_f, right)
+    W = sol[:, :n]  # M_f^-1 P  (symmetric in exact arithmetic)
+    Minv_u = sol[:, n]
+    B = J @ W
+    Lambda_f = sym_inv(B @ J.T, on_singular, damping, rtol)
+    J_sharp_T = Lambda_f @ B
+    N_bar = np.eye(n) - J.T @ J_sharp_T
+    h_f = Lambda_f @ (B @ h - np.asarray(J_dot, dtype=float) @ qdot - J @ Minv_u)
+    return TaskSpaceTerms(Lambda_f=Lambda_f, h_f=h_f, J_sharp_T=J_sharp_T, N_bar=N_bar)
+
+
+def gauss_acceleration_split(
+    M: np.ndarray,
+    Jc: np.ndarray,
+    xddot_c: np.ndarray,
+    b_c: np.ndarray,
+    tau: np.ndarray,
+    tau_ext: np.ndarray,
+    h: np.ndarray,
+    P: np.ndarray | None = None,
+) -> np.ndarray:
+    """Joint acceleration split into constrained and free parts.
+
+    qddot = Jc^+ (xddot_c - b_c) + P M^-1 (tau + tau_ext - h); the constrained
+    component satisfies Jc qddot = xddot_c - b_c exactly, the free component
+    follows the projected unconstrained dynamics (minimum-deviation sense).
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    Jc = np.asarray(Jc, dtype=float).reshape(-1, n)
+    if P is None:
+        P, Jc_pinv = projector_and_pinv(Jc)
+    else:
+        _, Jc_pinv = projector_and_pinv(Jc)
+    free = P @ np.linalg.solve(M, np.asarray(tau) + np.asarray(tau_ext) - np.asarray(h))
+    if Jc.shape[0] == 0:
+        return free
+    return Jc_pinv @ (np.asarray(xddot_c) - np.asarray(b_c)) + free
+
+
+# --- controllers --------------------------------------------------------------
+
+
+def without_constraint(snap: ControlSnapshot) -> ControlSnapshot:
+    """Snapshot variant with an empty (k = 0) constraint, for the
+    unconstrained-reduction limit."""
+    n = snap.M.shape[0]
+    empty = ConstraintState(
+        x=np.zeros(0),
+        J=np.zeros((0, n)),
+        J_dot=np.zeros((0, n)),
+        xdot=np.zeros(0),
+        b=np.zeros(0),
+        mode=snap.constraint.mode,
+    )
+    return replace(snap, constraint=empty)
+
+
+def unconstrained_pd_torque(
+    snap: ControlSnapshot, ref: TaskReference, gains: GainSet, q_init: np.ndarray
+) -> np.ndarray:
+    """Standard operational-space PD torque with no constraint (k = 0 limit)."""
+    state = snap.state
+    tst = task_space_terms(
+        snap.M,
+        np.eye(snap.M.shape[0]),
+        snap.J_task,
+        snap.Jdot_task,
+        state.qdot,
+        snap.h,
+        on_singular="damp",
+    )
+    f_f = free_space_force(tst.Lambda_f, tst.h_f, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
+    tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
+    return snap.J_task.T @ f_f + tst.N_bar @ tau_0
+
+
+def _residual_error(cs: ConstraintState, x_c_ref):
+    return cs.x if x_c_ref is None else cs.x - np.asarray(x_c_ref, dtype=float)
+
+
+def uk_sqrt_reference(
+    snap: ControlSnapshot, ref: TaskReference, gains: GainSet, q_init: np.ndarray, x_c_ref=None
+) -> np.ndarray:
+    """Udwadia-Kalaba torque in its published inertia-square-root form.
+
+    Q = tau_sharp - h with tau_sharp the unconstrained operational-space PD
+    tip torque plus the null-space term; with S = M^1/2, Pi = Jc S^-1,
+    b_ic = -(Kd xdot_c + Kp x_err) and tau_nic = Jc^T b_ic:
+
+        tau = Q + S Pi^+ (b_ic - Jc M^-1 Q) + S (I - Pi^+ Pi) S^-1 tau_nic + h
+    """
+    cs = snap.constraint
+    state = snap.state
+    n = snap.M.shape[0]
+    k = cs.J.shape[0]
+    M, h = snap.M, snap.h
+    Minv = np.linalg.inv(M)
+    S = matrix_sqrt(M)
+    S_inv = np.linalg.solve(S, np.eye(n))
+    J = snap.J_task
+    Lambda_tip = np.linalg.inv(J @ Minv @ J.T)
+    h_tip = Lambda_tip @ (J @ (Minv @ h) - snap.Jdot_task @ state.qdot)
+    f_pd = free_space_force(Lambda_tip, h_tip, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
+    tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
+    N_x = np.eye(n) - J.T @ (Lambda_tip @ (J @ Minv))
+    Q = J.T @ f_pd + N_x @ tau_0 - h
+    b_ic = -(gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * _residual_error(cs, x_c_ref))
+    Pi = cs.J @ S_inv
+    Pi_pinv = pinv(Pi)
+    Q_ic = S @ (Pi_pinv @ (b_ic - cs.J @ (Minv @ Q)))
+    Q_nic = S @ ((np.eye(n) - Pi_pinv @ Pi) @ (S_inv @ (cs.J.T @ b_ic)))
+    return Q + Q_ic + Q_nic + h
+
+
+def z_approach_reference(
+    snap: ControlSnapshot,
+    ref: TaskReference,
+    gains: GainSet,
+    q_init: np.ndarray,
+    x_c_ref=None,
+    Z_prev: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extended-Jacobian torque as computed before the shared controller
+    core: (tau, Z), with its own SVDs for the null basis and the
+    pseudoinverse and the torque formed through the stacked Jacobian."""
+    cs = snap.constraint
+    state = snap.state
+    k = cs.J.shape[0]
+    M, h, Minv = snap.M, snap.h, snap.Minv
+    Z = np.linalg.svd(cs.J, full_matrices=True)[2][k:].T
+    if Z_prev is not None:
+        U, _, Vt = np.linalg.svd(Z.T @ Z_prev)
+        Z = Z @ (U @ Vt)
+    Lambda_n = Z.T @ M @ Z
+    Z_sharp = np.linalg.solve(Lambda_n, Z.T @ M)
+    Lambda_c = np.linalg.inv(cs.J @ Minv @ cs.J.T)
+    Z_dot = -pinv(cs.J) @ (cs.J_dot @ Z)
+    Mdot = snap.kin.Mdot
+    Lambda_n_dot = Z_dot.T @ M @ Z + Z.T @ Mdot @ Z + Z.T @ M @ Z_dot
+    Zs_dot = np.linalg.solve(Lambda_n, Z_dot.T @ M + Z.T @ Mdot - Lambda_n_dot @ Z_sharp)
+    J_E = np.concatenate([cs.J, Z_sharp], axis=0)
+    sv = np.linalg.svd(J_E, compute_uv=False)
+    if sv[-1] <= 1e-10 * sv[0]:
+        raise SingularExtendedJacobian(f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})")
+    Minv_h = Minv @ h
+    H_top = Lambda_c @ (cs.J @ Minv_h - cs.J_dot @ state.qdot)
+    H_bot = Lambda_n @ (Z_sharp @ Minv_h - Zs_dot @ state.qdot)
+    f_c = -(gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * _residual_error(cs, x_c_ref))
+    J = snap.J_task
+    Lambda_zn = np.linalg.inv(J @ Z @ np.linalg.solve(Lambda_n, Z.T @ J.T))
+    e = ref.x - snap.kin.pose_t.p
+    edot = ref.xdot - snap.tip_vel
+    f_f = Lambda_zn @ ref.xddot + gains.kd_task * edot + gains.kp_task * e
+    f_n = Z.T @ (J.T @ f_f) + Z.T @ nullspace_torque(state.q, state.qdot, q_init, gains)
+    return J_E.T @ np.concatenate([f_c + H_top, f_n + H_bot]), Z
+

@@ -17,6 +17,7 @@ from rcmsim.errors import ConfigError
 from rcmsim.harness import EXIT_CONFIG, config_from_dict
 
 DROP = object()  # delete the key instead of setting it
+LABEL = "label: must be a plain directory name: no '/' or '\\', not '.' or '..'"
 D = "scenario.disturbances[0]"
 ONE_KIND = "set exactly one of joint_torque/flange_wrench/link2_force"
 BASE = {
@@ -152,6 +153,12 @@ REJECTED = [
     ("sim.noise_seed", 1.5, "sim.noise_seed: expected an integer"),
     ("sim.noise_seed", True, "sim.noise_seed: expected an integer"),
     ("sim.bogus", 1, "sim.bogus: unknown field"),
+    ("label", "../escaped", LABEL),
+    ("label", "a/b", LABEL),
+    ("label", "a\\b", LABEL),
+    ("label", "..", LABEL),
+    ("label", ".", LABEL),
+    ("label", "/tmp/abs", LABEL),
 ]
 
 
@@ -285,6 +292,18 @@ ESCAPES = {
         with_value("scenario.q_init", [float("nan")] * 7), "scenario.q_init: must be finite"
     ),
 }
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_label_stays_inside_the_output_directory(command, tmp_path, capsys):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "a.json").write_text(json.dumps({**BASE, "label": "../escaped"}))
+    out = tmp_path / "runs" / "out"
+    args = ["--config", str(configs / "a.json")] if command == "run" else ["--configs", str(configs)]
+    assert main([command, *args, "--out", str(out)]) == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["configs"]  # nothing written
+    assert capsys.readouterr().err == f"config error: {LABEL}\n"
 
 
 def test_malformed_model_file_rejected(tmp_path):

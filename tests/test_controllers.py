@@ -1,26 +1,22 @@
 import numpy as np
 import pytest
 
+from rcmsim import controllers
 from rcmsim.controllers import (
     COMP_FULL,
     COMP_OFF,
     COMP_PRESERVE_NULL,
+    ControlSetup,
     GainSet,
     ObserverState,
     build_snapshot,
     compensation_torque,
+    control_torque,
     free_space_force,
     nullspace_torque,
     observer_step,
-    p_approach_torque,
-    unconstrained_pd_torque,
-    uk_torque,
-    without_constraint,
-    z_approach_torque,
 )
-from rcmsim.numerics import matrix_sqrt, pinv
-from rcmsim.projection import projection_state
-from rcmsim.rcm import RcmMode, TrocarState, place_trocar, residual
+from rcmsim.rcm import RcmMode, TrocarState, place_trocar
 from rcmsim.robot import (
     DEFAULT_HOME,
     JointState,
@@ -30,11 +26,23 @@ from rcmsim.robot import (
     mass_matrix,
 )
 from rcmsim.scenarios import TaskReference
-from conftest import random_states
+from oracles import (
+    matrix_sqrt,
+    pinv,
+    projection_state,
+    uk_sqrt_reference,
+    unconstrained_pd_torque,
+    without_constraint,
+    z_approach_reference,
+)
 
 
 def _gains(n=7, **kw):
     return GainSet.from_proportional(n_joints=n, **kw)
+
+
+def _control(variant, snap, ref, gains, q_init=DEFAULT_HOME, **kw):
+    return control_torque(ControlSetup(variant=variant, gains=gains), snap, ref, q_init, **kw)
 
 
 def _hold_reference(model, q):
@@ -110,9 +118,9 @@ def test_p_approach_annihilation_random_states(model, rng):
     for _ in range(15):
         state, trocar = _scenario_state(model, rng, qd_scale=0.5)
         ref = _hold_reference(model, state.q)
-        out = p_approach_torque(model, state, trocar, ref, g, DEFAULT_HOME)
-        cs = build_snapshot(model, state, trocar, RcmMode.TWO_D).constraint
-        P = projection_state(mass_matrix(model, state.q), cs.J).P
+        snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+        out, _ = _control("p_approach", snap, ref, g)
+        P = projection_state(mass_matrix(model, state.q), snap.constraint.J).P
         assert np.abs(P @ out.tau_perp).max() < 1e-9
         assert np.abs(out.tau - (out.tau_parallel + out.tau_perp + out.tau_ext_hat)).max() < 1e-12
 
@@ -125,7 +133,7 @@ def test_p_approach_constraint_consistency_random_states(model, rng):
         state, trocar = _scenario_state(model, rng, qd_scale=0.8)
         ref = _hold_reference(model, state.q)
         snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-        out = p_approach_torque(model, state, trocar, ref, g, DEFAULT_HOME, snap=snap)
+        out, _ = _control("p_approach", snap, ref, g)
         qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
         assert np.abs(snap.constraint.J @ qdd - out.constraint_accel_cmd).max() < 1e-6
 
@@ -138,8 +146,8 @@ def test_p_approach_unconstrained_reduction(model):
     ref = _hold_reference(model, state.q)
     g = _gains()
     snap = without_constraint(build_snapshot(model, state, trocar, RcmMode.TWO_D))
-    out = p_approach_torque(model, state, trocar, ref, g, DEFAULT_HOME, snap=snap)
-    tau_pd = unconstrained_pd_torque(model, state, ref, g, DEFAULT_HOME, snap=snap)
+    out, _ = _control("p_approach", snap, ref, g)
+    tau_pd = unconstrained_pd_torque(snap, ref, g, DEFAULT_HOME)
     assert np.abs(out.tau - tau_pd).max() < 1e-10
     assert np.abs(out.tau_perp).max() == 0.0
 
@@ -153,7 +161,7 @@ def test_p_approach_equilibrium_accelerations(model):
     state, trocar = _scenario_state(model)
     ref = _hold_reference(model, state.q)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-    out = p_approach_torque(model, state, trocar, ref, _gains(), DEFAULT_HOME, snap=snap)
+    out, _ = _control("p_approach", snap, ref, _gains())
     qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
     assert np.abs(snap.J_task @ qdd).max() < 1e-8
     assert np.abs(snap.constraint.J @ qdd).max() < 1e-8
@@ -169,7 +177,7 @@ def test_p_approach_moving_trocar_feedforward(model):
     trocar = TrocarState(p_c, np.zeros(3), acc)
     ref = _hold_reference(model, state.q)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-    out = p_approach_torque(model, state, trocar, ref, _gains(), DEFAULT_HOME, snap=snap)
+    out, _ = _control("p_approach", snap, ref, _gains())
     qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
     xdd = snap.constraint.J @ qdd + snap.constraint.b
     # residual and rate are zero here, so the realized residual acceleration
@@ -184,7 +192,7 @@ def test_z_approach_null_basis_orthogonal_to_constraint(model, rng):
     state, trocar = _scenario_state(model, rng, qd_scale=0.4)
     ref = _hold_reference(model, state.q)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-    out, carry = z_approach_torque(model, state, trocar, ref, _gains(), snap=snap)
+    out, carry = _control("z_approach", snap, ref, _gains())
     Z = carry.Z
     assert np.abs(snap.constraint.J @ Z).max() < 1e-9
     assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max() < 1e-10
@@ -193,7 +201,8 @@ def test_z_approach_null_basis_orthogonal_to_constraint(model, rng):
 def test_z_approach_gravity_consistent_equilibrium(model):
     state, trocar = _scenario_state(model)
     ref = _hold_reference(model, state.q)
-    out, _ = z_approach_torque(model, state, trocar, ref, _gains(), q_init=DEFAULT_HOME)
+    snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+    out, _ = _control("z_approach", snap, ref, _gains())
     _, _, grav = bias_terms(model, state.q, state.qdot)
     assert np.abs(out.tau - grav).max() < 1e-8
 
@@ -208,7 +217,8 @@ def test_z_approach_basis_continuity(model, rng):
     prev = None
     for i in range(4):
         st = JointState(state.q + 1e-3 * i * qd, qd)
-        out, carry = z_approach_torque(model, st, trocar, ref, _gains(), carry=carry)
+        snap = build_snapshot(model, st, trocar, RcmMode.TWO_D)
+        out, carry = _control("z_approach", snap, ref, _gains(), carry=carry)
         if prev is not None:
             assert np.abs(carry.Z - prev).max() < 5e-3
         prev = carry.Z
@@ -239,7 +249,7 @@ def test_uk_constraint_satisfaction_random_states(model, rng):
         ref = _hold_reference(model, state.q)
         snap = build_snapshot(model, state, trocar, RcmMode.THREE_D)
         x_ref = snap.constraint.x.copy()
-        out = uk_torque(model, state, trocar, ref, g, snap=snap, x_c_ref=x_ref)
+        out, _ = _control("uk", snap, ref, g, x_c_ref=x_ref)
         qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
         assert np.abs(snap.constraint.J @ qdd - out.constraint_accel_cmd).max() < 1e-6
 
@@ -252,7 +262,7 @@ def test_uk_zero_feedback_reduction(model):
     g = _gains()
     snap = build_snapshot(model, state, trocar, RcmMode.THREE_D)
     x_ref = snap.constraint.x.copy()  # zero residual error by construction
-    out = uk_torque(model, state, trocar, ref, g, snap=snap, x_c_ref=x_ref)
+    out, _ = _control("uk", snap, ref, g, x_c_ref=x_ref)
     M, h = snap.M, snap.h
     S = matrix_sqrt(M)
     Pi = snap.constraint.J @ np.linalg.solve(S, np.eye(model.n))
@@ -263,6 +273,96 @@ def test_uk_zero_feedback_reduction(model):
     Qic_expected = -S @ (pinv(Pi) @ (snap.constraint.J @ np.linalg.solve(M, Q)))
     assert np.abs(out.tau - (Q + Qic_expected + h)).max() < 1e-8
     assert np.abs(out.constraint_accel_cmd).max() == 0.0
+
+
+# --- oracle references ---------------------------------------------------------
+
+
+def _random_case(model, rng, mode, moving):
+    """A random arm state with a pivot error, random gains with null-space
+    stiffness, a moving reference and (optionally) an accelerating trocar."""
+    state, trocar = _scenario_state(model, rng, alpha=rng.uniform(0.2, 0.9), qd_scale=0.8)
+    p_c = trocar.p + rng.uniform(-0.01, 0.01, 3)  # off the tool axis
+    trocar = TrocarState(p_c, rng.uniform(-0.05, 0.05, 3) if moving else np.zeros(3),
+                         rng.uniform(-0.2, 0.2, 3) if moving else np.zeros(3))
+    tip = kinematics(model, state.q).pose_t.p
+    ref = TaskReference(tip + rng.uniform(-0.005, 0.005, 3), rng.uniform(-0.05, 0.05, 3),
+                        rng.uniform(-0.5, 0.5, 3))
+    gains = _gains(kp_task=rng.uniform(200.0, 2000.0, 3), kp_rcm=rng.uniform(500.0, 3000.0, 3),
+                   kp_null=rng.uniform(0.0, 10.0, model.n), kd_null=rng.uniform(0.0, 5.0, model.n))
+    snap = build_snapshot(model, state, trocar, mode)
+    # a pivot error of 1 to 3 mm on every residual row
+    x_ref = snap.constraint.x + rng.choice([-1.0, 1.0], mode.k) * rng.uniform(0.001, 0.003, mode.k)
+    q_init = DEFAULT_HOME + rng.uniform(-0.2, 0.2, model.n)
+    return snap, ref, gains, q_init, x_ref
+
+
+def _rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("mode", [RcmMode.TWO_D, RcmMode.THREE_D])
+@pytest.mark.parametrize("moving", [False, True])
+def test_uk_reduced_form_matches_sqrt_reference(model, mode, moving):
+    # tau_sharp + Jc^T Lambda_c (b_ic - Jc M^-1 (tau_sharp - h)) against the
+    # published M^1/2 form, whose non-ideal term Q_nic must vanish.
+    rng = np.random.default_rng(7 + mode.k + 10 * moving)
+    worst = 0.0
+    for _ in range(50):
+        snap, ref, gains, q_init, x_ref = _random_case(model, rng, mode, moving)
+        out, _ = _control("uk", snap, ref, gains, q_init, x_c_ref=x_ref)
+        worst = max(worst, _rel_err(out.tau, uk_sqrt_reference(snap, ref, gains, q_init, x_ref)))
+    assert worst < 1e-9
+
+
+def test_z_approach_matches_pre_change_torque(model):
+    # 2D residual only: the 3D one pins the reference point, which leaves the
+    # tip two directions and makes this controller's tip inertia singular.
+    mode = RcmMode.TWO_D
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(50):
+        snap, ref, gains, q_init, x_ref = _random_case(model, rng, mode, moving=False)
+        # a carried basis from a nearby state exercises the Procrustes alignment
+        Z_prev = np.linalg.qr(
+            np.linalg.svd(snap.constraint.J)[2][mode.k:].T + rng.uniform(-0.01, 0.01, (model.n, model.n - mode.k))
+        )[0]
+        for carry in (None, controllers.ZCarry(Z_prev)):
+            out, new_carry = _control("z_approach", snap, ref, gains, q_init, x_c_ref=x_ref, carry=carry)
+            tau_ref, Z_ref = z_approach_reference(
+                snap, ref, gains, q_init, x_ref, None if carry is None else carry.Z
+            )
+            assert np.abs(new_carry.Z - Z_ref).max() < 1e-9
+            worst = max(worst, _rel_err(out.tau, tau_ref))
+    assert worst < 1e-9
+
+
+def test_per_tick_factorizations(model, rng, monkeypatch):
+    # uk forms neither M^1/2 nor a pseudoinverse nor a projector; z_approach
+    # takes Jc^+ from its null-basis SVD: three SVDs per tick with a carry.
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    def forbidden(*_):
+        raise AssertionError("projector formed")
+
+    assert not hasattr(controllers, "matrix_sqrt") and not hasattr(controllers, "pinv")
+    monkeypatch.setattr(controllers, "orth_projector", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    state, trocar = _scenario_state(model, rng, qd_scale=0.5)
+    ref = _hold_reference(model, state.q)
+    snap = build_snapshot(model, state, trocar, RcmMode.THREE_D)
+    _control("uk", snap, ref, _gains(), x_c_ref=snap.constraint.x)
+    assert not svd_calls
+    snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+    _, carry = _control("z_approach", snap, ref, _gains())
+    svd_calls.clear()
+    _control("z_approach", snap, ref, _gains(), carry=carry)
+    assert len(svd_calls) == 3
 
 
 # --- observer -----------------------------------------------------------------

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcmsim.errors import InvalidMatrix, NotPositiveDefinite, RankDeficientConstraint
-from rcmsim.numerics import PinvOptions, matrix_sqrt, orth_projector, pinv, skew
+from rcmsim.errors import InvalidMatrix, RankDeficientConstraint
+from rcmsim.kernels import skew_stack
+from rcmsim.numerics import orth_projector
+from oracles import NotPositiveDefinite, PinvOptions, matrix_sqrt, pinv
 
 
 def test_pinv_identity():
@@ -111,14 +113,14 @@ def test_matrix_sqrt_rejects_non_spd():
 def test_skew_definition():
     v = np.array([1.0, 2.0, 3.0])
     expected = np.array([[0.0, -3.0, 2.0], [3.0, 0.0, -1.0], [-2.0, 1.0, 0.0]])
-    assert np.array_equal(skew(v), expected)
+    assert np.array_equal(skew_stack(v), expected)
 
 
 def test_skew_cross_product(rng):
     ez = np.array([0.0, 0.0, 1.0])
     ex = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(skew(ez) @ ex, [0.0, 1.0, 0.0])
+    assert np.allclose(skew_stack(ez) @ ex, [0.0, 1.0, 0.0])
     v = rng.standard_normal(3)
-    assert np.abs(skew(v) @ v).max() < 1e-15
+    assert np.abs(skew_stack(v) @ v).max() < 1e-15
     w = rng.standard_normal(3)
-    assert np.allclose(skew(v) @ w, np.cross(v, w))
+    assert np.allclose(skew_stack(v) @ w, np.cross(v, w))

@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 from rcmsim.errors import SingularTaskInertia
-from rcmsim.projection import (
-    gauss_acceleration_split,
-    projection_state,
-    sym_inv,
-    task_space_terms,
-)
+from rcmsim.projection import sym_inv
 from rcmsim.rcm import RcmMode, TrocarState, constraint_state
 from rcmsim.robot import DEFAULT_HOME, JointState, kinematics, mass_matrix
 from rcmsim.rcm import place_trocar
 from conftest import random_states
+from oracles import gauss_acceleration_split, projection_state, task_space_terms
 
 
 def _random_spd(rng, n):

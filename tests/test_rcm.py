@@ -7,7 +7,6 @@ from rcmsim.rcm import (
     TrocarState,
     constraint_state,
     place_trocar,
-    rcm_geometry,
     rcm_point,
     residual,
     residual_bias,
@@ -216,14 +215,6 @@ def test_second_difference_oracle(model, moving):
         q, qd, qdd = _analytic_motion(model, t, q0, amp, omega)
         cs = constraint_state(model, JointState(q, qd), trocar_at(t), RcmMode.THREE_D)
         assert np.abs(cs.J @ qdd + cs.b - xdd_fd).max() < 1e-3
-
-
-def test_rcm_geometry_invariants(model):
-    kin, p_c = _mid_axis_trocar(model, DEFAULT_HOME)
-    geo = rcm_geometry(kin.pose_r, kin.pose_t.p, p_c)
-    assert np.array_equal(geo.p_rc, -geo.p_cr)
-    assert abs(np.linalg.norm(geo.p_rt) - model.l_tool) < 1e-9
-    assert np.array_equal(geo.B_r, kin.pose_r.R[:, :2])
 
 
 def test_rcm_point_fixed_points(model):

@@ -66,6 +66,7 @@ def test_fk_tip_is_tool_length_along_z(model, rng):
         pose_r = fk(model, q, "reference")
         pose_t = fk(model, q, "tip")
         assert np.abs(pose_t.p - (pose_r.p + model.l_tool * pose_r.R[:, 2])).max() < 1e-12
+        assert abs(np.linalg.norm(pose_t.p - pose_r.p) - model.l_tool) < 1e-9
         assert np.array_equal(pose_r.R, pose_t.R)
 
 

@@ -127,14 +127,16 @@ def test_record_count_and_time_grid(model):
 def test_trace_preallocated_buffers_stable(model):
     sim = SimConfig(dt=1e-3, duration=0.05)
     trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), sim)
-    ids_before = trace.buffer_ids()
+    names = ("t", "q", "qd", "tau", "tau_ext", "tau_ext_hat", "tip", "ref", "p_r", "p_c",
+             "res2d", "res3d", "p_rcm", "qdd", "constraint_gap")
+    ids_before = [id(getattr(trace, name)) for name in names]
     cap = trace.capacity
     # exporting and computing metrics must not reallocate or grow anything
     import tempfile
 
     with tempfile.TemporaryDirectory() as d:
         trace.to_csv(os.path.join(d, "t.csv"))
-    assert trace.buffer_ids() == ids_before
+    assert [id(getattr(trace, name)) for name in names] == ids_before
     assert trace.capacity == cap
 
 
