@@ -523,8 +523,9 @@ def z_approach_torque(
     f_f = free_space_force(Lambda_zn, 0.0, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
     tau_0 = nullspace_torque(snap.state.q, qd, q_init, gains)
     f_n = Z.T @ (J.T @ f_f + tau_0)
+    # The torque realizes Jc qddot = mobility_c f_c - b_c.
     return Torque(
-        Z_sharp.T @ (f_n + H_bot), cs.J.T @ (f_c + H_top), mobility_c @ f_c, ZCarry(Z=Z)
+        Z_sharp.T @ (f_n + H_bot), cs.J.T @ (f_c + H_top), mobility_c @ f_c - cs.b, ZCarry(Z=Z)
     )
 
 

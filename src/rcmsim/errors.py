@@ -25,10 +25,6 @@ class InvalidAlpha(RcmSimError):
     """Trocar scaling factor outside (0, 1]."""
 
 
-class InconsistentTool(RcmSimError):
-    """Reference and tip positions do not agree with the tool length."""
-
-
 class ModelError(RcmSimError):
     """Robot model file is missing or malformed; message names the field path."""
 

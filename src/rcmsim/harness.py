@@ -28,6 +28,7 @@ from .sim import (
     Scenario,
     SimConfig,
     check_joint_vectors,
+    check_mode_support,
     check_trocar_support,
     run_episode,
 )
@@ -124,11 +125,17 @@ class RunConfig(Schema):
         """Run duration: the sim section's, else the spiral's."""
         return self.sim.duration if self.sim.duration is not None else self.scenario.spiral.duration
 
+    @property
+    def _mode(self) -> RcmMode | None:
+        """The residual the config asks for; None: the controller's default."""
+        return RcmMode.parse(self.rcm_mode) if self.rcm_mode else None
+
     def check(self, path: str):
         sc = self.scenario
         if self.settle_time >= self.duration:
             fail("settle_time", "must be smaller than the run duration")
         check_trocar_support("scenario", self.controller, sc.trocar)
+        check_mode_support("rcm_mode", self.controller, self._mode)
         try:
             n = _joint_count(self.model)
         except ModelError as exc:
@@ -151,7 +158,7 @@ class RunConfig(Schema):
         control = ControlSetup(
             variant=self.controller,
             gains=gains,
-            rcm_mode=RcmMode.parse(self.rcm_mode) if self.rcm_mode else None,
+            rcm_mode=self._mode,
             observer=sc.observer,
             compensation=sc.compensation if sc.observer else ctl.COMP_OFF,
             constraint_bias_feedforward=self.constraint_bias_feedforward,

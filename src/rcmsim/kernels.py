@@ -19,8 +19,9 @@ on first access, so a kinematics-only caller pays for the frames only.
 Two-dimensional products use ``ndarray.dot``, which costs less per call than
 ``@`` at these sizes; stacked ones use ``@``.
 
-``rnea`` (loop form) is kept as an independent algorithm for inverse
-dynamics.
+The pass is the package's only rigid-body algorithm. The loop-form
+kinematics, composite-rigid-body inertia and recursive Newton-Euler that
+check it are independent references kept with the tests.
 
 Conventions:
 
@@ -29,8 +30,7 @@ Conventions:
 * ``flange`` is one extra fixed transform (a, d, alpha, theta) after joint n;
   the frame it produces is the tool-reference frame, and the tool tip lies
   ``l_tool`` along that frame's z-axis.
-* spatial vectors in ``rnea`` are ordered (angular, linear); 6xn Jacobians
-  are ordered (linear rows 0..2, angular rows 3..5).
+* 6xn Jacobians are ordered (linear rows 0..2, angular rows 3..5).
 * link i mass properties (mass, COM, rotational inertia about the COM) are
   expressed in frame i.
 """
@@ -388,89 +388,3 @@ class KinFrames:
         At_dot.reshape(n, 2, -1)[:, 1] += ang
         AtAd = self._At.dot(At_dot.T)
         return AtAd + AtAd.T
-
-
-def _mdh_step(a, d, alpha, theta):
-    """Child-frame rotation and origin in parent coordinates."""
-    ca = np.cos(alpha)
-    sa = np.sin(alpha)
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    R = np.empty((3, 3))
-    R[0, 0] = ct
-    R[0, 1] = -st
-    R[0, 2] = 0.0
-    R[1, 0] = ca * st
-    R[1, 1] = ca * ct
-    R[1, 2] = -sa
-    R[2, 0] = sa * st
-    R[2, 1] = sa * ct
-    R[2, 2] = ca
-    p = np.empty(3)
-    p[0] = a
-    p[1] = -sa * d
-    p[2] = ca * d
-    return R, p
-
-
-def _cross(a, b):
-    c = np.empty(3)
-    c[0] = a[1] * b[2] - a[2] * b[1]
-    c[1] = a[2] * b[0] - a[0] * b[2]
-    c[2] = a[0] * b[1] - a[1] * b[0]
-    return c
-
-
-def rnea(dh, q, qd, qdd, gravity, masses, coms, inertias):
-    """Recursive Newton-Euler inverse dynamics.
-
-    Returns the joint torques that realize ``qdd`` at state (q, qd) under
-    ``gravity``. Gravity enters through the standard base-acceleration trick.
-    """
-    n = q.shape[0]
-    Rs = np.empty((n, 3, 3))
-    ps = np.empty((n, 3))
-    ws = np.empty((n, 3))
-    wds = np.empty((n, 3))
-    Fs = np.empty((n, 3))
-    Ns = np.empty((n, 3))
-
-    w = np.zeros(3)
-    wd = np.zeros(3)
-    vd = -gravity
-    for i in range(n):
-        R, pl = _mdh_step(dh[i, 0], dh[i, 1], dh[i, 2], q[i] + dh[i, 3])
-        Rs[i] = R
-        ps[i] = pl
-        Rt = R.T
-        w_in = Rt @ w
-        w_new = w_in.copy()
-        w_new[2] += qd[i]
-        wd_new = Rt @ wd + _cross(w_in, np.array([0.0, 0.0, qd[i]]))
-        wd_new[2] += qdd[i]
-        vd_new = Rt @ (vd + _cross(wd, pl) + _cross(w, _cross(w, pl)))
-        c = coms[i]
-        vdc = vd_new + _cross(wd_new, c) + _cross(w_new, _cross(w_new, c))
-        Fs[i] = masses[i] * vdc
-        Iw = inertias[i] @ w_new
-        Ns[i] = inertias[i] @ wd_new + _cross(w_new, Iw)
-        ws[i] = w_new
-        wds[i] = wd_new
-        w = w_new
-        wd = wd_new
-        vd = vd_new
-
-    tau = np.empty(n)
-    f = np.zeros(3)
-    nt = np.zeros(3)
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            f_down = Rs[i + 1] @ f
-            n_down = Rs[i + 1] @ nt + _cross(ps[i + 1], f_down)
-        else:
-            f_down = np.zeros(3)
-            n_down = np.zeros(3)
-        f = f_down + Fs[i]
-        nt = n_down + Ns[i] + _cross(coms[i], Fs[i])
-        tau[i] = nt[2]
-    return tau

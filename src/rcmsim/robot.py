@@ -1,9 +1,9 @@
-"""Serial-chain robot model: kinematics to the tool frames and rigid-body
-dynamics (inertia matrix, bias torques, forward dynamics).
+"""Serial-chain robot model: the model file and its one frame pass.
 
-Everything except ``inverse_dynamics`` reads one frame pass
-(``kernels.KinFrames``); inverse dynamics runs recursive Newton-Euler, an
-independent algorithm the tests cross-check the pass against.
+``kinematics`` builds the frame pass (``kernels.KinFrames``) at a joint
+state; tool poses, Jacobians and their rates, the inertia matrix and the
+bias torques are all read from it, so the plant, the controllers and the
+constraint share one code path for each quantity.
 
 The model is fully data-driven from a JSON file (see ``load_model``). The
 chain uses modified-DH parameters with revolute joints only; a rigid, massless
@@ -21,9 +21,6 @@ import numpy as np
 from . import kernels
 from .errors import ModelError
 from .kernels import KinFrames, Pose
-
-FRAME_REFERENCE = "reference"
-FRAME_TIP = "tip"
 
 DEFAULT_HOME = np.array(
     [0.0, -np.pi / 4, 0.0, -3 * np.pi / 4, 0.0, np.pi / 2, np.pi / 4]
@@ -178,101 +175,3 @@ def kinematics(model: RobotModel, q: np.ndarray, qdot: np.ndarray | None = None)
     if qdot is not None:
         qdot = _check_q(model, qdot)
     return KinFrames(model.chain, q, qdot)
-
-
-def fk(model: RobotModel, q: np.ndarray, frame: str = FRAME_REFERENCE) -> Pose:
-    """Pose of the tool-reference frame or the tool tip (same orientation)."""
-    kin = kinematics(model, q)
-    return _pick(frame, kin.pose_r, kin.pose_t)
-
-
-def _pick(frame: str, reference, tip):
-    if frame == FRAME_REFERENCE:
-        return reference
-    if frame == FRAME_TIP:
-        return tip
-    raise ValueError(f"unknown frame {frame!r}")
-
-
-def jacobian(model: RobotModel, q: np.ndarray, frame: str = FRAME_REFERENCE) -> np.ndarray:
-    """6xn geometric Jacobian, position rows 0..2 over angular rows 3..5."""
-    kin = kinematics(model, q)
-    return _pick(frame, kin.J_r, kin.J_t)
-
-
-def jacobian_dot(
-    model: RobotModel,
-    q: np.ndarray,
-    qdot: np.ndarray,
-    frame: str = FRAME_REFERENCE,
-) -> np.ndarray:
-    """Exact time derivative of the geometric Jacobian along ``qdot``.
-
-    Columns follow from dz_j/dt = w_j x z_j and the point and joint-origin
-    velocities (one frame pass); exactly zero at rest. The tests check it
-    against a central difference of the Jacobian.
-    """
-    kin = kinematics(model, q, qdot)
-    return _pick(frame, kin.Jdot_r, kin.Jdot_t)
-
-
-def point_jacobian(
-    model: RobotModel, q: np.ndarray, link: int, point_local: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Translational Jacobian of a point rigidly attached to ``link``.
-
-    Returns (J, p) with J 3xn (zero columns beyond ``link``) and p the point's
-    base-frame position. Used to map forces applied along the arm body.
-    """
-    q = _check_q(model, q)
-    if not 0 <= link < model.n:
-        raise ValueError(f"link index {link} out of range")
-    point_local = np.asarray(point_local, dtype=float).reshape(3)
-    return KinFrames(model.chain, q).point_jacobian(link, point_local)
-
-
-def mass_matrix(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Symmetric positive-definite joint-space inertia, M = A^T A over the
-    per-link Jacobians."""
-    return kinematics(model, q).M
-
-
-def inverse_dynamics(
-    model: RobotModel, q: np.ndarray, qdot: np.ndarray, qddot: np.ndarray
-) -> np.ndarray:
-    """Joint torques realizing ``qddot`` at (q, qdot) including gravity
-    (recursive Newton-Euler)."""
-    q = _check_q(model, q)
-    return kernels.rnea(
-        model.dh,
-        q,
-        np.asarray(qdot, dtype=float),
-        np.asarray(qddot, dtype=float),
-        model.gravity,
-        model.masses,
-        model.coms,
-        model.inertias,
-    )
-
-
-def bias_terms(
-    model: RobotModel, q: np.ndarray, qdot: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bias torques (h, c, g): velocity product c, gravity g, h = c + g."""
-    kin = kinematics(model, q, qdot)
-    return kin.h, kin.c, kin.g
-
-
-def forward_dynamics(
-    model: RobotModel,
-    q: np.ndarray,
-    qdot: np.ndarray,
-    tau: np.ndarray,
-    tau_env: np.ndarray | None = None,
-) -> np.ndarray:
-    """Joint accelerations from M qdd = tau + tau_env - h."""
-    kin = kinematics(model, q, qdot)
-    rhs = np.asarray(tau, dtype=float) - kin.h
-    if tau_env is not None:
-        rhs = rhs + np.asarray(tau_env, dtype=float)
-    return np.linalg.solve(kin.M, rhs)

@@ -16,8 +16,8 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControlSetup
 from .errors import SimulationDiverged
-from .rcm import RcmMode, TrocarState, place_trocar, residual, residual_jacobian, residual_rate
-from .robot import DEFAULT_HOME, JointState, KinFrames, RobotModel, forward_dynamics
+from .rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
+from .robot import DEFAULT_HOME, JointState, KinFrames, RobotModel
 from .robot import kinematics as kinematics_of
 from .scenarios import (
     TROCAR_STATIC,
@@ -71,10 +71,8 @@ def environment_force(x2d: np.ndarray, xdot2d: np.ndarray, env: EnvModel) -> np.
 def port_torque(kin: KinFrames, qdot: np.ndarray, trocar: TrocarState, env: EnvModel) -> np.ndarray:
     """Joint torque of the port force: ``environment_force`` on the 2D pivot
     residual at the frame pass ``kin``, through the residual Jacobian."""
-    x2 = residual(kin.pose_r, trocar.p, RcmMode.TWO_D)
-    xd2 = residual_rate(kin.pose_r, kin.J_r, qdot, trocar, RcmMode.TWO_D)
-    J2 = residual_jacobian(kin.pose_r, kin.J_r, trocar.p, RcmMode.TWO_D)
-    return J2.T @ environment_force(x2, xd2, env)
+    cs = constraint_from_kin(kin, qdot, trocar, RcmMode.TWO_D)
+    return cs.J.T @ environment_force(cs.x, cs.xdot, env)
 
 
 @dataclass
@@ -130,6 +128,13 @@ def check_trocar_support(path: str, variant: str, trocar: TrocarSchedule):
     if variant == ctl.Z_APPROACH and trocar.mode != TROCAR_STATIC:
         fail(join(path, "trocar.mode"),
              "the extended-Jacobian controller supports static trocars only")
+
+
+def check_mode_support(path: str, variant: str, mode: RcmMode | None):
+    """The extended-Jacobian controller needs the 2D residual: with the 3D
+    one its constrained tip inertia is singular."""
+    if variant == ctl.Z_APPROACH and mode is RcmMode.THREE_D:
+        fail(path, "the extended-Jacobian controller supports the 2D residual only")
 
 
 def _trace_columns(n: int) -> list[tuple[str, list[str]]]:
@@ -238,39 +243,46 @@ def step(
     integrator: str = SEMI_IMPLICIT,
     env: EnvModel | None = None,
     trocar: TrocarState | None = None,
+    qdd: np.ndarray | None = None,
 ) -> JointState:
     """Advance the plant one control period under zero-order-hold torque.
 
     ``tau_ext`` holds the scripted external torque for the step; the port
-    force (env soft mode) is state dependent and recomputed per RK4 substage.
+    force (env soft mode) is state dependent and recomputed per RK4 stage.
+    ``qdd`` is the acceleration at ``state`` under these inputs when the
+    caller has it (the tick computes it from its own frame pass); otherwise
+    one frame pass gives it. Each later RK4 stage builds one frame pass, which
+    gives M, h and the port force. The caller checks the new state.
     """
     if not POSITIVE.ok(dt):
         fail("dt", POSITIVE.message)
+    port = env is not None and env.mode != ENV_OFF and trocar is not None
 
-    def env_torque(q, qd):
-        if env is None or env.mode == ENV_OFF or trocar is None:
-            return 0.0
-        return port_torque(kinematics_of(model, q), qd, trocar, env)
+    def accel(q, qd):
+        kin = kinematics_of(model, q, qd)
+        load = tau + tau_ext - kin.h
+        if port:
+            load = load + port_torque(kin, qd, trocar, env)
+        return np.linalg.solve(kin.M, load)
 
+    if qdd is None:
+        qdd = accel(state.q, state.qdot)
     if integrator == SEMI_IMPLICIT:
-        qdd = forward_dynamics(model, state.q, state.qdot, tau, tau_ext + env_torque(state.q, state.qdot))
         qd_new = state.qdot + dt * qdd
-        q_new = state.q + dt * qd_new
-    elif integrator == RK4:
-        def deriv(q, qd):
-            return qd, forward_dynamics(model, q, qd, tau, tau_ext + env_torque(q, qd))
-
-        k1q, k1v = deriv(state.q, state.qdot)
-        k2q, k2v = deriv(state.q + 0.5 * dt * k1q, state.qdot + 0.5 * dt * k1v)
-        k3q, k3v = deriv(state.q + 0.5 * dt * k2q, state.qdot + 0.5 * dt * k2v)
-        k4q, k4v = deriv(state.q + dt * k3q, state.qdot + dt * k3v)
-        q_new = state.q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        qd_new = state.qdot + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    else:
+        return JointState(state.q + dt * qd_new, qd_new)
+    if integrator != RK4:
         raise ValueError(f"unknown integrator {integrator!r}")
-    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(qd_new))):
-        raise SimulationDiverged(-1, -1.0, "non-finite state after step")
-    return JointState(q_new, qd_new)
+    k1q, k1v = state.qdot, qdd
+    k2q = state.qdot + 0.5 * dt * k1v
+    k2v = accel(state.q + 0.5 * dt * k1q, k2q)
+    k3q = state.qdot + 0.5 * dt * k2v
+    k3v = accel(state.q + 0.5 * dt * k2q, k3q)
+    k4q = state.qdot + dt * k3v
+    k4v = accel(state.q + dt * k3q, k4q)
+    return JointState(
+        state.q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
+        state.qdot + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
+    )
 
 
 def run_episode(
@@ -289,6 +301,7 @@ def run_episode(
     check_joint_vectors(model.n, scenario.q_init, "scenario.q_init",
                         scenario.disturbances.events, "scenario.disturbances.events")
     check_trocar_support("scenario", control.variant, scenario.trocar)
+    check_mode_support("control.rcm_mode", control.variant, control.rcm_mode)
     q0 = DEFAULT_HOME.copy() if scenario.q_init is None else np.asarray(scenario.q_init, dtype=float)
     state = JointState(q0.copy(), np.zeros(model.n))
 
@@ -378,21 +391,12 @@ def run_episode(
 
         if k == records - 1:
             break
-        if sim.integrator == SEMI_IMPLICIT:
-            # Reuse the already-computed acceleration (same ZOH inputs).
-            qd_new = state.qdot + dt * qdd
-            q_new = state.q + dt * qd_new
-            if not (np.isfinite(q_new).all() and np.isfinite(qd_new).all()):
-                raise SimulationDiverged(k + 1, t + dt, "non-finite state after step", trace)
-            state = JointState(q_new, qd_new)
-        else:
-            try:
-                state = step(
-                    model, state, out.tau, tau_dist, dt, sim.integrator,
-                    env=sim.env, trocar=trocar,
-                )
-            except SimulationDiverged as exc:
-                raise SimulationDiverged(k + 1, t + dt, "non-finite state after step", trace) from exc
+        state = step(
+            model, state, out.tau, tau_dist, dt, sim.integrator,
+            env=sim.env, trocar=trocar, qdd=qdd,
+        )
+        if not (np.isfinite(state.q).all() and np.isfinite(state.qdot).all()):
+            raise SimulationDiverged(k + 1, t + dt, "non-finite state after step", trace)
         tau_prev = out.tau
 
     return trace

@@ -1,10 +1,15 @@
 """Independent reference implementations the tests check the program against.
 
-* Loop-form forward kinematics, point Jacobians and the composite-rigid-body
-  inertia (one _mdh_step/_cross step at a time, independent of the vectorised
-  frame pass), and central-difference stencils for every time derivative the
-  pass computes exactly: Jdot, the constraint rate and acceleration bias, and
-  Mdot.
+* Loop-form forward kinematics, point Jacobians, the composite-rigid-body
+  inertia and recursive Newton-Euler inverse dynamics (one _mdh_step/_cross
+  step at a time, independent of the vectorised frame pass), forward dynamics
+  from the pass's M and h, and central-difference stencils for every time
+  derivative the pass computes exactly: Jdot, the constraint rate and
+  acceleration bias, and Mdot.
+* The pivot constraint in its skew form (the residual Jacobian
+  J_p + skew(p_cr) J_w) and the pivot point on the tool axis (the
+  orthogonal projection of the trocar), each written apart from
+  ``rcm.constraint_from_kin`` and the recorded trace.
 * The SVD pseudoinverse, the symmetric matrix square root and the textbook
   projection operators (P, Pdot, M_f, task-space terms, the Gauss
   acceleration split) in their general form.
@@ -24,15 +29,125 @@ from rcmsim.controllers import (
     free_space_force,
     nullspace_torque,
 )
-from rcmsim.errors import InvalidMatrix, SingularExtendedJacobian
-from rcmsim.kernels import _cross, _mdh_step
+from rcmsim.errors import InvalidMatrix, RcmSimError, SingularExtendedJacobian
+from rcmsim.kernels import skew_stack
 from rcmsim.numerics import orth_projector
 from rcmsim.projection import sym_inv
-from rcmsim.rcm import ConstraintState, residual_jacobian
-from rcmsim.robot import Pose
+from rcmsim.rcm import ConstraintState, RcmMode
+from rcmsim.robot import Pose, kinematics
 from rcmsim.scenarios import TaskReference
 
 FD_STEP = 1e-6
+
+
+def _mdh_step(a, d, alpha, theta):
+    """Child-frame rotation and origin in parent coordinates."""
+    ca = np.cos(alpha)
+    sa = np.sin(alpha)
+    ct = np.cos(theta)
+    st = np.sin(theta)
+    R = np.empty((3, 3))
+    R[0, 0] = ct
+    R[0, 1] = -st
+    R[0, 2] = 0.0
+    R[1, 0] = ca * st
+    R[1, 1] = ca * ct
+    R[1, 2] = -sa
+    R[2, 0] = sa * st
+    R[2, 1] = sa * ct
+    R[2, 2] = ca
+    p = np.empty(3)
+    p[0] = a
+    p[1] = -sa * d
+    p[2] = ca * d
+    return R, p
+
+
+def _cross(a, b):
+    c = np.empty(3)
+    c[0] = a[1] * b[2] - a[2] * b[1]
+    c[1] = a[2] * b[0] - a[0] * b[2]
+    c[2] = a[0] * b[1] - a[1] * b[0]
+    return c
+
+
+def rnea(dh, q, qd, qdd, gravity, masses, coms, inertias):
+    """Recursive Newton-Euler inverse dynamics.
+
+    Returns the joint torques that realize ``qdd`` at state (q, qd) under
+    ``gravity``. Gravity enters through the standard base-acceleration trick.
+    """
+    n = q.shape[0]
+    Rs = np.empty((n, 3, 3))
+    ps = np.empty((n, 3))
+    ws = np.empty((n, 3))
+    wds = np.empty((n, 3))
+    Fs = np.empty((n, 3))
+    Ns = np.empty((n, 3))
+
+    w = np.zeros(3)
+    wd = np.zeros(3)
+    vd = -gravity
+    for i in range(n):
+        R, pl = _mdh_step(dh[i, 0], dh[i, 1], dh[i, 2], q[i] + dh[i, 3])
+        Rs[i] = R
+        ps[i] = pl
+        Rt = R.T
+        w_in = Rt @ w
+        w_new = w_in.copy()
+        w_new[2] += qd[i]
+        wd_new = Rt @ wd + _cross(w_in, np.array([0.0, 0.0, qd[i]]))
+        wd_new[2] += qdd[i]
+        vd_new = Rt @ (vd + _cross(wd, pl) + _cross(w, _cross(w, pl)))
+        c = coms[i]
+        vdc = vd_new + _cross(wd_new, c) + _cross(w_new, _cross(w_new, c))
+        Fs[i] = masses[i] * vdc
+        Iw = inertias[i] @ w_new
+        Ns[i] = inertias[i] @ wd_new + _cross(w_new, Iw)
+        ws[i] = w_new
+        wds[i] = wd_new
+        w = w_new
+        wd = wd_new
+        vd = vd_new
+
+    tau = np.empty(n)
+    f = np.zeros(3)
+    nt = np.zeros(3)
+    for i in range(n - 1, -1, -1):
+        if i < n - 1:
+            f_down = Rs[i + 1] @ f
+            n_down = Rs[i + 1] @ nt + _cross(ps[i + 1], f_down)
+        else:
+            f_down = np.zeros(3)
+            n_down = np.zeros(3)
+        f = f_down + Fs[i]
+        nt = n_down + Ns[i] + _cross(coms[i], Fs[i])
+        tau[i] = nt[2]
+    return tau
+
+
+def inverse_dynamics(model, q, qdot, qddot):
+    """Joint torques realizing ``qddot`` at (q, qdot) including gravity
+    (recursive Newton-Euler)."""
+    return rnea(
+        model.dh,
+        np.asarray(q, dtype=float),
+        np.asarray(qdot, dtype=float),
+        np.asarray(qddot, dtype=float),
+        model.gravity,
+        model.masses,
+        model.coms,
+        model.inertias,
+    )
+
+
+def forward_dynamics(model, q, qdot, tau, tau_env=None):
+    """Joint accelerations from M qdd = tau + tau_env - h (one frame pass)."""
+    kin = kinematics(model, q, qdot)
+    rhs = np.asarray(tau, dtype=float) - kin.h
+    if tau_env is not None:
+        rhs = rhs + np.asarray(tau_env, dtype=float)
+    return np.linalg.solve(kin.M, rhs)
 
 
 def fk_jac(dh, flange, q, l_tool):
@@ -234,6 +349,34 @@ def jacobian_dot_fd(model, q, qdot, step=FD_STEP):
         model.dh, model.flange, q, qdot, step, model.l_tool
     )
     return (J_rp - J_rm) / (2.0 * step), (J_tp - J_tm) / (2.0 * step)
+
+
+def residual_jacobian(pose_r, J_r, p_c, mode=RcmMode.THREE_D):
+    """Constraint Jacobian in its skew form: the trocar-point translational
+    Jacobian J_pc = J_pr + skew(p_cr) J_wr, premultiplied by R_r^T (3D) or
+    the lateral basis transpose (2D)."""
+    p_cr = pose_r.p - np.asarray(p_c, dtype=float)
+    J_pc = J_r[:3] + skew_stack(p_cr) @ J_r[3:]
+    return pose_r.R.T[: mode.k] @ J_pc
+
+
+class InconsistentTool(RcmSimError):
+    """Reference and tip positions do not agree with the tool length."""
+
+
+def rcm_point(p_r, p_t, p_c, l_tool, tol=1e-6):
+    """Orthogonal projection of the trocar point onto the tool axis:
+    p_rcm = p_r + (p_rt . p_rc / l_tool^2) p_rt."""
+    p_r = np.asarray(p_r, dtype=float)
+    p_t = np.asarray(p_t, dtype=float)
+    p_c = np.asarray(p_c, dtype=float)
+    p_rt = p_t - p_r
+    if abs(np.linalg.norm(p_rt) - l_tool) > tol:
+        raise InconsistentTool(
+            f"|p_t - p_r| = {np.linalg.norm(p_rt):.9f} does not match l_tool = {l_tool}"
+        )
+    p_rc = p_c - p_r
+    return p_r + (p_rt @ p_rc / (l_tool * l_tool)) * p_rt
 
 
 def constraint_rate_fd(model, q, qdot, trocar, mode, step=FD_STEP):

@@ -14,20 +14,13 @@ import pytest
 
 from rcmsim.controllers import GainSet
 from rcmsim.numerics import orth_projector
-from rcmsim.rcm import RcmMode, place_trocar, rcm_point, residual, residual_jacobian
-from rcmsim.robot import (
-    DEFAULT_HOME,
-    JointState,
-    bias_terms,
-    forward_dynamics,
-    inverse_dynamics,
-    kinematics,
-    mass_matrix,
-)
+from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
+from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
 from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode, step
 from rcmsim.scenarios import DisturbanceEvent, DisturbanceSchedule, TrocarSchedule
 from rcmsim.harness import compute_metrics, config_from_dict, run_matrix
 from conftest import PENDULUM_LENGTH, PENDULUM_MASS, random_states
+from oracles import forward_dynamics, inverse_dynamics, rcm_point
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -100,7 +93,7 @@ def test_criterion_01_projection_algebra(model, rng):
     for q in qs:
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.25 + 0.65 * rng.uniform())
-        Jc = residual_jacobian(kin.pose_r, kin.J_r, p_c, RcmMode.TWO_D)
+        Jc = constraint_from_kin(kin, np.zeros(model.n), TrocarState.static(p_c), RcmMode.TWO_D).J
         P = orth_projector(Jc)
         tau_c = rng.uniform(-10.0, 10.0, model.n)
         tau_perp = tau_c - P @ tau_c
@@ -126,8 +119,9 @@ def test_criterion_02_kinematics_oracles(model, rng):
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
         J_tool = kin.J_t[:3]
-        J3 = residual_jacobian(kin.pose_r, kin.J_r, p_c, RcmMode.THREE_D)
-        J2 = residual_jacobian(kin.pose_r, kin.J_r, p_c, RcmMode.TWO_D)
+        static, rest = TrocarState.static(p_c), np.zeros(model.n)
+        J3 = constraint_from_kin(kin, rest, static, RcmMode.THREE_D).J
+        J2 = constraint_from_kin(kin, rest, static, RcmMode.TWO_D).J
         for j in range(model.n):
             dq = np.zeros(model.n)
             dq[j] = step_q
@@ -165,7 +159,7 @@ def test_criterion_03_dynamics_oracles(model, pendulum_model, rng):
     qs, qds = random_states(rng, model.n, 200, spread=np.pi)
     worst_sym, min_eig = 0.0, np.inf
     for q in qs:
-        M = mass_matrix(model, q)
+        M = kinematics(model, q).M
         worst_sym = max(worst_sym, np.abs(M - M.T).max())
         min_eig = min(min_eig, np.linalg.eigvalsh(M)[0])
     worst_rt = 0.0
@@ -175,8 +169,8 @@ def test_criterion_03_dynamics_oracles(model, pendulum_model, rng):
         worst_rt = max(worst_rt, np.abs(inverse_dynamics(model, q, qd, qdd) - tau).max())
     # pendulum analytics
     theta = 0.6
-    M_p = mass_matrix(pendulum_model, np.array([theta]))[0, 0]
-    _, _, g_p = bias_terms(pendulum_model, np.array([theta]), np.zeros(1))
+    kin_p = kinematics(pendulum_model, np.array([theta]), np.zeros(1))
+    M_p, g_p = kin_p.M[0, 0], kin_p.g
     qdd_p = forward_dynamics(pendulum_model, np.array([np.pi / 2]), np.zeros(1), np.zeros(1))[0]
     pend_err = max(
         abs(M_p - PENDULUM_MASS * PENDULUM_LENGTH**2),
@@ -186,10 +180,10 @@ def test_criterion_03_dynamics_oracles(model, pendulum_model, rng):
     # zero-gravity energy drift over 5 s at 1 ms
     m0 = replace(model, gravity=np.zeros(3))
     state = JointState(DEFAULT_HOME.copy(), 0.3 * np.ones(model.n))
-    e0 = 0.5 * state.qdot @ mass_matrix(m0, state.q) @ state.qdot
+    e0 = 0.5 * state.qdot @ kinematics(m0, state.q).M @ state.qdot
     for _ in range(5000):
         state = step(m0, state, np.zeros(model.n), np.zeros(model.n), 1e-3)
-    drift = abs(0.5 * state.qdot @ mass_matrix(m0, state.q) @ state.qdot - e0) / e0
+    drift = abs(0.5 * state.qdot @ kinematics(m0, state.q).M @ state.qdot - e0) / e0
     ok = (
         worst_sym < 1e-10
         and min_eig > 0

@@ -31,19 +31,22 @@ BASE = {
 }
 
 
-def with_value(path: str, value) -> dict:
+def with_value(path, value) -> dict:
     """BASE with the dotted ``path`` set to ``value`` (or removed for DROP);
-    missing objects on the way are created."""
+    missing objects on the way are created. A tuple of paths sets each to
+    the matching entry of a tuple of values."""
     cfg = copy.deepcopy(BASE)
-    keys = [int(k[1:-1]) if k.startswith("[") else k
-            for k in path.replace("[", ".[").split(".")]
-    node = cfg
-    for key in keys[:-1]:
-        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
-    if value is DROP:
-        del node[keys[-1]]
-    else:
-        node[keys[-1]] = value
+    pairs = zip(path, value) if isinstance(path, tuple) else [(path, value)]
+    for path, value in pairs:
+        keys = [int(k[1:-1]) if k.startswith("[") else k
+                for k in path.replace("[", ".[").split(".")]
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+        if value is DROP:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
     return cfg
 
 
@@ -159,6 +162,8 @@ REJECTED = [
     ("label", "..", LABEL),
     ("label", ".", LABEL),
     ("label", "/tmp/abs", LABEL),
+    (("controller", "rcm_mode"), ("z_approach", "3D"),
+     "rcm_mode: the extended-Jacobian controller supports the 2D residual only"),
 ]
 
 
@@ -251,7 +256,12 @@ def _configs():
                 noise_seed=st.integers(0, 2**31),
             ),
         },
-    )
+    ).filter(_mode_supported)
+
+
+def _mode_supported(data) -> bool:
+    """The extended-Jacobian controller runs the 2D residual only."""
+    return data["controller"] != "z_approach" or str(data.get("rcm_mode")).lower() != "3d"
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -17,16 +17,10 @@ from rcmsim.controllers import (
     observer_step,
 )
 from rcmsim.rcm import RcmMode, TrocarState, place_trocar
-from rcmsim.robot import (
-    DEFAULT_HOME,
-    JointState,
-    bias_terms,
-    forward_dynamics,
-    kinematics,
-    mass_matrix,
-)
+from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
 from rcmsim.scenarios import TaskReference
 from oracles import (
+    forward_dynamics,
     matrix_sqrt,
     pinv,
     projection_state,
@@ -120,7 +114,7 @@ def test_p_approach_annihilation_random_states(model, rng):
         ref = _hold_reference(model, state.q)
         snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
         out, _ = _control("p_approach", snap, ref, g)
-        P = projection_state(mass_matrix(model, state.q), snap.constraint.J).P
+        P = projection_state(kinematics(model, state.q).M, snap.constraint.J).P
         assert np.abs(P @ out.tau_perp).max() < 1e-9
         assert np.abs(out.tau - (out.tau_parallel + out.tau_perp + out.tau_ext_hat)).max() < 1e-12
 
@@ -203,7 +197,7 @@ def test_z_approach_gravity_consistent_equilibrium(model):
     ref = _hold_reference(model, state.q)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
     out, _ = _control("z_approach", snap, ref, _gains())
-    _, _, grav = bias_terms(model, state.q, state.qdot)
+    grav = kinematics(model, state.q, state.qdot).g
     assert np.abs(out.tau - grav).max() < 1e-8
 
 
@@ -237,6 +231,27 @@ def test_z_approach_rejects_moving_trocar_in_episode():
             Scenario(alpha=0.5, trocar=TrocarSchedule(mode="sinusoidal")),
             SimConfig(duration=0.01),
         )
+
+
+def test_z_approach_rejects_3d_residual_in_episode(model):
+    # With the 3D residual this controller's constrained tip inertia is singular.
+    from rcmsim.errors import ConfigError
+    from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
+
+    control = ControlSetup(variant="z_approach", rcm_mode=RcmMode.THREE_D)
+    message = r"^control\.rcm_mode: the extended-Jacobian controller supports the 2D residual only$"
+    with pytest.raises(ConfigError, match=message):
+        run_episode(model, control, Scenario(alpha=0.5), SimConfig(duration=0.01))
+
+
+def test_z_approach_episode_realizes_its_constraint_command(model):
+    # The reported command is the Jc qddot the torque realizes, bias included.
+    from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
+
+    trace = run_episode(
+        model, ControlSetup(variant="z_approach"), Scenario(alpha=0.5), SimConfig(duration=0.5)
+    )
+    assert trace.constraint_gap.max() <= 1e-9
 
 
 # --- inertia-square-root controller ------------------------------------------
@@ -371,7 +386,7 @@ def test_per_tick_factorizations(model, rng, monkeypatch):
 def test_observer_stays_zero_without_disturbance(model):
     state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
     obs = ObserverState.initial(model, state, gain=50.0)
-    _, _, grav = bias_terms(model, state.q, state.qdot)
+    grav = kinematics(model, state.q, state.qdot).g
     for _ in range(100):
         obs = observer_step(obs, model, state, grav, 1e-3)
     assert np.abs(obs.tau_ext_hat).max() < 1e-12
@@ -396,7 +411,7 @@ def test_observer_first_order_convergence(model):
     tau_ext[3] = 2.0
     t = 0.0
     while t < 0.2:
-        _, _, grav = bias_terms(model, state.q, state.qdot)
+        grav = kinematics(model, state.q, state.qdot).g
         tau_cmd = grav  # gravity-compensated free float under the disturbance
         qdd = forward_dynamics(model, state.q, state.qdot, tau_cmd, tau_ext)
         qd = state.qdot + dt * qdd

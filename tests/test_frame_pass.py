@@ -11,10 +11,9 @@ import pytest
 
 import oracles
 from rcmsim.controllers import _align_basis, _null_sharp_rate
-from rcmsim.kernels import rnea
 from rcmsim.numerics import null_basis_and_pinv, small_inv
-from rcmsim.rcm import RcmMode, TrocarState, constraint_state, place_trocar, rcm_point
-from rcmsim.robot import JointState, kinematics, point_jacobian
+from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar
+from rcmsim.robot import kinematics
 from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
 from conftest import random_states
 
@@ -35,7 +34,7 @@ def test_point_jacobian_matches_loop_oracle(model, rng):
     for q in qs:
         for link in range(model.n):
             point = rng.uniform(-0.1, 0.1, 3)
-            J, p = point_jacobian(model, q, link, point)
+            J, p = kinematics(model, q).point_jacobian(link, point)
             J_ref, p_ref = oracles.point_jacobian(model.dh, q, link, point)
             assert np.abs(J - J_ref).max() < 1e-12
             assert np.abs(p - p_ref).max() < 1e-12
@@ -54,8 +53,8 @@ def test_bias_terms_match_rnea(model, pendulum_model, rng):
     for q, qd in zip(qs, qds):
         kin = kinematics(model, q, 2.0 * qd)
         args = (model.gravity, model.masses, model.coms, model.inertias)
-        h = rnea(model.dh, q, 2.0 * qd, zero, *args)
-        g = rnea(model.dh, q, zero, zero, *args)
+        h = oracles.rnea(model.dh, q, 2.0 * qd, zero, *args)
+        g = oracles.rnea(model.dh, q, zero, zero, *args)
         assert np.abs(kin.h - h).max() < 1e-12
         assert np.abs(kin.g - g).max() < 1e-12
         assert np.abs(kin.c - (h - g)).max() < 1e-12
@@ -63,7 +62,7 @@ def test_bias_terms_match_rnea(model, pendulum_model, rng):
     q1, qd1 = np.array([0.4]), np.array([-1.3])
     kin = kinematics(pendulum_model, q1, qd1)
     p = pendulum_model
-    h = rnea(p.dh, q1, qd1, np.zeros(1), p.gravity, p.masses, p.coms, p.inertias)
+    h = oracles.rnea(p.dh, q1, qd1, np.zeros(1), p.gravity, p.masses, p.coms, p.inertias)
     assert np.abs(kin.h - h).max() < 1e-12
 
 
@@ -96,7 +95,7 @@ def test_constraint_rates_match_finite_difference(model, rng, mode, moving):
             trocar = TrocarState(p_c, rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.1, 0.1, 3))
         else:
             trocar = TrocarState.static(p_c)
-        cs = constraint_state(model, JointState(q, qd), trocar, mode)
+        cs = constraint_from_kin(kinematics(model, q, qd), qd, trocar, mode)
         J_dot, b = oracles.constraint_rate_fd(model, q, qd, trocar, mode)
         assert np.abs(cs.J_dot - J_dot).max() < 1e-6
         assert np.abs(cs.b - b).max() < 1e-6
@@ -112,7 +111,7 @@ def test_null_sharp_rate_matches_finite_difference(model, rng):
         trocar = TrocarState.static(place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5))
 
         def sharp(qs_, Z_ref=None):
-            cs = constraint_state(model, JointState(qs_, qd), trocar, RcmMode.TWO_D)
+            cs = constraint_from_kin(kinematics(model, qs_, qd), qd, trocar, RcmMode.TWO_D)
             Z = null_basis_and_pinv(cs.J)[0]
             if Z_ref is not None:
                 Z = _align_basis(Z, Z_ref)
@@ -145,5 +144,5 @@ def test_small_inv_matches_lapack(rng):
 def test_recorded_pivot_point_matches_rcm_point(model):
     trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), SimConfig(duration=0.2))
     for k in range(0, trace.filled, 20):
-        p = rcm_point(trace.p_r[k], trace.tip[k], trace.p_c[k], model.l_tool)
+        p = oracles.rcm_point(trace.p_r[k], trace.tip[k], trace.p_c[k], model.l_tool)
         assert np.abs(trace.p_rcm[k] - p).max() < 1e-15

@@ -3,8 +3,8 @@ import pytest
 
 from rcmsim.errors import SingularTaskInertia
 from rcmsim.projection import sym_inv
-from rcmsim.rcm import RcmMode, TrocarState, constraint_state
-from rcmsim.robot import DEFAULT_HOME, JointState, kinematics, mass_matrix
+from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin
+from rcmsim.robot import DEFAULT_HOME, kinematics
 from rcmsim.rcm import place_trocar
 from conftest import random_states
 from oracles import gauss_acceleration_split, projection_state, task_space_terms
@@ -58,15 +58,15 @@ def test_pdot_matches_projector_finite_difference(model):
     kin = kinematics(model, q0)
     p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
     trocar = TrocarState.static(p_c)
-    M = mass_matrix(model, q0)
-    cs0 = constraint_state(model, JointState(q0, np.zeros(model.n)), trocar, RcmMode.TWO_D)
+    M = kin.M
+    cs0 = constraint_from_kin(kin, np.zeros(model.n), trocar, RcmMode.TWO_D)
     qd = projection_state(M, cs0.J).P @ np.linspace(-0.4, 0.4, model.n)
-    cs = constraint_state(model, JointState(q0, qd), trocar, RcmMode.TWO_D)
+    cs = constraint_from_kin(kinematics(model, q0, qd), qd, trocar, RcmMode.TWO_D)
     ps = projection_state(M, cs.J, cs.J_dot)
     dt = 1e-6
     Ps = []
     for s in (-dt, dt):
-        cs_s = constraint_state(model, JointState(q0 + s * qd, qd), trocar, RcmMode.TWO_D)
+        cs_s = constraint_from_kin(kinematics(model, q0 + s * qd, qd), qd, trocar, RcmMode.TWO_D)
         Ps.append(projection_state(M, cs_s.J).P)
     P_fd = (Ps[1] - Ps[0]) / (2 * dt)
     assert np.abs((ps.Pdot - P_fd) @ qd).max() < 1e-4
@@ -89,8 +89,9 @@ def test_task_space_terms_algebraic_properties(model, rng):
     for q, qd in zip(qs, qds):
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
-        cs = constraint_state(model, JointState(q, qd), TrocarState.static(p_c), RcmMode.TWO_D)
-        M = mass_matrix(model, q)
+        static = TrocarState.static(p_c)
+        cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.TWO_D)
+        M = kin.M
         ps = projection_state(M, cs.J, cs.J_dot)
         tst = task_space_terms(ps.M_f, ps.P, kin.J_t[:3], np.zeros((3, model.n)), qd, np.zeros(model.n))
         assert np.abs(tst.J_sharp_T @ kin.J_t[:3].T - np.eye(3)).max() < 1e-8
@@ -105,8 +106,9 @@ def test_task_bias_reduces_to_classic_form(model, rng):
     q, qd = DEFAULT_HOME, rng.uniform(-0.5, 0.5, model.n)
     kin = kinematics(model, q)
     p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
-    cs = constraint_state(model, JointState(q, qd), TrocarState.static(p_c), RcmMode.TWO_D)
-    M = mass_matrix(model, q)
+    static = TrocarState.static(p_c)
+    cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.TWO_D)
+    M = kin.M
     ps = projection_state(M, cs.J, cs.J_dot)
     J = kin.J_t[:3]
     J_dot = rng.standard_normal((3, model.n))
@@ -138,8 +140,8 @@ def test_torque_decomposition_annihilation(model, rng):
     for q in qs:
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
-        cs = constraint_state(model, JointState(q, np.zeros(model.n)), TrocarState.static(p_c), RcmMode.TWO_D)
-        M = mass_matrix(model, q)
+        cs = constraint_from_kin(kin, np.zeros(model.n), TrocarState.static(p_c), RcmMode.TWO_D)
+        M = kin.M
         ps = projection_state(M, cs.J)
         P = ps.P
         tau_c = rng.uniform(-10, 10, model.n)

@@ -1,20 +1,11 @@
 import numpy as np
 import pytest
 
-from rcmsim.errors import InconsistentTool, InvalidAlpha
-from rcmsim.rcm import (
-    RcmMode,
-    TrocarState,
-    constraint_state,
-    place_trocar,
-    rcm_point,
-    residual,
-    residual_bias,
-    residual_jacobian,
-    residual_rate,
-)
-from rcmsim.robot import DEFAULT_HOME, JointState, Pose, fk, kinematics
+from rcmsim.errors import InvalidAlpha
+from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
+from rcmsim.robot import DEFAULT_HOME, Pose, kinematics
 from conftest import random_states
+from oracles import InconsistentTool, rcm_point
 
 
 def _rotz(angle):
@@ -76,8 +67,9 @@ def test_residual_2d_is_first_two_rows_of_3d(model, rng):
         x3 = residual(kin.pose_r, p_c, RcmMode.THREE_D)
         x2 = residual(kin.pose_r, p_c, RcmMode.TWO_D)
         assert np.abs(x2 - x3[:2]).max() < 1e-12
-        J3 = residual_jacobian(kin.pose_r, kin.J_r, p_c, RcmMode.THREE_D)
-        J2 = residual_jacobian(kin.pose_r, kin.J_r, p_c, RcmMode.TWO_D)
+        static, rest = TrocarState.static(p_c), np.zeros(model.n)
+        J3 = constraint_from_kin(kin, rest, static, RcmMode.THREE_D).J
+        J2 = constraint_from_kin(kin, rest, static, RcmMode.TWO_D).J
         assert np.abs(J2 - J3[:2]).max() < 1e-12
 
 
@@ -98,7 +90,8 @@ def test_residual_norm_decomposition(model, rng):
 def test_residual_jacobian_reference_point_case(model):
     # Trocar at the reference point: J_c reduces to the rotated J_p rows.
     kin = kinematics(model, DEFAULT_HOME)
-    J3 = residual_jacobian(kin.pose_r, kin.J_r, kin.pose_r.p, RcmMode.THREE_D)
+    static = TrocarState.static(kin.pose_r.p)
+    J3 = constraint_from_kin(kin, np.zeros(model.n), static, RcmMode.THREE_D).J
     assert np.abs(J3 - kin.pose_r.R.T @ kin.J_r[:3]).max() < 1e-12
 
 
@@ -109,12 +102,13 @@ def test_residual_jacobian_finite_difference(model, rng):
     for q in qs:
         kin, p_c = _mid_axis_trocar(model, q)
         p_c = p_c + rng.uniform(-0.05, 0.05, 3)
-        J = residual_jacobian(kin.pose_r, kin.J_r, p_c, RcmMode.THREE_D)
+        static = TrocarState.static(p_c)
+        J = constraint_from_kin(kin, np.zeros(model.n), static, RcmMode.THREE_D).J
         for j in range(model.n):
             dq = np.zeros(model.n)
             dq[j] = step
-            xp = residual(fk(model, q + dq), p_c, RcmMode.THREE_D)
-            xm = residual(fk(model, q - dq), p_c, RcmMode.THREE_D)
+            xp = residual(kinematics(model, q + dq).pose_r, p_c, RcmMode.THREE_D)
+            xm = residual(kinematics(model, q - dq).pose_r, p_c, RcmMode.THREE_D)
             worst = max(worst, np.abs((xp - xm) / (2 * step) - J[:, j]).max())
     assert worst < 1e-6
 
@@ -124,14 +118,13 @@ def test_residual_rate_static_and_moving(model, rng):
     qd = rng.uniform(-0.5, 0.5, model.n)
     kin, p_c = _mid_axis_trocar(model, q)
     static = TrocarState.static(p_c)
-    J = residual_jacobian(kin.pose_r, kin.J_r, p_c, RcmMode.THREE_D)
-    assert np.allclose(
-        residual_rate(kin.pose_r, kin.J_r, qd, static, RcmMode.THREE_D), J @ qd
-    )
+    cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.THREE_D)
+    J = cs.J
+    assert np.allclose(cs.xdot, J @ qd)
     v = np.array([0.0, 0.0, 0.03])
     moving = TrocarState(p_c, v, np.zeros(3))
     expected = J @ np.zeros(model.n) - kin.pose_r.R.T @ v
-    got = residual_rate(kin.pose_r, kin.J_r, np.zeros(model.n), moving, RcmMode.THREE_D)
+    got = constraint_from_kin(kin, np.zeros(model.n), moving, RcmMode.THREE_D).xdot
     assert np.abs(got - expected).max() < 1e-12
 
 
@@ -152,25 +145,23 @@ def test_residual_rate_matches_trajectory_difference(model):
     dt = 1e-5
     for t in (0.3, 0.9):
         qs = [_analytic_motion(model, s, q0, amp, omega)[0] for s in (t - dt, t, t + dt)]
-        xs = [residual(fk(model, q), p_c, RcmMode.THREE_D) for q in qs]
+        xs = [residual(kinematics(model, q).pose_r, p_c, RcmMode.THREE_D) for q in qs]
         q, qd, _ = _analytic_motion(model, t, q0, amp, omega)
-        kin = kinematics(model, q)
-        xdot = residual_rate(kin.pose_r, kin.J_r, qd, trocar, RcmMode.THREE_D)
+        xdot = constraint_from_kin(kinematics(model, q, qd), qd, trocar, RcmMode.THREE_D).xdot
         fd = (xs[2] - xs[0]) / (2 * dt)
         assert np.abs(xdot - fd).max() < 1e-4
 
 
 def test_residual_bias_zero_when_everything_static(model):
-    state = JointState(DEFAULT_HOME, np.zeros(model.n))
     kin, p_c = _mid_axis_trocar(model, DEFAULT_HOME)
-    b = residual_bias(model, state, kin.pose_r, TrocarState.static(p_c), RcmMode.THREE_D)
+    static = TrocarState.static(p_c)
+    b = constraint_from_kin(kin, np.zeros(model.n), static, RcmMode.THREE_D).b
     assert np.abs(b).max() == 0.0
 
 
 def test_residual_bias_frozen_robot_sinusoidal_trocar(model):
     # Robot frozen, trocar oscillating at 0.2 Hz, +-0.04 m: b = -R^T pddot_c,
     # with peak |pddot| = 0.04 (2 pi 0.2)^2.
-    state = JointState(DEFAULT_HOME, np.zeros(model.n))
     kin, p_c0 = _mid_axis_trocar(model, DEFAULT_HOME)
     w = 2 * np.pi * 0.2
     t = 1.25  # quarter period: peak acceleration
@@ -180,7 +171,7 @@ def test_residual_bias_frozen_robot_sinusoidal_trocar(model):
         0.04 * w * np.cos(w * t) * np.array([0, 0, 1.0]),
         acc,
     )
-    b = residual_bias(model, state, kin.pose_r, trocar, RcmMode.THREE_D)
+    b = constraint_from_kin(kin, np.zeros(model.n), trocar, RcmMode.THREE_D).b
     assert np.abs(b - (-kin.pose_r.R.T @ acc)).max() < 1e-12
     assert abs(np.linalg.norm(acc) - 0.04 * w * w) < 1e-12
 
@@ -210,10 +201,10 @@ def test_second_difference_oracle(model, moving):
         xs = []
         for s in (t - dt, t, t + dt):
             q, _, _ = _analytic_motion(model, s, q0, amp, omega)
-            xs.append(residual(fk(model, q), trocar_at(s).p, RcmMode.THREE_D))
+            xs.append(residual(kinematics(model, q).pose_r, trocar_at(s).p, RcmMode.THREE_D))
         xdd_fd = (xs[2] - 2 * xs[1] + xs[0]) / dt**2
         q, qd, qdd = _analytic_motion(model, t, q0, amp, omega)
-        cs = constraint_state(model, JointState(q, qd), trocar_at(t), RcmMode.THREE_D)
+        cs = constraint_from_kin(kinematics(model, q, qd), qd, trocar_at(t), RcmMode.THREE_D)
         assert np.abs(cs.J @ qdd + cs.b - xdd_fd).max() < 1e-3
 
 

@@ -5,21 +5,9 @@ import numpy as np
 import pytest
 
 from rcmsim.errors import ModelError
-from rcmsim.robot import (
-    DEFAULT_HOME,
-    default_model_path,
-    forward_dynamics,
-    bias_terms,
-    fk,
-    inverse_dynamics,
-    jacobian,
-    jacobian_dot,
-    kinematics,
-    mass_matrix,
-    model_from_dict,
-    point_jacobian,
-)
+from rcmsim.robot import DEFAULT_HOME, default_model_path, kinematics, model_from_dict
 from conftest import PENDULUM_LENGTH, PENDULUM_MASS, random_states
+from oracles import forward_dynamics, inverse_dynamics
 
 
 # --- independent homogeneous-transform oracle over the raw model file -------
@@ -55,7 +43,7 @@ def test_fk_matches_transform_chain_oracle(model):
         raw = json.load(fh)
     q = DEFAULT_HOME
     _, T = _oracle_frames(raw, q)
-    pose = fk(model, q)
+    pose = kinematics(model, q).pose_r
     assert np.abs(pose.p - T[:3, 3]).max() < 1e-12
     assert np.abs(pose.R - T[:3, :3]).max() < 1e-12
 
@@ -63,8 +51,8 @@ def test_fk_matches_transform_chain_oracle(model):
 def test_fk_tip_is_tool_length_along_z(model, rng):
     for _ in range(5):
         q = DEFAULT_HOME + rng.uniform(-1.0, 1.0, model.n)
-        pose_r = fk(model, q, "reference")
-        pose_t = fk(model, q, "tip")
+        kin = kinematics(model, q)
+        pose_r, pose_t = kin.pose_r, kin.pose_t
         assert np.abs(pose_t.p - (pose_r.p + model.l_tool * pose_r.R[:, 2])).max() < 1e-12
         assert abs(np.linalg.norm(pose_t.p - pose_r.p) - model.l_tool) < 1e-9
         assert np.array_equal(pose_r.R, pose_t.R)
@@ -73,25 +61,25 @@ def test_fk_tip_is_tool_length_along_z(model, rng):
 def test_fk_rotation_orthonormal(model, rng):
     for _ in range(10):
         q = rng.uniform(-np.pi, np.pi, model.n)
-        R = fk(model, q).R
+        R = kinematics(model, q).pose_r.R
         assert np.abs(R.T @ R - np.eye(3)).max() < 1e-9
         assert abs(np.linalg.det(R) - 1.0) < 1e-9
 
 
 def test_planar_chain_analytic(planar_model):
-    pose = fk(planar_model, np.array([np.pi / 2, 0.0]))
+    pose = kinematics(planar_model, np.array([np.pi / 2, 0.0])).pose_r
     assert np.abs(pose.p - np.array([0.0, 2.0, 0.0])).max() < 1e-12
 
 
 def test_planar_jacobian_analytic(planar_model):
-    J = jacobian(planar_model, np.zeros(2))
+    J = kinematics(planar_model, np.zeros(2)).J_r
     assert np.abs(J[0] - np.array([0.0, 0.0])).max() < 1e-12  # row x
     assert np.abs(J[1] - np.array([2.0, 1.0])).max() < 1e-12  # row y: l1+l2, l2
 
 
 def test_jacobian_zero_columns_beyond_supporting_joint(model):
     # A point on link 2 cannot be moved by joints 3..n.
-    J, _ = point_jacobian(model, DEFAULT_HOME, 1, model.coms[1])
+    J, _ = kinematics(model, DEFAULT_HOME).point_jacobian(1, model.coms[1])
     assert np.abs(J[:, 2:]).max() == 0.0
 
 
@@ -100,26 +88,27 @@ def test_jacobian_matches_fk_finite_difference(model, rng):
     step = 1e-6
     worst = 0.0
     for q in qs:
-        for frame in ("reference", "tip"):
-            J = jacobian(model, q, frame)
+        for pose, jac in (("pose_r", "J_r"), ("pose_t", "J_t")):
+            J = getattr(kinematics(model, q), jac)
             for j in range(model.n):
                 dq = np.zeros(model.n)
                 dq[j] = step
-                dp = fk(model, q + dq, frame).p - fk(model, q - dq, frame).p
+                dp = (getattr(kinematics(model, q + dq), pose).p
+                      - getattr(kinematics(model, q - dq), pose).p)
                 worst = max(worst, np.abs(dp / (2 * step) - J[:3, j]).max())
     assert worst < 1e-6
 
 
 def test_jacobian_dot_zero_velocity(model):
-    assert np.abs(jacobian_dot(model, DEFAULT_HOME, np.zeros(model.n))).max() == 0.0
+    assert np.abs(kinematics(model, DEFAULT_HOME, np.zeros(model.n)).Jdot_r).max() == 0.0
 
 
 def test_jacobian_dot_independent_stencil(model, rng):
     qs, qds = random_states(rng, model.n, 10)
     delta = 1e-5
     for q, qd in zip(qs, qds):
-        Jd = jacobian_dot(model, q, qd, "tip")
-        ref = (jacobian(model, q + delta * qd, "tip") - jacobian(model, q - delta * qd, "tip")) / (
+        Jd = kinematics(model, q, qd).Jdot_t
+        ref = (kinematics(model, q + delta * qd).J_t - kinematics(model, q - delta * qd).J_t) / (
             2 * delta
         )
         assert np.abs(Jd - ref).max() < 1e-4
@@ -131,21 +120,21 @@ def test_jacobian_dot_single_revolute_circular_motion(pendulum_model):
     q = np.array([0.3])
     qd = np.array([0.8])
     step = 1e-6
-    Jp, _ = point_jacobian(pendulum_model, q + step * qd, 0, pendulum_model.coms[0])
-    Jm, _ = point_jacobian(pendulum_model, q - step * qd, 0, pendulum_model.coms[0])
+    Jp, _ = kinematics(pendulum_model, q + step * qd).point_jacobian(0, pendulum_model.coms[0])
+    Jm, _ = kinematics(pendulum_model, q - step * qd).point_jacobian(0, pendulum_model.coms[0])
     Jd = (Jp - Jm) / (2 * step)
     assert abs(np.linalg.norm(Jd[:, 0]) - abs(qd[0]) * PENDULUM_LENGTH) < 1e-5
 
 
 def test_mass_matrix_pendulum_analytic(pendulum_model):
-    M = mass_matrix(pendulum_model, np.array([0.4]))
+    M = kinematics(pendulum_model, np.array([0.4])).M
     assert abs(M[0, 0] - PENDULUM_MASS * PENDULUM_LENGTH**2) < 1e-9
 
 
 def test_mass_matrix_symmetric_positive_definite(model, rng):
     qs, _ = random_states(rng, model.n, 20, spread=np.pi)
     for q in qs:
-        M = mass_matrix(model, q)
+        M = kinematics(model, q).M
         assert np.abs(M - M.T).max() < 1e-10
         assert np.linalg.eigvalsh(M)[0] > 0
 
@@ -172,31 +161,32 @@ def test_kinetic_energy_matches_per_link_sum(model, rng):
             w = Jw @ qd
             I_base = frames[i][:3, :3] @ model.inertias[i] @ frames[i][:3, :3].T
             energy += 0.5 * model.masses[i] * v @ v + 0.5 * w @ (I_base @ w)
-        M = mass_matrix(model, q)
+        M = kinematics(model, q).M
         assert abs(0.5 * qd @ M @ qd - energy) < 1e-10 * max(1.0, energy)
 
 
 def test_bias_terms_zero_velocity_gives_gravity(model):
-    h, c, g = bias_terms(model, DEFAULT_HOME, np.zeros(model.n))
+    kin = kinematics(model, DEFAULT_HOME, np.zeros(model.n))
+    h, c, g = kin.h, kin.c, kin.g
     assert np.array_equal(h, g)
     assert np.abs(c).max() == 0.0
 
 
 def test_bias_terms_zero_gravity_zero_velocity(model):
     m0 = replace(model, gravity=np.zeros(3))
-    h, c, g = bias_terms(m0, DEFAULT_HOME, np.zeros(model.n))
+    h = kinematics(m0, DEFAULT_HOME, np.zeros(model.n)).h
     assert np.abs(h).max() == 0.0
 
 
 def test_pendulum_gravity_torque(pendulum_model):
     for theta in (0.0, 0.3, -1.1, np.pi / 2):
-        _, _, g = bias_terms(pendulum_model, np.array([theta]), np.zeros(1))
+        g = kinematics(pendulum_model, np.array([theta]), np.zeros(1)).g
         expected = PENDULUM_MASS * 9.81 * PENDULUM_LENGTH * np.sin(theta)
         assert abs(g[0] - expected) < 1e-9
 
 
 def test_forward_dynamics_gravity_equilibrium(model):
-    _, _, g = bias_terms(model, DEFAULT_HOME, np.zeros(model.n))
+    g = kinematics(model, DEFAULT_HOME, np.zeros(model.n)).g
     qdd = forward_dynamics(model, DEFAULT_HOME, np.zeros(model.n), g)
     assert np.abs(qdd).max() < 1e-10
 
@@ -221,8 +211,8 @@ def test_power_balance_zero_gravity(model, rng):
     for q, qd in zip(qs, qds):
         tau = rng.uniform(-3.0, 3.0, model.n)
         qdd = forward_dynamics(m0, q, qd, tau)
-        _, c, _ = bias_terms(m0, q, qd)
-        M = mass_matrix(m0, q)
+        kin = kinematics(m0, q, qd)
+        c, M = kin.c, kin.M
         lhs = qd @ (M @ qdd + c)
         rhs = qd @ tau
         assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs))
