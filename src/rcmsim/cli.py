@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``run`` (one config), ``sweep`` (directory of configs),
-``metrics`` (recompute from a trace CSV), ``compare`` (metrics files),
-``bench`` (frame-pass and episode throughput).
+``metrics`` (recompute from a trace CSV), ``compare`` (metrics files).
+Each run's entry in ``results.json`` records its ticks, wall time, ticks/s,
+damped task-inertia inverses and largest constraint gap.
 Exit codes: 0 success, 2 config error, 3 divergence.
 """
 
@@ -14,9 +15,6 @@ import json
 import logging
 import os
 import sys
-import time
-
-import numpy as np
 
 from .errors import ConfigError
 from .harness import (
@@ -65,74 +63,6 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _bench_payload(ticks: int) -> dict:
-    """Time the frame pass as the tick runs it, and a short closed-loop episode."""
-    from .controllers import GainSet, build_snapshot
-    from .rcm import RcmMode, TrocarState
-    from .robot import DEFAULT_HOME, JointState, kinematics, load_default_model
-    from .sim import ControlSetup, Scenario, SimConfig, run_episode
-
-    model = load_default_model()
-    q = DEFAULT_HOME.copy()
-    qd = 0.1 * np.ones(model.n)
-    state = JointState(q, qd)
-    kin0 = kinematics(model, q)
-    trocar = TrocarState.static(0.5 * (kin0.pose_r.p + kin0.pose_t.p))
-
-    def timeit(fn, repeat):
-        fn()  # warm-up
-        start = time.perf_counter()
-        for _ in range(repeat):
-            fn()
-        return (time.perf_counter() - start) / repeat * 1e6  # microseconds
-
-    def with_rates():
-        kin = kinematics(model, q, qd)
-        return kin.Jdot_t
-
-    def with_dynamics():
-        kin = kinematics(model, q, qd)
-        return kin.Jdot_t, kin.M, kin.h
-
-    # Cumulative stages of one pass: frames and Jacobians, then their rates,
-    # then M and h; the snapshot adds the constraint terms and M^-1.
-    pass_times = {
-        "frames": timeit(lambda: kinematics(model, q, qd), 2000),
-        "with_rates": timeit(with_rates, 2000),
-        "with_dynamics": timeit(with_dynamics, 2000),
-        "snapshot": timeit(lambda: build_snapshot(model, state, trocar, RcmMode.TWO_D), 2000),
-    }
-
-    control = ControlSetup(gains=GainSet.from_proportional(n_joints=model.n))
-    scenario = Scenario(alpha=0.5)
-    duration = ticks * 1e-3
-    sim = SimConfig(dt=1e-3, duration=duration)
-    run_episode(model, control, scenario, sim)  # warm-up
-    start = time.perf_counter()
-    trace = run_episode(model, control, scenario, sim)
-    elapsed = time.perf_counter() - start
-    return {
-        "pass_us": pass_times,
-        "episode_ticks": trace.filled,
-        "episode_seconds": elapsed,
-        "ticks_per_second": trace.filled / elapsed,
-    }
-
-
-def _cmd_bench(args) -> int:
-    payload = _bench_payload(args.ticks)
-    if args.json:
-        print(json.dumps(payload))
-        return EXIT_OK
-    stages = payload["pass_us"]
-    print(f"{'frames us':>10} {'+rates us':>10} {'+M,h us':>10} {'snapshot us':>12} "
-          f"{'episode ticks/s':>16}")
-    print(f"{stages['frames']:>10.1f} {stages['with_rates']:>10.1f} "
-          f"{stages['with_dynamics']:>10.1f} {stages['snapshot']:>12.1f} "
-          f"{payload['ticks_per_second']:>16.0f}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rcmsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -158,11 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="tabulate metrics files against the first")
     p_cmp.add_argument("--metrics", nargs="+", required=True)
     p_cmp.set_defaults(func=_cmd_compare)
-
-    p_bench = sub.add_parser("bench", help="frame-pass and episode throughput benchmark")
-    p_bench.add_argument("--ticks", type=int, default=2000)
-    p_bench.add_argument("--json", action="store_true", help="print one JSON record")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

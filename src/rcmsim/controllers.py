@@ -31,7 +31,7 @@ from .projection import sym_inv
 from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin
 from .robot import JointState, KinFrames, RobotModel, kinematics
 from .scenarios import TaskReference
-from .schema import NON_NEGATIVE, POSITIVE, fail
+from .schema import NON_NEGATIVE, POSITIVE, Rule, fail
 
 P_APPROACH = "p_approach"
 Z_APPROACH = "z_approach"
@@ -116,6 +116,9 @@ class GainSet:
 COMP_OFF = "off"
 COMP_FULL = "full"
 COMP_PRESERVE_NULL = "preserve_null"
+COMPENSATION = Rule(
+    lambda v: v in (COMP_OFF, COMP_FULL, COMP_PRESERVE_NULL), "must be off/full/preserve_null"
+)
 
 
 @dataclass
@@ -132,6 +135,8 @@ class ControlSetup:
     def __post_init__(self):
         if self.variant not in (P_APPROACH, Z_APPROACH, UK):
             raise ValueError(f"unknown controller variant {self.variant!r}")
+        if not COMPENSATION.ok(self.compensation):
+            fail("compensation", COMPENSATION.message)
         if self.gains is None:
             self.gains = GainSet.from_proportional(kd_null=NULL_DAMPING)
         if self.rcm_mode is None:
@@ -147,7 +152,8 @@ class ControllerOutput:
     and ``tau_ext_hat`` the compensation torque actually added (zero when
     compensation is off). ``constraint_accel_cmd`` is the constraint-space
     joint acceleration the controller commands (what Jc qddot should equal in
-    closed loop).
+    closed loop). ``damped`` counts the tick's inertia inverses (the
+    variant's and the compensation's) that fell back to the damped inverse.
     """
 
     tau: np.ndarray
@@ -155,6 +161,7 @@ class ControllerOutput:
     tau_perp: np.ndarray
     tau_ext_hat: np.ndarray
     constraint_accel_cmd: np.ndarray
+    damped: int
 
 
 @dataclass(frozen=True)
@@ -282,8 +289,9 @@ def observer_step(
 
 def compensation_torque(
     tau_ext_hat: np.ndarray | None, mode: str, snap: ControlSnapshot
-) -> np.ndarray:
-    """Disturbance-compensation torque actually added to the command.
+) -> tuple[np.ndarray, bool]:
+    """Disturbance-compensation torque actually added to the command, and
+    whether its inertia inverse was damped.
 
     ``preserve_null`` removes only the components that would accelerate the
     tip task or the pivot constraint, leaving the null-space response free so
@@ -291,17 +299,15 @@ def compensation_torque(
     """
     n = snap.M.shape[0]
     if tau_ext_hat is None or mode == COMP_OFF:
-        return np.zeros(n)
+        return np.zeros(n), False
     tau_ext_hat = np.asarray(tau_ext_hat, dtype=float)
     if mode == COMP_FULL:
-        return tau_ext_hat
-    if mode == COMP_PRESERVE_NULL:
-        J_aug = np.concatenate([snap.J_task, snap.constraint.J], axis=0)
-        JMinv = J_aug @ snap.Minv
-        Lam = sym_inv(JMinv @ J_aug.T, "damp", 1e-6, 1e-9)
-        N_aug = np.eye(n) - J_aug.T @ (Lam @ JMinv)
-        return tau_ext_hat - N_aug @ tau_ext_hat
-    raise ValueError(f"unknown compensation mode {mode!r}")
+        return tau_ext_hat, False
+    J_aug = np.concatenate([snap.J_task, snap.constraint.J], axis=0)
+    JMinv = J_aug @ snap.Minv
+    Lam, damped = sym_inv(JMinv @ J_aug.T)
+    N_aug = np.eye(n) - J_aug.T @ (Lam @ JMinv)
+    return tau_ext_hat - N_aug @ tau_ext_hat, damped
 
 
 @dataclass(frozen=True)
@@ -314,11 +320,13 @@ class ZCarry:
 class Torque(NamedTuple):
     """A variant's command before compensation: tau = parallel + perp, with
     ``perp`` its constraint term Jc^T f; ``accel_cmd`` is the Jc qddot it
-    commands and ``carry`` what the variant hands to its next tick."""
+    commands, ``damped`` whether its task-inertia inverse was damped and
+    ``carry`` what the variant hands to its next tick."""
 
     parallel: np.ndarray
     perp: np.ndarray
     accel_cmd: np.ndarray
+    damped: bool
     carry: ZCarry | None = None
 
 
@@ -347,14 +355,15 @@ def control_torque(
         else z_approach_torque if setup.variant == Z_APPROACH
         else uk_torque
     )
-    tau_par, tau_perp, a_cmd, carry = variant(snap, ref, setup, q_init, x_c_ref, carry)
-    tau_comp = compensation_torque(tau_ext_hat, setup.compensation, snap)
+    tau_par, tau_perp, a_cmd, damped, carry = variant(snap, ref, setup, q_init, x_c_ref, carry)
+    tau_comp, comp_damped = compensation_torque(tau_ext_hat, setup.compensation, snap)
     out = ControllerOutput(
         tau=tau_par + tau_perp + tau_comp,
         tau_parallel=tau_par,
         tau_perp=tau_perp,
         tau_ext_hat=tau_comp,
         constraint_accel_cmd=a_cmd,
+        damped=damped + comp_damped,
     )
     return out, carry
 
@@ -439,12 +448,12 @@ def p_approach_torque(
 
     JG = J.dot(Minv_JcT).dot(Lambda_c)
     B = J.dot(Minv) - JG.dot(Minv_JcT.T)  # J M_f^-1 P
-    Lambda_f = sym_inv(B.dot(J.T), "damp", 1e-6, 1e-9)
+    Lambda_f, damped = sym_inv(B.dot(J.T))
     h_f = Lambda_f.dot(B.dot(snap.h) - snap.Jdot_task.dot(snap.state.qdot) - JG.dot(a_cmd))
     tau_f = _task_torque(snap, ref, setup.gains, q_init, Lambda_f, h_f, B)
     # The Moore-Penrose inverse of the orthogonal projector P is P itself.
     tau_par = P.dot(tau_f)
-    return Torque(tau_par, _completion(snap, Lambda_c, a_cmd, tau_par), a_cmd)
+    return Torque(tau_par, _completion(snap, Lambda_c, a_cmd, tau_par), a_cmd, damped)
 
 
 def _align_basis(Z: np.ndarray, Z_ref: np.ndarray) -> np.ndarray:
@@ -519,13 +528,14 @@ def z_approach_torque(
     f_c = -_pivot_pd(cs, gains, x_c_ref)
     # Feedforward through this controller's own constrained tip mobility
     # (J Z Lambda_n^-1 Z^T J^T)^-1, so the acceleration reference maps exactly.
-    Lambda_zn = sym_inv(J @ Z @ np.linalg.solve(Lambda_n, Z.T @ J.T), "damp", 1e-6, 1e-9)
+    Lambda_zn, damped = sym_inv(J @ Z @ np.linalg.solve(Lambda_n, Z.T @ J.T))
     f_f = free_space_force(Lambda_zn, 0.0, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
     tau_0 = nullspace_torque(snap.state.q, qd, q_init, gains)
     f_n = Z.T @ (J.T @ f_f + tau_0)
     # The torque realizes Jc qddot = mobility_c f_c - b_c.
     return Torque(
-        Z_sharp.T @ (f_n + H_bot), cs.J.T @ (f_c + H_top), mobility_c @ f_c - cs.b, ZCarry(Z=Z)
+        Z_sharp.T @ (f_n + H_bot), cs.J.T @ (f_c + H_top), mobility_c @ f_c - cs.b, damped,
+        ZCarry(Z=Z),
     )
 
 
@@ -562,9 +572,9 @@ def uk_torque(
     gains = setup.gains
     J, Minv = snap.J_task, snap.Minv
     B = J.dot(Minv)
-    Lambda_tip = sym_inv(B.dot(J.T), "damp", 1e-6, 1e-9)
+    Lambda_tip, damped = sym_inv(B.dot(J.T))
     h_tip = Lambda_tip.dot(B.dot(snap.h) - snap.Jdot_task.dot(snap.state.qdot))
     tau_sharp = _task_torque(snap, ref, gains, q_init, Lambda_tip, h_tip, B)
     b_ic = -_pivot_pd(cs, gains, x_c_ref)
     _, _, Lambda_c = _constraint_inertia(cs, Minv)
-    return Torque(tau_sharp, _completion(snap, Lambda_c, b_ic, tau_sharp), b_ic)
+    return Torque(tau_sharp, _completion(snap, Lambda_c, b_ic, tau_sharp), b_ic, damped)

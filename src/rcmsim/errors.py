@@ -5,16 +5,8 @@ class RcmSimError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidMatrix(RcmSimError):
-    """Matrix input contains non-finite entries or has unusable shape."""
-
-
 class RankDeficientConstraint(RcmSimError):
     """Constraint Jacobian lost row rank; the constraint set is ill-posed."""
-
-
-class SingularTaskInertia(RcmSimError):
-    """Task-space inertia is singular at this configuration."""
 
 
 class SingularExtendedJacobian(RcmSimError):

@@ -11,6 +11,7 @@ import functools
 import json
 import logging
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -52,8 +53,8 @@ class GainsConfig(Schema):
     ``ControlSetup``. The one intended difference is ``kp_null``: 5.0 here,
     the stiffness of the compliance experiment, applied only with
     ``scenario.nullspace`` (the library default is no null-space stiffness).
-    ``null_damping`` is the baseline null-space joint damping used whenever
-    no null-space stiffness is active (``controllers.NULL_DAMPING``).
+    With no null-space stiffness and ``kd_null`` null, the null-space damping
+    is ``controllers.NULL_DAMPING``.
     """
 
     kp_task: float = setting(ctl.KP_TASK, NON_NEGATIVE)
@@ -63,7 +64,6 @@ class GainsConfig(Schema):
     kp_null: float = setting(5.0, NON_NEGATIVE)
     kd_null: float | None = setting(None, NON_NEGATIVE)
     observer_gain: float = setting(ctl.OBSERVER_GAIN, NON_NEGATIVE)
-    null_damping: float = setting(ctl.NULL_DAMPING, NON_NEGATIVE)
 
 
 @dataclass
@@ -74,11 +74,7 @@ class ScenarioConfig(Schema):
     disturbances: list[DisturbanceEvent] = field(default_factory=list)
     q_init: list[float] | None = None
     observer: bool = False
-    compensation: str = setting(
-        ctl.COMP_FULL,
-        Rule(lambda v: v in (ctl.COMP_OFF, ctl.COMP_FULL, ctl.COMP_PRESERVE_NULL),
-             "must be off/full/preserve_null"),
-    )
+    compensation: str = setting(ctl.COMP_FULL, ctl.COMPENSATION)
     nullspace: bool = False
 
 
@@ -150,9 +146,8 @@ class RunConfig(Schema):
         kp_null = g.kp_null if self.scenario.nullspace else 0.0
         kd_null = g.kd_null
         if kd_null is None and kp_null == 0.0:
-            kd_null = g.null_damping
+            kd_null = ctl.NULL_DAMPING
         params = vars(g) | {"kp_null": kp_null, "kd_null": kd_null}
-        del params["null_damping"]  # folded into kd_null above
         gains = ctl.GainSet.from_proportional(n_joints=model.n, **params)
         sc = self.scenario
         control = ControlSetup(
@@ -315,21 +310,38 @@ def render_comparison(table: dict) -> str:
 # --- matrix runner ----------------------------------------------------------
 
 
+def _run_record(trace, wall_s: float) -> dict:
+    """What a run cost and how close it came to failing: its recorded ticks,
+    wall time, throughput, damped task-inertia inverses and largest
+    constraint gap |Jc qddot - commanded|."""
+    m = trace.filled
+    return {
+        "ticks": m,
+        "wall_s": wall_s,
+        "ticks_per_s": m / wall_s,
+        "damped_inverses": int(trace.damped[:m].sum()),
+        "max_constraint_gap": float(trace.constraint_gap[:m].max(initial=0.0)),
+    }
+
+
 def _execute(cfg: RunConfig, out_dir: str) -> dict:
     """Run one config, write artifacts, return a result summary dict."""
     model, control, scenario, sim = cfg.build()
     run_dir = os.path.join(out_dir, cfg.label)
     os.makedirs(run_dir, exist_ok=True)
     result = {"label": cfg.label, "status": "ok", "run_dir": run_dir}
+    start = time.perf_counter()
     try:
         trace = run_episode(model, control, scenario, sim)
     except SimulationDiverged as exc:
+        result |= _run_record(exc.trace, time.perf_counter() - start)
         result["status"] = "diverged"
         result["detail"] = str(exc)
         result["tick"] = exc.tick
-        if exc.trace is not None and exc.trace.filled > 0:
+        if exc.trace.filled > 0:
             exc.trace.to_csv(os.path.join(run_dir, "trace.csv"))
         return result
+    result |= _run_record(trace, time.perf_counter() - start)
     trace.to_csv(os.path.join(run_dir, "trace.csv"))
     metrics = compute_metrics(trace, cfg.settle_time)
     with open(os.path.join(run_dir, "metrics.json"), "w", encoding="utf-8") as fh:

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidMatrix, RankDeficientConstraint
+from .errors import RankDeficientConstraint
 
 DEFAULT_RTOL = 1e-10
 
@@ -45,50 +45,33 @@ def small_inv(A: np.ndarray) -> np.ndarray:
     return np.array(adj) / det
 
 
-def _check_finite(A: np.ndarray, name: str) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if not np.isfinite(A).all():
-        raise InvalidMatrix(f"{name} contains non-finite entries")
-    return A
-
-
 def _row_basis(Jc: np.ndarray, full_matrices: bool = False):
-    """(n, svd): the column count and the SVD (U, s, Vt) of a full-row-rank
-    constraint Jacobian, svd None when it has no rows. Raises
+    """SVD (U, s, Vt) of a full-row-rank constraint Jacobian. Raises
     RankDeficientConstraint when any singular value falls below the relative
-    tolerance (the constraint set is then ill-posed)."""
-    Jc = _check_finite(Jc, "constraint Jacobian")
-    if Jc.ndim != 2:
-        raise InvalidMatrix("constraint Jacobian must be 2-D")
+    tolerance (the constraint set is then ill-posed). A Jacobian with no rows
+    (the unconstrained limit) has no singular values to check; its SVD gives
+    the projector I and an empty pseudoinverse."""
     k, n = Jc.shape
-    if k == 0:
-        return n, None
     if k > n:
         raise RankDeficientConstraint(f"more constraints ({k}) than joints ({n})")
     U, s, Vt = np.linalg.svd(Jc, full_matrices=full_matrices)
-    if s[-1] <= DEFAULT_RTOL * s[0]:
+    if k and s[-1] <= DEFAULT_RTOL * s[0]:
         raise RankDeficientConstraint(
             f"constraint Jacobian rank < {k} (sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})"
         )
-    return n, (U, s, Vt)
+    return U, s, Vt
 
 
 def orth_projector(Jc: np.ndarray) -> np.ndarray:
     """Orthogonal projector P = I - V1 V1^T onto the null space of ``Jc``,
     symmetric by construction (unlike I - pinv(Jc) @ Jc)."""
-    n, svd = _row_basis(Jc)
-    if svd is None:
-        return np.eye(n)
-    Vt = svd[2]
-    return identity(n) - Vt.T.dot(Vt)
+    Vt = _row_basis(Jc)[2]
+    return identity(Jc.shape[1]) - Vt.T.dot(Vt)
 
 
 def null_basis_and_pinv(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal null-space basis Z (n x (n - k)) of ``Jc`` and its
     pseudoinverse, from one full SVD with the checks of ``orth_projector``."""
-    n, svd = _row_basis(Jc, full_matrices=True)
-    if svd is None:
-        return np.eye(n), np.zeros((n, 0))
-    U, s, Vt = svd
+    U, s, Vt = _row_basis(Jc, full_matrices=True)
     k = s.size
     return Vt[k:].T.copy(), (Vt[:k].T / s).dot(U.T)

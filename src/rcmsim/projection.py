@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
-from .errors import SingularTaskInertia
 from .numerics import small_inv
 
-logger = logging.getLogger(__name__)
+# Relative eigenvalue floor below which the inverse is damped, and the damping.
+RTOL = 1e-9
+DAMPING = 1e-6
 
 
-def sym_inv(A: np.ndarray, on_singular: str, damping: float, rtol: float) -> np.ndarray:
-    """Inverse of a (numerically) symmetric matrix with a damped fallback.
+def sym_inv(A: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(inverse, damped) of a (numerically) symmetric matrix.
 
-    Transient near-singular task inertias occur mid-trajectory; the damped
-    path keeps the controller alive and logs instead of raising.
+    Transient near-singular task inertias occur mid-trajectory; there the
+    damped inverse keeps the controller alive, and ``damped`` is True so the
+    episode can count it.
 
-    The plain inverse is returned when |eig|_min > rtol |eig|_max. Since
+    The plain inverse is returned when |eig|_min > RTOL |eig|_max. Since
     |eig|_max <= ||A||_F and 1 / |eig|_min <= ||A^-1||_F, a direct inverse
-    with rtol ||A||_F ||A^-1||_F < 1 settles that without an eigensolve; only
+    with RTOL ||A||_F ||A^-1||_F < 1 settles that without an eigensolve; only
     other matrices go through the eigendecomposition.
     """
     A = 0.5 * (A + A.T)
@@ -30,18 +30,10 @@ def sym_inv(A: np.ndarray, on_singular: str, damping: float, rtol: float) -> np.
         A_inv = None
     if A_inv is not None:
         a, b = A.ravel(), A_inv.ravel()
-        if rtol * rtol * a.dot(a) * b.dot(b) < 1.0:
-            return A_inv
+        if RTOL * RTOL * a.dot(a) * b.dot(b) < 1.0:
+            return A_inv, False
     w, Q = np.linalg.eigh(A)
     w_abs = np.abs(w)
-    if w_abs.min() > rtol * w_abs.max():
-        return (Q / w) @ Q.T
-    if on_singular == "raise":
-        raise SingularTaskInertia(
-            f"task-space inertia is singular (|eig|_min={w_abs.min():.3e})"
-        )
-    logger.warning(
-        "task-space inertia near singular (|eig|_min=%.3e); using damped inverse",
-        w_abs.min(),
-    )
-    return (Q * (w / (w * w + damping * damping))) @ Q.T
+    if w_abs.min() > RTOL * w_abs.max():
+        return (Q / w) @ Q.T, False
+    return (Q * (w / (w * w + DAMPING * DAMPING))) @ Q.T, True

@@ -114,13 +114,19 @@ class Scenario(Schema):
 
 
 def check_joint_vectors(n: int, q_init, q_path: str, events: list, events_path: str):
-    """``q_init`` and every joint-torque disturbance hold one entry per joint."""
+    """``q_init`` and every joint-torque disturbance hold one finite entry
+    per joint."""
     rule = length(n)
-    if q_init is not None and not rule.ok(q_init):
-        fail(q_path, rule.message)
-    for i, event in enumerate(events):
-        if event.joint_torque is not None and not rule.ok(event.joint_torque):
-            fail(f"{events_path}[{i}].joint_torque", rule.message)
+    vectors = [(q_path, q_init)] + [
+        (f"{events_path}[{i}].joint_torque", event.joint_torque) for i, event in enumerate(events)
+    ]
+    for path, vector in vectors:
+        if vector is None:
+            continue
+        if not rule.ok(vector):
+            fail(path, rule.message)
+        if not np.isfinite(vector).all():
+            fail(path, "must be finite")
 
 
 def check_trocar_support(path: str, variant: str, trocar: TrocarSchedule):
@@ -189,9 +195,11 @@ class SimTrace:
         self.res2d = np.zeros((records, 2))
         self.res3d = np.zeros((records, 3))
         self.p_rcm = np.zeros((records, 3))
-        # Diagnostics kept in memory only (not part of the CSV contract).
+        # Diagnostics kept in memory only (not part of the CSV contract):
+        # damped counts the tick's damped task-inertia inverses.
         self.qdd = np.zeros((records, n_joints))
         self.constraint_gap = np.zeros(records)
+        self.damped = np.zeros(records, dtype=np.int8)
 
     def header(self) -> list[str]:
         return [name for _, names in _trace_columns(self.n) for name in names]
@@ -387,6 +395,7 @@ def run_episode(
         trace.p_rcm[k] = pose_r.p - res3[2] * pose_r.R[:, 2]
         trace.qdd[k] = qdd
         trace.constraint_gap[k] = np.sqrt(gap.dot(gap))
+        trace.damped[k] = out.damped
         trace.filled = k + 1
 
         if k == records - 1:

@@ -29,7 +29,7 @@ from rcmsim.controllers import (
     free_space_force,
     nullspace_torque,
 )
-from rcmsim.errors import InvalidMatrix, RcmSimError, SingularExtendedJacobian
+from rcmsim.errors import RcmSimError, SingularExtendedJacobian
 from rcmsim.kernels import skew_stack
 from rcmsim.numerics import orth_projector
 from rcmsim.projection import sym_inv
@@ -420,6 +420,10 @@ class NotPositiveDefinite(ValueError):
     """Symmetric positive-definite input expected."""
 
 
+class InvalidMatrix(RcmSimError):
+    """Matrix input contains non-finite entries."""
+
+
 @dataclass(frozen=True)
 class PinvOptions:
     """Pseudoinverse behaviour.
@@ -474,6 +478,10 @@ def projector_and_pinv(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # --- projection operators -----------------------------------------------------
 
 
+class SingularTaskInertia(RcmSimError):
+    """Task-space inertia is singular at this configuration."""
+
+
 @dataclass(frozen=True)
 class ProjectionState:
     """Constraint-side projection quantities at one control tick.
@@ -499,6 +507,7 @@ class TaskSpaceTerms:
     h_f: np.ndarray
     J_sharp_T: np.ndarray
     N_bar: np.ndarray
+    damped: bool
 
 
 def projection_state(
@@ -538,8 +547,6 @@ def task_space_terms(
     h: np.ndarray,
     constraint_feedforward: np.ndarray | None = None,
     on_singular: str = "raise",
-    damping: float = 1e-6,
-    rtol: float = 1e-9,
 ) -> TaskSpaceTerms:
     """Task-space inertia, bias, dynamically consistent inverse, null projector.
 
@@ -551,7 +558,9 @@ def task_space_terms(
     where u = ``constraint_feedforward`` is the constrained joint-acceleration
     component Jc^+ (xddot_c - b_c); with u = Pdot qdot the bias reduces exactly
     to the time-invariant-constraint operational-space form, and u defaults to
-    zero (no constraint).
+    zero (no constraint). A singular Lambda_f^-1 raises SingularTaskInertia,
+    or with ``on_singular="damp"`` takes the program's damped inverse, which
+    ``damped`` reports.
     """
     n = M_f.shape[0]
     J = np.asarray(J, dtype=float)
@@ -566,11 +575,15 @@ def task_space_terms(
     W = sol[:, :n]  # M_f^-1 P  (symmetric in exact arithmetic)
     Minv_u = sol[:, n]
     B = J @ W
-    Lambda_f = sym_inv(B @ J.T, on_singular, damping, rtol)
+    Lambda_f, damped = sym_inv(B @ J.T)
+    if damped and on_singular == "raise":
+        raise SingularTaskInertia("task-space inertia is singular")
     J_sharp_T = Lambda_f @ B
     N_bar = np.eye(n) - J.T @ J_sharp_T
     h_f = Lambda_f @ (B @ h - np.asarray(J_dot, dtype=float) @ qdot - J @ Minv_u)
-    return TaskSpaceTerms(Lambda_f=Lambda_f, h_f=h_f, J_sharp_T=J_sharp_T, N_bar=N_bar)
+    return TaskSpaceTerms(
+        Lambda_f=Lambda_f, h_f=h_f, J_sharp_T=J_sharp_T, N_bar=N_bar, damped=damped
+    )
 
 
 def gauss_acceleration_split(

@@ -80,9 +80,9 @@ REJECTED = [
     ("gains.observer_gain", "x", "gains.observer_gain: expected a number"),
     ("gains.observer_gain", True, "gains.observer_gain: expected a number"),
     ("gains.observer_gain", -1.0, "gains.observer_gain: must be non-negative"),
-    ("gains.null_damping", "x", "gains.null_damping: expected a number"),
-    ("gains.null_damping", True, "gains.null_damping: expected a number"),
-    ("gains.null_damping", -1.0, "gains.null_damping: must be non-negative"),
+    ("gains.null_damping", 4.0, "gains.null_damping: unknown field"),
+    ("gains.kd_task", True, "gains.kd_task: expected a number or null"),
+    ("gains.kd_null", True, "gains.kd_null: expected a number or null"),
     ("gains.kd_task", "x", "gains.kd_task: expected a number or null"),
     ("gains.kd_rcm", "x", "gains.kd_rcm: expected a number or null"),
     ("gains.kd_null", "x", "gains.kd_null: expected a number or null"),
@@ -241,7 +241,7 @@ def _configs():
             "output": st.none() | st.just("out/x"),
             "gains": _optional(
                 kp_task=gain, kd_task=st.none() | gain, kp_rcm=gain, kd_rcm=st.none() | gain,
-                kp_null=gain, kd_null=st.none() | gain, observer_gain=gain, null_damping=gain,
+                kp_null=gain, kd_null=st.none() | gain, observer_gain=gain,
             ),
             "sim": _optional(
                 dt=st.floats(1e-4, 1e-2, **finite),

@@ -16,6 +16,7 @@ from rcmsim.controllers import (
     nullspace_torque,
     observer_step,
 )
+from rcmsim.errors import ConfigError
 from rcmsim.rcm import RcmMode, TrocarState, place_trocar
 from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
 from rcmsim.scenarios import TaskReference
@@ -430,12 +431,20 @@ def test_compensation_modes(model, rng):
     state, trocar = _scenario_state(model, rng, qd_scale=0.3)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
     tau_hat = rng.uniform(-2, 2, model.n)
-    assert np.abs(compensation_torque(None, COMP_FULL, snap)).max() == 0.0
-    assert np.abs(compensation_torque(tau_hat, COMP_OFF, snap)).max() == 0.0
-    assert np.array_equal(compensation_torque(tau_hat, COMP_FULL, snap), tau_hat)
-    partial = compensation_torque(tau_hat, COMP_PRESERVE_NULL, snap)
+    assert np.abs(compensation_torque(None, COMP_FULL, snap)[0]).max() == 0.0
+    assert np.abs(compensation_torque(tau_hat, COMP_OFF, snap)[0]).max() == 0.0
+    assert np.array_equal(compensation_torque(tau_hat, COMP_FULL, snap)[0], tau_hat)
+    partial, damped = compensation_torque(tau_hat, COMP_PRESERVE_NULL, snap)
+    assert not damped
     # the uncompensated remainder produces no tip or pivot acceleration
     leftover = tau_hat - partial
     M = snap.M
     assert np.abs(snap.J_task @ np.linalg.solve(M, leftover)).max() < 1e-8
     assert np.abs(snap.constraint.J @ np.linalg.solve(M, leftover)).max() < 1e-8
+
+
+@pytest.mark.parametrize("observer", [False, True])
+def test_unknown_compensation_rejected_at_setup(observer):
+    # The config's rule, whether or not the observer would ever use it.
+    with pytest.raises(ConfigError, match=r"^compensation: must be off/full/preserve_null$"):
+        ControlSetup(observer=observer, compensation="bogus")

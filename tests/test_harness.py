@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -243,6 +244,36 @@ def test_run_matrix_divergence_isolated(tmp_path):
     assert "tick" in results[0] and results[0]["tick"] >= 0
     assert results[1]["status"] == "ok"
     assert (tmp_path / "good" / "metrics.json").exists()
+    # Each run's record: the diverged one over the ticks before the bad one,
+    # the ok one over all 301 ticks of its 0.3 s.
+    bad_rec, good_rec = results
+    assert bad_rec["ticks"] == bad_rec["tick"]
+    assert bad_rec["max_constraint_gap"] > 1.0
+    assert good_rec["ticks"] == 301
+    assert good_rec["max_constraint_gap"] < 1e-9
+    for rec in results:
+        assert rec["wall_s"] > 0
+        assert rec["ticks_per_s"] == rec["ticks"] / rec["wall_s"]
+        assert rec["damped_inverses"] == 0
+
+
+def test_run_record_counts_damped_inverses_without_logging(tmp_path, caplog):
+    # With the pivot at the tip (alpha 1) p_approach's free-motion tip inertia
+    # is singular from the first tick, and every tick takes the damped
+    # inverse: the run's record counts them, and nothing is logged.
+    configs = [
+        config_from_dict(
+            {"controller": "p_approach", "label": f"alpha{alpha}", "scenario": {"alpha": alpha},
+             "sim": {"duration": 0.2}, "settle_time": 0.1}
+        )
+        for alpha in (1.0, 0.5)
+    ]
+    with caplog.at_level(logging.DEBUG, logger="rcmsim"):
+        assert run_matrix(configs, str(tmp_path)) == EXIT_OK
+    assert not [rec for rec in caplog.records if rec.name.startswith("rcmsim")]
+    results = json.loads((tmp_path / "results.json").read_text())
+    assert [r["ticks"] for r in results] == [201, 201]
+    assert [r["damped_inverses"] for r in results] == [201, 0]
 
 
 def test_run_matrix_duplicate_labels_rejected(tmp_path):
@@ -288,16 +319,6 @@ def test_cli_run_and_metrics(tmp_path, capsys):
     assert main(
         ["compare", "--metrics", str(out_dir / "cli" / "metrics.json")]
     ) == EXIT_OK
-
-
-def test_cli_bench_json_smoke(capsys):
-    from rcmsim.cli import main
-
-    assert main(["bench", "--ticks", "40", "--json"]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"pass_us", "episode_ticks", "episode_seconds", "ticks_per_second"}
-    assert payload["episode_ticks"] == 41
-    assert payload["ticks_per_second"] > 0
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcmsim.errors import InvalidMatrix, RankDeficientConstraint
+from rcmsim.errors import RankDeficientConstraint
 from rcmsim.kernels import skew_stack
 from rcmsim.numerics import orth_projector
-from oracles import NotPositiveDefinite, PinvOptions, matrix_sqrt, pinv
+from oracles import InvalidMatrix, NotPositiveDefinite, PinvOptions, matrix_sqrt, pinv
 
 
 def test_pinv_identity():

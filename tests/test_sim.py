@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcmsim.errors import SimulationDiverged
+from rcmsim.errors import ConfigError, SimulationDiverged
 from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
 from rcmsim.controllers import NULL_DAMPING, GainSet
 from rcmsim.scenarios import DisturbanceEvent, DisturbanceSchedule, TrocarSchedule
@@ -276,3 +276,19 @@ def test_p_approach_pivot_at_tip(model, alpha):
     q_offset = [0.0, 0.03125, 0.0, 0.0, 0.03125, 0.0, 0.0]
     trace, tick = _closed_loop(model, "p_approach", q_offset, alpha, 200.0, 500.0, TrocarSchedule())
     assert tick is None and trace.constraint_gap.max() <= 1e-6
+
+
+@pytest.mark.parametrize("variant", ["p_approach", "z_approach", "uk"])
+def test_non_finite_q_init_rejected_at_the_boundary(model, variant):
+    q_init = DEFAULT_HOME.copy()
+    q_init[2] = np.nan
+    with pytest.raises(ConfigError, match=r"^scenario\.q_init: must be finite$"):
+        run_episode(model, ControlSetup(variant=variant), Scenario(q_init=q_init),
+                    SimConfig(duration=0.01))
+    pulse = DisturbanceEvent(t0=0.0, t1=0.01, joint_torque=[np.inf] + [0.0] * (model.n - 1))
+    scenario = Scenario(disturbances=DisturbanceSchedule([pulse]))
+    with pytest.raises(
+        ConfigError, match=r"^scenario\.disturbances\.events\[0\]\.joint_torque: must be finite$"
+    ):
+        run_episode(model, ControlSetup(variant=variant), scenario, SimConfig(duration=0.01))
+
