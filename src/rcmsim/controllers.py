@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularExtendedJacobian
-from .numerics import null_basis_and_pinv, orth_projector, small_inv
+from .numerics import null_basis_and_pinv, row_factor, small_inv
 from .projection import sym_inv
 from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin
 from .robot import JointState, KinFrames, RobotModel, kinematics
@@ -382,6 +382,12 @@ def _constraint_inertia(cs: ConstraintState, Minv: np.ndarray):
     return Minv_JcT, mobility_c, small_inv(mobility_c)
 
 
+def _free_mobility(J: np.ndarray, Minv: np.ndarray, Minv_JcT: np.ndarray, Lambda_c: np.ndarray):
+    """(J M^-1 Jc^T Lambda_c, J N), N = M^-1 - M^-1 Jc^T Lambda_c Jc M^-1."""
+    JG = J.dot(Minv_JcT).dot(Lambda_c)
+    return JG, J.dot(Minv) - JG.dot(Minv_JcT.T)
+
+
 def _completion(
     snap: ControlSnapshot, Lambda_c: np.ndarray, a_cmd: np.ndarray, tau_free: np.ndarray
 ) -> np.ndarray:
@@ -440,45 +446,19 @@ def p_approach_torque(
     Minv, J = snap.Minv, snap.J_task
     # Products use ndarray.dot, which costs less per call than @ on these
     # small operands; this runs every tick.
-    P = orth_projector(cs.J)
+    Q = row_factor(cs.J)[1]
     Minv_JcT, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
     a_cmd = -mobility_c.dot(_pivot_pd(cs, setup.gains, x_c_ref))
     if setup.constraint_bias_feedforward:
         a_cmd = a_cmd - cs.b
 
-    JG = J.dot(Minv_JcT).dot(Lambda_c)
-    B = J.dot(Minv) - JG.dot(Minv_JcT.T)  # J M_f^-1 P
+    JG, B = _free_mobility(J, Minv, Minv_JcT, Lambda_c)
     Lambda_f, damped = sym_inv(B.dot(J.T))
     h_f = Lambda_f.dot(B.dot(snap.h) - snap.Jdot_task.dot(snap.state.qdot) - JG.dot(a_cmd))
     tau_f = _task_torque(snap, ref, setup.gains, q_init, Lambda_f, h_f, B)
-    # The Moore-Penrose inverse of the orthogonal projector P is P itself.
-    tau_par = P.dot(tau_f)
+    # The Moore-Penrose inverse of the orthogonal projector P = I - Q^T Q is P.
+    tau_par = tau_f - Q.T.dot(Q.dot(tau_f))
     return Torque(tau_par, _completion(snap, Lambda_c, a_cmd, tau_par), a_cmd, damped)
-
-
-def _align_basis(Z: np.ndarray, Z_ref: np.ndarray) -> np.ndarray:
-    """Rotate an orthonormal basis to best match a reference span basis.
-
-    Orthogonal Procrustes on Z^T Z_ref; plain sign fixing is not enough
-    because the null space has more than one dimension and the SVD gauge
-    rotates freely between calls, which would inject torque spikes through
-    the d/dt(Z^#) term.
-    """
-    U, _, Vt = np.linalg.svd(Z.T @ Z_ref)
-    return Z @ (U @ Vt)
-
-
-def _null_sharp_rate(
-    M: np.ndarray,
-    Mdot: np.ndarray,
-    Z: np.ndarray,
-    Z_dot: np.ndarray,
-    Lambda_n: np.ndarray,
-    Z_sharp: np.ndarray,
-) -> np.ndarray:
-    """d/dt of Z^# = Lambda_n^-1 Z^T M with Lambda_n = Z^T M Z, exact."""
-    Lambda_n_dot = Z_dot.T @ M @ Z + Z.T @ Mdot @ Z + Z.T @ M @ Z_dot
-    return np.linalg.solve(Lambda_n, Z_dot.T @ M + Z.T @ Mdot - Lambda_n_dot @ Z_sharp)
 
 
 def z_approach_torque(
@@ -502,17 +482,24 @@ def z_approach_torque(
     M, h, Minv, J = snap.M, snap.h, snap.Minv, snap.J_task
     qd = snap.state.qdot
 
-    Z, Jc_pinv = null_basis_and_pinv(cs.J)
-    if carry is not None:
-        Z = _align_basis(Z, carry.Z)
-    Lambda_n = Z.T @ M @ Z
-    Z_sharp = np.linalg.solve(Lambda_n, Z.T @ M)
-    _, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
-
+    if carry is None:
+        Z, Jc_pinv = null_basis_and_pinv(cs.J)
+    else:
+        # Procrustes alignment to the carried basis (the SVD gauge rotates
+        # freely between ticks and would spike d/dt(Z^#)) is the polar factor
+        # of the carry projected onto null(Jc); the second projection drops
+        # what the SVD's rounding leaves outside null(Jc).
+        L, Q = row_factor(cs.J)
+        U, _, Vt = np.linalg.svd(carry.Z - Q.T.dot(Q.dot(carry.Z)), full_matrices=False)
+        Z = (U - Q.T.dot(Q.dot(U))).dot(Vt)
+        Jc_pinv = Q.T.dot(small_inv(L))
+    Minv_JcT, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
+    # Z^# = Lambda_n^-1 Z^T M with Lambda_n = Z^T M Z equals
+    # Z^T (I - M^-1 Jc^T Lambda_c Jc), so Lambda_n is never factored.
+    Z_sharp = Z.T - Z.T.dot(Minv_JcT).dot(Lambda_c.dot(cs.J))
     # The gauge-locked basis keeps Z^T Zdot = 0, and d/dt(Jc Z) = 0 then
     # gives Zdot = -Jc^+ Jdot_c Z.
-    Z_dot = -Jc_pinv @ (cs.J_dot @ Z)
-    Zs_dot = _null_sharp_rate(M, snap.kin.Mdot, Z, Z_dot, Lambda_n, Z_sharp)
+    Z_dot = -Jc_pinv.dot(cs.J_dot.dot(Z))
 
     J_E = np.concatenate([cs.J, Z_sharp], axis=0)
     sv = np.linalg.svd(J_E, compute_uv=False)
@@ -521,20 +508,22 @@ def z_approach_torque(
             f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})"
         )
 
-    Minv_h = Minv @ h
-    H_top = Lambda_c @ (cs.J @ Minv_h - cs.J_dot @ qd)
-    H_bot = Lambda_n @ (Z_sharp @ Minv_h - Zs_dot @ qd)
+    H_top = Lambda_c.dot(cs.J.dot(Minv.dot(h)) - cs.J_dot.dot(qd))
+    # Lambda_n (Z^# M^-1 h - d/dt(Z^#) qd) with nu = Z^# qd, u = qd - Z nu.
+    nu = Z_sharp.dot(qd)
+    u = qd - Z.dot(nu)
+    H_bot = Z.T.dot(h - snap.kin.Mdot.dot(u) + M.dot(Z_dot.dot(nu))) - Z_dot.T.dot(M.dot(u))
 
     f_c = -_pivot_pd(cs, gains, x_c_ref)
     # Feedforward through this controller's own constrained tip mobility
-    # (J Z Lambda_n^-1 Z^T J^T)^-1, so the acceleration reference maps exactly.
-    Lambda_zn, damped = sym_inv(J @ Z @ np.linalg.solve(Lambda_n, Z.T @ J.T))
+    # J Z Lambda_n^-1 Z^T J^T = J N J^T: the acceleration reference maps exactly.
+    Lambda_zn, damped = sym_inv(_free_mobility(J, Minv, Minv_JcT, Lambda_c)[1].dot(J.T))
     f_f = free_space_force(Lambda_zn, 0.0, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
     tau_0 = nullspace_torque(snap.state.q, qd, q_init, gains)
-    f_n = Z.T @ (J.T @ f_f + tau_0)
+    f_n = Z.T.dot(J.T.dot(f_f) + tau_0)
     # The torque realizes Jc qddot = mobility_c f_c - b_c.
     return Torque(
-        Z_sharp.T @ (f_n + H_bot), cs.J.T @ (f_c + H_top), mobility_c @ f_c - cs.b, damped,
+        Z_sharp.T.dot(f_n + H_bot), cs.J.T.dot(f_c + H_top), mobility_c.dot(f_c) - cs.b, damped,
         ZCarry(Z=Z),
     )
 

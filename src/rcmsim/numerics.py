@@ -5,21 +5,13 @@ with (at most ~13 rows: 7 joints + 6 task dimensions); there is no sparse
 path. Singular-value tolerances are relative to the largest singular value.
 """
 
-from functools import lru_cache
+import math
 
 import numpy as np
 
 from .errors import RankDeficientConstraint
 
 DEFAULT_RTOL = 1e-10
-
-
-@lru_cache(maxsize=None)
-def identity(n: int) -> np.ndarray:
-    """Read-only n x n identity, shared by the per-tick operators."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
 
 
 def small_inv(A: np.ndarray) -> np.ndarray:
@@ -45,6 +37,14 @@ def small_inv(A: np.ndarray) -> np.ndarray:
     return np.array(adj) / det
 
 
+def _check_rank(k: int, s_min: float, s_max: float):
+    """Raise RankDeficientConstraint when s_min <= DEFAULT_RTOL s_max."""
+    if s_min <= DEFAULT_RTOL * s_max:
+        raise RankDeficientConstraint(
+            f"constraint Jacobian rank < {k} (sigma_min={s_min:.3e}, sigma_max={s_max:.3e})"
+        )
+
+
 def _row_basis(Jc: np.ndarray, full_matrices: bool = False):
     """SVD (U, s, Vt) of a full-row-rank constraint Jacobian. Raises
     RankDeficientConstraint when any singular value falls below the relative
@@ -55,23 +55,39 @@ def _row_basis(Jc: np.ndarray, full_matrices: bool = False):
     if k > n:
         raise RankDeficientConstraint(f"more constraints ({k}) than joints ({n})")
     U, s, Vt = np.linalg.svd(Jc, full_matrices=full_matrices)
-    if k and s[-1] <= DEFAULT_RTOL * s[0]:
-        raise RankDeficientConstraint(
-            f"constraint Jacobian rank < {k} (sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})"
-        )
+    if k:
+        _check_rank(k, s[-1], s[0])
     return U, s, Vt
 
 
-def orth_projector(Jc: np.ndarray) -> np.ndarray:
-    """Orthogonal projector P = I - V1 V1^T onto the null space of ``Jc``,
-    symmetric by construction (unlike I - pinv(Jc) @ Jc)."""
-    Vt = _row_basis(Jc)[2]
-    return identity(Jc.shape[1]) - Vt.T.dot(Vt)
+def row_factor(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, Q) with Jc = L Q and Q's rows orthonormal, rank-checked as in
+    ``_row_basis``: Jc^+ = Q^T L^-1 and the null-space projector is I - Q^T Q.
+
+    Two rows take Gram-Schmidt with a second pass, and L is lower triangular.
+    Jc's singular values are L's, so s_min s_max = L11 L22 and
+    s_min^2 + s_max^2 = ||Jc||_F^2 give their ratio exactly (Jc Jc^T would
+    square it). Other row counts take the SVD, L = U S."""
+    if Jc.shape[0] != 2:
+        U, s, Vt = _row_basis(Jc)
+        return U * s, Vt
+    j1, j2 = Jc
+    l11 = math.sqrt(j1.dot(j1))
+    q1 = j1 / (l11 or 1.0)  # a zero row fails the rank check below
+    l21 = q1.dot(j2)
+    w = j2 - l21 * q1
+    c = q1.dot(w)
+    w, l21 = w - c * q1, l21 + c
+    l22 = math.sqrt(w.dot(w))
+    f, d = Jc.ravel().dot(Jc.ravel()), l11 * l22
+    s_max = math.sqrt(0.5 * (f + math.sqrt(max(f * f - 4.0 * d * d, 0.0))))
+    _check_rank(2, d / s_max if s_max else 0.0, s_max)
+    return np.array([[l11, 0.0], [l21, l22]]), np.array([q1, w / l22])
 
 
 def null_basis_and_pinv(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal null-space basis Z (n x (n - k)) of ``Jc`` and its
-    pseudoinverse, from one full SVD with the checks of ``orth_projector``."""
+    pseudoinverse, from one full SVD with the checks of ``row_factor``."""
     U, s, Vt = _row_basis(Jc, full_matrices=True)
     k = s.size
     return Vt[k:].T.copy(), (Vt[:k].T / s).dot(U.T)

@@ -38,34 +38,35 @@ class SpiralParams(Schema):
     start: np.ndarray | None = field(default=None, metadata=EPISODE_SET)
 
 
-def trapezoid_profile(t: float, T: float, accel_fraction: float):
+def trapezoid_profile(t, T: float, accel_fraction: float):
     """Unit trapezoidal-velocity profile: s(0)=0, s(T)=1, zero end rates.
 
     Constant acceleration on [0, aT], constant velocity, constant deceleration
     on [(1-a)T, T]. Outside [0, T] the profile holds the boundary value with
-    zero derivatives. Returns (s, sdot, sddot). Needs T > 0 and
-    0 < accel_fraction < 0.5 (the ``SpiralParams`` rules).
+    zero derivatives. Returns (s, sdot, sddot), each shaped like ``t`` (a
+    scalar or an array of times). Needs T > 0 and 0 < accel_fraction < 0.5
+    (the ``SpiralParams`` rules).
     """
     a = accel_fraction
     v = 1.0 / (T * (1.0 - a))  # plateau rate; integrates to exactly 1
     A = v / (a * T)
-    if t < 0.0:
-        return 0.0, 0.0, 0.0
-    if t > T:
-        return 1.0, 0.0, 0.0
-    if t <= a * T:
-        return 0.5 * A * t * t, A * t, A
-    if t <= (1.0 - a) * T:
-        return v * (t - 0.5 * a * T), v, 0.0
-    dt = T - t
-    return 1.0 - 0.5 * A * dt * dt, A * dt, -A
+    t = np.asarray(t, dtype=float)
+    rest = T - t
+    phases = [t < 0.0, t > T, t <= a * T, t <= (1.0 - a) * T]
+    return (
+        np.select(phases, [0.0, 1.0, 0.5 * A * t * t, v * (t - 0.5 * a * T)],
+                  1.0 - 0.5 * A * rest * rest),
+        np.select(phases, [0.0, 0.0, A * t, v], A * rest),
+        np.select(phases, [0.0, 0.0, A, 0.0], -A),
+    )
 
 
-def spiral_reference(t: float, params: SpiralParams) -> TaskReference:
+def spiral_reference(t, params: SpiralParams) -> TaskReference:
     """Tip reference on the spiral at time t (chain rule through the profile).
 
-    ``params`` are validated once by the caller (``run_episode`` does so at
-    the episode boundary), not on every tick.
+    ``t`` is a scalar or an array of N times; the reference rows are then
+    (3,) or (N, 3). ``params`` are validated once by the caller
+    (``run_episode`` does so at the episode boundary).
     """
     if params.start is None:
         raise ValueError("spiral start point not set")
@@ -74,18 +75,15 @@ def spiral_reference(t: float, params: SpiralParams) -> TaskReference:
     phi_s = 2.0 * math.pi * params.turns  # d(phi)/ds
     phi = phi_s * s
     rise = params.turns * params.pitch
-    c, sn = math.cos(phi), math.sin(phi)
+    c, sn = np.cos(phi), np.sin(phi)
     # path derivatives by s, then the chain rule through the profile
     dx, dy = -r * sn * phi_s, r * c * phi_s
     ddx, ddy = -r * c * phi_s * phi_s, -r * sn * phi_s * phi_s
-    rows = np.array(
-        [
-            [r * (c - 1.0), r * sn, rise * s],
-            [dx * sd, dy * sd, rise * sd],
-            [ddx * sd * sd + dx * sdd, ddy * sd * sd + dy * sdd, rise * sdd],
-        ]
+    return TaskReference(
+        x=params.start + np.stack([r * (c - 1.0), r * sn, rise * s], axis=-1),
+        xdot=np.stack([dx * sd, dy * sd, rise * sd], axis=-1),
+        xddot=np.stack([ddx * sd * sd + dx * sdd, ddy * sd * sd + dy * sdd, rise * sdd], axis=-1),
     )
-    return TaskReference(x=params.start + rows[0], xdot=rows[1], xddot=rows[2])
 
 
 TROCAR_STATIC = "static"
@@ -106,26 +104,21 @@ class TrocarSchedule(Schema):
     axis: tuple = field(default=(0.0, 0.0, 1.0), metadata=EPISODE_SET)
 
 
-def trocar_schedule_eval(t: float, sched: TrocarSchedule) -> TrocarState:
+def trocar_schedule_eval(t, sched: TrocarSchedule) -> TrocarState:
     """TrocarState at time t with analytic first and second derivatives.
 
-    ``sched`` is validated once by the caller (``run_episode`` does so at the
-    episode boundary), not on every tick.
+    ``t`` is a scalar or an array of N times; the state's rows are then (3,)
+    or (N, 3). ``sched`` is validated once by the caller (``run_episode``
+    does so at the episode boundary).
     """
     if sched.p0 is None:
         raise ValueError("trocar schedule base point not set")
-    p0 = np.asarray(sched.p0, dtype=float)
-    if sched.mode == TROCAR_STATIC:
-        return TrocarState(p0.copy(), np.zeros(3), np.zeros(3))
+    amplitude = sched.amplitude if sched.mode == TROCAR_SINUSOIDAL else 0.0
     w = 2.0 * np.pi * sched.frequency
-    ax = np.asarray(sched.axis, dtype=float)
-    s = np.sin(w * t)
-    c = np.cos(w * t)
-    return TrocarState(
-        p0 + sched.amplitude * s * ax,
-        sched.amplitude * w * c * ax,
-        -sched.amplitude * w * w * s * ax,
-    )
+    ax = amplitude * np.asarray(sched.axis, dtype=float)
+    wt = w * np.asarray(t, dtype=float)[..., None]
+    s, c = np.sin(wt), np.cos(wt)
+    return TrocarState(np.asarray(sched.p0, dtype=float) + s * ax, w * c * ax, -w * w * s * ax)
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .scenarios import (
     TROCAR_STATIC,
     DisturbanceSchedule,
     SpiralParams,
+    TaskReference,
     TrocarSchedule,
     disturbance_eval,
     spiral_reference,
@@ -293,6 +294,7 @@ def step(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_episode(
     model: RobotModel,
     control: ControlSetup,
@@ -302,7 +304,8 @@ def run_episode(
     """Closed-loop episode at control rate = simulation rate.
 
     Raises SimulationDiverged (carrying the partial trace and the tick index)
-    if the state or the controller output becomes non-finite.
+    if the state or the controller output becomes non-finite. A diverging run
+    overflows before that; numpy stays quiet, and the tick reports it.
     """
     sim.validate("sim")
     scenario.validate("scenario")
@@ -337,11 +340,17 @@ def run_episode(
     # does not command the reference frame onto the port.
     x_c_ref = residual(kin0.pose_r, p_c0, mode) if mode is RcmMode.THREE_D else None
 
+    trace.t[:] = np.arange(records) * dt
+    refs = spiral_reference(trace.t, spiral)
+    trocars = trocar_schedule_eval(trace.t, trocar_sched)
+    trace.ref[:] = refs.x
+    trace.p_c[:] = trocars.p
+
     tau_prev = None
     for k in range(records):
         t = k * dt
-        trocar = trocar_schedule_eval(t, trocar_sched)
-        ref = spiral_reference(t, spiral)
+        trocar = TrocarState(trocars.p[k], trocars.pdot[k], trocars.pddot[k])
+        ref = TaskReference(refs.x[k], refs.xdot[k], refs.xddot[k])
         if noise is None:
             meas = state
         else:
@@ -377,7 +386,6 @@ def run_episode(
 
         # Record tick k (true plant state, not the measured one).
         pose_r, p_t = kin_true.pose_r, kin_true.pose_t.p
-        trace.t[k] = t
         trace.q[k] = state.q
         trace.qd[k] = state.qdot
         trace.tau[k] = out.tau
@@ -385,9 +393,7 @@ def run_episode(
         if obs is not None:
             trace.tau_ext_hat[k] = obs.tau_ext_hat
         trace.tip[k] = p_t
-        trace.ref[k] = ref.x
         trace.p_r[k] = pose_r.p
-        trace.p_c[k] = trocar.p
         res3 = pose_r.R.T.dot(pose_r.p - trocar.p)
         trace.res2d[k] = res3[:2]
         trace.res3d[k] = res3

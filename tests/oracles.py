@@ -10,16 +10,18 @@
   J_p + skew(p_cr) J_w) and the pivot point on the tool axis (the
   orthogonal projection of the trocar), each written apart from
   ``rcm.constraint_from_kin`` and the recorded trace.
-* The SVD pseudoinverse, the symmetric matrix square root and the textbook
-  projection operators (P, Pdot, M_f, task-space terms, the Gauss
-  acceleration split) in their general form.
+* The SVD pseudoinverse, the symmetric matrix square root, the two-row
+  projector in exact rational arithmetic and the textbook projection
+  operators (P, Pdot, M_f, task-space terms, the Gauss acceleration split)
+  in their general form.
 * Controller references: the unconstrained operational-space PD law, the
   published inertia-square-root form of the Udwadia-Kalaba controller and
   the extended-Jacobian controller as written before it shared the
-  controller core.
+  controller core, with its Procrustes basis alignment and exact d/dt(Z^#).
 """
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from rcmsim.controllers import (
 )
 from rcmsim.errors import RcmSimError, SingularExtendedJacobian
 from rcmsim.kernels import skew_stack
-from rcmsim.numerics import orth_projector
+from rcmsim.numerics import row_factor
 from rcmsim.projection import sym_inv
 from rcmsim.rcm import ConstraintState, RcmMode
 from rcmsim.robot import Pose, kinematics
@@ -470,6 +472,28 @@ def matrix_sqrt(M: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def exact_projector(Jc: np.ndarray) -> np.ndarray:
+    """I - Jc^T (Jc Jc^T)^-1 Jc of a two-row ``Jc`` in exact rational
+    arithmetic on its float entries, rounded once at the end."""
+    J = [[Fraction(x) for x in row] for row in Jc.tolist()]
+    g = [[sum(x * y for x, y in zip(r, c)) for c in J] for r in J]
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    g_inv = [[g[1][1] / det, -g[0][1] / det], [-g[1][0] / det, g[0][0] / det]]
+    n = Jc.shape[1]
+    return np.array([
+        [float((i == j) - sum(J[a][i] * g_inv[a][b] * J[b][j] for a in (0, 1) for b in (0, 1)))
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def orth_projector(Jc: np.ndarray) -> np.ndarray:
+    """The program's null-space projector P = I - Q^T Q, with Q from
+    ``numerics.row_factor`` as p_approach applies it."""
+    Q = row_factor(Jc)[1]
+    return np.eye(Jc.shape[1]) - Q.T @ Q
+
+
 def projector_and_pinv(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P, Jc^+): the program's null-space projector and the SVD pseudoinverse."""
     return orth_projector(Jc), pinv(Jc)
@@ -690,6 +714,26 @@ def uk_sqrt_reference(
     return Q + Q_ic + Q_nic + h
 
 
+def procrustes_align(Z: np.ndarray, Z_ref: np.ndarray) -> np.ndarray:
+    """Rotate an orthonormal basis to best match a reference basis:
+    orthogonal Procrustes on Z^T Z_ref."""
+    U, _, Vt = np.linalg.svd(Z.T @ Z_ref)
+    return Z @ (U @ Vt)
+
+
+def null_sharp_rate(
+    M: np.ndarray,
+    Mdot: np.ndarray,
+    Z: np.ndarray,
+    Z_dot: np.ndarray,
+    Lambda_n: np.ndarray,
+    Z_sharp: np.ndarray,
+) -> np.ndarray:
+    """d/dt of Z^# = Lambda_n^-1 Z^T M with Lambda_n = Z^T M Z, exact."""
+    Lambda_n_dot = Z_dot.T @ M @ Z + Z.T @ Mdot @ Z + Z.T @ M @ Z_dot
+    return np.linalg.solve(Lambda_n, Z_dot.T @ M + Z.T @ Mdot - Lambda_n_dot @ Z_sharp)
+
+
 def z_approach_reference(
     snap: ControlSnapshot,
     ref: TaskReference,
@@ -707,15 +751,12 @@ def z_approach_reference(
     M, h, Minv = snap.M, snap.h, snap.Minv
     Z = np.linalg.svd(cs.J, full_matrices=True)[2][k:].T
     if Z_prev is not None:
-        U, _, Vt = np.linalg.svd(Z.T @ Z_prev)
-        Z = Z @ (U @ Vt)
+        Z = procrustes_align(Z, Z_prev)
     Lambda_n = Z.T @ M @ Z
     Z_sharp = np.linalg.solve(Lambda_n, Z.T @ M)
     Lambda_c = np.linalg.inv(cs.J @ Minv @ cs.J.T)
     Z_dot = -pinv(cs.J) @ (cs.J_dot @ Z)
-    Mdot = snap.kin.Mdot
-    Lambda_n_dot = Z_dot.T @ M @ Z + Z.T @ Mdot @ Z + Z.T @ M @ Z_dot
-    Zs_dot = np.linalg.solve(Lambda_n, Z_dot.T @ M + Z.T @ Mdot - Lambda_n_dot @ Z_sharp)
+    Zs_dot = null_sharp_rate(M, snap.kin.Mdot, Z, Z_dot, Lambda_n, Z_sharp)
     J_E = np.concatenate([cs.J, Z_sharp], axis=0)
     sv = np.linalg.svd(J_E, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:

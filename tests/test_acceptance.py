@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from rcmsim.controllers import GainSet
-from rcmsim.numerics import orth_projector
 from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
 from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
 from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode, step
 from rcmsim.scenarios import DisturbanceEvent, DisturbanceSchedule, TrocarSchedule
 from rcmsim.harness import compute_metrics, config_from_dict, run_matrix
 from conftest import PENDULUM_LENGTH, PENDULUM_MASS, random_states
-from oracles import forward_dynamics, inverse_dynamics, rcm_point
+from oracles import forward_dynamics, inverse_dynamics, orth_projector, rcm_point
 
 
 def _report(name: str, ok: bool, detail: str):

@@ -24,6 +24,7 @@ from oracles import (
     forward_dynamics,
     matrix_sqrt,
     pinv,
+    procrustes_align,
     projection_state,
     uk_sqrt_reference,
     unconstrained_pd_torque,
@@ -353,32 +354,60 @@ def test_z_approach_matches_pre_change_torque(model):
     assert worst < 1e-9
 
 
-def test_per_tick_factorizations(model, rng, monkeypatch):
-    # uk forms neither M^1/2 nor a pseudoinverse nor a projector; z_approach
-    # takes Jc^+ from its null-basis SVD: three SVDs per tick with a carry.
-    svd_calls = []
-    svd = np.linalg.svd
+def test_z_approach_alignment_with_nearly_lost_direction(model, rng):
+    # A carried basis with one direction almost orthogonal to the new null
+    # space (its null-space share is 1e-8): the polar factor of the projected
+    # carry still gives an orthonormal basis of null(Jc), the Procrustes one.
+    for _ in range(10):
+        state, trocar = _scenario_state(model, rng, qd_scale=0.5)
+        ref = _hold_reference(model, state.q)
+        snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+        Jc = snap.constraint.J
+        Vt = np.linalg.svd(Jc)[2]
+        Z_null = Vt[2:].T
+        Z_prev = Z_null @ np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        Z_prev[:, -1] = 1e-8 * Z_prev[:, -1] + np.sqrt(1.0 - 1e-16) * Vt[0]
+        Z_prev = np.linalg.qr(Z_prev)[0]
+        _, carry = _control("z_approach", snap, ref, _gains(), carry=controllers.ZCarry(Z_prev))
+        Z = carry.Z
+        assert np.abs(Z.T @ Z - np.eye(5)).max() < 1e-12
+        assert np.abs(Jc @ Z).max() < 1e-12 * np.abs(Jc).max()
+        assert np.abs(Z - procrustes_align(Z_null, Z_prev)).max() < 1e-9
 
-    def counted_svd(*args, **kwargs):
-        svd_calls.append(1)
-        return svd(*args, **kwargs)
+
+def test_per_tick_factorizations(model, rng, monkeypatch):
+    # uk forms neither M^1/2 nor a pseudoinverse nor a projector; p_approach
+    # applies its projector through the two-row factor, without an SVD;
+    # z_approach with a carried basis makes two SVDs (alignment, stacked
+    # conditioning) and no numpy solve or inverse.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
 
     def forbidden(*_):
         raise AssertionError("projector formed")
 
     assert not hasattr(controllers, "matrix_sqrt") and not hasattr(controllers, "pinv")
-    monkeypatch.setattr(controllers, "orth_projector", forbidden)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     state, trocar = _scenario_state(model, rng, qd_scale=0.5)
     ref = _hold_reference(model, state.q)
-    snap = build_snapshot(model, state, trocar, RcmMode.THREE_D)
-    _control("uk", snap, ref, _gains(), x_c_ref=snap.constraint.x)
-    assert not svd_calls
+    snap_3d = build_snapshot(model, state, trocar, RcmMode.THREE_D)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
     _, carry = _control("z_approach", snap, ref, _gains())
-    svd_calls.clear()
+    for name in ("svd", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    with monkeypatch.context() as patch:
+        patch.setattr(controllers, "row_factor", forbidden)
+        _control("uk", snap_3d, ref, _gains(), x_c_ref=snap_3d.constraint.x)
+    assert calls == []
+    _control("p_approach", snap, ref, _gains())
+    assert calls == []
     _control("z_approach", snap, ref, _gains(), carry=carry)
-    assert len(svd_calls) == 3
+    assert calls == ["svd", "svd"]
 
 
 # --- observer -----------------------------------------------------------------

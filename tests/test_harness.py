@@ -227,7 +227,7 @@ def test_run_matrix_single_run_degenerates(tmp_path):
     assert len(table["rows"]) == 1
 
 
-def test_run_matrix_divergence_isolated(tmp_path):
+def test_run_matrix_divergence_isolated(tmp_path, recwarn):
     good = config_from_dict(
         {"controller": "p_approach", "label": "good",
          "scenario": {"alpha": 0.5}, "sim": {"duration": 0.3}, "settle_time": 0.1}
@@ -255,6 +255,7 @@ def test_run_matrix_divergence_isolated(tmp_path):
         assert rec["wall_s"] > 0
         assert rec["ticks_per_s"] == rec["ticks"] / rec["wall_s"]
         assert rec["damped_inverses"] == 0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_run_record_counts_damped_inverses_without_logging(tmp_path, caplog):
@@ -329,7 +330,7 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_cli_sweep_divergence_exit_code(tmp_path):
+def test_cli_sweep_divergence_exit_code(tmp_path, recwarn):
     from rcmsim.cli import main
 
     cfg_dir = tmp_path / "cfgs"
@@ -342,3 +343,4 @@ def test_cli_sweep_divergence_exit_code(tmp_path):
         )
     )
     assert main(["sweep", "--configs", str(cfg_dir), "--out", str(tmp_path / "o")]) == 3
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

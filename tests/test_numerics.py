@@ -4,8 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from rcmsim.errors import RankDeficientConstraint
 from rcmsim.kernels import skew_stack
-from rcmsim.numerics import orth_projector
-from oracles import InvalidMatrix, NotPositiveDefinite, PinvOptions, matrix_sqrt, pinv
+from rcmsim.numerics import row_factor
+from oracles import (
+    InvalidMatrix,
+    NotPositiveDefinite,
+    PinvOptions,
+    exact_projector,
+    matrix_sqrt,
+    orth_projector,
+    pinv,
+)
 
 
 def test_pinv_identity():
@@ -83,6 +91,52 @@ def test_projector_rank_deficiency_detected():
 def test_projector_empty_constraint():
     P = orth_projector(np.zeros((0, 5)))
     assert np.allclose(P, np.eye(5))
+
+
+def _two_rows(rng, ratio, scale=1.0):
+    """2 x 7 Jacobian R diag(1, ratio) V^T from a plane rotation R and seven
+    orthonormal columns V, so its singular-value ratio is ``ratio``."""
+    th = rng.uniform(0.0, 2.0 * np.pi)
+    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    V = np.linalg.qr(rng.standard_normal((7, 7)))[0][:, :2]
+    return scale * (R * [1.0, ratio]) @ V.T
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_two_row_rank_threshold_both_sides(rng, scale):
+    # DEFAULT_RTOL = 1e-10 on sigma_min / sigma_max: the ratio comes from
+    # ||Jc||_F and L11 L22, which resolve it where Jc Jc^T cannot.
+    for _ in range(20):
+        with pytest.raises(RankDeficientConstraint):
+            row_factor(_two_rows(rng, 1e-11, scale))
+        Jc = _two_rows(rng, 1e-9, scale)
+        L, Q = row_factor(Jc)
+        assert L[0, 1] == 0.0
+        assert np.abs(L @ Q - Jc).max() < 1e-15 * scale
+        assert np.abs(Q @ Q.T - np.eye(2)).max() < 1e-15
+
+
+def test_two_row_projector_matches_exact_and_svd(rng):
+    # Random rows, and rows whose angle has 1 - cos down to 1e-8. There the
+    # SVD projector itself misses the exact one by about 1e-12, so the
+    # near-parallel draws are held to the exact projector alone.
+    worst_exact = worst_svd = 0.0
+    for i in range(200):
+        a, b = rng.standard_normal((2, 7))
+        if i % 2:
+            rho = 10.0 ** rng.uniform(-8.0, 0.0)  # 1 - cos(angle between rows)
+            a /= np.linalg.norm(a)
+            b -= a.dot(b) * a
+            b /= np.linalg.norm(b)
+            b = (1.0 - rho) * a + np.sqrt(rho * (2.0 - rho)) * b
+        Jc = np.array([a, b]) * rng.uniform(0.1, 10.0, (2, 1))
+        P = orth_projector(Jc)
+        worst_exact = max(worst_exact, np.abs(P - exact_projector(Jc)).max())
+        if not i % 2:
+            Vt = np.linalg.svd(Jc, full_matrices=False)[2]
+            worst_svd = max(worst_svd, np.abs(P - (np.eye(7) - Vt.T @ Vt)).max())
+    assert worst_exact <= 1e-12
+    assert worst_svd <= 1e-12
 
 
 def test_matrix_sqrt_identity_and_diagonal():
