@@ -143,8 +143,7 @@ class ControlSetup:
             self.rcm_mode = DEFAULT_MODE[self.variant]
 
 
-@dataclass(frozen=True)
-class ControllerOutput:
+class ControllerOutput(NamedTuple):
     """Torque command and its decomposition.
 
     tau = tau_parallel + tau_perp + tau_ext_hat: ``tau_perp`` is the
@@ -164,8 +163,7 @@ class ControllerOutput:
     damped: int
 
 
-@dataclass(frozen=True)
-class ControlSnapshot:
+class ControlSnapshot(NamedTuple):
     """Shared per-tick quantities every controller needs.
 
     ``kin`` is the frame pass at the state (it also carries Mdot for the
@@ -226,8 +224,7 @@ def nullspace_torque(
     return -gains.kd_null * qdot - gains.kp_null * (q - np.asarray(q_init, dtype=float))
 
 
-@dataclass(frozen=True)
-class ObserverState:
+class ObserverState(NamedTuple):
     """First-order momentum-residual observer.
 
     ``p_hat`` integrates dp_hat/dt = tau - n(q, qd) + r with
@@ -304,14 +301,14 @@ def compensation_torque(
     if mode == COMP_FULL:
         return tau_ext_hat, False
     J_aug = np.concatenate([snap.J_task, snap.constraint.J], axis=0)
-    JMinv = J_aug @ snap.Minv
-    Lam, damped = sym_inv(JMinv @ J_aug.T)
-    N_aug = np.eye(n) - J_aug.T @ (Lam @ JMinv)
-    return tau_ext_hat - N_aug @ tau_ext_hat, damped
+    JMinv = J_aug.dot(snap.Minv)
+    Lam, damped = sym_inv(JMinv.dot(J_aug.T))
+    # tau - N_aug tau with N_aug = I - J_aug^T Lam J_aug M^-1, as three
+    # products with vectors instead of the n x n projector
+    return J_aug.T.dot(Lam.dot(JMinv.dot(tau_ext_hat))), damped
 
 
-@dataclass(frozen=True)
-class ZCarry:
+class ZCarry(NamedTuple):
     """Null-basis continuity between ticks (previous aligned basis)."""
 
     Z: np.ndarray

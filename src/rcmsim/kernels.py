@@ -16,8 +16,10 @@ differenced. Two identities do the work:
 
 Derived quantities (rates, inertia, bias torques, inertia rate) are computed
 on first access, so a kinematics-only caller pays for the frames only.
-Two-dimensional products use ``ndarray.dot``, which costs less per call than
-``@`` at these sizes; stacked ones use ``@``.
+At these sizes a tick is bound by numpy's cost per call, and a 2-D
+``ndarray.dot`` costs a third to a half of a stacked ``@``: per-link products
+are 2-D products against per-model constants (``Chain``). Only the frame
+scan and the point transform stay stacked.
 
 The pass is the package's only rigid-body algorithm. The loop-form
 kinematics, composite-rigid-body inertia and recursive Newton-Euler that
@@ -38,6 +40,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +72,7 @@ def mdh_transform(a: float, d: float, alpha: float, theta: float) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     """Position [m] and rotation matrix of a frame in base coordinates."""
 
     p: np.ndarray
@@ -81,22 +83,31 @@ class Pose:
 class Chain:
     """Per-model constants of the frame pass, built once per model.
 
-    ``fixed`` holds each joint transform with its theta-dependent block
-    zeroed, then the flange transform; ``rot_basis @ (cos, sin)`` fills that
-    block. The pass tracks 2n + 2 points, each fixed to one frame
-    (``point_frame``, homogeneous ``point_local``): the link COMs, the
-    tool-reference origin, the tip, then the joint origins.
+    The pass's per-link products are 2-D ``dot``s against these constants
+    (block-diagonal in the links) or ``take``s of flat indices.
+
+    ``fixed`` holds the joint transforms with their theta-dependent blocks
+    zeroed, then the flange transform, flattened; ``(cos, sin) . rot_basis``
+    fills those blocks (cosines of all joints first). The pass tracks 2n + 2
+    points, each fixed to one frame (``point_frame``, homogeneous
+    ``point_local``): the link COMs, the tool-reference origin, the tip, then
+    the joint origins.
 
     Jacobian columns of all points are kept as one (3n, 2n + 2) array,
     row 3j + i holding component i of joint j's column for every point.
     ``support`` is 1 where joint j moves the point and ``own_origin`` picks,
-    for each row, the entry of joint j's own origin.
+    for each row, the entry of joint j's own origin; ``own_link`` picks entry
+    (3j + i, j) of a (3n, n) array, as (n, 3).
 
     The stacked per-link matrix A (see ``KinFrames``) is kept transposed,
     as (n, 2, 3, n): [joint, linear/angular, row, link]. ``link_support``
     masks its angular block, ``gravity_load`` is the gravity part of the
-    per-link bias vector it multiplies, and ``chol`` (and its inverse)
-    factors the body inertias I = L L^T.
+    per-link bias vector it multiplies and ``com_rows`` picks the COM
+    entries of a flat (3, points) array as (3, n). With the body
+    inertias factored as I = L L^T, ``rot_index`` gathers the link rotations
+    as rows [l, 3a + m] and ``chol`` (block-diagonal) turns them into the
+    rows of R_a L_a, [l, i n + a]; ``gyro`` maps the products u_p u_q of
+    u = L^T w_b, as [(3p + q) n + a], to L^-1 (w_b x I w_b).
     """
 
     n: int
@@ -107,12 +118,14 @@ class Chain:
     point_local: np.ndarray
     support: np.ndarray
     own_origin: np.ndarray
+    own_link: np.ndarray
     sqrt_m: np.ndarray
     link_support: np.ndarray
     gravity_load: np.ndarray
-    inertia: np.ndarray
+    com_rows: np.ndarray
+    rot_index: np.ndarray
     chol: np.ndarray
-    chol_inv: np.ndarray
+    gyro: np.ndarray
 
     @classmethod
     def build(cls, dh, flange, l_tool, masses, coms, inertias, gravity) -> "Chain":
@@ -121,11 +134,12 @@ class Chain:
         fixed[:, :3, :2] = 0.0
         ca, sa = np.cos(dh[:, 2]), np.sin(dh[:, 2])
         # block rows (ct, -st), (ca st, ca ct), (sa st, sa ct) as maps of (ct, st)
-        rot_basis = np.zeros((n, 3, 2, 2))
-        rot_basis[:, 0, 0, 0] = 1.0
-        rot_basis[:, 0, 1, 1] = -1.0
-        rot_basis[:, 1, 0, 1] = rot_basis[:, 1, 1, 0] = ca
-        rot_basis[:, 2, 0, 1] = rot_basis[:, 2, 1, 0] = sa
+        rot_basis = np.zeros((2, n, n + 1, 4, 4))
+        for j in range(n):
+            rot_basis[0, j, j, 0, 0] = 1.0
+            rot_basis[1, j, j, 0, 1] = -1.0
+            rot_basis[1, j, j, 1:3, 0] = ca[j], sa[j]
+            rot_basis[0, j, j, 1:3, 1] = ca[j], sa[j]
 
         origin = np.array([0.0, 0.0, 0.0, 1.0])
         point_local = np.concatenate(
@@ -141,25 +155,39 @@ class Chain:
         support = np.concatenate([tri, np.ones((n, 2)), tri], axis=1)
         rows = np.arange(3 * n)
         own_origin = rows * n_points + n + 2 + rows // 3
+        own_link = rows * n + rows // 3
 
         chol = np.linalg.cholesky(inertias)
+        chol_blocks = np.zeros((n, 3, 3, n))  # [a, m, i, a]
+        rot_index = np.zeros((3, n, 3), dtype=np.intp)  # [l, a, m]
+        gyro = np.zeros((3, 3, n, 3, n))  # [p, q, a, m, a]
+        for a in range(n):
+            chol_blocks[a, :, :, a] = chol[a]
+            rot_index[:, a, :] = 16 * a + 4 * np.arange(3)[:, None] + np.arange(3)
+            L_inv = np.linalg.inv(chol[a])
+            # w_b = L^-T u and I w_b = L u: the map is bilinear in u
+            for p in range(3):
+                for q in range(3):
+                    gyro[p, q, a, :, a] = L_inv.dot(np.cross(L_inv[p], chol[a][:, q]))
         gravity_load = np.zeros((2, 3, n))
         gravity_load[0] = -np.sqrt(masses)[None, :] * gravity[:, None]
         return cls(
             n=n,
             offset=dh[:, 3].copy(),
-            rot_basis=rot_basis.reshape(n, 6, 2),
-            fixed=np.concatenate([fixed, mdh_transform(*flange)[None]]),
+            rot_basis=rot_basis.reshape(2 * n, -1),
+            fixed=np.concatenate([fixed, mdh_transform(*flange)[None]]).ravel(),
             point_frame=point_frame,
             point_local=point_local[:, :, None],
             support=np.repeat(support, 3, axis=0),
             own_origin=own_origin,
+            own_link=own_link.reshape(n, 3),
             sqrt_m=np.sqrt(masses),
             link_support=np.repeat(tri, 3, axis=0).reshape(n, 3 * n),
             gravity_load=gravity_load.ravel(),
-            inertia=inertias.copy(),
-            chol=chol,
-            chol_inv=np.linalg.inv(chol),
+            com_rows=np.arange(3)[:, None] * n_points + np.arange(n),
+            rot_index=rot_index.reshape(3, 3 * n),
+            chol=chol_blocks.reshape(3 * n, 3 * n),
+            gyro=gyro.reshape(9 * n, 3 * n),
         )
 
 
@@ -181,13 +209,13 @@ class _lazy:
 class KinFrames:
     """One frame pass at (q, qdot): frames, Jacobians and their exact rates.
 
-    Eager: per-joint ``rotations``/``origins``/``axes`` and ``pose_r`` and
-    ``pose_t`` (tool-reference frame and tip; same orientation). On first
-    access: the 6xn geometric Jacobians ``J_r``/``J_t`` and their rates
-    ``Jdot_r``/``Jdot_t`` (exactly zero at rest; ``Jp_t``/``Jpdot_t`` are the
-    tip's translational rows without the 6xn copy), the reference-frame angular
-    velocity ``omega_r``, ``M``, the bias torques ``h = c + g`` (velocity
-    product and gravity) and ``Mdot``.
+    Eager: the joint ``axes`` and ``pose_r`` and ``pose_t`` (tool-reference
+    frame and tip; same orientation). On first access: the 6xn geometric
+    Jacobians ``J_r``/``J_t`` and their rates ``Jdot_r``/``Jdot_t`` (exactly
+    zero at rest; ``Jp_t``/``Jpdot_t`` are the tip's translational rows
+    without the 6xn copy), the reference-frame angular velocity ``omega_r``,
+    ``M``, the bias torques ``h = c + g`` (velocity product and gravity) and
+    ``Mdot``.
 
     The translational Jacobian columns z_j x (p_a - o_j) of all tracked
     points come from one product with the stacked axis skew matrices, and
@@ -195,39 +223,46 @@ class KinFrames:
     over L_a^T R_a^T Jw_a for every link a: M = A^T A, and h = A^T y with y
     the per-link bias vector [sqrt(m) (a_com - gravity);
     L^-1 (I alpha_b + w_b x I w_b)] (body-frame angular velocity w_b and
-    acceleration alpha_b at qdd = 0).
+    acceleration alpha_b at qdd = 0). Since L^-1 I = L^T and A qdot holds
+    u = L^T w_b, the angular part is L^T alpha_b plus a fixed quadratic map
+    of u.
     """
 
     def __init__(self, chain: Chain, q: np.ndarray, qdot: np.ndarray | None = None):
         n = chain.n
         self.chain = chain
         self.qdot = np.zeros(n) if qdot is None else qdot
-        self.moving = qdot is not None and bool(qdot.any())
+        # count_nonzero: the cheapest exact test for a nonzero entry
+        self.moving = qdot is not None and np.count_nonzero(qdot) > 0
 
         # Joint transforms, then the flange; their prefix products (a
         # log-depth scan) are the joint frames and the tool-reference frame.
         th = q + chain.offset
-        cs = np.empty((n, 2, 1))
-        np.cos(th, out=cs[:, 0, 0])
-        np.sin(th, out=cs[:, 1, 0])
-        T = chain.fixed.copy()
-        T[:n, :3, :2] = (chain.rot_basis @ cs).reshape(n, 3, 2)
+        cs = np.empty(2 * n)
+        np.cos(th, out=cs[:n])
+        np.sin(th, out=cs[n:])
+        T = cs.dot(chain.rot_basis)
+        T += chain.fixed
+        T = T.reshape(n + 1, 4, 4)
         s = 1
         while s <= n:
             T[s:] = T[:-s] @ T[s:]
             s *= 2
 
-        self.rotations = T[:n, :3, :3]
+        self._T = T
         self.axes = T[:n, :3, 2]
+        # One (3, 4) @ (4, 1) product per point. One 2-D product of all
+        # frames with all points costs less but rounds the points
+        # differently, and the pivot-at-tip runs of p_approach (alpha near
+        # 1, a singular free-motion tip inertia) turn on those last bits.
         points = (T[chain.point_frame, :3] @ chain.point_local)[:, :, 0]
         self._points_T = points.T
-        self.origins = points[n + 2 :]
         R_r = T[n, :3, :3]
-        self.pose_r = Pose(p=points[n], R=R_r)
-        self.pose_t = Pose(p=points[n + 1], R=R_r)
+        self.pose_r = Pose(points[n], R_r)
+        self.pose_t = Pose(points[n + 1], R_r)
         # Row 3j + i: component i of z_j x p for every point p; subtracting
         # z_j x o_j (joint j's own-origin entry) gives z_j x (p - o_j).
-        self._skew_z = skew_stack(self.axes).reshape(-1, 3)
+        self._skew_z = self.axes.dot(_SKEW).reshape(-1, 3)
         self._Jv, self._z_x_o = self._lever_cross(self._skew_z)
 
     @_lazy
@@ -252,15 +287,17 @@ class KinFrames:
         own = raw.take(self.chain.own_origin)
         return (raw - own[:, None]) * self.chain.support, own
 
-    def coincident_point(self, p: np.ndarray, pdot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """3xn Jacobian of the last-link point that coincides with ``p``, and
-        its rate when ``p`` itself moves with ``pdot``: columns
-        z_j x (p - o_j) and zdot_j x (p - o_j) + z_j x (pdot - v(o_j))."""
-        n = self.chain.n
+    def coincident_jacobian(self, p: np.ndarray) -> np.ndarray:
+        """3xn Jacobian of the last-link point that coincides with ``p``:
+        columns z_j x (p - o_j)."""
+        return (self._skew_z.dot(p) - self._z_x_o).reshape(self.chain.n, 3).T
+
+    def coincident_rate(self, p: np.ndarray, pdot: np.ndarray) -> np.ndarray:
+        """Rate of ``coincident_jacobian(p)`` when ``p`` itself moves with
+        ``pdot``: columns zdot_j x (p - o_j) + z_j x (pdot - v(o_j))."""
         *_, skew_zdot, z_x_o_dot = self._rates
-        J = self._skew_z.dot(p) - self._z_x_o
         Jdot = skew_zdot.dot(p) + self._skew_z.dot(pdot) - z_x_o_dot
-        return J.reshape(n, 3).T, Jdot.reshape(n, 3).T
+        return Jdot.reshape(self.chain.n, 3).T
 
     def _six(self, lin: np.ndarray, ang: np.ndarray) -> np.ndarray:
         """6xn matrix of one tracked point: linear rows from its column
@@ -273,10 +310,10 @@ class KinFrames:
     def point_jacobian(self, link: int, point_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """3xn translational Jacobian and base position of a point fixed to
         ``link`` (0-based); columns beyond ``link`` are exactly zero."""
-        p = self.origins[link] + self.rotations[link] @ point_local
-        J = np.zeros((3, self.chain.n))
-        s = slice(0, link + 1)
-        J[:, s] = (self._skew_z.reshape(-1, 3, 3)[s] @ (p - self.origins[s])[:, :, None])[:, :, 0].T
+        T = self._T[link]
+        p = T[:3, 3] + T[:3, :3].dot(point_local)
+        J = self.coincident_jacobian(p)
+        J[:, link + 1 :] = 0.0
         return J, p
 
     def _contract(self, cols: np.ndarray) -> np.ndarray:
@@ -293,12 +330,13 @@ class KinFrames:
         if not self.moving:
             zero = np.zeros((n, 3))
             return zero, zero, np.zeros_like(self._Jv), np.zeros((3 * n, 3)), np.zeros(3 * n)
-        qd = self.qdot
-        omega = (self.axes * qd[:, None]).cumsum(0)
-        zdot = -(self._skew_z.reshape(n, 3, 3) @ omega[:, :, None])[:, :, 0]
+        # add.accumulate is what cumsum runs, without its wrapper's cost
+        omega = np.add.accumulate(self.axes * self.qdot[:, None], 0)
+        # zdot_j = w_j x z_j: entry (3j + i, j) of the products z_j x w_a
+        zdot = -self._skew_z.dot(omega.T).take(self.chain.own_link)
         # d/dt [z_j x (p - o_j)] = zdot_j x (p - o_j) + z_j x (v_p - v(o_j))
         vel = self._skew_z.dot(self._contract(self._Jv))
-        skew_zdot = skew_stack(zdot).reshape(-1, 3)
+        skew_zdot = zdot.dot(_SKEW).reshape(-1, 3)
         Jv_dot, z_x_o_dot = self._lever_cross(skew_zdot, vel)
         return omega, zdot, Jv_dot, skew_zdot, z_x_o_dot
 
@@ -324,21 +362,21 @@ class KinFrames:
     @_lazy
     def _RL_rows(self) -> np.ndarray:
         """(3, 3n) with entry [l, i*n + a] = (R_a L_a)[l, i]."""
-        RL = self.rotations @ self.chain.chol
-        return RL.transpose(1, 2, 0).reshape(3, -1)
+        return self._T.take(self.chain.rot_index).dot(self.chain.chol)
 
-    def _A_T(self, lin: np.ndarray, ang_dirs: np.ndarray) -> np.ndarray:
+    def _A_T(self, lin: np.ndarray, ang_rows: np.ndarray) -> np.ndarray:
         """A^T (n x 6n) from Jacobian-like columns: row j holds
-        sqrt(m_a) lin[3j + i, a] and (L_a^T R_a^T ang_dirs[j])_i, link a."""
+        sqrt(m_a) lin[3j + i, a] and ang_rows[j, i*n + a], link a >= j."""
         n = self.chain.n
         At = np.empty((n, 2, 3 * n))
-        At[:, 0] = (lin.reshape(3 * n, -1)[:, :n] * self.chain.sqrt_m).reshape(n, -1)
-        At[:, 1] = ang_dirs.dot(self._RL_rows) * self.chain.link_support
+        At[:, 0] = (lin[:, :n] * self.chain.sqrt_m).reshape(n, -1)
+        At[:, 1] = ang_rows * self.chain.link_support
         return At.reshape(n, 6 * n)
 
     @_lazy
     def _At(self) -> np.ndarray:
-        return self._A_T(self._Jv, self.axes)
+        # (L_a^T R_a^T z_j)_i
+        return self._A_T(self._Jv, self.axes.dot(self._RL_rows))
 
     @_lazy
     def M(self) -> np.ndarray:
@@ -353,21 +391,20 @@ class KinFrames:
     def h(self) -> np.ndarray:
         if not self.moving:
             return self.g
-        chain, n = self.chain, self.chain.n
-        omega, zdot, Jv_dot, *_ = self._rates
+        chain, n, qd = self.chain, self.chain.n, self.qdot
+        _, zdot, Jv_dot, *_ = self._rates
+        At = self._At
         y = np.empty((2, 3, n))
         # COM accelerations at qdd = 0 (the COMs are the first tracked points)
-        y[0] = self._contract(Jv_dot)[:, :n] * chain.sqrt_m
-        # link angular acceleration and velocity in the link frame, then
-        # L^-1 (I alpha_b + w_b x I w_b)
-        aw = np.empty((n, 3, 2))
-        aw[:, :, 0] = (zdot * self.qdot[:, None]).cumsum(0)
-        aw[:, :, 1] = omega
-        aw = self.rotations.transpose(0, 2, 1) @ aw
-        Iaw = chain.inertia @ aw
-        moment = Iaw[:, :, :1] + skew_stack(aw[:, :, 1]) @ Iaw[:, :, 1:]
-        y[1] = (chain.chol_inv @ moment)[:, :, 0].T
-        return self._At.dot(y.ravel() + chain.gravity_load)
+        y[0] = qd.dot(Jv_dot.reshape(n, -1)).take(chain.com_rows) * chain.sqrt_m
+        # L^T alpha_b = sum_j qdot_j L_a^T R_a^T zdot_j, and w_b x I w_b from
+        # u = L^T w_b, the angular rows of A qdot
+        u = qd.dot(At)[3 * n :].reshape(3, n)
+        y[1] = (
+            qd.dot(zdot.dot(self._RL_rows) * chain.link_support)
+            + (u[:, None] * u).ravel().dot(chain.gyro)
+        ).reshape(3, n)
+        return At.dot(y.ravel() + chain.gravity_load)
 
     @_lazy
     def c(self) -> np.ndarray:
@@ -379,12 +416,10 @@ class KinFrames:
         if not self.moving:
             return np.zeros((n, n))
         omega, zdot, Jv_dot, *_ = self._rates
-        At_dot = self._A_T(Jv_dot, zdot)
-        # d/dt (R_a^T z_j) = R_a^T (zdot_j + z_j x w_a); the zdot part is in
-        # At_dot already.
-        z_x_w = self._skew_z.dot(omega.T).reshape(n, 3, n)  # [j, l, a]
-        RL = self._RL_rows.reshape(3, 3, n)  # [l, i, a]
-        ang = np.einsum("jla,lia->jia", z_x_w, RL).reshape(n, -1) * self.chain.link_support
-        At_dot.reshape(n, 2, -1)[:, 1] += ang
+        # d/dt (L_a^T R_a^T z_j) = L_a^T R_a^T (zdot_j + z_j x w_a), and
+        # (z_j x w_a) . R_a L_a e_i = z_j . (w_a x R_a L_a e_i)
+        RL = self._RL_rows
+        w_x_RL = _SKEW.dot((RL.reshape(3, 1, 3, n) * omega.T[None, :, None]).reshape(9, -1))
+        At_dot = self._A_T(Jv_dot, zdot.dot(RL) + self.axes.dot(w_x_RL))
         AtAd = self._At.dot(At_dot.T)
         return AtAd + AtAd.T

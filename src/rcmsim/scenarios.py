@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,8 +14,7 @@ from .robot import KinFrames, RobotModel
 from .schema import EPISODE_SET, NON_NEGATIVE, POSITIVE, Rule, Schema, fail, length, setting
 
 
-@dataclass(frozen=True)
-class TaskReference:
+class TaskReference(NamedTuple):
     """Tip position task reference [m, m/s, m/s^2]."""
 
     x: np.ndarray

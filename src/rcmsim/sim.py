@@ -9,6 +9,7 @@ sees the exact simulated state (seeded sensor noise available as an option).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControlSetup
 from .errors import SimulationDiverged
-from .rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
-from .robot import DEFAULT_HOME, JointState, KinFrames, RobotModel
+from .rcm import RcmMode, TrocarState, place_trocar, residual, residual_terms
+from .robot import DEFAULT_HOME, JointState, RobotModel
 from .robot import kinematics as kinematics_of
 from .scenarios import (
     TROCAR_STATIC,
@@ -69,11 +70,12 @@ def environment_force(x2d: np.ndarray, xdot2d: np.ndarray, env: EnvModel) -> np.
     return -env.stiffness * np.asarray(x2d) - env.damping * np.asarray(xdot2d)
 
 
-def port_torque(kin: KinFrames, qdot: np.ndarray, trocar: TrocarState, env: EnvModel) -> np.ndarray:
+def port_torque(J: np.ndarray, x: np.ndarray, xdot: np.ndarray, env: EnvModel) -> np.ndarray:
     """Joint torque of the port force: ``environment_force`` on the 2D pivot
-    residual at the frame pass ``kin``, through the residual Jacobian."""
-    cs = constraint_from_kin(kin, qdot, trocar, RcmMode.TWO_D)
-    return cs.J.T @ environment_force(cs.x, cs.xdot, env)
+    residual ``x``, ``xdot`` through its Jacobian ``J``. At a frame pass,
+    ``rcm.residual_terms`` gives the three; the tick's constraint state
+    holds them as its first two rows."""
+    return J.T.dot(environment_force(x, xdot, env))
 
 
 @dataclass
@@ -251,31 +253,35 @@ def step(
     dt: float,
     integrator: str = SEMI_IMPLICIT,
     env: EnvModel | None = None,
-    trocar: TrocarState | None = None,
+    trocar: tuple[TrocarState, ...] | None = None,
     qdd: np.ndarray | None = None,
 ) -> JointState:
     """Advance the plant one control period under zero-order-hold torque.
 
     ``tau_ext`` holds the scripted external torque for the step; the port
-    force (env soft mode) is state dependent and recomputed per RK4 stage.
-    ``qdd`` is the acceleration at ``state`` under these inputs when the
-    caller has it (the tick computes it from its own frame pass); otherwise
-    one frame pass gives it. Each later RK4 stage builds one frame pass, which
-    gives M, h and the port force. The caller checks the new state.
+    force (env soft mode) is state dependent and recomputed at every
+    evaluation of the dynamics, against ``trocar``: the trocar at the step's
+    evaluation times, (t,) for the semi-implicit step and (t, t + dt/2,
+    t + dt) for RK4. ``qdd`` is the acceleration at ``state`` under these
+    inputs when the caller has it (the tick computes it from its own frame
+    pass); otherwise one frame pass gives it. Each later RK4 stage builds one
+    frame pass, which gives M, h and the port force. The caller checks the
+    new state.
     """
     if not POSITIVE.ok(dt):
         fail("dt", POSITIVE.message)
     port = env is not None and env.mode != ENV_OFF and trocar is not None
 
-    def accel(q, qd):
+    def accel(q, qd, time_index):
         kin = kinematics_of(model, q, qd)
         load = tau + tau_ext - kin.h
         if port:
-            load = load + port_torque(kin, qd, trocar, env)
+            rows = residual_terms(kin, qd, trocar[time_index], RcmMode.TWO_D)
+            load = load + port_torque(*rows, env)
         return np.linalg.solve(kin.M, load)
 
     if qdd is None:
-        qdd = accel(state.q, state.qdot)
+        qdd = accel(state.q, state.qdot, 0)
     if integrator == SEMI_IMPLICIT:
         qd_new = state.qdot + dt * qdd
         return JointState(state.q + dt * qd_new, qd_new)
@@ -283,11 +289,11 @@ def step(
         raise ValueError(f"unknown integrator {integrator!r}")
     k1q, k1v = state.qdot, qdd
     k2q = state.qdot + 0.5 * dt * k1v
-    k2v = accel(state.q + 0.5 * dt * k1q, k2q)
+    k2v = accel(state.q + 0.5 * dt * k1q, k2q, 1)
     k3q = state.qdot + 0.5 * dt * k2v
-    k3v = accel(state.q + 0.5 * dt * k2q, k3q)
+    k3v = accel(state.q + 0.5 * dt * k2q, k3q, 1)
     k4q = state.qdot + dt * k3v
-    k4v = accel(state.q + dt * k3q, k4q)
+    k4v = accel(state.q + dt * k3q, k4q, 2)
     return JointState(
         state.q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
         state.qdot + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
@@ -342,76 +348,104 @@ def run_episode(
 
     trace.t[:] = np.arange(records) * dt
     refs = spiral_reference(trace.t, spiral)
-    trocars = trocar_schedule_eval(trace.t, trocar_sched)
     trace.ref[:] = refs.x
-    trace.p_c[:] = trocars.p
+    # The trocar on the grid the plant is evaluated on: the ticks, and for
+    # RK4 also the half steps between them. (2k) (dt/2) == k dt exactly, so
+    # the tick entries are those of the tick grid.
+    port = sim.env.mode == ENV_SOFT
+    per_tick = 2 if sim.integrator == RK4 else 1
+    trocars = trocar_schedule_eval(
+        np.arange(per_tick * (records - 1) + 1) * (dt / per_tick), trocar_sched
+    )
+    trace.p_c[:] = trocars.p[::per_tick]
+
+    def trocar_at(i: int) -> TrocarState:
+        return TrocarState(trocars.p[i], trocars.pdot[i], trocars.pddot[i])
+
+    # z_r per tick, for the pivot points filled in after the loop
+    z_r = np.empty((records, 3))
 
     tau_prev = None
-    for k in range(records):
-        t = k * dt
-        trocar = TrocarState(trocars.p[k], trocars.pdot[k], trocars.pddot[k])
-        ref = TaskReference(refs.x[k], refs.xdot[k], refs.xddot[k])
-        if noise is None:
-            meas = state
-        else:
-            meas = JointState(
-                state.q + sim.sensor_noise_std * noise.standard_normal(model.n),
-                state.qdot,
-            )
-        snap = ctl.build_snapshot(model, meas, trocar, mode)
-        # Observer update for the period that just ended, at the true state
-        # (the snapshot's frame pass when the controller sees that state).
-        kin_true = snap.kin if noise is None else kinematics_of(model, state.q, state.qdot)
-        if obs is not None and tau_prev is not None:
-            obs = ctl.observer_step(obs, model, state, tau_prev, dt, kin=kin_true)
-        tau_hat = obs.tau_ext_hat if obs is not None else None
+    try:
+        for k in range(records):
+            t = k * dt
+            i = per_tick * k
+            trocar = trocar_at(i)
+            ref = TaskReference(refs.x[k], refs.xdot[k], refs.xddot[k])
+            if noise is None:
+                meas = state
+            else:
+                meas = JointState(
+                    state.q + sim.sensor_noise_std * noise.standard_normal(model.n),
+                    state.qdot,
+                )
+            snap = ctl.build_snapshot(model, meas, trocar, mode)
+            # Observer update for the period that just ended, at the true state
+            # (the snapshot's frame pass when the controller sees that state).
+            kin_true = snap.kin if noise is None else kinematics_of(model, state.q, state.qdot)
+            if obs is not None and tau_prev is not None:
+                obs = ctl.observer_step(obs, model, state, tau_prev, dt, kin=kin_true)
+            tau_hat = obs.tau_ext_hat if obs is not None else None
 
-        out, carry = ctl.control_torque(control, snap, ref, q0, tau_hat, x_c_ref, carry)
-        if not np.isfinite(out.tau).all():
-            trace.filled = k
-            raise SimulationDiverged(k, t, "non-finite controller torque", trace)
+            out, carry = ctl.control_torque(control, snap, ref, q0, tau_hat, x_c_ref, carry)
+            if not np.isfinite(out.tau).all():
+                trace.filled = k
+                raise SimulationDiverged(k, t, "non-finite controller torque", trace)
 
-        tau_dist = disturbance_eval(t, scenario.disturbances, model, kin_true)
-        if sim.env.mode == ENV_SOFT:
-            tau_ext = tau_dist + port_torque(kin_true, state.qdot, trocar, sim.env)
-        else:
+            tau_dist = disturbance_eval(t, scenario.disturbances, model, kin_true)
             tau_ext = tau_dist
+            if port:
+                # the snapshot's first two constraint rows are the 2D residual
+                # at the true state, in either residual mode
+                if noise is None:
+                    cs = snap.constraint
+                    rows = cs.J[:2], cs.x[:2], cs.xdot[:2]
+                else:
+                    rows = residual_terms(kin_true, state.qdot, trocar, RcmMode.TWO_D)
+                tau_ext = tau_dist + port_torque(*rows, sim.env)
 
-        if noise is None:
-            # the snapshot holds M^-1 and h at the true state
-            qdd = snap.Minv.dot(out.tau + tau_ext - snap.h)
-        else:
-            qdd = np.linalg.solve(kin_true.M, out.tau + tau_ext - kin_true.h)
-        gap = snap.constraint.J.dot(qdd) - out.constraint_accel_cmd
+            if noise is None:
+                # the snapshot holds M^-1 and h at the true state
+                qdd = snap.Minv.dot(out.tau + tau_ext - snap.h)
+            else:
+                qdd = np.linalg.solve(kin_true.M, out.tau + tau_ext - kin_true.h)
+            gap = snap.constraint.J.dot(qdd) - out.constraint_accel_cmd
 
-        # Record tick k (true plant state, not the measured one).
-        pose_r, p_t = kin_true.pose_r, kin_true.pose_t.p
-        trace.q[k] = state.q
-        trace.qd[k] = state.qdot
-        trace.tau[k] = out.tau
-        trace.tau_ext[k] = tau_ext
-        if obs is not None:
-            trace.tau_ext_hat[k] = obs.tau_ext_hat
-        trace.tip[k] = p_t
-        trace.p_r[k] = pose_r.p
-        res3 = pose_r.R.T.dot(pose_r.p - trocar.p)
-        trace.res2d[k] = res3[:2]
-        trace.res3d[k] = res3
-        # rcm_point: the tool axis is z_r, and z_r . (p_r - p_c) is res3[2]
-        trace.p_rcm[k] = pose_r.p - res3[2] * pose_r.R[:, 2]
-        trace.qdd[k] = qdd
-        trace.constraint_gap[k] = np.sqrt(gap.dot(gap))
-        trace.damped[k] = out.damped
-        trace.filled = k + 1
+            # Record tick k (true plant state, not the measured one).
+            pose_r = kin_true.pose_r
+            trace.q[k] = state.q
+            trace.qd[k] = state.qdot
+            trace.tau[k] = out.tau
+            trace.tau_ext[k] = tau_ext
+            if obs is not None:
+                trace.tau_ext_hat[k] = obs.tau_ext_hat
+            trace.tip[k] = kin_true.pose_t.p
+            trace.p_r[k] = pose_r.p
+            trace.res3d[k] = pose_r.R.T.dot(pose_r.p - trocar.p)
+            z_r[k] = pose_r.R[:, 2]
+            trace.qdd[k] = qdd
+            trace.constraint_gap[k] = math.sqrt(gap.dot(gap))
+            trace.damped[k] = out.damped
+            trace.filled = k + 1
 
-        if k == records - 1:
-            break
-        state = step(
-            model, state, out.tau, tau_dist, dt, sim.integrator,
-            env=sim.env, trocar=trocar, qdd=qdd,
-        )
-        if not (np.isfinite(state.q).all() and np.isfinite(state.qdot).all()):
-            raise SimulationDiverged(k + 1, t + dt, "non-finite state after step", trace)
-        tau_prev = out.tau
+            if k == records - 1:
+                break
+            stage_trocars = (trocar,)
+            if per_tick == 2:
+                stage_trocars += (trocar_at(i + 1), trocar_at(i + 2))
+            state = step(
+                model, state, out.tau, tau_dist, dt, sim.integrator,
+                env=sim.env, trocar=stage_trocars, qdd=qdd,
+            )
+            if not (np.isfinite(state.q).all() and np.isfinite(state.qdot).all()):
+                raise SimulationDiverged(k + 1, t + dt, "non-finite state after step", trace)
+            tau_prev = out.tau
+    finally:
+        # Columns the recorded ones determine, for the recorded ticks (also
+        # of a diverged run): the 2D residual is the 3D one's lateral part,
+        # and the pivot point is p_r less its axial offset along z_r.
+        m = trace.filled
+        trace.res2d[:m] = trace.res3d[:m, :2]
+        trace.p_rcm[:m] = trace.p_r[:m] - trace.res3d[:m, 2:] * z_r[:m]
 
     return trace

@@ -20,7 +20,7 @@
   controller core, with its Procrustes basis alignment and exact d/dt(Z^#).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -654,7 +654,7 @@ def without_constraint(snap: ControlSnapshot) -> ControlSnapshot:
         b=np.zeros(0),
         mode=snap.constraint.mode,
     )
-    return replace(snap, constraint=empty)
+    return snap._replace(constraint=empty)
 
 
 def unconstrained_pd_torque(

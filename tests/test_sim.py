@@ -6,16 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcmsim import controllers, rcm, robot
+from rcmsim import sim as sim_module
 from rcmsim.errors import ConfigError, SimulationDiverged
 from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
-from rcmsim.controllers import NULL_DAMPING, GainSet
-from rcmsim.scenarios import DisturbanceEvent, DisturbanceSchedule, TrocarSchedule
+from rcmsim.controllers import NULL_DAMPING, GainSet, build_snapshot
+from rcmsim.rcm import RcmMode, TrocarState, place_trocar, residual_terms
+from rcmsim.scenarios import (
+    DisturbanceEvent,
+    DisturbanceSchedule,
+    TrocarSchedule,
+    trocar_schedule_eval,
+)
 from rcmsim.sim import (
     ControlSetup,
     EnvModel,
     Scenario,
     SimConfig,
     environment_force,
+    port_torque,
     read_trace_csv,
     run_episode,
     step,
@@ -112,6 +121,96 @@ def test_step_rejects_bad_dt(model):
     state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
     with pytest.raises(ValueError):
         step(model, state, np.zeros(model.n), np.zeros(model.n), 0.0)
+
+
+def _moving_trocar(model, q):
+    """``at(t)``: the trocar state at time t, for a trocar placed at alpha
+    0.5 on the tool axis at ``q`` and moving 0.04 m at 0.2 Hz along base z."""
+    kin = kinematics(model, q)
+    sched = TrocarSchedule(
+        mode="sinusoidal", amplitude=0.04, frequency=0.2,
+        p0=place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5),
+    )
+
+    def at(t):
+        s = trocar_schedule_eval(t, sched)
+        return TrocarState(s.p, s.pdot, s.pddot)
+
+    return at
+
+
+@pytest.mark.parametrize("t", [0.3, 2.5])
+def test_rk4_port_sees_the_trocar_at_stage_times(model, t):
+    # One RK4 step with the soft port against a moving trocar, against 200
+    # substeps of the same scheme: the stages at t + dt/2 and t + dt measure
+    # the port residual against the trocar at those times, so the step is
+    # accurate to about 4e-8 rad/s; a trocar frozen at t misses by about 3e-6.
+    env = EnvModel(mode="soft")
+    at = _moving_trocar(model, DEFAULT_HOME)
+    state = JointState(DEFAULT_HOME.copy(), np.random.default_rng(0).uniform(-0.2, 0.2, model.n))
+    tau = kinematics(model, state.q).g
+    zero = np.zeros(model.n)
+    dt, substeps = 1e-3, 200
+    ref, h = state, dt / substeps
+    for i in range(substeps):
+        s = t + i * h
+        ref = step(model, ref, tau, zero, h, "rk4", env=env,
+                   trocar=(at(s), at(s + h / 2), at(s + h)))
+    one = step(model, state, tau, zero, dt, "rk4", env=env,
+               trocar=(at(t), at(t + dt / 2), at(t + dt)))
+    frozen = step(model, state, tau, zero, dt, "rk4", env=env, trocar=(at(t),) * 3)
+    assert np.abs(one.qdot - ref.qdot).max() < 2e-7
+    assert np.abs(frozen.qdot - ref.qdot).max() > 1e-6
+
+
+@pytest.mark.parametrize("mode", [RcmMode.TWO_D, RcmMode.THREE_D])
+def test_tick_port_torque_from_the_constraint_rows(model, mode):
+    # The tick applies the port force from its snapshot's first two
+    # constraint rows; they are the 2D residual's, in either residual mode.
+    env = EnvModel(mode="soft")
+    rng = np.random.default_rng(1)
+    at = _moving_trocar(model, DEFAULT_HOME)
+    for _ in range(5):
+        state = JointState(DEFAULT_HOME + rng.uniform(-0.05, 0.05, model.n),
+                           rng.uniform(-0.5, 0.5, model.n))
+        trocar = at(rng.uniform(0.0, 5.0))
+        cs = build_snapshot(model, state, trocar, mode).constraint
+        from_rows = port_torque(cs.J[:2], cs.x[:2], cs.xdot[:2], env)
+        kin = kinematics(model, state.q, state.qdot)
+        at_state = port_torque(*residual_terms(kin, state.qdot, trocar, RcmMode.TWO_D), env)
+        assert np.array_equal(from_rows, at_state)
+        assert np.abs(from_rows).max() > 0.0
+
+
+@pytest.mark.parametrize("integrator,passes_per_step", [("semi_implicit", 0), ("rk4", 3)])
+def test_soft_port_tick_evaluation_counts(model, monkeypatch, integrator, passes_per_step):
+    # A soft-port tick builds one frame pass for the snapshot, plus one per
+    # later RK4 stage, and one constraint state: the port force reads the
+    # snapshot's rows at the tick and only position-level terms in a stage.
+    counts = {"frames": 0, "constraint": 0}
+
+    class Counted(robot.KinFrames):
+        def __init__(self, *args, **kwargs):
+            counts["frames"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counted_constraint(*args, **kwargs):
+        counts["constraint"] += 1
+        return original(*args, **kwargs)
+
+    original = rcm.constraint_from_kin
+    monkeypatch.setattr(robot, "KinFrames", Counted)
+    # every module that holds the function
+    for module in (rcm, controllers, sim_module):
+        if hasattr(module, "constraint_from_kin"):
+            monkeypatch.setattr(module, "constraint_from_kin", counted_constraint)
+    sim = SimConfig(duration=0.01, integrator=integrator, env=EnvModel(mode="soft"))
+    scenario = Scenario(trocar=TrocarSchedule(mode="sinusoidal"))
+    trace = run_episode(model, ControlSetup(), scenario, sim)
+    ticks = trace.filled
+    # one more frame pass places the trocar before the first tick
+    assert counts["frames"] == 1 + ticks + passes_per_step * (ticks - 1)
+    assert counts["constraint"] == ticks
 
 
 def test_record_count_and_time_grid(model):
@@ -217,16 +316,16 @@ def test_sensor_noise_is_seeded_and_deterministic(model):
     assert not np.array_equal(a.tau, quiet.tau)
 
 
-def _closed_loop(model, variant, q_offset, alpha, kp_task, kp_rcm, trocar):
+def _closed_loop(model, variant, q_offset, alpha, kp_task, kp_rcm, trocar,
+                 integrator="semi_implicit", port="off"):
     """A 0.05 s episode: its trace, and the tick it diverged at (or None)."""
     gains = GainSet.from_proportional(
         kp_task=kp_task, kp_rcm=kp_rcm, kd_null=NULL_DAMPING, n_joints=model.n
     )
     scenario = Scenario(alpha=alpha, trocar=trocar, q_init=DEFAULT_HOME + np.asarray(q_offset))
+    sim = SimConfig(duration=0.05, integrator=integrator, env=EnvModel(mode=port))
     try:
-        trace = run_episode(
-            model, ControlSetup(variant=variant, gains=gains), scenario, SimConfig(duration=0.05)
-        )
+        trace = run_episode(model, ControlSetup(variant=variant, gains=gains), scenario, sim)
     except SimulationDiverged as exc:
         assert exc.tick >= 0
         return exc.trace, exc.tick
@@ -243,28 +342,33 @@ ALPHA_MAX = {"p_approach": 0.99, "z_approach": 1.0, "uk": 1.0}
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_closed_loop_properties(model, variant, data):
-    # Random start near home, depth, gains and (for the controllers that
-    # handle one) trocar motion: every tick realizes the constraint command,
-    # the state stays finite unless the run reports its divergence tick, and
-    # a repeat run is bit-identical.
+    # Random start near home, depth, gains, integrator and (for the
+    # controllers that handle them) trocar motion and the soft port: the
+    # state stays finite unless the run reports its divergence tick, a repeat
+    # run is bit-identical, and without the port every tick realizes the
+    # constraint command. The port's force is an external torque the
+    # controllers do not model, so the gap need not vanish with it on.
     q_offset = data.draw(st.lists(st.floats(-0.05, 0.05), min_size=model.n, max_size=model.n))
     alpha = data.draw(st.floats(0.2, ALPHA_MAX[variant]))
     kp_task = data.draw(st.floats(200.0, 2000.0))
     kp_rcm = data.draw(st.floats(500.0, 3000.0))
-    trocar = TrocarSchedule()
+    integrator = data.draw(st.sampled_from(["semi_implicit", "rk4"]))
+    trocar, port = TrocarSchedule(), "off"
     if variant != "z_approach":
         trocar = TrocarSchedule(
             mode="sinusoidal",
             amplitude=data.draw(st.floats(0.0, 0.04)),
             frequency=data.draw(st.floats(0.0, 0.5)),
         )
-    args = (model, variant, q_offset, alpha, kp_task, kp_rcm, trocar)
+        port = data.draw(st.sampled_from(["off", "soft"]))
+    args = (model, variant, q_offset, alpha, kp_task, kp_rcm, trocar, integrator, port)
     trace, tick = _closed_loop(*args)
     again, tick_again = _closed_loop(*args)
     m = trace.filled
     assert tick == tick_again
     assert np.isfinite(trace.q[:m]).all() and np.isfinite(trace.qd[:m]).all()
-    assert trace.constraint_gap[:m].max() <= 1e-6
+    if port == "off":
+        assert trace.constraint_gap[:m].max() <= 1e-6
     assert np.array_equal(trace.q, again.q)
     assert np.array_equal(trace.tau, again.tau)
 
