@@ -102,12 +102,11 @@ class Chain:
     The stacked per-link matrix A (see ``KinFrames``) is kept transposed,
     as (n, 2, 3, n): [joint, linear/angular, row, link]. ``link_support``
     masks its angular block, ``gravity_load`` is the gravity part of the
-    per-link bias vector it multiplies and ``com_rows`` picks the COM
-    entries of a flat (3, points) array as (3, n). With the body
-    inertias factored as I = L L^T, ``rot_index`` gathers the link rotations
-    as rows [l, 3a + m] and ``chol`` (block-diagonal) turns them into the
-    rows of R_a L_a, [l, i n + a]; ``gyro`` maps the products u_p u_q of
-    u = L^T w_b, as [(3p + q) n + a], to L^-1 (w_b x I w_b).
+    per-link bias vector it multiplies. With the body inertias factored as
+    I = L L^T, ``rot_index`` gathers the link rotations as rows [l, 3a + m]
+    and ``chol`` (block-diagonal) turns them into the rows of R_a L_a,
+    [l, i n + a]; ``gyro`` maps the products u_p u_q of u = L^T w_b, as
+    [(3p + q) n + a], to L^-1 (w_b x I w_b).
     """
 
     n: int
@@ -122,7 +121,6 @@ class Chain:
     sqrt_m: np.ndarray
     link_support: np.ndarray
     gravity_load: np.ndarray
-    com_rows: np.ndarray
     rot_index: np.ndarray
     chol: np.ndarray
     gyro: np.ndarray
@@ -184,7 +182,6 @@ class Chain:
             sqrt_m=np.sqrt(masses),
             link_support=np.repeat(tri, 3, axis=0).reshape(n, 3 * n),
             gravity_load=gravity_load.ravel(),
-            com_rows=np.arange(3)[:, None] * n_points + np.arange(n),
             rot_index=rot_index.reshape(3, 3 * n),
             chol=chol_blocks.reshape(3 * n, 3 * n),
             gyro=gyro.reshape(9 * n, 3 * n),
@@ -396,7 +393,7 @@ class KinFrames:
         At = self._At
         y = np.empty((2, 3, n))
         # COM accelerations at qdd = 0 (the COMs are the first tracked points)
-        y[0] = qd.dot(Jv_dot.reshape(n, -1)).take(chain.com_rows) * chain.sqrt_m
+        y[0] = self._contract(Jv_dot)[:, :n] * chain.sqrt_m
         # L^T alpha_b = sum_j qdot_j L_a^T R_a^T zdot_j, and w_b x I w_b from
         # u = L^T w_b, the angular rows of A qdot
         u = qd.dot(At)[3 * n :].reshape(3, n)

@@ -73,8 +73,7 @@ def environment_force(x2d: np.ndarray, xdot2d: np.ndarray, env: EnvModel) -> np.
 def port_torque(J: np.ndarray, x: np.ndarray, xdot: np.ndarray, env: EnvModel) -> np.ndarray:
     """Joint torque of the port force: ``environment_force`` on the 2D pivot
     residual ``x``, ``xdot`` through its Jacobian ``J``. At a frame pass,
-    ``rcm.residual_terms`` gives the three; the tick's constraint state
-    holds them as its first two rows."""
+    ``rcm.residual_terms`` gives the three."""
     return J.T.dot(environment_force(x, xdot, env))
 
 
@@ -262,9 +261,9 @@ def step(
     force (env soft mode) is state dependent and recomputed at every
     evaluation of the dynamics, against ``trocar``: the trocar at the step's
     evaluation times, (t,) for the semi-implicit step and (t, t + dt/2,
-    t + dt) for RK4. ``qdd`` is the acceleration at ``state`` under these
-    inputs when the caller has it (the tick computes it from its own frame
-    pass); otherwise one frame pass gives it. Each later RK4 stage builds one
+    t + dt) for RK4 (read only in soft mode). ``qdd`` is the acceleration
+    at ``state`` under these inputs when the caller has it (the tick
+    computes it from its own frame pass); otherwise one frame pass gives it. Each later RK4 stage builds one
     frame pass, which gives M, h and the port force. The caller checks the
     new state.
     """
@@ -350,10 +349,11 @@ def run_episode(
     refs = spiral_reference(trace.t, spiral)
     trace.ref[:] = refs.x
     # The trocar on the grid the plant is evaluated on: the ticks, and for
-    # RK4 also the half steps between them. (2k) (dt/2) == k dt exactly, so
-    # the tick entries are those of the tick grid.
+    # the soft port under RK4 also the half steps between them.
+    # (2k) (dt/2) == k dt exactly, so the tick entries are those of the tick
+    # grid.
     port = sim.env.mode == ENV_SOFT
-    per_tick = 2 if sim.integrator == RK4 else 1
+    per_tick = 2 if port and sim.integrator == RK4 else 1
     trocars = trocar_schedule_eval(
         np.arange(per_tick * (records - 1) + 1) * (dt / per_tick), trocar_sched
     )
@@ -395,13 +395,7 @@ def run_episode(
             tau_dist = disturbance_eval(t, scenario.disturbances, model, kin_true)
             tau_ext = tau_dist
             if port:
-                # the snapshot's first two constraint rows are the 2D residual
-                # at the true state, in either residual mode
-                if noise is None:
-                    cs = snap.constraint
-                    rows = cs.J[:2], cs.x[:2], cs.xdot[:2]
-                else:
-                    rows = residual_terms(kin_true, state.qdot, trocar, RcmMode.TWO_D)
+                rows = residual_terms(kin_true, state.qdot, trocar, RcmMode.TWO_D)
                 tau_ext = tau_dist + port_torque(*rows, sim.env)
 
             if noise is None:
