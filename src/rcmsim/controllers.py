@@ -26,9 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularExtendedJacobian
-from .numerics import null_basis_and_pinv, row_factor, small_inv
+from .numerics import align_null_basis, null_basis_and_pinv, row_factor, small_inv
 from .projection import sym_inv
 from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin
+from . import robot
 from .robot import JointState, KinFrames, RobotModel, kinematics
 from .scenarios import TaskReference
 from .schema import NON_NEGATIVE, POSITIVE, Rule, fail
@@ -148,17 +149,18 @@ class ControllerOutput(NamedTuple):
 
     tau = tau_parallel + tau_perp + tau_ext_hat: ``tau_perp`` is the
     variant's constraint term Jc^T f, ``tau_parallel`` the free-motion rest
-    and ``tau_ext_hat`` the compensation torque actually added (zero when
-    compensation is off). ``constraint_accel_cmd`` is the constraint-space
-    joint acceleration the controller commands (what Jc qddot should equal in
-    closed loop). ``damped`` counts the tick's inertia inverses (the
-    variant's and the compensation's) that fell back to the damped inverse.
+    and ``tau_ext_hat`` the compensation torque actually added (the float
+    0.0 when compensation is off or there is no estimate).
+    ``constraint_accel_cmd`` is the constraint-space joint acceleration the
+    controller commands (what Jc qddot should equal in closed loop).
+    ``damped`` counts the tick's inertia inverses (the variant's and the
+    compensation's) that fell back to the damped inverse.
     """
 
     tau: np.ndarray
     tau_parallel: np.ndarray
     tau_perp: np.ndarray
-    tau_ext_hat: np.ndarray
+    tau_ext_hat: np.ndarray | float
     constraint_accel_cmd: np.ndarray
     damped: int
 
@@ -188,7 +190,8 @@ def build_snapshot(
     trocar: TrocarState,
     mode: RcmMode,
 ) -> ControlSnapshot:
-    kin = kinematics(model, state.q, state.qdot)
+    # through the module attribute, so a wrapper set there sees every pass
+    kin = robot.KinFrames(model.chain, state.q, state.qdot)
     J_task = kin.Jp_t
     return ControlSnapshot(
         state=state,
@@ -221,7 +224,7 @@ def nullspace_torque(
     q: np.ndarray, qdot: np.ndarray, q_init: np.ndarray, gains: GainSet
 ) -> np.ndarray:
     """Joint-space compliance about the initial configuration."""
-    return -gains.kd_null * qdot - gains.kp_null * (q - np.asarray(q_init, dtype=float))
+    return -gains.kd_null * qdot - gains.kp_null * (q - q_init)
 
 
 class ObserverState(NamedTuple):
@@ -278,7 +281,7 @@ def observer_step(
     n_new = _momentum_bias(kin, qd)
     n_mid = 0.5 * (obs.n_prev + n_new)
     r_old = -obs.tau_ext_hat
-    drift = obs.p_hat + dt * (np.asarray(tau_applied, dtype=float) - n_mid + 0.5 * r_old)
+    drift = obs.p_hat + dt * (tau_applied - n_mid + 0.5 * r_old)
     r_new = obs.gain * (kin.M @ qd - drift) / (1.0 + 0.5 * obs.gain * dt)
     p_hat = drift + 0.5 * dt * r_new
     return ObserverState(gain=obs.gain, p_hat=p_hat, tau_ext_hat=-r_new, n_prev=n_new)
@@ -297,7 +300,6 @@ def compensation_torque(
     n = snap.M.shape[0]
     if tau_ext_hat is None or mode == COMP_OFF:
         return np.zeros(n), False
-    tau_ext_hat = np.asarray(tau_ext_hat, dtype=float)
     if mode == COMP_FULL:
         return tau_ext_hat, False
     J_aug = np.concatenate([snap.J_task, snap.constraint.J], axis=0)
@@ -353,22 +355,18 @@ def control_torque(
         else uk_torque
     )
     tau_par, tau_perp, a_cmd, damped, carry = variant(snap, ref, setup, q_init, x_c_ref, carry)
+    tau = tau_par + tau_perp
+    if tau_ext_hat is None or setup.compensation == COMP_OFF:
+        return ControllerOutput(tau, tau_par, tau_perp, 0.0, a_cmd, damped), carry
     tau_comp, comp_damped = compensation_torque(tau_ext_hat, setup.compensation, snap)
-    out = ControllerOutput(
-        tau=tau_par + tau_perp + tau_comp,
-        tau_parallel=tau_par,
-        tau_perp=tau_perp,
-        tau_ext_hat=tau_comp,
-        constraint_accel_cmd=a_cmd,
-        damped=damped + comp_damped,
-    )
+    out = ControllerOutput(tau + tau_comp, tau_par, tau_perp, tau_comp, a_cmd, damped + comp_damped)
     return out, carry
 
 
 def _pivot_pd(cs: ConstraintState, gains: GainSet, x_c_ref: np.ndarray | None) -> np.ndarray:
     """Kd xdot_c + Kp (x_c - x_c_ref) on the k residual rows."""
     k = cs.J.shape[0]
-    x_err = cs.x if x_c_ref is None else cs.x - np.asarray(x_c_ref, dtype=float)
+    x_err = cs.x if x_c_ref is None else cs.x - x_c_ref
     return gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * x_err
 
 
@@ -482,13 +480,10 @@ def z_approach_torque(
     if carry is None:
         Z, Jc_pinv = null_basis_and_pinv(cs.J)
     else:
-        # Procrustes alignment to the carried basis (the SVD gauge rotates
-        # freely between ticks and would spike d/dt(Z^#)) is the polar factor
-        # of the carry projected onto null(Jc); the second projection drops
-        # what the SVD's rounding leaves outside null(Jc).
+        # Procrustes alignment to the carried basis: the SVD gauge rotates
+        # freely between ticks and would spike d/dt(Z^#).
         L, Q = row_factor(cs.J)
-        U, _, Vt = np.linalg.svd(carry.Z - Q.T.dot(Q.dot(carry.Z)), full_matrices=False)
-        Z = (U - Q.T.dot(Q.dot(U))).dot(Vt)
+        Z = align_null_basis(carry.Z, Q)
         Jc_pinv = Q.T.dot(small_inv(L))
     Minv_JcT, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
     # Z^# = Lambda_n^-1 Z^T M with Lambda_n = Z^T M Z equals
@@ -498,12 +493,18 @@ def z_approach_torque(
     # gives Zdot = -Jc^+ Jdot_c Z.
     Z_dot = -Jc_pinv.dot(cs.J_dot.dot(Z))
 
-    J_E = np.concatenate([cs.J, Z_sharp], axis=0)
-    sv = np.linalg.svd(J_E, compute_uv=False)
-    if sv[-1] <= STACKED_COND_TOL * sv[0]:
-        raise SingularExtendedJacobian(
-            f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})"
-        )
+    # With Jc Z = 0 and Z^T Z = I, J_E = [Jc; Z^#] has the inverse
+    # [M^-1 Jc^T Lambda_c, Z], so ||J_E||_F ||J_E^-1||_F bounds its condition
+    # number. Only a bound that does not clear the tolerance by a factor 2
+    # (room for the rounding of the formed inverse) leaves it to the SVD.
+    X = Minv_JcT.dot(Lambda_c)
+    bound_sq = (np.vdot(cs.J, cs.J) + np.vdot(Z_sharp, Z_sharp)) * (np.vdot(X, X) + Z.shape[1])
+    if 4.0 * STACKED_COND_TOL * STACKED_COND_TOL * bound_sq >= 1.0:
+        sv = np.linalg.svd(np.concatenate([cs.J, Z_sharp], axis=0), compute_uv=False)
+        if sv[-1] <= STACKED_COND_TOL * sv[0]:
+            raise SingularExtendedJacobian(
+                f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})"
+            )
 
     H_top = Lambda_c.dot(cs.J.dot(Minv.dot(h)) - cs.J_dot.dot(qd))
     # Lambda_n (Z^# M^-1 h - d/dt(Z^#) qd) with nu = Z^# qd, u = qd - Z nu.

@@ -23,18 +23,23 @@ def small_inv(A: np.ndarray) -> np.ndarray:
         adj = [[d, -b], [-c, a]]
         det = a * d - b * c
     elif A.shape == (3, 3):
-        a, b, c, d, e, f, g, h, i = A.ravel().tolist()
-        adj = [
-            [e * i - f * h, c * h - b * i, b * f - c * e],
-            [f * g - d * i, a * i - c * g, c * d - a * f],
-            [d * h - e * g, b * g - a * h, a * e - b * d],
-        ]
-        det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+        adj, det = adjugate3(*A.ravel().tolist())
     else:
         return np.linalg.inv(A)
     if det == 0.0:
         raise np.linalg.LinAlgError("Singular matrix")
     return np.array(adj) / det
+
+
+def adjugate3(a, b, c, d, e, f, g, h, i) -> tuple[list, float]:
+    """(adjugate as nested lists, determinant) of the 3x3 matrix with the
+    row-major entries a..i, in Python floats."""
+    adj = [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
+    return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
 
 
 def _check_rank(k: int, s_min: float, s_max: float):
@@ -91,3 +96,39 @@ def null_basis_and_pinv(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U, s, Vt = _row_basis(Jc, full_matrices=True)
     k = s.size
     return Vt[k:].T.copy(), (Vt[:k].T / s).dot(U.T)
+
+
+# Largest eigenvalue of G G^T (G = Q Z_prev) up to which ``align_null_basis``
+# takes its closed form: every singular value of the projected carry Y is
+# then at least sqrt(1/2).
+ALIGN_MAX_LOSS = 0.5
+
+
+def align_null_basis(Z_prev: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The orthonormal basis of null(Q) nearest the orthonormal ``Z_prev``
+    (orthogonal Procrustes): the polar factor of Y = Z_prev - Q^T G with
+    G = Q Z_prev, for ``Q`` with two orthonormal rows.
+
+    Y^T Y = I - G^T G, so Z = Y (I - G^T G)^-1/2 = Y + (Y G^T) f(K) G with
+    K = G G^T and f(l) = ((1 - l)^-1/2 - 1) / l = 1 / (s (1 + s)),
+    s = sqrt(1 - l) (Higham, SIAM J. Sci. Stat. Comput. 7, 1986). K is 2x2,
+    so f(K) = f(l2) I + f[l1, l2] (K - l2 I) from its eigenvalues, with the
+    divided difference in a form free of cancellation. The closed form
+    takes Z_prev^T Z_prev = I as given and holds while l1 <= ALIGN_MAX_LOSS;
+    past that, where the carry has all but lost a direction of null(Q), the
+    thin SVD of Y gives the factor.
+    """
+    G = Q.dot(Z_prev)
+    Y = Z_prev - Q.T.dot(G)
+    (a, b), (_, c) = G.dot(G.T).tolist()
+    mean, half_gap = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    l1, l2 = mean + half_gap, mean - half_gap
+    if l1 <= ALIGN_MAX_LOSS:
+        s1, s2 = math.sqrt(1.0 - l1), math.sqrt(1.0 - l2)
+        slope = (1.0 + s1 + s2) / ((s1 + s2) * s1 * s2 * (1.0 + s1) * (1.0 + s2))
+        shift = 1.0 / (s2 * (1.0 + s2)) - slope * l2
+        f_K = np.array([[shift + slope * a, slope * b], [slope * b, shift + slope * c]])
+        return Y + Y.dot(G.T).dot(f_K).dot(G)
+    # The second projection drops what the SVD's rounding leaves outside null(Q).
+    U, _, Vt = np.linalg.svd(Y, full_matrices=False)
+    return (U - Q.T.dot(Q.dot(U))).dot(Vt)

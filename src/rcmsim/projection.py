@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import small_inv
+from .numerics import adjugate3, small_inv
 
 # Relative eigenvalue floor below which the inverse is damped, and the damping.
 RTOL = 1e-9
@@ -23,16 +23,27 @@ def sym_inv(A: np.ndarray) -> tuple[np.ndarray, bool]:
     with RTOL ||A||_F ||A^-1||_F < 1 settles that without an eigensolve; only
     other matrices go through the eigendecomposition.
     """
-    A = 0.5 * (A + A.T)
-    try:
-        A_inv = small_inv(A)
-    except np.linalg.LinAlgError:
-        A_inv = None
+    if A.shape == (3, 3):
+        # The general path's bits (0.5 (A + A^T), then small_inv's cofactors;
+        # the diagonal is its own mean) in Python floats, without its numpy
+        # calls: every controller tick inverts a 3x3 tip inertia here.
+        a, b, c, d, e, f, g, h, i = A.ravel().tolist()
+        b, c, f = 0.5 * (b + d), 0.5 * (c + g), 0.5 * (f + h)
+        adj, det = adjugate3(a, b, c, b, e, f, c, f, i)
+        A_inv = np.array(adj) / det if det != 0.0 else None
+        norm_a = a * a + e * e + i * i + 2.0 * (b * b + c * c + f * f)
+    else:
+        sym = 0.5 * (A + A.T)
+        try:
+            A_inv = small_inv(sym)
+        except np.linalg.LinAlgError:
+            A_inv = None
+        norm_a = np.vdot(sym, sym)
     if A_inv is not None:
-        a, b = A.ravel(), A_inv.ravel()
-        if RTOL * RTOL * a.dot(a) * b.dot(b) < 1.0:
+        inv = A_inv.ravel()
+        if RTOL * RTOL * norm_a * inv.dot(inv) < 1.0:
             return A_inv, False
-    w, Q = np.linalg.eigh(A)
+    w, Q = np.linalg.eigh(0.5 * (A + A.T))
     w_abs = np.abs(w)
     if w_abs.min() > RTOL * w_abs.max():
         return (Q / w) @ Q.T, False

@@ -4,7 +4,7 @@ velocity profile, trocar placement/motion, scripted disturbance wrenches."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -149,6 +149,17 @@ class DisturbanceSchedule(Schema):
     events: list[DisturbanceEvent] = field(default_factory=list)
 
 
+def disturbance_arrays(sched: DisturbanceSchedule) -> DisturbanceSchedule:
+    """``sched`` with every event's vector as a float array, converted once
+    per episode rather than on every tick."""
+    kinds = ("flange_wrench", "joint_torque", "link2_force")
+    return DisturbanceSchedule([
+        replace(e, **{k: np.asarray(getattr(e, k), dtype=float)
+                      for k in kinds if getattr(e, k) is not None})
+        for e in sched.events
+    ])
+
+
 def disturbance_eval(
     t: float, sched: DisturbanceSchedule, model: RobotModel, kin: KinFrames
 ) -> np.ndarray:
@@ -164,10 +175,10 @@ def disturbance_eval(
         if not e.t0 <= t <= e.t1:
             continue
         if e.joint_torque is not None:
-            tau += np.asarray(e.joint_torque, dtype=float)
+            tau += e.joint_torque
         elif e.flange_wrench is not None:
-            tau += kin.J_r.T @ np.asarray(e.flange_wrench, dtype=float)
+            tau += kin.J_r.T @ e.flange_wrench
         else:
             J2, _ = kin.point_jacobian(1, model.coms[1])
-            tau += J2.T @ np.asarray(e.link2_force, dtype=float)
+            tau += J2.T @ e.link2_force
     return tau

@@ -18,6 +18,7 @@ from . import controllers as ctl
 from .controllers import ControlSetup
 from .errors import SimulationDiverged
 from .rcm import RcmMode, TrocarState, place_trocar, residual, residual_terms
+from . import robot
 from .robot import DEFAULT_HOME, JointState, RobotModel
 from .robot import kinematics as kinematics_of
 from .scenarios import (
@@ -26,6 +27,7 @@ from .scenarios import (
     SpiralParams,
     TaskReference,
     TrocarSchedule,
+    disturbance_arrays,
     disturbance_eval,
     spiral_reference,
     trocar_schedule_eval,
@@ -67,7 +69,7 @@ def environment_force(x2d: np.ndarray, xdot2d: np.ndarray, env: EnvModel) -> np.
     """
     if env.mode == ENV_OFF:
         return np.zeros(2)
-    return -env.stiffness * np.asarray(x2d) - env.damping * np.asarray(xdot2d)
+    return -env.stiffness * x2d - env.damping * xdot2d
 
 
 def port_torque(J: np.ndarray, x: np.ndarray, xdot: np.ndarray, env: EnvModel) -> np.ndarray:
@@ -99,6 +101,24 @@ class SimConfig(Schema):
     def check(self, path: str):
         if self.duration is not None and self.duration < self.dt:
             fail(join(path, "duration"), "must cover at least one step")
+
+
+# Relative distance of duration/dt from an integer within which the duration
+# counts as lying on the tick grid.
+GRID_RTOL = 1e-9
+
+
+def tick_count(duration: float, dt: float) -> int:
+    """Steps of ``dt`` in ``duration`` (see ``SimTrace``)."""
+    steps = duration / dt
+    nearest = round(steps)
+    return nearest if abs(steps - nearest) <= GRID_RTOL * steps else math.floor(steps)
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """No NaN or infinity in ``x`` (one numpy reduction, cheaper than
+    ``np.isfinite(x).all()`` at the tick's sizes)."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
 
 
 ALPHA = Rule(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
@@ -174,7 +194,11 @@ def _trace_columns(n: int) -> list[tuple[str, list[str]]]:
 class SimTrace:
     """Pre-allocated, uniformly sampled record of one episode.
 
-    Record count is floor(duration/dt) + 1; timestamps are i*dt exactly.
+    One record per tick, ``duration/dt`` steps and the start: the step count
+    is duration/dt rounded down, or to the nearest integer when within
+    ``GRID_RTOL`` (relative) of it, since a duration on the tick grid
+    rarely divides exactly in floating point (0.7 / 0.001 = 699.99...).
+    Timestamps are i*dt exactly.
     ``filled`` marks how many records are valid (less than capacity only when
     an episode diverges and a partial trace is returned).
     """
@@ -272,7 +296,7 @@ def step(
     port = env is not None and env.mode != ENV_OFF and trocar is not None
 
     def accel(q, qd, time_index):
-        kin = kinematics_of(model, q, qd)
+        kin = robot.KinFrames(model.chain, q, qd)
         load = tau + tau_ext - kin.h
         if port:
             rows = residual_terms(kin, qd, trocar[time_index], RcmMode.TWO_D)
@@ -328,7 +352,7 @@ def run_episode(
 
     mode = control.rcm_mode
     dt = sim.dt
-    records = int(np.floor(sim.duration / dt)) + 1
+    records = tick_count(sim.duration, dt) + 1
     trace = SimTrace(model.n, records, dt)
 
     obs = (
@@ -364,6 +388,8 @@ def run_episode(
 
     # z_r per tick, for the pivot points filled in after the loop
     z_r = np.empty((records, 3))
+    disturbances = disturbance_arrays(scenario.disturbances)
+    no_torque = np.zeros(model.n)
 
     tau_prev = None
     try:
@@ -382,27 +408,33 @@ def run_episode(
             snap = ctl.build_snapshot(model, meas, trocar, mode)
             # Observer update for the period that just ended, at the true state
             # (the snapshot's frame pass when the controller sees that state).
-            kin_true = snap.kin if noise is None else kinematics_of(model, state.q, state.qdot)
+            kin_true = (
+                snap.kin if noise is None else robot.KinFrames(model.chain, state.q, state.qdot)
+            )
             if obs is not None and tau_prev is not None:
                 obs = ctl.observer_step(obs, model, state, tau_prev, dt, kin=kin_true)
             tau_hat = obs.tau_ext_hat if obs is not None else None
 
             out, carry = ctl.control_torque(control, snap, ref, q0, tau_hat, x_c_ref, carry)
-            if not np.isfinite(out.tau).all():
+            if not all_finite(out.tau):
                 trace.filled = k
                 raise SimulationDiverged(k, t, "non-finite controller torque", trace)
 
-            tau_dist = disturbance_eval(t, scenario.disturbances, model, kin_true)
-            tau_ext = tau_dist
+            # tau_ext stays None while nothing external acts on the arm
+            tau_dist = tau_ext = None
+            if disturbances.events:
+                tau_dist = tau_ext = disturbance_eval(t, disturbances, model, kin_true)
             if port:
                 rows = residual_terms(kin_true, state.qdot, trocar, RcmMode.TWO_D)
-                tau_ext = tau_dist + port_torque(*rows, sim.env)
+                tau_port = port_torque(*rows, sim.env)
+                tau_ext = tau_port if tau_dist is None else tau_dist + tau_port
 
+            load = out.tau if tau_ext is None else out.tau + tau_ext
             if noise is None:
                 # the snapshot holds M^-1 and h at the true state
-                qdd = snap.Minv.dot(out.tau + tau_ext - snap.h)
+                qdd = snap.Minv.dot(load - snap.h)
             else:
-                qdd = np.linalg.solve(kin_true.M, out.tau + tau_ext - kin_true.h)
+                qdd = np.linalg.solve(kin_true.M, load - kin_true.h)
             gap = snap.constraint.J.dot(qdd) - out.constraint_accel_cmd
 
             # Record tick k (true plant state, not the measured one).
@@ -410,7 +442,8 @@ def run_episode(
             trace.q[k] = state.q
             trace.qd[k] = state.qdot
             trace.tau[k] = out.tau
-            trace.tau_ext[k] = tau_ext
+            if tau_ext is not None:
+                trace.tau_ext[k] = tau_ext
             if obs is not None:
                 trace.tau_ext_hat[k] = obs.tau_ext_hat
             trace.tip[k] = kin_true.pose_t.p
@@ -428,10 +461,10 @@ def run_episode(
             if per_tick == 2:
                 stage_trocars += (trocar_at(i + 1), trocar_at(i + 2))
             state = step(
-                model, state, out.tau, tau_dist, dt, sim.integrator,
-                env=sim.env, trocar=stage_trocars, qdd=qdd,
+                model, state, out.tau, no_torque if tau_dist is None else tau_dist, dt,
+                sim.integrator, env=sim.env, trocar=stage_trocars, qdd=qdd,
             )
-            if not (np.isfinite(state.q).all() and np.isfinite(state.qdot).all()):
+            if not (all_finite(state.q) and all_finite(state.qdot)):
                 raise SimulationDiverged(k + 1, t + dt, "non-finite state after step", trace)
             tau_prev = out.tau
     finally:

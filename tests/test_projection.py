@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rcmsim.numerics import small_inv
 from rcmsim.projection import sym_inv
 from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin
 from rcmsim.robot import DEFAULT_HOME, kinematics
@@ -187,3 +188,10 @@ def test_sym_inv_matches_inverse(rng):
     A_inv, damped = sym_inv(A)
     assert not damped
     assert np.abs(A_inv - np.linalg.inv(A)).max() < 1e-10
+    # the 3x3 path in Python floats keeps the bits of the general one:
+    # symmetric part, then the cofactor inverse
+    for _ in range(50):
+        A = _random_spd(rng, 3) * 10.0 ** rng.uniform(-3, 3) + 1e-9 * rng.standard_normal((3, 3))
+        A_inv, damped = sym_inv(A)
+        assert not damped
+        assert np.array_equal(A_inv, small_inv(0.5 * (A + A.T)))

@@ -201,6 +201,19 @@ def test_record_count_and_time_grid(model):
     assert np.array_equal(trace.t, np.arange(51) * 1e-3)
 
 
+@pytest.mark.parametrize("duration,steps", [(0.043, 43), (0.7, 700), (0.0435, 43)])
+def test_record_count_on_the_tick_grid(model, duration, steps):
+    # duration / dt is 42.99999999999999 for 0.043 s and 699.9999999999999
+    # for 0.7 s at 1 ms: a duration on the tick grid gets its last tick; one
+    # off the grid still rounds down.
+    assert sim_module.tick_count(duration, 1e-3) == steps
+    if duration < 0.1:
+        sim = SimConfig(duration=duration)
+        trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), sim)
+        assert trace.filled == steps + 1
+        assert np.array_equal(trace.t, np.arange(steps + 1) * 1e-3)
+
+
 def test_trace_preallocated_buffers_stable(model):
     sim = SimConfig(dt=1e-3, duration=0.05)
     trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), sim)
