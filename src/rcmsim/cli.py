@@ -63,6 +63,13 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rcmsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -71,13 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None,
                        help="output directory (default: config 'output' or ./out)")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=positive_int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="execute every *.json config in a directory")
     p_sweep.add_argument("--configs", required=True)
     p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=positive_int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics from a trace CSV")

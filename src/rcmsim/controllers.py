@@ -310,23 +310,18 @@ def compensation_torque(
     return J_aug.T.dot(Lam.dot(JMinv.dot(tau_ext_hat))), damped
 
 
-class ZCarry(NamedTuple):
-    """Null-basis continuity between ticks (previous aligned basis)."""
-
-    Z: np.ndarray
-
-
 class Torque(NamedTuple):
     """A variant's command before compensation: tau = parallel + perp, with
     ``perp`` its constraint term Jc^T f; ``accel_cmd`` is the Jc qddot it
     commands, ``damped`` whether its task-inertia inverse was damped and
-    ``carry`` what the variant hands to its next tick."""
+    ``carry`` what the variant hands to its next tick (z_approach: its
+    aligned null-space basis)."""
 
     parallel: np.ndarray
     perp: np.ndarray
     accel_cmd: np.ndarray
     damped: bool
-    carry: ZCarry | None = None
+    carry: np.ndarray | None = None
 
 
 def control_torque(
@@ -336,8 +331,8 @@ def control_torque(
     q_init: np.ndarray,
     tau_ext_hat: np.ndarray | None = None,
     x_c_ref: np.ndarray | None = None,
-    carry: ZCarry | None = None,
-) -> tuple[ControllerOutput, ZCarry | None]:
+    carry: np.ndarray | None = None,
+) -> tuple[ControllerOutput, np.ndarray | None]:
     """One controller tick: the configured variant plus the disturbance
     compensation of ``tau_ext_hat``; returns the output and the carry for
     the next tick.
@@ -417,7 +412,7 @@ def p_approach_torque(
     setup: ControlSetup,
     q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-    carry: ZCarry | None = None,
+    carry: np.ndarray | None = None,
 ) -> Torque:
     """Projected constraint-consistent controller.
 
@@ -462,7 +457,7 @@ def z_approach_torque(
     setup: ControlSetup,
     q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-    carry: ZCarry | None = None,
+    carry: np.ndarray | None = None,
 ) -> Torque:
     """Extended-Jacobian baseline controller (static trocar).
 
@@ -483,7 +478,7 @@ def z_approach_torque(
         # Procrustes alignment to the carried basis: the SVD gauge rotates
         # freely between ticks and would spike d/dt(Z^#).
         L, Q = row_factor(cs.J)
-        Z = align_null_basis(carry.Z, Q)
+        Z = align_null_basis(carry, Q)
         Jc_pinv = Q.T.dot(small_inv(L))
     Minv_JcT, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
     # Z^# = Lambda_n^-1 Z^T M with Lambda_n = Z^T M Z equals
@@ -521,8 +516,7 @@ def z_approach_torque(
     f_n = Z.T.dot(J.T.dot(f_f) + tau_0)
     # The torque realizes Jc qddot = mobility_c f_c - b_c.
     return Torque(
-        Z_sharp.T.dot(f_n + H_bot), cs.J.T.dot(f_c + H_top), mobility_c.dot(f_c) - cs.b, damped,
-        ZCarry(Z=Z),
+        Z_sharp.T.dot(f_n + H_bot), cs.J.T.dot(f_c + H_top), mobility_c.dot(f_c) - cs.b, damped, Z
     )
 
 
@@ -532,7 +526,7 @@ def uk_torque(
     setup: ControlSetup,
     q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-    carry: ZCarry | None = None,
+    carry: np.ndarray | None = None,
 ) -> Torque:
     """Udwadia-Kalaba baseline: the unconstrained tip law completed by the
     ideal constraint force.

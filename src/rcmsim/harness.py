@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -361,8 +360,13 @@ def run_matrix(configs: list[RunConfig], out_dir: str, jobs: int = 1) -> int:
     labels = [c.label for c in configs]
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate run labels in the config set")
-    if jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork-started pool starts all its workers at the first submit
+    workers = min(jobs, len(configs))
+    if workers > 1:
+        # imported here: multiprocessing costs every other run its import
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute, configs, [out_dir] * len(configs)))
     else:
         results = [_execute(cfg, out_dir) for cfg in configs]

@@ -208,11 +208,15 @@ class KinFrames:
 
     Eager: the joint ``axes`` and ``pose_r`` and ``pose_t`` (tool-reference
     frame and tip; same orientation). On first access: the 6xn geometric
-    Jacobians ``J_r``/``J_t`` and their rates ``Jdot_r``/``Jdot_t`` (exactly
-    zero at rest; ``Jp_t``/``Jpdot_t`` are the tip's translational rows
-    without the 6xn copy), the reference-frame angular velocity ``omega_r``,
-    ``M``, the bias torques ``h = c + g`` (velocity product and gravity) and
-    ``Mdot``.
+    Jacobians ``J_r``/``J_t`` and their rates ``Jdot_r``/``Jdot_t``
+    (``Jp_t``/``Jpdot_t`` are the tip's translational rows without the 6xn
+    copy), the reference-frame angular velocity ``omega_r``, ``M``, the bias
+    torques ``h = c + g`` (velocity product and gravity) and ``Mdot``.
+
+    There is no at-rest branch: every rate term carries a factor of qdot
+    (the link angular velocities, the contractions by qdot and u = A qdot),
+    so at qdot = 0 the formulas themselves give rates, ``c`` and ``Mdot``
+    that are exactly zero (some entries -0.0) and ``h`` equal to ``g``.
 
     The translational Jacobian columns z_j x (p_a - o_j) of all tracked
     points come from one product with the stacked axis skew matrices, and
@@ -229,8 +233,6 @@ class KinFrames:
         n = chain.n
         self.chain = chain
         self.qdot = np.zeros(n) if qdot is None else qdot
-        # count_nonzero: the cheapest exact test for a nonzero entry
-        self.moving = qdot is not None and np.count_nonzero(qdot) > 0
 
         # Joint transforms, then the flange; their prefix products (a
         # log-depth scan) are the joint frames and the tool-reference frame.
@@ -323,10 +325,6 @@ class KinFrames:
         """Link angular velocities, axis rates, the Jacobian rates of every
         tracked point (layout of ``_Jv``), the axis-rate skew rows and the
         rate of z_j x o_j."""
-        n = self.chain.n
-        if not self.moving:
-            zero = np.zeros((n, 3))
-            return zero, zero, np.zeros_like(self._Jv), np.zeros((3 * n, 3)), np.zeros(3 * n)
         # add.accumulate is what cumsum runs, without its wrapper's cost
         omega = np.add.accumulate(self.axes * self.qdot[:, None], 0)
         # zdot_j = w_j x z_j: entry (3j + i, j) of the products z_j x w_a
@@ -386,8 +384,6 @@ class KinFrames:
 
     @_lazy
     def h(self) -> np.ndarray:
-        if not self.moving:
-            return self.g
         chain, n, qd = self.chain, self.chain.n, self.qdot
         _, zdot, Jv_dot, *_ = self._rates
         At = self._At
@@ -410,8 +406,6 @@ class KinFrames:
     @_lazy
     def Mdot(self) -> np.ndarray:
         n = self.chain.n
-        if not self.moving:
-            return np.zeros((n, n))
         omega, zdot, Jv_dot, *_ = self._rates
         # d/dt (L_a^T R_a^T z_j) = L_a^T R_a^T (zdot_j + z_j x w_a), and
         # (z_j x w_a) . R_a L_a e_i = z_j . (w_a x R_a L_a e_i)

@@ -62,9 +62,6 @@ class JointState:
     q: np.ndarray
     qdot: np.ndarray
 
-    def copy(self) -> "JointState":
-        return JointState(self.q.copy(), self.qdot.copy())
-
 
 def _require(d: dict, key: str, path: str):
     if key not in d:

@@ -9,6 +9,7 @@ sees the exact simulated state (seeded sensor noise available as an option).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import controllers as ctl
 from .controllers import ControlSetup
-from .errors import SimulationDiverged
+from .errors import ConfigError, SimulationDiverged
 from .rcm import RcmMode, TrocarState, place_trocar, residual, residual_terms
 from . import robot
 from .robot import DEFAULT_HOME, JointState, RobotModel
@@ -165,8 +166,10 @@ def check_mode_support(path: str, variant: str, mode: RcmMode | None):
         fail(path, "the extended-Jacobian controller supports the 2D residual only")
 
 
-def _trace_columns(n: int) -> list[tuple[str, list[str]]]:
-    """The trace CSV layout: (trace attribute, its column names) in file order."""
+def _trace_columns(n: int) -> tuple[list, list]:
+    """The trace table's layout, as (attribute, column names) in table order:
+    the CSV columns in file order, then the columns kept in memory only. A
+    group of one column named like its attribute is a 1-D column."""
 
     def xyz(prefix, axes="xyz"):
         return [f"{prefix}_{a}" for a in axes]
@@ -174,7 +177,7 @@ def _trace_columns(n: int) -> list[tuple[str, list[str]]]:
     def joints(prefix):
         return [f"{prefix}{i + 1}" for i in range(n)]
 
-    return [
+    csv = [
         ("t", ["t"]),
         ("q", joints("q")),
         ("qd", joints("qd")),
@@ -189,6 +192,12 @@ def _trace_columns(n: int) -> list[tuple[str, list[str]]]:
         ("tau_ext", joints("tauext")),
         ("tau_ext_hat", joints("tauexthat")),
     ]
+    memory = [("qdd", joints("qdd")), ("constraint_gap", ["constraint_gap"]), ("z_r", xyz("zr"))]
+    return csv, memory
+
+
+def _csv_header(n: int) -> list[str]:
+    return [name for _, names in _trace_columns(n)[0] for name in names]
 
 
 class SimTrace:
@@ -201,71 +210,64 @@ class SimTrace:
     Timestamps are i*dt exactly.
     ``filled`` marks how many records are valid (less than capacity only when
     an episode diverges and a partial trace is returned).
+
+    The records are one float ``table``, one row per tick: the CSV columns in
+    file order, then the diagnostics kept in memory only (``qdd``,
+    ``constraint_gap`` = |Jc qddot - commanded| and ``z_r``, the
+    reference frame's z-axis). Every named attribute is a column view of it;
+    ``damped``, the tick's damped task-inertia inverses, is its own int8
+    array. Given a ``table`` (as ``read_trace_csv`` does, with ``dt`` None),
+    the trace is a view over its CSV columns and has no diagnostics.
     """
 
-    def __init__(self, n_joints: int, records: int, dt: float):
+    def __init__(self, n_joints: int, records: int, dt: float | None,
+                 table: np.ndarray | None = None):
         self.n = n_joints
         self.capacity = records
         self.dt = dt
         self.filled = 0
-        self.t = np.zeros(records)
-        self.q = np.zeros((records, n_joints))
-        self.qd = np.zeros((records, n_joints))
-        self.tau = np.zeros((records, n_joints))
-        self.tau_ext = np.zeros((records, n_joints))
-        self.tau_ext_hat = np.zeros((records, n_joints))
-        self.tip = np.zeros((records, 3))
-        self.ref = np.zeros((records, 3))
-        self.p_r = np.zeros((records, 3))
-        self.p_c = np.zeros((records, 3))
-        self.res2d = np.zeros((records, 2))
-        self.res3d = np.zeros((records, 3))
-        self.p_rcm = np.zeros((records, 3))
-        # Diagnostics kept in memory only (not part of the CSV contract):
-        # damped counts the tick's damped task-inertia inverses.
-        self.qdd = np.zeros((records, n_joints))
-        self.constraint_gap = np.zeros(records)
-        self.damped = np.zeros(records, dtype=np.int8)
-
-    def header(self) -> list[str]:
-        return [name for _, names in _trace_columns(self.n) for name in names]
-
-    def table(self) -> np.ndarray:
-        m = self.filled
-        return np.concatenate(
-            [getattr(self, attr)[:m].reshape(m, -1) for attr, _ in _trace_columns(self.n)], axis=1
-        )
+        csv, memory = _trace_columns(n_joints)
+        groups = csv
+        if table is None:
+            groups = csv + memory
+            table = np.zeros((records, sum(len(names) for _, names in groups)))
+            self.damped = np.zeros(records, dtype=np.int8)
+        self.table = table
+        start = 0
+        for attr, names in groups:
+            stop = start + len(names)
+            setattr(self, attr, table[:, start] if names == [attr] else table[:, start:stop])
+            start = stop
 
     def to_csv(self, path: str):
-        """One row per tick; floats printed with 17 significant digits so the
-        file round-trips bit-exactly."""
+        """One row per filled tick; floats printed with 17 significant digits
+        so the file round-trips bit-exactly."""
+        header = _csv_header(self.n)
         np.savetxt(
             path,
-            self.table(),
+            self.table[: self.filled, : len(header)],
             fmt="%.17g",
             delimiter=",",
-            header=",".join(self.header()),
+            header=",".join(header),
             comments="",
         )
 
 
-class TraceTable:
-    """Column view over a trace CSV; quacks like SimTrace for metrics."""
-
-    def __init__(self, header: list[str], data: np.ndarray):
-        idx = {name: i for i, name in enumerate(header)}
-        self.n = sum(1 for name in header if name.startswith("q") and name[1:].isdigit())
-        self.filled = data.shape[0]
-        for attr, names in _trace_columns(self.n):
-            setattr(self, attr, data[:, [idx[c] for c in names]])
-        self.t = self.t[:, 0]
-
-
-def read_trace_csv(path: str) -> TraceTable:
+def read_trace_csv(path: str) -> SimTrace:
+    """A trace CSV that ``SimTrace.to_csv`` wrote, every row filled; raises
+    ConfigError naming the first column that differs from the layout."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+    n = sum(1 for name in header if name.startswith("q") and name[1:].isdigit())
+    for i, (got, want) in enumerate(itertools.zip_longest(header, _csv_header(n))):
+        if got != want:
+            raise ConfigError(f"{path}: trace column {i + 1} is {got!r}, expected {want!r}")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return TraceTable(header, data)
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{path}: rows of {data.shape[1]} values under {len(header)} columns")
+    trace = SimTrace(n, len(data), None, table=data)
+    trace.filled = len(data)
+    return trace
 
 
 def step(
@@ -360,7 +362,7 @@ def run_episode(
         if control.observer
         else None
     )
-    carry: ctl.ZCarry | None = None
+    carry: np.ndarray | None = None
     noise = (
         np.random.default_rng(sim.noise_seed) if sim.sensor_noise_std > 0 else None
     )
@@ -386,8 +388,6 @@ def run_episode(
     def trocar_at(i: int) -> TrocarState:
         return TrocarState(trocars.p[i], trocars.pdot[i], trocars.pddot[i])
 
-    # z_r per tick, for the pivot points filled in after the loop
-    z_r = np.empty((records, 3))
     disturbances = disturbance_arrays(scenario.disturbances)
     no_torque = np.zeros(model.n)
 
@@ -449,7 +449,7 @@ def run_episode(
             trace.tip[k] = kin_true.pose_t.p
             trace.p_r[k] = pose_r.p
             trace.res3d[k] = pose_r.R.T.dot(pose_r.p - trocar.p)
-            z_r[k] = pose_r.R[:, 2]
+            trace.z_r[k] = pose_r.R[:, 2]
             trace.qdd[k] = qdd
             trace.constraint_gap[k] = math.sqrt(gap.dot(gap))
             trace.damped[k] = out.damped
@@ -473,6 +473,6 @@ def run_episode(
         # and the pivot point is p_r less its axial offset along z_r.
         m = trace.filled
         trace.res2d[:m] = trace.res3d[:m, :2]
-        trace.p_rcm[:m] = trace.p_r[:m] - trace.res3d[:m, 2:] * z_r[:m]
+        trace.p_rcm[:m] = trace.p_r[:m] - trace.res3d[:m, 2:] * trace.z_r[:m]
 
     return trace

@@ -191,8 +191,7 @@ def test_z_approach_null_basis_orthogonal_to_constraint(model, rng):
     state, trocar = _scenario_state(model, rng, qd_scale=0.4)
     ref = _hold_reference(model, state.q)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-    out, carry = _control("z_approach", snap, ref, _gains())
-    Z = carry.Z
+    _, Z = _control("z_approach", snap, ref, _gains())
     assert np.abs(snap.constraint.J @ Z).max() < 1e-9
     assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max() < 1e-10
 
@@ -219,8 +218,8 @@ def test_z_approach_basis_continuity(model, rng):
         snap = build_snapshot(model, st, trocar, RcmMode.TWO_D)
         out, carry = _control("z_approach", snap, ref, _gains(), carry=carry)
         if prev is not None:
-            assert np.abs(carry.Z - prev).max() < 5e-3
-        prev = carry.Z
+            assert np.abs(carry - prev).max() < 5e-3
+        prev = carry
 
 
 def test_z_approach_rejects_moving_trocar_in_episode():
@@ -260,7 +259,7 @@ def test_z_approach_episode_realizes_its_constraint_command(model, monkeypatch):
 
     def checked(snap, *args):
         out = variant(snap, *args)
-        Z, Jc = out.carry.Z, snap.constraint.J
+        Z, Jc = out.carry, snap.constraint.J
         worst["orthonormal"] = max(worst["orthonormal"], np.abs(Z.T @ Z - np.eye(Z.shape[1])).max())
         worst["null"] = max(worst["null"], np.abs(Jc @ Z).max() / np.abs(Jc).max())
         return out
@@ -301,7 +300,7 @@ def test_z_approach_stacked_bound_never_skips_a_singular_check(model, seed):
         singular = sv[-1] <= controllers.STACKED_COND_TOL * sv[0]
         with pytest.raises(SingularExtendedJacobian) if singular else nullcontext():
             _control("z_approach", snap, _hold_reference(model, state.q), _gains(),
-                     carry=controllers.ZCarry(Z_prev))
+                     carry=Z_prev)
     assert min(conds) < 1e9 and max(conds) > 1e11
 
 
@@ -393,12 +392,10 @@ def test_z_approach_matches_pre_change_torque(model):
         Z_prev = np.linalg.qr(
             np.linalg.svd(snap.constraint.J)[2][mode.k:].T + rng.uniform(-0.01, 0.01, (model.n, model.n - mode.k))
         )[0]
-        for carry in (None, controllers.ZCarry(Z_prev)):
+        for carry in (None, Z_prev):
             out, new_carry = _control("z_approach", snap, ref, gains, q_init, x_c_ref=x_ref, carry=carry)
-            tau_ref, Z_ref = z_approach_reference(
-                snap, ref, gains, q_init, x_ref, None if carry is None else carry.Z
-            )
-            assert np.abs(new_carry.Z - Z_ref).max() < 1e-9
+            tau_ref, Z_ref = z_approach_reference(snap, ref, gains, q_init, x_ref, carry)
+            assert np.abs(new_carry - Z_ref).max() < 1e-9
             worst = max(worst, _rel_err(out.tau, tau_ref))
     assert worst < 1e-9
 
@@ -417,8 +414,7 @@ def test_z_approach_alignment_with_nearly_lost_direction(model, rng):
         Z_prev = Z_null @ np.linalg.qr(rng.standard_normal((5, 5)))[0]
         Z_prev[:, -1] = 1e-8 * Z_prev[:, -1] + np.sqrt(1.0 - 1e-16) * Vt[0]
         Z_prev = np.linalg.qr(Z_prev)[0]
-        _, carry = _control("z_approach", snap, ref, _gains(), carry=controllers.ZCarry(Z_prev))
-        Z = carry.Z
+        _, Z = _control("z_approach", snap, ref, _gains(), carry=Z_prev)
         assert np.abs(Z.T @ Z - np.eye(5)).max() < 1e-12
         assert np.abs(Jc @ Z).max() < 1e-12 * np.abs(Jc).max()
         assert np.abs(Z - procrustes_align(Z_null, Z_prev)).max() < 1e-9

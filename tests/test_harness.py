@@ -277,6 +277,78 @@ def test_run_record_counts_damped_inverses_without_logging(tmp_path, caplog):
     assert [r["damped_inverses"] for r in results] == [201, 0]
 
 
+def _short_run(label: str, controller: str = "p_approach") -> dict:
+    return {"controller": controller, "label": label, "scenario": {"alpha": 0.5},
+            "sim": {"duration": 0.2}, "settle_time": 0.1}
+
+
+def test_run_matrix_pool_capped_at_config_count(tmp_path, monkeypatch):
+    # A fork-started pool starts all max_workers processes at the first
+    # submit: the pool never asks for more workers than there are configs.
+    import concurrent.futures
+
+    asked = []
+
+    class InlinePool:
+        """Records max_workers and runs the calls in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    configs = [config_from_dict(_short_run(label)) for label in ("a", "b")]
+    assert run_matrix(configs, str(tmp_path / "two"), jobs=64) == EXIT_OK
+    assert run_matrix(configs[:1], str(tmp_path / "one"), jobs=64) == EXIT_OK
+    assert asked == [2]
+    assert (tmp_path / "two" / "b" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
+    from rcmsim.cli import main
+
+    (tmp_path / "a.json").write_text(json.dumps(_short_run("a")))
+    where = (["--config", str(tmp_path / "a.json")] if command == "run"
+             else ["--configs", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, *where, "--out", str(tmp_path / "o"), "--jobs", jobs])
+    assert exc_info.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_matrix_pool_writes_the_serial_files(tmp_path):
+    # Two worker processes, one per config, into the directory the serial
+    # run wrote: every file has the serial bytes, and results.json differs
+    # only in the timings.
+    configs = [config_from_dict(_short_run("p")), config_from_dict(_short_run("u", "uk"))]
+    files = ["comparison.json", "p/trace.csv", "p/metrics.json", "u/trace.csv", "u/metrics.json"]
+
+    def written():
+        out = {name: (tmp_path / name).read_bytes() for name in files}
+        results = json.loads((tmp_path / "results.json").read_text())
+        for rec in results:
+            assert rec.pop("wall_s") > 0 and rec.pop("ticks_per_s") > 0
+        return out, results
+
+    assert run_matrix(configs, str(tmp_path), jobs=1) == EXIT_OK
+    serial = written()
+    for name in files + ["results.json"]:
+        (tmp_path / name).unlink()
+    assert run_matrix(configs, str(tmp_path), jobs=2) == EXIT_OK
+    assert written() == serial
+
+
 def test_run_matrix_duplicate_labels_rejected(tmp_path):
     cfg = config_from_dict(dict(MINIMAL))
     with pytest.raises(ConfigError, match="duplicate"):

@@ -99,8 +99,13 @@ def test_jacobian_matches_fk_finite_difference(model, rng):
     assert worst < 1e-6
 
 
-def test_jacobian_dot_zero_velocity(model):
-    assert np.abs(kinematics(model, DEFAULT_HOME, np.zeros(model.n)).Jdot_r).max() == 0.0
+def test_jacobian_dot_zero_velocity(model, rng):
+    # No at-rest branch: the general formulas give exact zeros for qdot = 0.
+    for q in [DEFAULT_HOME] + list(rng.uniform(-np.pi, np.pi, (5, model.n))):
+        kin = kinematics(model, q, np.zeros(model.n))
+        for rate in (kin.Jdot_r, kin.Jdot_t, kin.omega_r, kin.Mdot, kin.c):
+            assert np.abs(rate).max() == 0.0
+        assert np.array_equal(kin.h, kin.g)
 
 
 def test_jacobian_dot_independent_stencil(model, rng):

@@ -261,6 +261,57 @@ def test_trace_csv_round_trip(model, tmp_path):
     assert "prcm_z" in header and f"tauexthat{n}" in header
 
 
+def _swap_columns(line: str, i: int, j: int) -> str:
+    cells = line.rstrip("\n").split(",")
+    cells[i], cells[j] = cells[j], cells[i]
+    return ",".join(cells) + "\n"
+
+
+@pytest.mark.parametrize("edit", ["rename", "swap", "short_rows"])
+def test_trace_read_back_rejects_another_layout(model, tmp_path, capsys, edit):
+    # A reader that looked columns up by name would take the swapped file
+    # with its columns reordered; the layout is checked at the boundary.
+    from rcmsim.cli import main
+
+    trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), SimConfig(duration=0.02))
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    if edit == "rename":
+        col = header.index("qd3")
+        lines[0] = lines[0].replace(",qd3,", ",qdot3,")
+        message = f"column {col + 1} is 'qdot3', expected 'qd3'"
+    elif edit == "swap":
+        col, other = header.index("tip_x"), header.index("tip_y")
+        lines = [_swap_columns(line, col, other) for line in lines]
+        message = f"column {col + 1} is 'tip_y', expected 'tip_x'"
+    else:
+        lines[1:] = [line.rsplit(",", 1)[0] + "\n" for line in lines[1:]]
+        message = f"rows of {len(header) - 1} values under {len(header)} columns"
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=f"{message}$"):
+        read_trace_csv(str(path))
+    assert main(["metrics", "--trace", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_diverged_trace_reads_back_its_filled_rows(model, tmp_path):
+    bad = GainSet.from_proportional(kp_task=1e9, kd_task=0.0, n_joints=model.n)
+    with pytest.raises(SimulationDiverged) as exc_info:
+        run_episode(model, ControlSetup(gains=bad), Scenario(alpha=0.5), SimConfig(duration=0.3))
+    partial = exc_info.value.trace
+    m = partial.filled
+    assert 0 < m < partial.capacity
+    path = tmp_path / "trace.csv"
+    partial.to_csv(path)
+    back = read_trace_csv(str(path))
+    assert back.filled == back.capacity == m
+    width = back.table.shape[1]
+    assert back.table.tobytes() == partial.table[:m, :width].tobytes()
+    assert not hasattr(back, "qdd")
+
+
 def test_rk4_episode_runs(model):
     sim = SimConfig(dt=1e-3, duration=0.2, integrator="rk4")
     trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), sim)
