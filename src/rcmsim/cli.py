@@ -4,7 +4,8 @@ Subcommands: ``run`` (one config), ``sweep`` (directory of configs),
 ``metrics`` (recompute from a trace CSV), ``compare`` (metrics files).
 Each run's entry in ``results.json`` records its ticks, wall time, ticks/s,
 damped task-inertia inverses and largest constraint gap.
-Exit codes: 0 success, 2 config error, 3 divergence.
+Exit codes: 0 success; 2 a missing or malformed input file (config, model,
+trace, metrics) or ``--settle`` past the trace's end; 3 divergence.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .harness import (
     render_comparison,
     run_matrix,
 )
+from .schema import read_json
 
 
 def _cmd_run(args) -> int:
@@ -55,8 +57,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_compare(args) -> int:
     entries = []
     for path in args.metrics:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = MetricsRecord.from_dict(json.load(fh))
+        record = read_json(MetricsRecord, path)
         entries.append((os.path.basename(os.path.dirname(path)) or path, record))
     table = compare_runs(entries)
     print(render_comparison(table))

@@ -12,16 +12,16 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import controllers as ctl
 from .errors import ConfigError, ModelError, SimulationDiverged
 from .rcm import RcmMode
-from .robot import default_model_path, load_model
+from .robot import RobotModel, default_model_path, load_model
 from .scenarios import DisturbanceEvent, DisturbanceSchedule, SpiralParams, TrocarSchedule
-from .schema import NON_NEGATIVE, Rule, Schema, fail, setting
+from .schema import NON_NEGATIVE, Rule, Schema, fail, read_json, setting
 from .sim import (
     ALPHA,
     ControlSetup,
@@ -85,8 +85,9 @@ class SimSection(SimConfig):
 
 
 @functools.cache
-def _joint_count(model_path: str | None) -> int:
-    return load_model(model_path or default_model_path()).n
+def _load_model(model_path: str | None) -> RobotModel:
+    """The model at ``model_path``, loaded once for ``check`` and every ``build``."""
+    return load_model(model_path or default_model_path())
 
 
 @dataclass
@@ -132,7 +133,7 @@ class RunConfig(Schema):
         check_trocar_support("scenario", self.controller, sc.trocar)
         check_mode_support("rcm_mode", self.controller, self._mode)
         try:
-            n = _joint_count(self.model)
+            n = _load_model(self.model).n
         except ModelError as exc:
             fail("model", str(exc))
         check_joint_vectors(n, sc.q_init, "scenario.q_init",
@@ -140,7 +141,7 @@ class RunConfig(Schema):
 
     def build(self):
         """Materialize (model, control setup, scenario, sim config)."""
-        model = load_model(self.model or default_model_path())
+        model = _load_model(self.model)
         g = self.gains
         kp_null = g.kp_null if self.scenario.nullspace else 0.0
         kd_null = g.kd_null
@@ -167,35 +168,33 @@ class RunConfig(Schema):
         sim = SimConfig(**(vars(self.sim) | {"duration": self.duration}))
         return model, control, scenario, sim
 
+    def _fill_label(self, hint: str = ""):
+        """An empty label becomes ``hint`` (the file name), else the controller."""
+        self.label = self.label or hint or self.controller
 
-def config_from_dict(data: dict, label_hint: str = "") -> RunConfig:
+
+def config_from_dict(data: dict) -> RunConfig:
     """Strict parse with defaults; raises ConfigError naming the bad field."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     data = json.loads(json.dumps(data))  # deep copy, JSON-typed
     cfg = RunConfig.from_dict(data)
-    cfg.label = cfg.label or label_hint or cfg.controller
+    cfg._fill_label()
     cfg.validate()
     return cfg
 
 
 def parse_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    """The run config in the JSON file at ``path``, labelled after the file."""
     hint = os.path.splitext(os.path.basename(path))[0]
-    return config_from_dict(data, label_hint=hint)
+    return read_json(RunConfig, path, lambda cfg: cfg._fill_label(hint))
 
 
 # --- metrics ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(Schema):
     """Table-style summary of one run (settle-time transient excluded).
 
     Two mean-absolute-torque conventions are emitted because the averaging
@@ -205,35 +204,26 @@ class MetricsRecord:
     ``peak_total_torque`` is the alternative max over time of sum_i |tau_i|.
     """
 
-    tip_mae: tuple
-    residual_mae: tuple
+    tip_mae: list[float]
+    residual_mae: list[float]
     residual_norm_mean: float
     mean_abs_torque: float
-    mean_abs_torque_per_joint: tuple
+    mean_abs_torque_per_joint: list[float]
     peak_torque: float
     peak_total_torque: float
     total_torque_consumption: float
     smoothness: float
     settle_time: float
 
-    def to_dict(self) -> dict:
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsRecord":
-        values = ((f.name, data[f.name]) for f in fields(cls))
-        return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in values})
-
 
 def compute_metrics(trace, settle_time: float = 1.0) -> MetricsRecord:
     """Tracking, residual and torque statistics over t >= settle_time."""
     m = trace.filled
     if m == 0:
-        raise ValueError("empty trace")
+        raise ConfigError("empty trace")
     t = trace.t[:m]
     if settle_time >= t[-1]:
-        raise ValueError("settle_time must be smaller than the trace duration")
+        fail("settle_time", "must be smaller than the trace duration")
     sel = t >= settle_time
     tip_err = np.abs(trace.tip[:m][sel] - trace.ref[:m][sel])
     res = trace.res2d[:m][sel]
@@ -241,11 +231,11 @@ def compute_metrics(trace, settle_time: float = 1.0) -> MetricsRecord:
     dt = float(t[1] - t[0]) if m > 1 else 1.0
     dtau = np.diff(tau, axis=0) / dt
     return MetricsRecord(
-        tip_mae=tuple(tip_err.mean(axis=0)),
-        residual_mae=tuple(np.abs(res).mean(axis=0)),
+        tip_mae=tip_err.mean(axis=0).tolist(),
+        residual_mae=np.abs(res).mean(axis=0).tolist(),
         residual_norm_mean=float(np.linalg.norm(res, axis=1).mean()),
         mean_abs_torque=float(np.abs(tau).mean()),
-        mean_abs_torque_per_joint=tuple(np.abs(tau).mean(axis=0)),
+        mean_abs_torque_per_joint=np.abs(tau).mean(axis=0).tolist(),
         peak_torque=float(np.abs(tau).max()),
         peak_total_torque=float(np.abs(tau).sum(axis=1).max()),
         total_torque_consumption=float(np.abs(tau).sum(axis=1).mean()),

@@ -5,22 +5,22 @@ state; tool poses, Jacobians and their rates, the inertia matrix and the
 bias torques are all read from it, so the plant, the controllers and the
 constraint share one code path for each quantity.
 
-The model is fully data-driven from a JSON file (see ``load_model``). The
+The model is fully data-driven from a JSON file (``ModelFile``). The
 chain uses modified-DH parameters with revolute joints only; a rigid, massless
 tool of length ``l_tool`` extends along the tool-reference frame's z-axis.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from . import kernels
-from .errors import ModelError
+from .errors import ConfigError, ModelError
 from .kernels import KinFrames, Pose
+from .schema import POSITIVE, Rule, Schema, fail, join, length, read_json, setting
 
 DEFAULT_HOME = np.array(
     [0.0, -np.pi / 4, 0.0, -3 * np.pi / 4, 0.0, np.pi / 2, np.pi / 4]
@@ -63,90 +63,95 @@ class JointState:
     qdot: np.ndarray
 
 
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ModelError(f"missing field: {path}{key}")
-    return d[key]
+@dataclass
+class JointSpec(Schema):
+    """A joint's modified-DH row: a, d [m], alpha, theta_offset [rad]."""
+
+    a: float
+    d: float
+    alpha: float
+    theta_offset: float
 
 
-def _vec(value, length: int, path: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (length,):
-        raise ModelError(f"{path}: expected {length} numbers")
-    if not np.all(np.isfinite(arr)):
-        raise ModelError(f"{path}: non-finite value")
-    return arr
+@dataclass
+class LinkSpec(Schema):
+    """A link's mass [kg], COM [m] and inertia about the COM [kg m^2], in
+    the link frame."""
+
+    mass: float = setting(rule=POSITIVE)
+    com: list[float] = setting(rule=length(3))
+    inertia: list[list[float]] = setting(
+        rule=Rule(lambda v: [len(row) for row in v] == [3, 3, 3], "expected a 3x3 matrix")
+    )
+
+    def check(self, path: str):
+        inertia = np.array(self.inertia)
+        if np.max(np.abs(inertia - inertia.T)) > 1e-9:
+            fail(join(path, "inertia"), "not symmetric")
+        if np.linalg.eigvalsh(inertia)[0] <= 0:
+            fail(join(path, "inertia"), "not positive-definite")
+
+
+@dataclass
+class FlangeSpec(Schema):
+    """Fixed modified-DH transform after the last joint."""
+
+    a: float
+    d: float
+    alpha: float
+    theta: float
+
+
+@dataclass
+class ModelFile(Schema):
+    """The model file (see ``RobotModel`` for the units)."""
+
+    n: int = setting(rule=Rule(lambda v: v >= 1, "expected a positive integer"))
+    joints: list[JointSpec]
+    links: list[LinkSpec]
+    gravity: list[float] = setting(rule=length(3))
+    l_tool: float = setting(rule=POSITIVE)
+    flange: FlangeSpec | None = None
+    description: str = ""
+
+    def check(self, path: str):
+        for name in ("joints", "links"):
+            count = len(getattr(self, name))
+            if count != self.n:
+                fail(join(path, name), f"expected {self.n} entries, got {count}")
+
+    def model(self) -> RobotModel:
+        """The RobotModel these fields describe (arrays of float64)."""
+        f = self.flange
+        return RobotModel(
+            n=self.n,
+            dh=np.array([[j.a, j.d, j.alpha, j.theta_offset] for j in self.joints]),
+            masses=np.array([link.mass for link in self.links]),
+            coms=np.array([link.com for link in self.links]),
+            inertias=np.array([link.inertia for link in self.links]),
+            gravity=np.array(self.gravity),
+            l_tool=self.l_tool,
+            flange=np.zeros(4) if f is None else np.array([f.a, f.d, f.alpha, f.theta]),
+            description=self.description,
+        )
 
 
 def model_from_dict(data: dict) -> RobotModel:
     """Build and validate a RobotModel from parsed JSON."""
-    n = _require(data, "n", "")
-    if not isinstance(n, int) or n < 1:
-        raise ModelError("n: expected a positive integer")
-    joints = _require(data, "joints", "")
-    links = _require(data, "links", "")
-    if len(joints) != n:
-        raise ModelError(f"joints: expected {n} entries, got {len(joints)}")
-    if len(links) != n:
-        raise ModelError(f"links: expected {n} entries, got {len(links)}")
-
-    dh = np.zeros((n, 4))
-    for i, j in enumerate(joints):
-        path = f"joints[{i}]."
-        dh[i, 0] = float(_require(j, "a", path))
-        dh[i, 1] = float(_require(j, "d", path))
-        dh[i, 2] = float(_require(j, "alpha", path))
-        dh[i, 3] = float(_require(j, "theta_offset", path))
-
-    masses = np.zeros(n)
-    coms = np.zeros((n, 3))
-    inertias = np.zeros((n, 3, 3))
-    for i, link in enumerate(links):
-        path = f"links[{i}]."
-        masses[i] = float(_require(link, "mass", path))
-        if masses[i] <= 0:
-            raise ModelError(f"links[{i}].mass: must be positive")
-        coms[i] = _vec(_require(link, "com", path), 3, f"links[{i}].com")
-        inrt = np.asarray(_require(link, "inertia", path), dtype=float)
-        if inrt.shape != (3, 3):
-            raise ModelError(f"links[{i}].inertia: expected a 3x3 matrix")
-        if np.max(np.abs(inrt - inrt.T)) > 1e-9:
-            raise ModelError(f"links[{i}].inertia: not symmetric")
-        if np.linalg.eigvalsh(inrt)[0] <= 0:
-            raise ModelError(f"links[{i}].inertia: not positive-definite")
-        inertias[i] = inrt
-
-    gravity = _vec(_require(data, "gravity", ""), 3, "gravity")
-    l_tool = float(_require(data, "l_tool", ""))
-    if l_tool <= 0:
-        raise ModelError("l_tool: must be positive")
-
-    flange = np.zeros(4)
-    if "flange" in data:
-        f = data["flange"]
-        for k, key in enumerate(("a", "d", "alpha", "theta")):
-            flange[k] = float(_require(f, key, "flange."))
-
-    return RobotModel(
-        n=n,
-        dh=dh,
-        masses=masses,
-        coms=coms,
-        inertias=inertias,
-        gravity=gravity,
-        l_tool=l_tool,
-        flange=flange,
-        description=str(data.get("description", "")),
-    )
+    try:
+        spec = ModelFile.from_dict(data)
+        spec.validate()
+    except ConfigError as exc:
+        raise ModelError(str(exc)) from exc
+    return spec.model()
 
 
 def load_model(path: str) -> RobotModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"invalid JSON in {path}: {exc}") from exc
-    return model_from_dict(data)
+    """The model file at ``path``; a ModelError names the file or the field."""
+    try:
+        return read_json(ModelFile, path).model()
+    except ConfigError as exc:
+        raise ModelError(str(exc)) from exc
 
 
 def default_model_path() -> str:

@@ -1,19 +1,20 @@
-"""Run-config schema: dataclasses that load, validate and dump themselves.
+"""Input schema: dataclasses that load, validate and dump themselves.
 
 A schema class is a dataclass deriving from ``Schema``: its type hints say
-which JSON values a field takes, its defaults are the config defaults, and
-each field's range rule sits next to it (``setting(default, rule)``). Rules
-that involve more than one field go in the class's ``check`` method. The
-config loader and the boundary validation of library inputs run the same
-rules and raise a ``ConfigError`` naming the offending field's dotted path.
+which JSON values a field takes, its defaults are the defaults, and each
+field's range rule sits next to it (``setting(default, rule)``). Rules that
+involve more than one field go in the class's ``check`` method. ``read_json``
+loads every JSON file the package reads; it and the boundary validation of
+library inputs raise a ``ConfigError`` naming the field's dotted path.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import typing
-from dataclasses import MISSING, Field, field, fields, is_dataclass
+from dataclasses import MISSING, Field, field, fields
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -98,18 +99,19 @@ def _shape(hint) -> tuple:
 
 def _parse(hint, value, path: str, kind: str | None):
     """``value`` checked against the type ``hint``: bool, int, float, str,
-    ``X | None``, ``list[float]``, a schema class or a list of them."""
+    ``X | None``, ``list[float]``, a schema class, or a list of lists or of
+    schema classes (each item checked at ``path[i]``)."""
     optional, hint, item = _shape(hint)
     if optional and value is None:
         return None
-    if item is not None:
-        if is_dataclass(item):
-            if not isinstance(value, list):
-                fail(path, "expected a list")
-            return [item.from_dict(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if item is float:
         if not (isinstance(value, list) and all(map(_is_number, value))):
             fail(path, f"expected {kind or 'a list of numbers'}")
         return [_finite(v, path) for v in value]
+    if item is not None:
+        if not isinstance(value, list):
+            fail(path, f"expected {kind or 'a list'}")
+        return [_parse(item, v, f"{path}[{i}]", None) for i, v in enumerate(value)]
     if hint not in _SCALARS:
         return hint.from_dict(value, path)
     accepts, noun = _SCALARS[hint]
@@ -169,3 +171,23 @@ class Schema:
 
     def to_dict(self) -> dict:
         return {f.name: _dump(getattr(self, f.name)) for f, _ in _config_fields(type(self))}
+
+
+def read_json(cls, path: str, complete: Callable[[Any], None] | None = None):
+    """The schema class ``cls`` from the JSON file at ``path``: decoded,
+    loaded, completed by ``complete`` (defaults that depend on other fields)
+    and validated; a ``ConfigError`` names the file or the field."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: root must be a JSON object")
+    obj = cls.from_dict(data)
+    if complete is not None:
+        complete(obj)
+    obj.validate()
+    return obj

@@ -254,15 +254,19 @@ class SimTrace:
 
 
 def read_trace_csv(path: str) -> SimTrace:
-    """A trace CSV that ``SimTrace.to_csv`` wrote, every row filled; raises
-    ConfigError naming the first column that differs from the layout."""
+    """A trace CSV that ``SimTrace.to_csv`` wrote, every row filled (none if
+    header-only); raises ConfigError naming the first column that differs."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        header_only = not fh.read(1)  # loadtxt warns on a file with no rows
     n = sum(1 for name in header if name.startswith("q") and name[1:].isdigit())
     for i, (got, want) in enumerate(itertools.zip_longest(header, _csv_header(n))):
         if got != want:
             raise ConfigError(f"{path}: trace column {i + 1} is {got!r}, expected {want!r}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if header_only:
+        data = np.empty((0, len(header)))
+    else:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != len(header):
         raise ConfigError(f"{path}: rows of {data.shape[1]} values under {len(header)} columns")
     trace = SimTrace(n, len(data), None, table=data)

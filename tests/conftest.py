@@ -9,55 +9,55 @@ def model() -> RobotModel:
     return load_default_model()
 
 
-@pytest.fixture(scope="session")
-def planar_model() -> RobotModel:
-    """Planar 2R chain in the base x-y plane, l1 = l2 = 1.
-
-    The reference frame sits at the end of the second link (flange a = l2);
-    joint axes are base z, so gravity acts out of plane (-y keeps it planar).
-    """
-    d = {
-        "n": 2,
-        "joints": [
-            {"a": 0.0, "d": 0.0, "alpha": 0.0, "theta_offset": 0.0},
-            {"a": 1.0, "d": 0.0, "alpha": 0.0, "theta_offset": 0.0},
-        ],
-        "links": [
-            {"mass": 1.0, "com": [0.5, 0.0, 0.0],
-             "inertia": [[1e-3, 0, 0], [0, 1e-3, 0], [0, 0, 1e-3]]},
-            {"mass": 1.0, "com": [0.5, 0.0, 0.0],
-             "inertia": [[1e-3, 0, 0], [0, 1e-3, 0], [0, 0, 1e-3]]},
-        ],
-        "gravity": [0.0, -9.81, 0.0],
-        "l_tool": 0.2,
-        "flange": {"a": 1.0, "d": 0.0, "alpha": 0.0, "theta": 0.0},
-    }
-    return model_from_dict(d)
-
+# Planar 2R chain in the base x-y plane, l1 = l2 = 1. The reference frame
+# sits at the end of the second link (flange a = l2); joint axes are base z,
+# so gravity acts out of plane (-y keeps it planar).
+PLANAR_MODEL = {
+    "n": 2,
+    "joints": [
+        {"a": 0.0, "d": 0.0, "alpha": 0.0, "theta_offset": 0.0},
+        {"a": 1.0, "d": 0.0, "alpha": 0.0, "theta_offset": 0.0},
+    ],
+    "links": [
+        {"mass": 1.0, "com": [0.5, 0.0, 0.0],
+         "inertia": [[1e-3, 0, 0], [0, 1e-3, 0], [0, 0, 1e-3]]},
+        {"mass": 1.0, "com": [0.5, 0.0, 0.0],
+         "inertia": [[1e-3, 0, 0], [0, 1e-3, 0], [0, 0, 1e-3]]},
+    ],
+    "gravity": [0.0, -9.81, 0.0],
+    "l_tool": 0.2,
+    "flange": {"a": 1.0, "d": 0.0, "alpha": 0.0, "theta": 0.0},
+}
 
 PENDULUM_MASS = 1.3
 PENDULUM_LENGTH = 0.7
 
+# Point-mass pendulum about the base +y axis; q measures the angle from
+# hanging straight down (so the gravity torque is m g l sin q). The inertia
+# must be SPD; a point mass gets a negligible tensor.
+_EPS = 1e-12
+PENDULUM_MODEL = {
+    "n": 1,
+    "joints": [
+        {"a": 0.0, "d": 0.0, "alpha": -np.pi / 2, "theta_offset": np.pi / 2},
+    ],
+    "links": [
+        {"mass": PENDULUM_MASS, "com": [PENDULUM_LENGTH, 0.0, 0.0],
+         "inertia": [[_EPS, 0, 0], [0, _EPS, 0], [0, 0, _EPS]]},
+    ],
+    "gravity": [0.0, 0.0, -9.81],
+    "l_tool": 0.1,
+}
+
+
+@pytest.fixture(scope="session")
+def planar_model() -> RobotModel:
+    return model_from_dict(PLANAR_MODEL)
+
 
 @pytest.fixture(scope="session")
 def pendulum_model() -> RobotModel:
-    """Point-mass pendulum about the base +y axis; q measures the angle from
-    hanging straight down (so the gravity torque is m g l sin q)."""
-    m, length = PENDULUM_MASS, PENDULUM_LENGTH
-    eps = 1e-12  # inertia must be SPD; a point mass gets a negligible tensor
-    d = {
-        "n": 1,
-        "joints": [
-            {"a": 0.0, "d": 0.0, "alpha": -np.pi / 2, "theta_offset": np.pi / 2},
-        ],
-        "links": [
-            {"mass": m, "com": [length, 0.0, 0.0],
-             "inertia": [[eps, 0, 0], [0, eps, 0], [0, 0, eps]]},
-        ],
-        "gravity": [0.0, 0.0, -9.81],
-        "l_tool": 0.1,
-    }
-    return model_from_dict(d)
+    return model_from_dict(PENDULUM_MODEL)
 
 
 @pytest.fixture()

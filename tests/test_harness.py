@@ -394,6 +394,46 @@ def test_cli_run_and_metrics(tmp_path, capsys):
     ) == EXIT_OK
 
 
+METRICS = json.loads(json.dumps(_record().to_dict()))
+
+
+@pytest.mark.parametrize("fault,content,message", [
+    ("missing", None, "file not found: {path}"),
+    ("invalid_json", "{nope", "invalid JSON in {path}: "),
+    ("not_an_object", "[]", "{path}: root must be a JSON object"),
+    ("missing_field", {k: v for k, v in METRICS.items() if k != "smoothness"},
+     "smoothness: missing required field"),
+    ("unknown_field", {**METRICS, "bogus": 1.0}, "bogus: unknown field"),
+    ("string_number", {**METRICS, "peak_torque": "1.0"}, "peak_torque: expected a number"),
+    ("empty", {}, "tip_mae: missing required field"),
+])
+def test_cli_compare_rejects_a_malformed_metrics_file(tmp_path, capsys, fault, content, message):
+    from rcmsim.cli import main
+
+    good = tmp_path / "a" / "metrics.json"
+    good.parent.mkdir()
+    good.write_text(json.dumps(METRICS))
+    path = tmp_path / "b" / "metrics.json"
+    path.parent.mkdir()
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert main(["compare", "--metrics", str(good), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: " + message.format(path=path))
+
+
+def test_cli_compare_reads_a_metrics_file_back(tmp_path, capsys):
+    from rcmsim.cli import main
+
+    path = tmp_path / "a" / "metrics.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(METRICS))
+    assert main(["compare", "--metrics", str(path), str(path)]) == EXIT_OK
+    table = compare_runs([("a", _record()), ("a", _record())])
+    assert capsys.readouterr().out == render_comparison(table) + "\n"
+
+
 def test_cli_config_error_exit_code(tmp_path):
     from rcmsim.cli import main
 

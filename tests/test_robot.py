@@ -1,12 +1,26 @@
+import copy
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rcmsim.errors import ModelError
-from rcmsim.robot import DEFAULT_HOME, default_model_path, kinematics, model_from_dict
-from conftest import PENDULUM_LENGTH, PENDULUM_MASS, random_states
+from rcmsim.robot import (
+    DEFAULT_HOME,
+    default_model_path,
+    kinematics,
+    load_model,
+    model_from_dict,
+)
+from conftest import (
+    PENDULUM_LENGTH,
+    PENDULUM_MASS,
+    PENDULUM_MODEL,
+    PLANAR_MODEL,
+    random_states,
+)
 from oracles import forward_dynamics, inverse_dynamics
 
 
@@ -270,3 +284,144 @@ def test_model_rejects_bad_tool_length():
     d["l_tool"] = 0.0
     with pytest.raises(ModelError, match="l_tool"):
         model_from_dict(d)
+
+
+NAN, INF = math.nan, math.inf
+EYE = [[1e-3, 0, 0], [0, 1e-3, 0], [0, 0, 1e-3]]
+JOINT = {"a": 0.0, "d": 0.0, "alpha": 0.0, "theta_offset": 0.0}
+FLANGE = {"a": 0.0, "d": 0.0, "alpha": 0.0, "theta": 0.0}
+
+
+def _model_with(path, value) -> dict:
+    """``_minimal_dict`` with a flange and the dotted ``path`` set to ``value``."""
+    d = {**_minimal_dict(), "flange": dict(FLANGE)}
+    keys = [int(k[1:-1]) if k.startswith("[") else k for k in path.replace("[", ".[").split(".")]
+    node = d
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = copy.deepcopy(value)
+    return d
+
+
+# Every malformed model the loader rejects, with its exact message: the
+# run-config schema's type, finiteness and unknown-key rules, and the model's
+# own range and shape rules.
+MODEL_REJECTED = [
+    ("joints[0].a", NAN, "joints[0].a: must be finite"),
+    ("joints[0].d", INF, "joints[0].d: must be finite"),
+    ("joints[0].alpha", -INF, "joints[0].alpha: must be finite"),
+    ("joints[0].theta_offset", NAN, "joints[0].theta_offset: must be finite"),
+    ("links[0].mass", NAN, "links[0].mass: must be finite"),
+    ("links[0].mass", INF, "links[0].mass: must be finite"),
+    ("links[0].com", [0.0, NAN, 0.0], "links[0].com: must be finite"),
+    ("links[0].inertia", [[INF, 0, 0], [0, 1e-3, 0], [0, 0, 1e-3]],
+     "links[0].inertia[0]: must be finite"),
+    ("l_tool", INF, "l_tool: must be finite"),
+    ("l_tool", NAN, "l_tool: must be finite"),
+    ("gravity", [0.0, 0.0, NAN], "gravity: must be finite"),
+    ("gravity", [0.0, 0.0, -INF], "gravity: must be finite"),
+    ("flange.a", INF, "flange.a: must be finite"),
+    ("flange.theta", NAN, "flange.theta: must be finite"),
+    ("joints[0].a", "0.1", "joints[0].a: expected a number"),
+    ("joints[0].a", True, "joints[0].a: expected a number"),
+    ("links[0].mass", "1.0", "links[0].mass: expected a number"),
+    ("links[0].mass", False, "links[0].mass: expected a number"),
+    ("links[0].com", [0, "0", 0], "links[0].com: expected a list of numbers"),
+    ("links[0].com", [0, True, 0], "links[0].com: expected a list of numbers"),
+    ("links[0].inertia", [[1e-3, 0, 0], [0, "1e-3", 0], [0, 0, 1e-3]],
+     "links[0].inertia[1]: expected a list of numbers"),
+    ("l_tool", "0.5", "l_tool: expected a number"),
+    ("gravity", [0, 0, "-9.81"], "gravity: expected a list of numbers"),
+    ("flange.theta", True, "flange.theta: expected a number"),
+    ("n", True, "n: expected an integer"),
+    ("n", 1.0, "n: expected an integer"),
+    ("n", 0, "n: expected a positive integer"),
+    ("description", 5, "description: expected a string"),
+    ("flang", dict(FLANGE), "flang: unknown field"),
+    ("joints[0].theta", 0.0, "joints[0].theta: unknown field"),
+    ("links[0].masss", 1.0, "links[0].masss: unknown field"),
+    ("flange.theta_offset", 0.0, "flange.theta_offset: unknown field"),
+    ("joints[0]", 5, "joints[0]: expected an object"),
+    ("joints[0]", [0.0, 0.0, 0.0, 0.0], "joints[0]: expected an object"),
+    ("links[0]", None, "links[0]: expected an object"),
+    ("flange", [0.0, 0.0, 0.0, 0.0], "flange: expected an object"),
+    ("links", 5, "links: expected a list"),
+    ("links", {"0": {}}, "links: expected a list"),
+    ("joints", 5, "joints: expected a list"),
+    ("links[0].com", 5, "links[0].com: expected a list of numbers"),
+    ("links[0].com", [0.0, 0.0], "links[0].com: expected 3 numbers"),
+    ("gravity", [0.0, -9.81], "gravity: expected 3 numbers"),
+    ("links[0].inertia", 5, "links[0].inertia: expected a list"),
+    ("links[0].inertia", [1e-3, 1e-3, 1e-3], "links[0].inertia[0]: expected a list of numbers"),
+    ("links[0].inertia", [[1e-3, 0, 0], [0, 1e-3], [0, 0, 1e-3]],
+     "links[0].inertia: expected a 3x3 matrix"),
+    ("links[0].inertia", [[1e-3, 0], [0, 1e-3]], "links[0].inertia: expected a 3x3 matrix"),
+    ("links[0].inertia", EYE + [[0, 0, 0]], "links[0].inertia: expected a 3x3 matrix"),
+    ("links[0].inertia", [[1e-3, 1e-6, 0], [0, 1e-3, 0], [0, 0, 1e-3]],
+     "links[0].inertia: not symmetric"),
+    ("links[0].inertia", [[1e-3, 0, 0], [0, 0, 0], [0, 0, 1e-3]],
+     "links[0].inertia: not positive-definite"),
+    ("links[0].mass", 0.0, "links[0].mass: must be positive"),
+    ("l_tool", -0.1, "l_tool: must be positive"),
+    ("joints", [JOINT, JOINT], "joints: expected 1 entries, got 2"),
+    ("links", [], "links: expected 1 entries, got 0"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", MODEL_REJECTED)
+def test_model_rejection_message(path, value, message, tmp_path):
+    data = _model_with(path, value)
+    with pytest.raises(ModelError) as info:
+        model_from_dict(data)
+    assert str(info.value) == message
+    file = tmp_path / "model.json"
+    file.write_text(json.dumps(data))  # NaN and inf as the bare tokens json reads back
+    with pytest.raises(ModelError) as info:
+        load_model(str(file))
+    assert str(info.value) == message
+
+
+def test_model_file_errors_name_the_file(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ModelError, match=f"^file not found: {missing}$"):
+        load_model(str(missing))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    with pytest.raises(ModelError, match=f"^invalid JSON in {bad}: "):
+        load_model(str(bad))
+    bad.write_text("[]")
+    with pytest.raises(ModelError, match=f"^{bad}: root must be a JSON object$"):
+        load_model(str(bad))
+
+
+def _file_arrays(raw: dict) -> dict:
+    links = raw["links"]
+    flange = raw.get("flange")
+    return {
+        "dh": [[j[k] for k in ("a", "d", "alpha", "theta_offset")] for j in raw["joints"]],
+        "masses": [link["mass"] for link in links],
+        "coms": [link["com"] for link in links],
+        "inertias": [link["inertia"] for link in links],
+        "gravity": raw["gravity"],
+        "flange": [0.0] * 4 if flange is None else [flange[k] for k in ("a", "d", "alpha", "theta")],
+    }
+
+
+@pytest.mark.parametrize("name", ["default", "planar", "pendulum"])
+def test_model_arrays_are_the_file_values(name, model, planar_model, pendulum_model):
+    if name == "default":
+        with open(default_model_path()) as fh:
+            raw = json.load(fh)
+        loaded = [model, load_model(default_model_path())]
+    else:
+        raw = PLANAR_MODEL if name == "planar" else PENDULUM_MODEL
+        loaded = [planar_model if name == "planar" else pendulum_model]
+    for m in loaded:
+        assert m.n == raw["n"]
+        for attr, values in _file_arrays(raw).items():
+            expected = np.array(values, dtype=float)
+            got = getattr(m, attr)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, attr
+            assert got.tobytes() == expected.tobytes(), attr
+        assert m.l_tool == raw["l_tool"]
+        assert m.description == raw.get("description", "")

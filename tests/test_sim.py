@@ -23,6 +23,7 @@ from rcmsim.sim import (
     EnvModel,
     Scenario,
     SimConfig,
+    SimTrace,
     environment_force,
     read_trace_csv,
     run_episode,
@@ -310,6 +311,30 @@ def test_diverged_trace_reads_back_its_filled_rows(model, tmp_path):
     width = back.table.shape[1]
     assert back.table.tobytes() == partial.table[:m, :width].tobytes()
     assert not hasattr(back, "qdd")
+
+
+def test_header_only_trace_reads_back_empty(model, tmp_path, capsys):
+    from rcmsim.cli import main
+
+    path = tmp_path / "trace.csv"
+    SimTrace(model.n, 5, 1e-3).to_csv(path)
+    back = read_trace_csv(str(path))  # no numpy "no data" warning
+    assert back.filled == back.capacity == 0
+    assert back.tau.shape == (0, model.n)
+    assert main(["metrics", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: empty trace\n"
+
+
+@pytest.mark.parametrize("settle", ["0.02", "5"])
+def test_metrics_settle_past_the_trace_is_a_config_error(model, tmp_path, capsys, settle):
+    from rcmsim.cli import main
+
+    trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), SimConfig(duration=0.02))
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert main(["metrics", "--trace", str(path), "--settle", settle]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: settle_time: must be smaller than the trace duration\n"
 
 
 def test_rk4_episode_runs(model):
