@@ -4,8 +4,8 @@ Subcommands: ``run`` (one config), ``sweep`` (directory of configs),
 ``metrics`` (recompute from a trace CSV), ``compare`` (metrics files).
 Each run's entry in ``results.json`` records its ticks, wall time, ticks/s,
 damped task-inertia inverses and largest constraint gap.
-Exit codes: 0 success; 2 a missing or malformed input file (config, model,
-trace, metrics) or ``--settle`` past the trace's end; 3 divergence.
+Exit codes: 0 success; 2 a missing or malformed config, model or metrics file,
+a trace CSV off the layout or ``--settle`` past its end; 3 divergence.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_compare(args) -> int:
     entries = []
     for path in args.metrics:
-        record = read_json(MetricsRecord, path)
+        record = MetricsRecord.from_dict(read_json(path))
         entries.append((os.path.basename(os.path.dirname(path)) or path, record))
     table = compare_runs(entries)
     print(render_comparison(table))

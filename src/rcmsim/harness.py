@@ -168,18 +168,14 @@ class RunConfig(Schema):
         sim = SimConfig(**(vars(self.sim) | {"duration": self.duration}))
         return model, control, scenario, sim
 
-    def _fill_label(self, hint: str = ""):
-        """An empty label becomes ``hint`` (the file name), else the controller."""
-        self.label = self.label or hint or self.controller
 
-
-def config_from_dict(data: dict) -> RunConfig:
+def config_from_dict(data: dict, label_hint: str = "") -> RunConfig:
     """Strict parse with defaults; raises ConfigError naming the bad field."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     data = json.loads(json.dumps(data))  # deep copy, JSON-typed
     cfg = RunConfig.from_dict(data)
-    cfg._fill_label()
+    cfg.label = cfg.label or label_hint or cfg.controller
     cfg.validate()
     return cfg
 
@@ -187,7 +183,7 @@ def config_from_dict(data: dict) -> RunConfig:
 def parse_config(path: str) -> RunConfig:
     """The run config in the JSON file at ``path``, labelled after the file."""
     hint = os.path.splitext(os.path.basename(path))[0]
-    return read_json(RunConfig, path, lambda cfg: cfg._fill_label(hint))
+    return config_from_dict(read_json(path), label_hint=hint)
 
 
 # --- metrics ----------------------------------------------------------------

@@ -64,13 +64,25 @@ class JointState:
 
 
 @dataclass
-class JointSpec(Schema):
-    """A joint's modified-DH row: a, d [m], alpha, theta_offset [rad]."""
+class _DHRow(Schema):
+    """A modified-DH transform's a, d [m] and alpha [rad]; the subclass adds
+    its angle [rad]."""
 
     a: float
     d: float
     alpha: float
+
+
+@dataclass
+class JointSpec(_DHRow):
     theta_offset: float
+
+
+@dataclass
+class FlangeSpec(_DHRow):
+    """The fixed transform after the last joint."""
+
+    theta: float
 
 
 @dataclass
@@ -93,16 +105,6 @@ class LinkSpec(Schema):
 
 
 @dataclass
-class FlangeSpec(Schema):
-    """Fixed modified-DH transform after the last joint."""
-
-    a: float
-    d: float
-    alpha: float
-    theta: float
-
-
-@dataclass
 class ModelFile(Schema):
     """The model file (see ``RobotModel`` for the units)."""
 
@@ -120,21 +122,6 @@ class ModelFile(Schema):
             if count != self.n:
                 fail(join(path, name), f"expected {self.n} entries, got {count}")
 
-    def model(self) -> RobotModel:
-        """The RobotModel these fields describe (arrays of float64)."""
-        f = self.flange
-        return RobotModel(
-            n=self.n,
-            dh=np.array([[j.a, j.d, j.alpha, j.theta_offset] for j in self.joints]),
-            masses=np.array([link.mass for link in self.links]),
-            coms=np.array([link.com for link in self.links]),
-            inertias=np.array([link.inertia for link in self.links]),
-            gravity=np.array(self.gravity),
-            l_tool=self.l_tool,
-            flange=np.zeros(4) if f is None else np.array([f.a, f.d, f.alpha, f.theta]),
-            description=self.description,
-        )
-
 
 def model_from_dict(data: dict) -> RobotModel:
     """Build and validate a RobotModel from parsed JSON."""
@@ -143,15 +130,27 @@ def model_from_dict(data: dict) -> RobotModel:
         spec.validate()
     except ConfigError as exc:
         raise ModelError(str(exc)) from exc
-    return spec.model()
+    f, links = spec.flange, spec.links
+    return RobotModel(
+        n=spec.n,
+        dh=np.array([[j.a, j.d, j.alpha, j.theta_offset] for j in spec.joints]),
+        masses=np.array([link.mass for link in links]),
+        coms=np.array([link.com for link in links]),
+        inertias=np.array([link.inertia for link in links]),
+        gravity=np.array(spec.gravity),
+        l_tool=spec.l_tool,
+        flange=np.zeros(4) if f is None else np.array([f.a, f.d, f.alpha, f.theta]),
+        description=spec.description,
+    )
 
 
 def load_model(path: str) -> RobotModel:
     """The model file at ``path``; a ModelError names the file or the field."""
     try:
-        return read_json(ModelFile, path).model()
+        data = read_json(path)
     except ConfigError as exc:
         raise ModelError(str(exc)) from exc
+    return model_from_dict(data)
 
 
 def default_model_path() -> str:

@@ -4,8 +4,8 @@ A schema class is a dataclass deriving from ``Schema``: its type hints say
 which JSON values a field takes, its defaults are the defaults, and each
 field's range rule sits next to it (``setting(default, rule)``). Rules that
 involve more than one field go in the class's ``check`` method. ``read_json``
-loads every JSON file the package reads; it and the boundary validation of
-library inputs raise a ``ConfigError`` naming the field's dotted path.
+reads every JSON file the package loads; it and the boundary validation of
+library inputs raise a ``ConfigError`` naming the file or the field's path.
 """
 
 from __future__ import annotations
@@ -173,21 +173,18 @@ class Schema:
         return {f.name: _dump(getattr(self, f.name)) for f, _ in _config_fields(type(self))}
 
 
-def read_json(cls, path: str, complete: Callable[[Any], None] | None = None):
-    """The schema class ``cls`` from the JSON file at ``path``: decoded,
-    loaded, completed by ``complete`` (defaults that depend on other fields)
-    and validated; a ``ConfigError`` names the file or the field."""
+def read_json(path: str) -> dict:
+    """The JSON object in the file at ``path``; a ``ConfigError`` names the
+    file if it cannot be read, is not UTF-8 JSON or holds no object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, no read permission
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: root must be a JSON object")
-    obj = cls.from_dict(data)
-    if complete is not None:
-        complete(obj)
-    obj.validate()
-    return obj
+    return data

@@ -400,6 +400,8 @@ METRICS = json.loads(json.dumps(_record().to_dict()))
 @pytest.mark.parametrize("fault,content,message", [
     ("missing", None, "file not found: {path}"),
     ("invalid_json", "{nope", "invalid JSON in {path}: "),
+    ("invalid_utf8", b'{"bogus": "\xff"}', "invalid JSON in {path}: 'utf-8' codec can't decode"),
+    ("a_directory", "<dir>", "cannot read {path}: Is a directory"),
     ("not_an_object", "[]", "{path}: root must be a JSON object"),
     ("missing_field", {k: v for k, v in METRICS.items() if k != "smoothness"},
      "smoothness: missing required field"),
@@ -415,7 +417,11 @@ def test_cli_compare_rejects_a_malformed_metrics_file(tmp_path, capsys, fault, c
     good.write_text(json.dumps(METRICS))
     path = tmp_path / "b" / "metrics.json"
     path.parent.mkdir()
-    if content is not None:
+    if content == "<dir>":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     assert main(["compare", "--metrics", str(good), str(path)]) == 2
     captured = capsys.readouterr()
