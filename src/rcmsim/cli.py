@@ -4,8 +4,8 @@ Subcommands: ``run`` (one config), ``sweep`` (directory of configs),
 ``metrics`` (recompute from a trace CSV), ``compare`` (metrics files).
 Each run's entry in ``results.json`` records its ticks, wall time, ticks/s,
 damped task-inertia inverses and largest constraint gap.
-Exit codes: 0 success; 2 a missing or malformed config, model or metrics file,
-a trace CSV off the layout or ``--settle`` past its end; 3 divergence.
+Exit codes: 0 success; 2 a missing or malformed config, model, metrics or
+trace CSV file, or ``--settle`` past its end; 3 divergence.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .harness import (
     render_comparison,
     run_matrix,
 )
-from .schema import read_json
+from .schema import naming_file, read_json
 
 
 def _cmd_run(args) -> int:
@@ -57,7 +57,9 @@ def _cmd_metrics(args) -> int:
 def _cmd_compare(args) -> int:
     entries = []
     for path in args.metrics:
-        record = MetricsRecord.from_dict(read_json(path))
+        data = read_json(path)
+        with naming_file(path, "metrics"):
+            record = MetricsRecord.from_dict(data)
         entries.append((os.path.basename(os.path.dirname(path)) or path, record))
     table = compare_runs(entries)
     print(render_comparison(table))

@@ -14,8 +14,8 @@ compensation.
   ideal constraint force, in its reduced form (comparison baseline).
 
 The controllers are pure functions of the snapshot, the reference, the
-setup and the episode's start configuration; integration state (observer
-momentum, null-basis continuity) is passed explicitly by the caller.
+setup and the episode's start configuration; the one integration state,
+the observer's momentum, is passed explicitly by the caller.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularExtendedJacobian
-from .numerics import align_null_basis, null_basis_and_pinv, row_factor, small_inv
+from .numerics import row_factor, small_inv
 from .projection import sym_inv
 from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin
 from . import robot
@@ -313,15 +313,12 @@ def compensation_torque(
 class Torque(NamedTuple):
     """A variant's command before compensation: tau = parallel + perp, with
     ``perp`` its constraint term Jc^T f; ``accel_cmd`` is the Jc qddot it
-    commands, ``damped`` whether its task-inertia inverse was damped and
-    ``carry`` what the variant hands to its next tick (z_approach: its
-    aligned null-space basis)."""
+    commands and ``damped`` whether its task-inertia inverse was damped."""
 
     parallel: np.ndarray
     perp: np.ndarray
     accel_cmd: np.ndarray
     damped: bool
-    carry: np.ndarray | None = None
 
 
 def control_torque(
@@ -331,11 +328,9 @@ def control_torque(
     q_init: np.ndarray,
     tau_ext_hat: np.ndarray | None = None,
     x_c_ref: np.ndarray | None = None,
-    carry: np.ndarray | None = None,
-) -> tuple[ControllerOutput, np.ndarray | None]:
+) -> ControllerOutput:
     """One controller tick: the configured variant plus the disturbance
-    compensation of ``tau_ext_hat``; returns the output and the carry for
-    the next tick.
+    compensation of ``tau_ext_hat``.
 
     ``q_init`` is the centre of the null-space compliance. ``x_c_ref`` is
     the pivot-residual set-point (default zero); in the 3D residual its third
@@ -349,13 +344,12 @@ def control_torque(
         else z_approach_torque if setup.variant == Z_APPROACH
         else uk_torque
     )
-    tau_par, tau_perp, a_cmd, damped, carry = variant(snap, ref, setup, q_init, x_c_ref, carry)
+    tau_par, tau_perp, a_cmd, damped = variant(snap, ref, setup, q_init, x_c_ref)
     tau = tau_par + tau_perp
     if tau_ext_hat is None or setup.compensation == COMP_OFF:
-        return ControllerOutput(tau, tau_par, tau_perp, 0.0, a_cmd, damped), carry
-    tau_comp, comp_damped = compensation_torque(tau_ext_hat, setup.compensation, snap)
-    out = ControllerOutput(tau + tau_comp, tau_par, tau_perp, tau_comp, a_cmd, damped + comp_damped)
-    return out, carry
+        return ControllerOutput(tau, tau_par, tau_perp, 0.0, a_cmd, damped)
+    tau_c, damped_c = compensation_torque(tau_ext_hat, setup.compensation, snap)
+    return ControllerOutput(tau + tau_c, tau_par, tau_perp, tau_c, a_cmd, damped + damped_c)
 
 
 def _pivot_pd(cs: ConstraintState, gains: GainSet, x_c_ref: np.ndarray | None) -> np.ndarray:
@@ -412,7 +406,6 @@ def p_approach_torque(
     setup: ControlSetup,
     q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-    carry: np.ndarray | None = None,
 ) -> Torque:
     """Projected constraint-consistent controller.
 
@@ -457,67 +450,64 @@ def z_approach_torque(
     setup: ControlSetup,
     q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-    carry: np.ndarray | None = None,
 ) -> Torque:
     """Extended-Jacobian baseline controller (static trocar).
 
-    Stacks the constraint Jacobian over the inertia-weighted inverse of a
-    null-space basis Z of the constraint, drives the pivot residual with a PD
-    force and the tip task through the null-space rows. The bias torque is the
+    Stacks the constraint Jacobian over Z^# = Lambda_n^-1 Z^T M, the
+    inertia-weighted inverse of an orthonormal basis Z of null(Jc)
+    (Lambda_n = Z^T M Z), drives the pivot residual with a PD force and the
+    tip task through the null-space rows. The bias torque is the
     stacked-coordinate bias mapped through the stacked Jacobian transpose, so
     a resting arm at zero error receives exactly the gravity torque.
+
+    The torque depends on Z only through P = Z Z^T and the gauge-locked rate
+    Zdot = -Jc^+ Jdot_c Z, so it is formed without a basis. With Jc = L Q
+    (``row_factor``), G = M^-1 Jc^T Lambda_c, A = I - G Jc and nu = Z^# qd:
+
+        P = I - Q^T Q,  Jc^+ = Q^T L^-1,  Z^# = Z^T A,  Z nu = P A qd,
+        Z^#^T Z^T v = A^T P v,  Zdot nu = -Jc^+ Jdot_c Z nu,
+        Z Zdot^T = -P Jdot_c^T Jc^+^T.
     """
-    cs = snap.constraint
-    gains = setup.gains
-    M, h, Minv, J = snap.M, snap.h, snap.Minv, snap.J_task
-    qd = snap.state.qdot
-
-    if carry is None:
-        Z, Jc_pinv = null_basis_and_pinv(cs.J)
-    else:
-        # Procrustes alignment to the carried basis: the SVD gauge rotates
-        # freely between ticks and would spike d/dt(Z^#).
-        L, Q = row_factor(cs.J)
-        Z = align_null_basis(carry, Q)
-        Jc_pinv = Q.T.dot(small_inv(L))
+    cs, gains, qd = snap.constraint, setup.gains, snap.state.qdot
+    M, Minv, J, Jc = snap.M, snap.Minv, snap.J_task, cs.J
+    L, Q = row_factor(Jc)
+    P = np.eye(Jc.shape[1]) - Q.T.dot(Q)
+    Jc_pinv = Q.T.dot(small_inv(L))
     Minv_JcT, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
-    # Z^# = Lambda_n^-1 Z^T M with Lambda_n = Z^T M Z equals
-    # Z^T (I - M^-1 Jc^T Lambda_c Jc), so Lambda_n is never factored.
-    Z_sharp = Z.T - Z.T.dot(Minv_JcT).dot(Lambda_c.dot(cs.J))
-    # The gauge-locked basis keeps Z^T Zdot = 0, and d/dt(Jc Z) = 0 then
-    # gives Zdot = -Jc^+ Jdot_c Z.
-    Z_dot = -Jc_pinv.dot(cs.J_dot.dot(Z))
+    G = Minv_JcT.dot(Lambda_c)
 
-    # With Jc Z = 0 and Z^T Z = I, J_E = [Jc; Z^#] has the inverse
-    # [M^-1 Jc^T Lambda_c, Z], so ||J_E||_F ||J_E^-1||_F bounds its condition
-    # number. Only a bound that does not clear the tolerance by a factor 2
-    # (room for the rounding of the formed inverse) leaves it to the SVD.
-    X = Minv_JcT.dot(Lambda_c)
-    bound_sq = (np.vdot(cs.J, cs.J) + np.vdot(Z_sharp, Z_sharp)) * (np.vdot(X, X) + Z.shape[1])
+    # J_E = [Jc; Z^#] has the inverse [G, Z], so ||J_E||_F ||J_E^-1||_F bounds
+    # its condition number, with ||Z^#||_F^2 = ||P A||_F^2 = m + ||P G L||_F^2
+    # (Jc P = 0). Only a bound that does not clear the tolerance by a factor 2
+    # (room for the rounding of the formed inverse) leaves it to the SVD of
+    # [Jc; P A], whose singular values are those of J_E.
+    m = Jc.shape[1] - Jc.shape[0]
+    PGL = P.dot(G.dot(L))
+    bound_sq = (np.vdot(Jc, Jc) + m + np.vdot(PGL, PGL)) * (np.vdot(G, G) + m)
     if 4.0 * STACKED_COND_TOL * STACKED_COND_TOL * bound_sq >= 1.0:
-        sv = np.linalg.svd(np.concatenate([cs.J, Z_sharp], axis=0), compute_uv=False)
+        sv = np.linalg.svd(np.concatenate([Jc, P - PGL.dot(Q)]), compute_uv=False)
         if sv[-1] <= STACKED_COND_TOL * sv[0]:
             raise SingularExtendedJacobian(
                 f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})"
             )
 
-    H_top = Lambda_c.dot(cs.J.dot(Minv.dot(h)) - cs.J_dot.dot(qd))
-    # Lambda_n (Z^# M^-1 h - d/dt(Z^#) qd) with nu = Z^# qd, u = qd - Z nu.
-    nu = Z_sharp.dot(qd)
-    u = qd - Z.dot(nu)
-    H_bot = Z.T.dot(h - snap.kin.Mdot.dot(u) + M.dot(Z_dot.dot(nu))) - Z_dot.T.dot(M.dot(u))
-
+    H_top = Lambda_c.dot(Jc.dot(Minv.dot(snap.h)) - cs.J_dot.dot(qd))
     f_c = -_pivot_pd(cs, gains, x_c_ref)
     # Feedforward through this controller's own constrained tip mobility
     # J Z Lambda_n^-1 Z^T J^T = J N J^T: the acceleration reference maps exactly.
     Lambda_zn, damped = sym_inv(_free_mobility(J, Minv, Minv_JcT, Lambda_c)[1].dot(J.T))
     f_f = free_space_force(Lambda_zn, 0.0, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
     tau_0 = nullspace_torque(snap.state.q, qd, q_init, gains)
-    f_n = Z.T.dot(J.T.dot(f_f) + tau_0)
+    # Z (f_n + H_bot), with f_n = Z^T (J^T f_f + tau_0), the bias
+    # H_bot = Lambda_n (Z^# M^-1 h - d/dt(Z^#) qd) and u = qd - Z nu, is
+    # P (J^T f_f + tau_0 + h - Mdot u + M Zdot nu) - Z Zdot^T M u.
+    Z_nu = P.dot(qd - G.dot(Jc.dot(qd)))
+    u = qd - Z_nu
+    v = P.dot(J.T.dot(f_f) + tau_0 + snap.h - snap.kin.Mdot.dot(u)
+              - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Jc_pinv.T.dot(M.dot(u))))
     # The torque realizes Jc qddot = mobility_c f_c - b_c.
-    return Torque(
-        Z_sharp.T.dot(f_n + H_bot), cs.J.T.dot(f_c + H_top), mobility_c.dot(f_c) - cs.b, damped, Z
-    )
+    tau_par = v - Jc.T.dot(G.T.dot(v))
+    return Torque(tau_par, Jc.T.dot(f_c + H_top), mobility_c.dot(f_c) - cs.b, damped)
 
 
 def uk_torque(
@@ -526,7 +516,6 @@ def uk_torque(
     setup: ControlSetup,
     q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-    carry: np.ndarray | None = None,
 ) -> Torque:
     """Udwadia-Kalaba baseline: the unconstrained tip law completed by the
     ideal constraint force.

@@ -21,7 +21,7 @@ from .errors import ConfigError, ModelError, SimulationDiverged
 from .rcm import RcmMode
 from .robot import RobotModel, default_model_path, load_model
 from .scenarios import DisturbanceEvent, DisturbanceSchedule, SpiralParams, TrocarSchedule
-from .schema import NON_NEGATIVE, Rule, Schema, fail, read_json, setting
+from .schema import NON_NEGATIVE, Rule, Schema, fail, naming_file, read_json, setting
 from .sim import (
     ALPHA,
     ControlSetup,
@@ -173,7 +173,6 @@ def config_from_dict(data: dict, label_hint: str = "") -> RunConfig:
     """Strict parse with defaults; raises ConfigError naming the bad field."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    data = json.loads(json.dumps(data))  # deep copy, JSON-typed
     cfg = RunConfig.from_dict(data)
     cfg.label = cfg.label or label_hint or cfg.controller
     cfg.validate()
@@ -181,9 +180,11 @@ def config_from_dict(data: dict, label_hint: str = "") -> RunConfig:
 
 
 def parse_config(path: str) -> RunConfig:
-    """The run config in the JSON file at ``path``, labelled after the file."""
-    hint = os.path.splitext(os.path.basename(path))[0]
-    return config_from_dict(read_json(path), label_hint=hint)
+    """The run config in the JSON file at ``path``, labelled after the file;
+    a field error names the file."""
+    data = read_json(path)
+    with naming_file(path, "config"):
+        return config_from_dict(data, label_hint=os.path.splitext(os.path.basename(path))[0])
 
 
 # --- metrics ----------------------------------------------------------------

@@ -10,6 +10,7 @@ library inputs raise a ``ConfigError`` naming the file or the field's path.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -173,18 +174,26 @@ class Schema:
         return {f.name: _dump(getattr(self, f.name)) for f, _ in _config_fields(type(self))}
 
 
-def read_json(path: str) -> dict:
-    """The JSON object in the file at ``path``; a ``ConfigError`` names the
-    file if it cannot be read, is not UTF-8 JSON or holds no object."""
+@contextlib.contextmanager
+def naming_file(path: str, kind: str):
+    """Errors of reading the file at ``path`` or parsing it as ``kind`` turned
+    into ``ConfigError``s that name the file (in front of a ``ConfigError``'s own text)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
     except OSError as exc:  # a directory, no read permission
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, not the format
+        raise ConfigError(f"invalid {kind} in {path}: {exc}") from exc
+
+
+def read_json(path: str) -> dict:
+    """The JSON object in the file at ``path``; else a ``ConfigError`` names the file."""
+    with naming_file(path, "JSON"), open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: root must be a JSON object")
     return data

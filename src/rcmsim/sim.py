@@ -33,7 +33,7 @@ from .scenarios import (
     spiral_reference,
     trocar_schedule_eval,
 )
-from .schema import NON_NEGATIVE, POSITIVE, Rule, Schema, fail, join, length, setting
+from .schema import NON_NEGATIVE, POSITIVE, Rule, Schema, fail, join, length, naming_file, setting
 
 SEMI_IMPLICIT = "semi_implicit"
 RK4 = "rk4"
@@ -255,20 +255,21 @@ class SimTrace:
 
 def read_trace_csv(path: str) -> SimTrace:
     """A trace CSV that ``SimTrace.to_csv`` wrote, every row filled (none if
-    header-only); raises ConfigError naming the first column that differs."""
-    with open(path, "r", encoding="utf-8") as fh:
+    header-only); raises ConfigError naming the file and, for a layout off
+    the writer's, the first column that differs."""
+    with naming_file(path, "trace CSV"), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         header_only = not fh.read(1)  # loadtxt warns on a file with no rows
-    n = sum(1 for name in header if name.startswith("q") and name[1:].isdigit())
-    for i, (got, want) in enumerate(itertools.zip_longest(header, _csv_header(n))):
-        if got != want:
-            raise ConfigError(f"{path}: trace column {i + 1} is {got!r}, expected {want!r}")
-    if header_only:
-        data = np.empty((0, len(header)))
-    else:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != len(header):
-        raise ConfigError(f"{path}: rows of {data.shape[1]} values under {len(header)} columns")
+        n = sum(1 for name in header if name.startswith("q") and name[1:].isdigit())
+        for i, (got, want) in enumerate(itertools.zip_longest(header, _csv_header(n))):
+            if got != want:
+                raise ConfigError(f"trace column {i + 1} is {got!r}, expected {want!r}")
+        if header_only:
+            data = np.empty((0, len(header)))
+        else:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
+        if data.shape[1] != len(header):
+            raise ConfigError(f"rows of {data.shape[1]} values under {len(header)} columns")
     trace = SimTrace(n, len(data), None, table=data)
     trace.filled = len(data)
     return trace
@@ -366,7 +367,6 @@ def run_episode(
         if control.observer
         else None
     )
-    carry: np.ndarray | None = None
     noise = (
         np.random.default_rng(sim.noise_seed) if sim.sensor_noise_std > 0 else None
     )
@@ -419,7 +419,7 @@ def run_episode(
                 obs = ctl.observer_step(obs, model, state, tau_prev, dt, kin=kin_true)
             tau_hat = obs.tau_ext_hat if obs is not None else None
 
-            out, carry = ctl.control_torque(control, snap, ref, q0, tau_hat, x_c_ref, carry)
+            out = ctl.control_torque(control, snap, ref, q0, tau_hat, x_c_ref)
             if not all_finite(out.tau):
                 trace.filled = k
                 raise SimulationDiverged(k, t, "non-finite controller torque", trace)

@@ -16,8 +16,9 @@
   in their general form.
 * Controller references: the unconstrained operational-space PD law, the
   published inertia-square-root form of the Udwadia-Kalaba controller and
-  the extended-Jacobian controller as written before it shared the
-  controller core, with its Procrustes basis alignment and exact d/dt(Z^#).
+  the extended-Jacobian controller in its basis form, with an explicit
+  null-space basis (the SVD one or any rotation of it), Procrustes basis
+  alignment and exact d/dt(Z^#).
 """
 
 from dataclasses import dataclass
@@ -714,6 +715,11 @@ def uk_sqrt_reference(
     return Q + Q_ic + Q_nic + h
 
 
+def null_basis(Jc: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis of a full-row-rank ``Jc``, from its full SVD."""
+    return np.linalg.svd(Jc, full_matrices=True)[2][Jc.shape[0]:].T
+
+
 def procrustes_align(Z: np.ndarray, Z_ref: np.ndarray) -> np.ndarray:
     """Rotate an orthonormal basis to best match a reference basis:
     orthogonal Procrustes on Z^T Z_ref."""
@@ -740,18 +746,19 @@ def z_approach_reference(
     gains: GainSet,
     q_init: np.ndarray,
     x_c_ref=None,
-    Z_prev: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extended-Jacobian torque as computed before the shared controller
-    core: (tau, Z), with its own SVDs for the null basis and the
-    pseudoinverse and the torque formed through the stacked Jacobian."""
+    Z: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extended-Jacobian controller in its basis form: (tau, tau_perp,
+    constraint_accel_cmd), with the null basis ``Z`` (default: the SVD one),
+    an SVD pseudoinverse and the torque formed through the stacked Jacobian
+    J_E = [Jc; Z^#]. The gauge-locked rate Zdot = -Jc^+ Jdot_c Z holds the
+    basis still along null(Jc)."""
     cs = snap.constraint
     state = snap.state
     k = cs.J.shape[0]
     M, h, Minv = snap.M, snap.h, snap.Minv
-    Z = np.linalg.svd(cs.J, full_matrices=True)[2][k:].T
-    if Z_prev is not None:
-        Z = procrustes_align(Z, Z_prev)
+    if Z is None:
+        Z = null_basis(cs.J)
     Lambda_n = Z.T @ M @ Z
     Z_sharp = np.linalg.solve(Lambda_n, Z.T @ M)
     Lambda_c = np.linalg.inv(cs.J @ Minv @ cs.J.T)
@@ -771,5 +778,7 @@ def z_approach_reference(
     edot = ref.xdot - snap.tip_vel
     f_f = Lambda_zn @ ref.xddot + gains.kd_task * edot + gains.kp_task * e
     f_n = Z.T @ (J.T @ f_f) + Z.T @ nullspace_torque(state.q, state.qdot, q_init, gains)
-    return J_E.T @ np.concatenate([f_c + H_top, f_n + H_bot]), Z
+    tau_perp = cs.J.T @ (f_c + H_top)
+    accel_cmd = np.linalg.solve(Lambda_c, f_c) - cs.b
+    return J_E.T @ np.concatenate([f_c + H_top, f_n + H_bot]), tau_perp, accel_cmd
 

@@ -8,6 +8,7 @@ required key or an unknown key, one fault per case.
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -313,7 +314,20 @@ def test_label_stays_inside_the_output_directory(command, tmp_path, capsys):
     args = ["--config", str(configs / "a.json")] if command == "run" else ["--configs", str(configs)]
     assert main([command, *args, "--out", str(out)]) == EXIT_CONFIG
     assert sorted(p.name for p in tmp_path.iterdir()) == ["configs"]  # nothing written
-    assert capsys.readouterr().err == f"config error: {LABEL}\n"
+    assert capsys.readouterr().err == f"config error: {configs / 'a.json'}: {LABEL}\n"
+
+
+@pytest.mark.parametrize("path,value,message", [
+    ("sim.noise_seed", np.int64(3), "sim.noise_seed: expected an integer"),
+    ("scenario.observer", np.bool_(True), "scenario.observer: expected true/false"),
+    ("scenario.alpha", np.float32(0.5), "scenario.alpha: expected a number"),
+])
+def test_numpy_scalar_rejected_by_type(path, value, message):
+    # only Python's JSON types load; a numpy scalar is named like any other
+    # value of the wrong type
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(with_value(path, value))
+    assert str(info.value) == message
 
 
 def test_malformed_model_file_rejected(tmp_path):
@@ -340,7 +354,8 @@ def test_malformed_model_file_starts_no_run(command, tmp_path, capsys):
     args = ["--config", str(configs / "a.json")] if command == "run" else ["--configs", str(configs)]
     assert main([command, *args, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
-    assert capsys.readouterr().err == "config error: model: links: expected a list\n"
+    err = capsys.readouterr().err
+    assert err == f"config error: {configs / 'a.json'}: model: links: expected a list\n"
 
 
 @pytest.mark.parametrize("name", sorted(ESCAPES))
@@ -356,7 +371,7 @@ def test_escape_rejected_before_any_run(name, tmp_path, capsys):
     assert main(["run", "--config", str(configs / "b_bad.json"), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.count(f"config error: {message}\n") == 2
+    assert err.count(f"config error: {configs / 'b_bad.json'}: {message}\n") == 2
 
 
 def test_episode_boundary_uses_the_same_rules(model):

@@ -19,15 +19,15 @@ from rcmsim.controllers import (
     observer_step,
 )
 from rcmsim.errors import ConfigError, SingularExtendedJacobian
-from rcmsim.numerics import align_null_basis, null_basis_and_pinv, row_factor, small_inv
+from rcmsim.numerics import small_inv
 from rcmsim.rcm import RcmMode, TrocarState, place_trocar
 from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
 from rcmsim.scenarios import TaskReference
 from oracles import (
     forward_dynamics,
     matrix_sqrt,
+    null_basis,
     pinv,
-    procrustes_align,
     projection_state,
     uk_sqrt_reference,
     unconstrained_pd_torque,
@@ -118,7 +118,7 @@ def test_p_approach_annihilation_random_states(model, rng):
         state, trocar = _scenario_state(model, rng, qd_scale=0.5)
         ref = _hold_reference(model, state.q)
         snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-        out, _ = _control("p_approach", snap, ref, g)
+        out = _control("p_approach", snap, ref, g)
         P = projection_state(kinematics(model, state.q).M, snap.constraint.J).P
         assert np.abs(P @ out.tau_perp).max() < 1e-9
         assert np.abs(out.tau - (out.tau_parallel + out.tau_perp + out.tau_ext_hat)).max() < 1e-12
@@ -132,7 +132,7 @@ def test_p_approach_constraint_consistency_random_states(model, rng):
         state, trocar = _scenario_state(model, rng, qd_scale=0.8)
         ref = _hold_reference(model, state.q)
         snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-        out, _ = _control("p_approach", snap, ref, g)
+        out = _control("p_approach", snap, ref, g)
         qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
         assert np.abs(snap.constraint.J @ qdd - out.constraint_accel_cmd).max() < 1e-6
 
@@ -145,7 +145,7 @@ def test_p_approach_unconstrained_reduction(model):
     ref = _hold_reference(model, state.q)
     g = _gains()
     snap = without_constraint(build_snapshot(model, state, trocar, RcmMode.TWO_D))
-    out, _ = _control("p_approach", snap, ref, g)
+    out = _control("p_approach", snap, ref, g)
     tau_pd = unconstrained_pd_torque(snap, ref, g, DEFAULT_HOME)
     assert np.abs(out.tau - tau_pd).max() < 1e-10
     assert np.abs(out.tau_perp).max() == 0.0
@@ -160,7 +160,7 @@ def test_p_approach_equilibrium_accelerations(model):
     state, trocar = _scenario_state(model)
     ref = _hold_reference(model, state.q)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-    out, _ = _control("p_approach", snap, ref, _gains())
+    out = _control("p_approach", snap, ref, _gains())
     qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
     assert np.abs(snap.J_task @ qdd).max() < 1e-8
     assert np.abs(snap.constraint.J @ qdd).max() < 1e-8
@@ -176,7 +176,7 @@ def test_p_approach_moving_trocar_feedforward(model):
     trocar = TrocarState(p_c, np.zeros(3), acc)
     ref = _hold_reference(model, state.q)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-    out, _ = _control("p_approach", snap, ref, _gains())
+    out = _control("p_approach", snap, ref, _gains())
     qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
     xdd = snap.constraint.J @ qdd + snap.constraint.b
     # residual and rate are zero here, so the realized residual acceleration
@@ -187,39 +187,13 @@ def test_p_approach_moving_trocar_feedforward(model):
 # --- extended-Jacobian controller --------------------------------------------
 
 
-def test_z_approach_null_basis_orthogonal_to_constraint(model, rng):
-    state, trocar = _scenario_state(model, rng, qd_scale=0.4)
-    ref = _hold_reference(model, state.q)
-    snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-    _, Z = _control("z_approach", snap, ref, _gains())
-    assert np.abs(snap.constraint.J @ Z).max() < 1e-9
-    assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max() < 1e-10
-
-
 def test_z_approach_gravity_consistent_equilibrium(model):
     state, trocar = _scenario_state(model)
     ref = _hold_reference(model, state.q)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-    out, _ = _control("z_approach", snap, ref, _gains())
+    out = _control("z_approach", snap, ref, _gains())
     grav = kinematics(model, state.q, state.qdot).g
     assert np.abs(out.tau - grav).max() < 1e-8
-
-
-def test_z_approach_basis_continuity(model, rng):
-    # Consecutive calls along a trajectory keep the basis aligned; without the
-    # carried basis, the raw SVD gauge may jump.
-    state, trocar = _scenario_state(model)
-    qd = rng.uniform(-0.3, 0.3, model.n)
-    ref = _hold_reference(model, state.q)
-    carry = None
-    prev = None
-    for i in range(4):
-        st = JointState(state.q + 1e-3 * i * qd, qd)
-        snap = build_snapshot(model, st, trocar, RcmMode.TWO_D)
-        out, carry = _control("z_approach", snap, ref, _gains(), carry=carry)
-        if prev is not None:
-            assert np.abs(carry - prev).max() < 5e-3
-        prev = carry
 
 
 def test_z_approach_rejects_moving_trocar_in_episode():
@@ -248,31 +222,16 @@ def test_z_approach_rejects_3d_residual_in_episode(model):
         run_episode(model, control, Scenario(alpha=0.5), SimConfig(duration=0.01))
 
 
-def test_z_approach_episode_realizes_its_constraint_command(model, monkeypatch):
-    # The reported command is the Jc qddot the torque realizes, bias included.
-    # Over the paper's 20 s episode the carried basis, aligned every tick by
-    # a closed form that takes the previous one as orthonormal, stays an
-    # orthonormal basis of null(Jc).
+def test_z_approach_episode_realizes_its_constraint_command(model):
+    # The reported command is the Jc qddot the torque realizes, bias
+    # included, over the paper's 20 s episode.
     from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
 
-    worst = {"orthonormal": 0.0, "null": 0.0}
-
-    def checked(snap, *args):
-        out = variant(snap, *args)
-        Z, Jc = out.carry, snap.constraint.J
-        worst["orthonormal"] = max(worst["orthonormal"], np.abs(Z.T @ Z - np.eye(Z.shape[1])).max())
-        worst["null"] = max(worst["null"], np.abs(Jc @ Z).max() / np.abs(Jc).max())
-        return out
-
-    variant = controllers.z_approach_torque
-    monkeypatch.setattr(controllers, "z_approach_torque", checked)
     trace = run_episode(
         model, ControlSetup(variant="z_approach"), Scenario(alpha=0.5), SimConfig(duration=20.0)
     )
     assert trace.filled == 20001
     assert trace.constraint_gap.max() <= 1e-9
-    assert worst["orthonormal"] <= 1e-13
-    assert worst["null"] <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -281,7 +240,7 @@ def test_z_approach_stacked_bound_never_skips_a_singular_check(model, seed):
     # spreads the stacked Jacobian's condition number over about 1e8 to 1e12.
     # The closed-form bound may clear a tick only where the SVD would not
     # raise: the controller raises exactly when sigma_min <= 1e-10 sigma_max
-    # of J_E = [Jc; Z^#], formed here as the controller forms it.
+    # of J_E = [Jc; Z^#], formed here from a rotated SVD basis.
     rng = np.random.default_rng(seed)
     conds = []
     for _ in range(100):
@@ -291,16 +250,14 @@ def test_z_approach_stacked_bound_never_skips_a_singular_check(model, seed):
         cs = snap.constraint
         cs = cs._replace(x=s * cs.x, J=s * cs.J, J_dot=s * cs.J_dot, xdot=s * cs.xdot, b=s * cs.b)
         snap = snap._replace(constraint=cs)
-        Z_prev = null_basis_and_pinv(cs.J)[0] @ np.linalg.qr(rng.standard_normal((5, 5)))[0]
-        Z = align_null_basis(Z_prev, row_factor(cs.J)[1])
+        Z = null_basis(cs.J) @ np.linalg.qr(rng.standard_normal((5, 5)))[0]
         Minv_JcT = snap.Minv.dot(cs.J.T)
         Z_sharp = Z.T - Z.T.dot(Minv_JcT).dot(small_inv(cs.J.dot(Minv_JcT)).dot(cs.J))
         sv = np.linalg.svd(np.concatenate([cs.J, Z_sharp]), compute_uv=False)
         conds.append(sv[0] / sv[-1])
         singular = sv[-1] <= controllers.STACKED_COND_TOL * sv[0]
         with pytest.raises(SingularExtendedJacobian) if singular else nullcontext():
-            _control("z_approach", snap, _hold_reference(model, state.q), _gains(),
-                     carry=Z_prev)
+            _control("z_approach", snap, _hold_reference(model, state.q), _gains())
     assert min(conds) < 1e9 and max(conds) > 1e11
 
 
@@ -314,7 +271,7 @@ def test_uk_constraint_satisfaction_random_states(model, rng):
         ref = _hold_reference(model, state.q)
         snap = build_snapshot(model, state, trocar, RcmMode.THREE_D)
         x_ref = snap.constraint.x.copy()
-        out, _ = _control("uk", snap, ref, g, x_c_ref=x_ref)
+        out = _control("uk", snap, ref, g, x_c_ref=x_ref)
         qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
         assert np.abs(snap.constraint.J @ qdd - out.constraint_accel_cmd).max() < 1e-6
 
@@ -327,7 +284,7 @@ def test_uk_zero_feedback_reduction(model):
     g = _gains()
     snap = build_snapshot(model, state, trocar, RcmMode.THREE_D)
     x_ref = snap.constraint.x.copy()  # zero residual error by construction
-    out, _ = _control("uk", snap, ref, g, x_c_ref=x_ref)
+    out = _control("uk", snap, ref, g, x_c_ref=x_ref)
     M, h = snap.M, snap.h
     S = matrix_sqrt(M)
     Pi = snap.constraint.J @ np.linalg.solve(S, np.eye(model.n))
@@ -375,7 +332,7 @@ def test_uk_reduced_form_matches_sqrt_reference(model, mode, moving):
     worst = 0.0
     for _ in range(50):
         snap, ref, gains, q_init, x_ref = _random_case(model, rng, mode, moving)
-        out, _ = _control("uk", snap, ref, gains, q_init, x_c_ref=x_ref)
+        out = _control("uk", snap, ref, gains, q_init, x_c_ref=x_ref)
         worst = max(worst, _rel_err(out.tau, uk_sqrt_reference(snap, ref, gains, q_init, x_ref)))
     assert worst < 1e-9
 
@@ -388,43 +345,23 @@ def test_z_approach_matches_pre_change_torque(model):
     worst = 0.0
     for _ in range(50):
         snap, ref, gains, q_init, x_ref = _random_case(model, rng, mode, moving=False)
-        # a carried basis from a nearby state exercises the Procrustes alignment
-        Z_prev = np.linalg.qr(
-            np.linalg.svd(snap.constraint.J)[2][mode.k:].T + rng.uniform(-0.01, 0.01, (model.n, model.n - mode.k))
-        )[0]
-        for carry in (None, Z_prev):
-            out, new_carry = _control("z_approach", snap, ref, gains, q_init, x_c_ref=x_ref, carry=carry)
-            tau_ref, Z_ref = z_approach_reference(snap, ref, gains, q_init, x_ref, carry)
-            assert np.abs(new_carry - Z_ref).max() < 1e-9
-            worst = max(worst, _rel_err(out.tau, tau_ref))
+        out = _control("z_approach", snap, ref, gains, q_init, x_c_ref=x_ref)
+        # The projector form matches the basis form for the SVD basis and for
+        # random rotations of it: the torque does not depend on the basis.
+        Z = null_basis(snap.constraint.J)
+        m = Z.shape[1]
+        for R in [np.eye(m)] + [np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in range(3)]:
+            tau, tau_perp, accel_cmd = z_approach_reference(snap, ref, gains, q_init, x_ref, Z @ R)
+            worst = max(worst, _rel_err(out.tau, tau), _rel_err(out.tau_perp, tau_perp),
+                        _rel_err(out.constraint_accel_cmd, accel_cmd))
     assert worst < 1e-9
-
-
-def test_z_approach_alignment_with_nearly_lost_direction(model, rng):
-    # A carried basis with one direction almost orthogonal to the new null
-    # space (its null-space share is 1e-8): the polar factor of the projected
-    # carry still gives an orthonormal basis of null(Jc), the Procrustes one.
-    for _ in range(10):
-        state, trocar = _scenario_state(model, rng, qd_scale=0.5)
-        ref = _hold_reference(model, state.q)
-        snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-        Jc = snap.constraint.J
-        Vt = np.linalg.svd(Jc)[2]
-        Z_null = Vt[2:].T
-        Z_prev = Z_null @ np.linalg.qr(rng.standard_normal((5, 5)))[0]
-        Z_prev[:, -1] = 1e-8 * Z_prev[:, -1] + np.sqrt(1.0 - 1e-16) * Vt[0]
-        Z_prev = np.linalg.qr(Z_prev)[0]
-        _, Z = _control("z_approach", snap, ref, _gains(), carry=Z_prev)
-        assert np.abs(Z.T @ Z - np.eye(5)).max() < 1e-12
-        assert np.abs(Jc @ Z).max() < 1e-12 * np.abs(Jc).max()
-        assert np.abs(Z - procrustes_align(Z_null, Z_prev)).max() < 1e-9
 
 
 def test_per_tick_factorizations(model, rng, monkeypatch):
     # uk forms neither M^1/2 nor a pseudoinverse nor a projector; p_approach
     # applies its projector through the two-row factor, without an SVD;
-    # z_approach with a carried basis aligns it and bounds the stacked
-    # conditioning in closed form: no SVD, no numpy solve or inverse.
+    # z_approach, on its first call, works in projector form and bounds the
+    # stacked conditioning in closed form: no SVD, no numpy solve or inverse.
     calls = []
 
     def counted(name, fn):
@@ -442,7 +379,6 @@ def test_per_tick_factorizations(model, rng, monkeypatch):
     ref = _hold_reference(model, state.q)
     snap_3d = build_snapshot(model, state, trocar, RcmMode.THREE_D)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-    _, carry = _control("z_approach", snap, ref, _gains())
     for name in ("svd", "solve", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     with monkeypatch.context() as patch:
@@ -451,7 +387,7 @@ def test_per_tick_factorizations(model, rng, monkeypatch):
     assert calls == []
     _control("p_approach", snap, ref, _gains())
     assert calls == []
-    _control("z_approach", snap, ref, _gains(), carry=carry)
+    _control("z_approach", snap, ref, _gains())
     assert calls == []
 
 

@@ -426,7 +426,9 @@ def test_cli_compare_rejects_a_malformed_metrics_file(tmp_path, capsys, fault, c
     assert main(["compare", "--metrics", str(good), str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: " + message.format(path=path))
+    # a field error names the file first, then the field path within it
+    expected = message.format(path=path) if "{path}" in message else f"{path}: {message}"
+    assert captured.err.startswith("config error: " + expected)
 
 
 def test_cli_compare_reads_a_metrics_file_back(tmp_path, capsys):

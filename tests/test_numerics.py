@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from rcmsim.errors import RankDeficientConstraint
 from rcmsim.kernels import skew_stack
-from rcmsim.numerics import ALIGN_MAX_LOSS, align_null_basis, row_factor
+from rcmsim.numerics import row_factor
 from oracles import (
     InvalidMatrix,
     NotPositiveDefinite,
@@ -13,7 +13,6 @@ from oracles import (
     matrix_sqrt,
     orth_projector,
     pinv,
-    procrustes_align,
 )
 
 
@@ -138,23 +137,6 @@ def test_two_row_projector_matches_exact_and_svd(rng):
             worst_svd = max(worst_svd, np.abs(P - (np.eye(7) - Vt.T @ Vt)).max())
     assert worst_exact <= 1e-12
     assert worst_svd <= 1e-12
-
-
-def test_null_basis_alignment_matches_procrustes(rng):
-    # A carry whose span leans out of null(Q) by principal angles theta_i:
-    # G G^T has the eigenvalues sin^2 theta_i, drawn from 1e-12 up to the
-    # closed form's limit, and the result is the SVD's polar factor.
-    n, m = 7, 5
-    worst = 0.0
-    for _ in range(200):
-        W = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        Q, N = W[:, :2].T, W[:, 2:]
-        loss = 10.0 ** rng.uniform(-12.0, np.log10(ALIGN_MAX_LOSS), 2)
-        tilted = N.copy()
-        tilted[:, :2] = N[:, :2] * np.sqrt(1.0 - loss) + Q.T * np.sqrt(loss)
-        Z_prev = tilted @ np.linalg.qr(rng.standard_normal((m, m)))[0]
-        worst = max(worst, np.abs(align_null_basis(Z_prev, Q) - procrustes_align(N, Z_prev)).max())
-    assert worst < 1e-13
 
 
 def test_matrix_sqrt_identity_and_diagonal():

@@ -297,6 +297,34 @@ def test_trace_read_back_rejects_another_layout(model, tmp_path, capsys, edit):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault,message", [
+    ("missing", "file not found: {path}"),
+    ("a_directory", "cannot read {path}: Is a directory"),
+    ("invalid_utf8", "invalid trace CSV in {path}: 'utf-8' codec can't decode"),
+    ("not_a_number", "invalid trace CSV in {path}: could not convert string 'x'"),
+])
+def test_unreadable_trace_is_a_config_error(model, tmp_path, capsys, fault, message):
+    from rcmsim.cli import main
+
+    path = tmp_path / "trace.csv"
+    if fault == "a_directory":
+        path.mkdir()
+    elif fault != "missing":
+        trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), SimConfig(duration=0.002))
+        trace.to_csv(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        cells = lines[2].split(b",")
+        cells[3] = b"\xff" if fault == "invalid_utf8" else b"x"
+        lines[2] = b",".join(cells)
+        path.write_bytes(b"".join(lines))
+    message = message.format(path=path)
+    with pytest.raises(ConfigError) as info:
+        read_trace_csv(str(path))
+    assert str(info.value).startswith(message)
+    assert main(["metrics", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + message)
+
+
 def test_diverged_trace_reads_back_its_filled_rows(model, tmp_path):
     bad = GainSet.from_proportional(kp_task=1e9, kd_task=0.0, n_joints=model.n)
     with pytest.raises(SimulationDiverged) as exc_info:
