@@ -34,7 +34,7 @@ from .schema import naming_file, read_json
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     out = args.out if args.out is not None else (cfg.output or "out")
-    return run_matrix([cfg], out, jobs=args.jobs)
+    return run_matrix([cfg], out)
 
 
 def _cmd_sweep(args) -> int:
@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None,
                        help="output directory (default: config 'output' or ./out)")
-    p_run.add_argument("--jobs", type=positive_int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="execute every *.json config in a directory")

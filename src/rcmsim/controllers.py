@@ -21,12 +21,13 @@ the observer's momentum, is passed explicitly by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularExtendedJacobian
-from .numerics import row_factor, small_inv
+from .numerics import lu_inv, row_factor, small_inv
 from .projection import sym_inv
 from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin
 from . import robot
@@ -197,7 +198,7 @@ def build_snapshot(
         state=state,
         kin=kin,
         M=kin.M,
-        Minv=np.linalg.inv(kin.M),
+        Minv=lu_inv(kin.M),
         h=kin.h,
         J_task=J_task,
         Jdot_task=kin.Jpdot_t,
@@ -444,6 +445,14 @@ def p_approach_torque(
     return Torque(tau_par, _completion(snap, Lambda_c, a_cmd, tau_par), a_cmd, damped)
 
 
+@cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per joint count."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def z_approach_torque(
     snap: ControlSnapshot,
     ref: TaskReference,
@@ -471,7 +480,7 @@ def z_approach_torque(
     cs, gains, qd = snap.constraint, setup.gains, snap.state.qdot
     M, Minv, J, Jc = snap.M, snap.Minv, snap.J_task, cs.J
     L, Q = row_factor(Jc)
-    P = np.eye(Jc.shape[1]) - Q.T.dot(Q)
+    P = _identity(Jc.shape[1]) - Q.T.dot(Q)
     Jc_pinv = Q.T.dot(small_inv(L))
     Minv_JcT, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
     G = Minv_JcT.dot(Lambda_c)

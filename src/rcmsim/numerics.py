@@ -8,10 +8,26 @@ path. Singular-value tolerances are relative to the largest singular value.
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import RankDeficientConstraint
 
 DEFAULT_RTOL = 1e-10
+
+
+def lu_inv(A: np.ndarray) -> np.ndarray:
+    """Inverse of a square float matrix through LAPACK's LU solve, the gufunc
+    np.linalg.inv itself calls: the same bits, without the wrapper, which
+    costs more than the factorisation at joint-space sizes. For finite,
+    non-singular input (the joint-space inertia): an exactly singular
+    matrix gives NaN and an "invalid value" RuntimeWarning, not LinAlgError."""
+    return _umath_linalg.inv(A, signature="d->d")
+
+
+def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for a vector b, through the gufunc np.linalg.solve calls; the
+    same bits and the same precondition as ``lu_inv``."""
+    return _umath_linalg.solve1(A, b, signature="dd->d")
 
 
 def small_inv(A: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControlSetup
 from .errors import ConfigError, SimulationDiverged
+from .numerics import lu_solve
 from .rcm import RcmMode, TrocarState, place_trocar, residual, residual_terms
 from . import robot
 from .robot import DEFAULT_HOME, JointState, RobotModel
@@ -308,7 +309,7 @@ def step(
         if port:
             rows = residual_terms(kin, qd, trocar[time_index], RcmMode.TWO_D)
             load = load + port_torque(*rows, env)
-        return np.linalg.solve(kin.M, load)
+        return lu_solve(kin.M, load)
 
     if qdd is None:
         qdd = accel(state.q, state.qdot, 0)
@@ -438,7 +439,7 @@ def run_episode(
                 # the snapshot holds M^-1 and h at the true state
                 qdd = snap.Minv.dot(load - snap.h)
             else:
-                qdd = np.linalg.solve(kin_true.M, load - kin_true.h)
+                qdd = lu_solve(kin_true.M, load - kin_true.h)
             gap = snap.constraint.J.dot(qdd) - out.constraint_accel_cmd
 
             # Record tick k (true plant state, not the measured one).

@@ -312,18 +312,29 @@ def test_run_matrix_pool_capped_at_config_count(tmp_path, monkeypatch):
     assert (tmp_path / "two" / "b" / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("command", ["sweep"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_cli_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
     from rcmsim.cli import main
 
     (tmp_path / "a.json").write_text(json.dumps(_short_run("a")))
-    where = (["--config", str(tmp_path / "a.json")] if command == "run"
-             else ["--configs", str(tmp_path)])
     with pytest.raises(SystemExit) as exc_info:
-        main([command, *where, "--out", str(tmp_path / "o"), "--jobs", jobs])
+        main([command, "--configs", str(tmp_path), "--out", str(tmp_path / "o"), "--jobs", jobs])
     assert exc_info.value.code == 2
     assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_has_no_jobs_option(tmp_path, capsys):
+    # one config never needs a second worker, so ``run`` takes no --jobs
+    from rcmsim.cli import main
+
+    (tmp_path / "a.json").write_text(json.dumps(_short_run("a")))
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "--config", str(tmp_path / "a.json"), "--out", str(tmp_path / "o"),
+              "--jobs", "2"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

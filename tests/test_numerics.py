@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from rcmsim.errors import RankDeficientConstraint
 from rcmsim.kernels import skew_stack
-from rcmsim.numerics import row_factor
+from rcmsim.numerics import lu_inv, lu_solve, row_factor
+from rcmsim.robot import kinematics
+from conftest import random_states
 from oracles import (
     InvalidMatrix,
     NotPositiveDefinite,
@@ -61,6 +63,34 @@ def test_pinv_moore_penrose_identities(rows, cols, seed):
     assert np.abs(Ap @ A @ Ap - Ap).max() < tol
     assert np.abs((A @ Ap).T - A @ Ap).max() < tol
     assert np.abs((Ap @ A).T - Ap @ A).max() < tol
+
+
+def _spd(rng, n):
+    X = rng.standard_normal((n, n))
+    return X @ X.T + n * np.eye(n)
+
+
+def test_lu_inverse_and_solve_are_numpys_bits(model, rng):
+    # The same LAPACK gufuncs as np.linalg.inv and np.linalg.solve, so the
+    # same bits: seeded SPD matrices of every size the package meets, and
+    # the default arm's inertia at random states.
+    matrices = [_spd(rng, n) for n in range(1, 14) for _ in range(5)]
+    qs, _ = random_states(rng, model.n, 50, spread=np.pi)
+    matrices += [kinematics(model, q).M for q in qs]
+    for A in matrices:
+        b = rng.standard_normal(A.shape[0])
+        assert np.array_equal(lu_inv(A), np.linalg.inv(A))
+        assert np.array_equal(lu_solve(A, b), np.linalg.solve(A, b))
+
+
+def test_lu_inverse_and_solve_of_singular_matrix_raise_nothing():
+    # The documented precondition: an exactly singular matrix is not
+    # detected, it gives non-finite values (and an "invalid value" warning,
+    # silenced here) instead of LinAlgError.
+    A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]])
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(lu_inv(A)).all()
+        assert not np.isfinite(lu_solve(A, np.ones(3))).all()
 
 
 def test_projector_axis_aligned():

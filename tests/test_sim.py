@@ -371,6 +371,34 @@ def test_rk4_episode_runs(model):
     assert trace.filled == trace.capacity
 
 
+@pytest.mark.parametrize(
+    "control, sim",
+    [
+        (ControlSetup(), SimConfig(duration=0.05)),
+        (
+            ControlSetup(observer=True, compensation="full"),
+            SimConfig(duration=0.05, integrator="rk4", env=EnvModel(mode="soft"),
+                      sensor_noise_std=1e-4, noise_seed=3),
+        ),
+        (ControlSetup(variant="z_approach"), SimConfig(duration=0.05)),
+        (ControlSetup(variant="uk"), SimConfig(duration=0.05)),
+    ],
+    ids=["p_approach", "p_approach_rk4_port_noise_observer", "z_approach", "uk"],
+)
+def test_tick_calls_no_numpy_linalg_inverse_or_solve(model, monkeypatch, control, sim):
+    # The inertia inverse and the plant solves go to LAPACK without numpy's
+    # wrapper, whose per-call cost exceeds the factorisation's. Only the
+    # preserve_null compensation (a 5 x 5 inverse that must raise when
+    # singular) keeps np.linalg.inv on the tick, so it is not run here.
+    def forbidden(*_):
+        raise AssertionError("numpy.linalg wrapper called on the tick")
+
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    trace = run_episode(model, control, Scenario(alpha=0.5), sim)
+    assert trace.filled == trace.capacity
+
+
 def test_env_soft_episode_limits_residual(model):
     sim = SimConfig(dt=1e-3, duration=0.5, env=EnvModel(mode="soft"))
     trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), sim)
