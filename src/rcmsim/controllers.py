@@ -39,7 +39,8 @@ P_APPROACH = "p_approach"
 Z_APPROACH = "z_approach"
 UK = "uk"
 
-DEFAULT_MODE = {P_APPROACH: RcmMode.TWO_D, Z_APPROACH: RcmMode.TWO_D, UK: RcmMode.THREE_D}
+# The variants and the pivot residual each controller is defined on.
+RCM_MODE = {P_APPROACH: RcmMode.TWO_D, Z_APPROACH: RcmMode.TWO_D, UK: RcmMode.THREE_D}
 
 # Gain defaults of library and config runs alike.
 KP_TASK = 1000.0  # N/m
@@ -129,20 +130,16 @@ class ControlSetup:
 
     variant: str = P_APPROACH
     gains: GainSet | None = None
-    rcm_mode: RcmMode | None = None  # default depends on the variant
     observer: bool = False
     compensation: str = COMP_FULL
-    constraint_bias_feedforward: bool = True
 
     def __post_init__(self):
-        if self.variant not in (P_APPROACH, Z_APPROACH, UK):
+        if self.variant not in RCM_MODE:
             raise ValueError(f"unknown controller variant {self.variant!r}")
         if not COMPENSATION.ok(self.compensation):
             fail("compensation", COMPENSATION.message)
         if self.gains is None:
             self.gains = GainSet.from_proportional(kd_null=NULL_DAMPING)
-        if self.rcm_mode is None:
-            self.rcm_mode = DEFAULT_MODE[self.variant]
 
 
 class ControllerOutput(NamedTuple):
@@ -262,23 +259,20 @@ def _momentum_bias(kin: KinFrames, qdot: np.ndarray) -> np.ndarray:
 
 def observer_step(
     obs: ObserverState,
-    model: RobotModel,
     state: JointState,
     tau_applied: np.ndarray,
     dt: float,
-    kin: KinFrames | None = None,
+    kin: KinFrames,
 ) -> ObserverState:
     """Advance the momentum observer by one control period.
 
     ``state`` is the post-integration state; ``tau_applied`` the total torque
-    commanded over the elapsed period (zero-order hold). ``kin``, when given,
-    is the frame pass at ``state`` (the next tick's snapshot holds it).
+    commanded over the elapsed period (zero-order hold); ``kin`` the frame
+    pass at ``state`` (the next tick's snapshot holds it).
     """
     if not POSITIVE.ok(dt):
         fail("dt", POSITIVE.message)
     qd = state.qdot
-    if kin is None:
-        kin = kinematics(model, state.q, qd)
     n_new = _momentum_bias(kin, qd)
     n_mid = 0.5 * (obs.n_prev + n_new)
     r_old = -obs.tau_ext_hat
@@ -418,12 +412,11 @@ def p_approach_torque(
     (no unmodelled external torque) this yields Jc qddot = a_cmd to solver
     precision and clean PD error dynamics for the tip.
 
-    The pivot command is -Lambda_c^-1 (Kd xdot + Kp x_err), less the
-    acceleration bias b_c with ``constraint_bias_feedforward`` (the residual
-    dynamics then stay homogeneous with a moving trocar). The task terms
-    are those of the operational-space law on the free-motion inertia
-    M_f = P M + (I - P), formed from the snapshot's M^-1:
-    M_f^-1 P = M^-1 - M^-1 Jc^T Lambda_c Jc M^-1, and the constraint
+    The pivot command is -Lambda_c^-1 (Kd xdot + Kp x_err) less the
+    acceleration bias b_c, so the residual dynamics stay homogeneous with a
+    moving trocar. The task terms are those of the operational-space law on
+    the free-motion inertia M_f = P M + (I - P), formed from the snapshot's
+    M^-1: M_f^-1 P = M^-1 - M^-1 Jc^T Lambda_c Jc M^-1, and the constraint
     feedforward M_f^-1 Jc^+ a_cmd = M^-1 Jc^T Lambda_c a_cmd.
     """
     cs = snap.constraint
@@ -432,9 +425,7 @@ def p_approach_torque(
     # small operands; this runs every tick.
     Q = row_factor(cs.J)[1]
     Minv_JcT, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
-    a_cmd = -mobility_c.dot(_pivot_pd(cs, setup.gains, x_c_ref))
-    if setup.constraint_bias_feedforward:
-        a_cmd = a_cmd - cs.b
+    a_cmd = -mobility_c.dot(_pivot_pd(cs, setup.gains, x_c_ref)) - cs.b
 
     JG, B = _free_mobility(J, Minv, Minv_JcT, Lambda_c)
     Lambda_f, damped = sym_inv(B.dot(J.T))

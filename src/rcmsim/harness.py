@@ -18,7 +18,6 @@ import numpy as np
 
 from . import controllers as ctl
 from .errors import ConfigError, ModelError, SimulationDiverged
-from .rcm import RcmMode
 from .robot import RobotModel, default_model_path, load_model
 from .scenarios import DisturbanceEvent, DisturbanceSchedule, SpiralParams, TrocarSchedule
 from .schema import NON_NEGATIVE, Rule, Schema, fail, naming_file, read_json, setting
@@ -28,7 +27,6 @@ from .sim import (
     Scenario,
     SimConfig,
     check_joint_vectors,
-    check_mode_support,
     check_trocar_support,
     run_episode,
 )
@@ -95,8 +93,7 @@ class RunConfig(Schema):
     """Serializable description of one closed-loop run."""
 
     controller: str = setting(
-        rule=Rule(lambda v: v in (ctl.P_APPROACH, ctl.Z_APPROACH, ctl.UK),
-                  f"must be one of {ctl.P_APPROACH}/{ctl.Z_APPROACH}/{ctl.UK}"),
+        rule=Rule(lambda v: v in ctl.RCM_MODE, f"must be one of {'/'.join(ctl.RCM_MODE)}"),
     )
     scenario: ScenarioConfig
     label: str = setting("", Rule(
@@ -106,14 +103,9 @@ class RunConfig(Schema):
     model: str | None = setting(
         None, Rule(os.path.exists, "file not found: {value}"), kind="a path string"
     )
-    rcm_mode: str | None = setting(
-        None, Rule(lambda v: v.lower() in ("2d", "3d"), "expected '2d' or '3d'"),
-        kind="'2d' or '3d'",
-    )
     gains: GainsConfig = field(default_factory=GainsConfig)
     sim: SimSection = field(default_factory=SimSection)
     settle_time: float = setting(1.0, NON_NEGATIVE)
-    constraint_bias_feedforward: bool = True
     output: str | None = setting(None, kind="a directory path string")
 
     @property
@@ -121,17 +113,11 @@ class RunConfig(Schema):
         """Run duration: the sim section's, else the spiral's."""
         return self.sim.duration if self.sim.duration is not None else self.scenario.spiral.duration
 
-    @property
-    def _mode(self) -> RcmMode | None:
-        """The residual the config asks for; None: the controller's default."""
-        return RcmMode.parse(self.rcm_mode) if self.rcm_mode else None
-
     def check(self, path: str):
         sc = self.scenario
         if self.settle_time >= self.duration:
             fail("settle_time", "must be smaller than the run duration")
         check_trocar_support("scenario", self.controller, sc.trocar)
-        check_mode_support("rcm_mode", self.controller, self._mode)
         try:
             n = _load_model(self.model).n
         except ModelError as exc:
@@ -153,10 +139,8 @@ class RunConfig(Schema):
         control = ControlSetup(
             variant=self.controller,
             gains=gains,
-            rcm_mode=self._mode,
             observer=sc.observer,
             compensation=sc.compensation if sc.observer else ctl.COMP_OFF,
-            constraint_bias_feedforward=self.constraint_bias_feedforward,
         )
         scenario = Scenario(
             alpha=sc.alpha,

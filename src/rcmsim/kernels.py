@@ -12,7 +12,7 @@ differenced. Two identities do the work:
 * ``M = A^T A`` with A stacking ``sqrt(m_i) Jv_i`` over ``L_i^T R_i^T Jw_i``
   (``I_i = L_i L_i^T`` fixed per model), so ``Mdot = Adot^T A + A^T Adot``
   (Carpentier & Mansard, RSS 2018); the same A maps the per-link bias
-  accelerations and gravity to ``h`` and ``g``.
+  accelerations and gravity to ``h``.
 
 Derived quantities (rates, inertia, bias torques, inertia rate) are computed
 on first access, so a kinematics-only caller pays for the frames only.
@@ -208,15 +208,15 @@ class KinFrames:
 
     Eager: the joint ``axes`` and ``pose_r`` and ``pose_t`` (tool-reference
     frame and tip; same orientation). On first access: the 6xn geometric
-    Jacobians ``J_r``/``J_t`` and their rates ``Jdot_r``/``Jdot_t``
-    (``Jp_t``/``Jpdot_t`` are the tip's translational rows without the 6xn
-    copy), the reference-frame angular velocity ``omega_r``, ``M``, the bias
-    torques ``h = c + g`` (velocity product and gravity) and ``Mdot``.
+    Jacobian ``J_r`` of the tool-reference frame, the tip's 3xn
+    translational Jacobian ``Jp_t`` and its rate ``Jpdot_t``, the
+    reference-frame angular velocity ``omega_r``, ``M``, the bias torques
+    ``h`` (velocity product and gravity) and ``Mdot``.
 
     There is no at-rest branch: every rate term carries a factor of qdot
     (the link angular velocities, the contractions by qdot and u = A qdot),
-    so at qdot = 0 the formulas themselves give rates, ``c`` and ``Mdot``
-    that are exactly zero (some entries -0.0) and ``h`` equal to ``g``.
+    so at qdot = 0 the formulas themselves give rates and ``Mdot`` that are
+    exactly zero (some entries -0.0) and ``h`` equal to the gravity torque.
 
     The translational Jacobian columns z_j x (p_a - o_j) of all tracked
     points come from one product with the stacked axis skew matrices, and
@@ -266,15 +266,14 @@ class KinFrames:
 
     @_lazy
     def J_r(self) -> np.ndarray:
-        return self._six(self._Jv[:, self.chain.n], self.axes)
-
-    @_lazy
-    def J_t(self) -> np.ndarray:
-        return self._six(self._Jv[:, self.chain.n + 1], self.axes)
+        J = np.empty((6, self.chain.n))
+        J[:3] = self._Jv[:, self.chain.n].reshape(-1, 3).T
+        J[3:] = self.axes.T
+        return J
 
     @property
     def Jp_t(self) -> np.ndarray:
-        """3xn translational part of ``J_t`` (the tip's linear Jacobian)."""
+        """3xn translational Jacobian of the tip."""
         return self._Jv[:, self.chain.n + 1].reshape(-1, 3).T
 
     def _lever_cross(self, skew_rows: np.ndarray, extra: np.ndarray | None = None):
@@ -297,14 +296,6 @@ class KinFrames:
         *_, skew_zdot, z_x_o_dot = self._rates
         Jdot = skew_zdot.dot(p) + self._skew_z.dot(pdot) - z_x_o_dot
         return Jdot.reshape(self.chain.n, 3).T
-
-    def _six(self, lin: np.ndarray, ang: np.ndarray) -> np.ndarray:
-        """6xn matrix of one tracked point: linear rows from its column
-        ``lin`` (row 3j + i: component i of joint j), angular rows ``ang``."""
-        J = np.empty((6, self.chain.n))
-        J[:3] = lin.reshape(-1, 3).T
-        J[3:] = ang.T
-        return J
 
     def point_jacobian(self, link: int, point_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """3xn translational Jacobian and base position of a point fixed to
@@ -339,19 +330,9 @@ class KinFrames:
     def omega_r(self) -> np.ndarray:
         return self._rates[0][-1]
 
-    @_lazy
-    def Jdot_r(self) -> np.ndarray:
-        _, zdot, Jv_dot, *_ = self._rates
-        return self._six(Jv_dot[:, self.chain.n], zdot)
-
-    @_lazy
-    def Jdot_t(self) -> np.ndarray:
-        _, zdot, Jv_dot, *_ = self._rates
-        return self._six(Jv_dot[:, self.chain.n + 1], zdot)
-
     @property
     def Jpdot_t(self) -> np.ndarray:
-        """3xn translational part of ``Jdot_t``."""
+        """Rate of ``Jp_t``."""
         return self._rates[2][:, self.chain.n + 1].reshape(-1, 3).T
 
     @_lazy
@@ -379,10 +360,6 @@ class KinFrames:
         return At.dot(At.T)
 
     @_lazy
-    def g(self) -> np.ndarray:
-        return self._At.dot(self.chain.gravity_load)
-
-    @_lazy
     def h(self) -> np.ndarray:
         chain, n, qd = self.chain, self.chain.n, self.qdot
         _, zdot, Jv_dot, *_ = self._rates
@@ -398,10 +375,6 @@ class KinFrames:
             + (u[:, None] * u).ravel().dot(chain.gyro)
         ).reshape(3, n)
         return At.dot(y.ravel() + chain.gravity_load)
-
-    @_lazy
-    def c(self) -> np.ndarray:
-        return self.h - self.g
 
     @_lazy
     def Mdot(self) -> np.ndarray:

@@ -36,15 +36,6 @@ class RcmMode(Enum):
     def k(self) -> int:
         return self.value
 
-    @classmethod
-    def parse(cls, text: str) -> "RcmMode":
-        key = text.strip().lower()
-        if key in ("3d", "three_d", "3"):
-            return cls.THREE_D
-        if key in ("2d", "two_d", "2"):
-            return cls.TWO_D
-        raise ValueError(f"unknown RCM mode {text!r}")
-
 
 @dataclass
 class TrocarState:
@@ -71,7 +62,6 @@ class ConstraintState(NamedTuple):
     J_dot: np.ndarray
     xdot: np.ndarray
     b: np.ndarray
-    mode: RcmMode
 
 
 def place_trocar(p_r0: np.ndarray, p_t0: np.ndarray, alpha: float) -> np.ndarray:
@@ -126,4 +116,4 @@ def constraint_from_kin(
     W = skew_stack(kin.omega_r)
     J_dot = Bt.dot(Jdot_pc - W.dot(J_pc))
     b = J_dot.dot(qdot) + Bt.dot(W.dot(trocar.pdot) - trocar.pddot)
-    return ConstraintState(x=x, J=J, J_dot=J_dot, xdot=xdot, b=b, mode=mode)
+    return ConstraintState(x=x, J=J, J_dot=J_dot, xdot=xdot, b=b)

@@ -137,11 +137,11 @@ class Scenario(Schema):
     q_init: np.ndarray | None = None
 
 
-def check_joint_vectors(n: int, q_init, q_path: str, events: list, events_path: str):
-    """``q_init`` and every joint-torque disturbance hold one finite entry
-    per joint."""
+def check_joint_vectors(n: int, q_init, q_path: str, events: list, events_path: str, *more):
+    """``q_init``, each (path, vector) of ``more`` and every joint-torque
+    disturbance hold one finite entry per joint."""
     rule = length(n)
-    vectors = [(q_path, q_init)] + [
+    vectors = [(q_path, q_init), *more] + [
         (f"{events_path}[{i}].joint_torque", event.joint_torque) for i, event in enumerate(events)
     ]
     for path, vector in vectors:
@@ -158,13 +158,6 @@ def check_trocar_support(path: str, variant: str, trocar: TrocarSchedule):
     if variant == ctl.Z_APPROACH and trocar.mode != TROCAR_STATIC:
         fail(join(path, "trocar.mode"),
              "the extended-Jacobian controller supports static trocars only")
-
-
-def check_mode_support(path: str, variant: str, mode: RcmMode | None):
-    """The extended-Jacobian controller needs the 2D residual: with the 3D
-    one its constrained tip inertia is singular."""
-    if variant == ctl.Z_APPROACH and mode is RcmMode.THREE_D:
-        fail(path, "the extended-Jacobian controller supports the 2D residual only")
 
 
 def _trace_columns(n: int) -> tuple[list, list]:
@@ -347,9 +340,10 @@ def run_episode(
     sim.validate("sim")
     scenario.validate("scenario")
     check_joint_vectors(model.n, scenario.q_init, "scenario.q_init",
-                        scenario.disturbances.events, "scenario.disturbances.events")
+                        scenario.disturbances.events, "scenario.disturbances.events",
+                        ("control.gains.kp_null", control.gains.kp_null),
+                        ("control.gains.kd_null", control.gains.kd_null))
     check_trocar_support("scenario", control.variant, scenario.trocar)
-    check_mode_support("control.rcm_mode", control.variant, control.rcm_mode)
     q0 = DEFAULT_HOME.copy() if scenario.q_init is None else np.asarray(scenario.q_init, dtype=float)
     state = JointState(q0.copy(), np.zeros(model.n))
 
@@ -358,7 +352,7 @@ def run_episode(
     spiral = replace(scenario.spiral, start=kin0.pose_t.p.copy())
     trocar_sched = replace(scenario.trocar, p0=p_c0)
 
-    mode = control.rcm_mode
+    mode = ctl.RCM_MODE[control.variant]
     dt = sim.dt
     records = tick_count(sim.duration, dt) + 1
     trace = SimTrace(model.n, records, dt)
@@ -417,7 +411,7 @@ def run_episode(
                 snap.kin if noise is None else robot.KinFrames(model.chain, state.q, state.qdot)
             )
             if obs is not None and tau_prev is not None:
-                obs = ctl.observer_step(obs, model, state, tau_prev, dt, kin=kin_true)
+                obs = ctl.observer_step(obs, state, tau_prev, dt, kin_true)
             tau_hat = obs.tau_ext_hat if obs is not None else None
 
             out = ctl.control_torque(control, snap, ref, q0, tau_hat, x_c_ref)

@@ -653,7 +653,6 @@ def without_constraint(snap: ControlSnapshot) -> ControlSnapshot:
         J_dot=np.zeros((0, n)),
         xdot=np.zeros(0),
         b=np.zeros(0),
-        mode=snap.constraint.mode,
     )
     return snap._replace(constraint=empty)
 

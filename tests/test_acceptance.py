@@ -117,7 +117,7 @@ def test_criterion_02_kinematics_oracles(model, rng):
     for q in qs:
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
-        J_tool = kin.J_t[:3]
+        J_tool = kin.Jp_t
         static, rest = TrocarState.static(p_c), np.zeros(model.n)
         J3 = constraint_from_kin(kin, rest, static, RcmMode.THREE_D).J
         J2 = constraint_from_kin(kin, rest, static, RcmMode.TWO_D).J
@@ -169,7 +169,7 @@ def test_criterion_03_dynamics_oracles(model, pendulum_model, rng):
     # pendulum analytics
     theta = 0.6
     kin_p = kinematics(pendulum_model, np.array([theta]), np.zeros(1))
-    M_p, g_p = kin_p.M[0, 0], kin_p.g
+    M_p, g_p = kin_p.M[0, 0], kin_p.h
     qdd_p = forward_dynamics(pendulum_model, np.array([np.pi / 2]), np.zeros(1), np.zeros(1))[0]
     pend_err = max(
         abs(M_p - PENDULUM_MASS * PENDULUM_LENGTH**2),

@@ -34,20 +34,16 @@ BASE = {
 
 def with_value(path, value) -> dict:
     """BASE with the dotted ``path`` set to ``value`` (or removed for DROP);
-    missing objects on the way are created. A tuple of paths sets each to
-    the matching entry of a tuple of values."""
+    missing objects on the way are created."""
     cfg = copy.deepcopy(BASE)
-    pairs = zip(path, value) if isinstance(path, tuple) else [(path, value)]
-    for path, value in pairs:
-        keys = [int(k[1:-1]) if k.startswith("[") else k
-                for k in path.replace("[", ".[").split(".")]
-        node = cfg
-        for key in keys[:-1]:
-            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
-        if value is DROP:
-            del node[keys[-1]]
-        else:
-            node[keys[-1]] = value
+    keys = [int(k[1:-1]) if k.startswith("[") else k for k in path.replace("[", ".[").split(".")]
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+    if value is DROP:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
     return cfg
 
 
@@ -58,12 +54,12 @@ REJECTED = [
     ("label", 5, "label: expected a string"),
     ("model", 5, "model: expected a path string"),
     ("model", "no_such_model.json", "model: file not found: no_such_model.json"),
-    ("rcm_mode", 5, "rcm_mode: expected '2d' or '3d'"),
-    ("rcm_mode", "4d", "rcm_mode: expected '2d' or '3d'"),
+    ("rcm_mode", "3d", "rcm_mode: unknown field"),
+    ("rcm_mode", None, "rcm_mode: unknown field"),
     ("settle_time", "x", "settle_time: expected a number"),
     ("settle_time", -1.0, "settle_time: must be non-negative"),
     ("settle_time", 20.0, "settle_time: must be smaller than the run duration"),
-    ("constraint_bias_feedforward", 1, "constraint_bias_feedforward: expected true/false"),
+    ("constraint_bias_feedforward", 1, "constraint_bias_feedforward: unknown field"),
     ("output", 5, "output: expected a directory path string"),
     ("bogus", 1, "bogus: unknown field"),
     ("gains", [], "gains: expected an object"),
@@ -163,8 +159,6 @@ REJECTED = [
     ("label", "..", LABEL),
     ("label", ".", LABEL),
     ("label", "/tmp/abs", LABEL),
-    (("controller", "rcm_mode"), ("z_approach", "3D"),
-     "rcm_mode: the extended-Jacobian controller supports the 2D residual only"),
 ]
 
 
@@ -236,9 +230,7 @@ def _configs():
         },
         optional={
             "label": st.text("abcxyz_", min_size=1, max_size=8),
-            "rcm_mode": st.none() | st.sampled_from(["2d", "3d", "2D"]),
             "settle_time": st.floats(0.0, 1.5, **finite),
-            "constraint_bias_feedforward": st.booleans(),
             "output": st.none() | st.just("out/x"),
             "gains": _optional(
                 kp_task=gain, kd_task=st.none() | gain, kp_rcm=gain, kd_rcm=st.none() | gain,
@@ -257,12 +249,7 @@ def _configs():
                 noise_seed=st.integers(0, 2**31),
             ),
         },
-    ).filter(_mode_supported)
-
-
-def _mode_supported(data) -> bool:
-    """The extended-Jacobian controller runs the 2D residual only."""
-    return data["controller"] != "z_approach" or str(data.get("rcm_mode")).lower() != "3d"
+    )
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

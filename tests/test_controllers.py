@@ -192,7 +192,7 @@ def test_z_approach_gravity_consistent_equilibrium(model):
     ref = _hold_reference(model, state.q)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
     out = _control("z_approach", snap, ref, _gains())
-    grav = kinematics(model, state.q, state.qdot).g
+    grav = kinematics(model, state.q).h
     assert np.abs(out.tau - grav).max() < 1e-8
 
 
@@ -209,17 +209,6 @@ def test_z_approach_rejects_moving_trocar_in_episode():
             Scenario(alpha=0.5, trocar=TrocarSchedule(mode="sinusoidal")),
             SimConfig(duration=0.01),
         )
-
-
-def test_z_approach_rejects_3d_residual_in_episode(model):
-    # With the 3D residual this controller's constrained tip inertia is singular.
-    from rcmsim.errors import ConfigError
-    from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
-
-    control = ControlSetup(variant="z_approach", rcm_mode=RcmMode.THREE_D)
-    message = r"^control\.rcm_mode: the extended-Jacobian controller supports the 2D residual only$"
-    with pytest.raises(ConfigError, match=message):
-        run_episode(model, control, Scenario(alpha=0.5), SimConfig(duration=0.01))
 
 
 def test_z_approach_episode_realizes_its_constraint_command(model):
@@ -397,9 +386,9 @@ def test_per_tick_factorizations(model, rng, monkeypatch):
 def test_observer_stays_zero_without_disturbance(model):
     state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
     obs = ObserverState.initial(model, state, gain=50.0)
-    grav = kinematics(model, state.q, state.qdot).g
+    kin = kinematics(model, state.q, state.qdot)
     for _ in range(100):
-        obs = observer_step(obs, model, state, grav, 1e-3)
+        obs = observer_step(obs, state, kin.h, 1e-3, kin)
     assert np.abs(obs.tau_ext_hat).max() < 1e-12
 
 
@@ -407,8 +396,9 @@ def test_observer_zero_gain_frozen(model):
     state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
     obs = ObserverState.initial(model, state, gain=0.0)
     tau = np.ones(model.n)
+    kin = kinematics(model, state.q, state.qdot)
     for _ in range(50):
-        obs = observer_step(obs, model, state, tau, 1e-3)
+        obs = observer_step(obs, state, tau, 1e-3, kin)
     assert np.abs(obs.tau_ext_hat).max() == 0.0
 
 
@@ -422,12 +412,12 @@ def test_observer_first_order_convergence(model):
     tau_ext[3] = 2.0
     t = 0.0
     while t < 0.2:
-        grav = kinematics(model, state.q, state.qdot).g
-        tau_cmd = grav  # gravity-compensated free float under the disturbance
+        # gravity-compensated free float under the disturbance
+        tau_cmd = kinematics(model, state.q).h
         qdd = forward_dynamics(model, state.q, state.qdot, tau_cmd, tau_ext)
         qd = state.qdot + dt * qdd
         state = JointState(state.q + dt * qd, qd)
-        obs = observer_step(obs, model, state, tau_cmd, dt)
+        obs = observer_step(obs, state, tau_cmd, dt, kinematics(model, state.q, state.qdot))
         t += dt
     assert abs(obs.tau_ext_hat[3] + 2.0) < 0.1
     # first-order behavior: error decays with time constant 1/gain (10%)

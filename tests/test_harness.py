@@ -78,7 +78,6 @@ def test_config_round_trip():
     full = {
         "controller": "z_approach",
         "label": "zrun",
-        "rcm_mode": "2d",
         "gains": {"kp_task": 800.0, "kp_rcm": 1200.0, "kd_rcm": 60.0},
         "scenario": {
             "alpha": 0.4,

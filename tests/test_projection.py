@@ -98,8 +98,8 @@ def test_task_space_terms_algebraic_properties(model, rng):
         cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.TWO_D)
         M = kin.M
         ps = projection_state(M, cs.J, cs.J_dot)
-        tst = task_space_terms(ps.M_f, ps.P, kin.J_t[:3], np.zeros((3, model.n)), qd, np.zeros(model.n))
-        assert np.abs(tst.J_sharp_T @ kin.J_t[:3].T - np.eye(3)).max() < 1e-8
+        tst = task_space_terms(ps.M_f, ps.P, kin.Jp_t, np.zeros((3, model.n)), qd, np.zeros(model.n))
+        assert np.abs(tst.J_sharp_T @ kin.Jp_t.T - np.eye(3)).max() < 1e-8
         assert np.abs(tst.J_sharp_T @ tst.N_bar).max() < 1e-9
         assert np.abs(tst.Lambda_f - tst.Lambda_f.T).max() < 1e-9
         assert np.abs(tst.N_bar @ tst.N_bar - tst.N_bar).max() < 1e-9
@@ -115,7 +115,7 @@ def test_task_bias_reduces_to_classic_form(model, rng):
     cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.TWO_D)
     M = kin.M
     ps = projection_state(M, cs.J, cs.J_dot)
-    J = kin.J_t[:3]
+    J = kin.Jp_t
     J_dot = rng.standard_normal((3, model.n))
     h = rng.standard_normal(model.n)
     tst = task_space_terms(ps.M_f, ps.P, J, J_dot, qd, h, constraint_feedforward=ps.Pdot @ qd)

@@ -21,7 +21,7 @@ from conftest import (
     PLANAR_MODEL,
     random_states,
 )
-from oracles import forward_dynamics, inverse_dynamics
+from oracles import forward_dynamics, inverse_dynamics, rnea
 
 
 # --- independent homogeneous-transform oracle over the raw model file -------
@@ -102,7 +102,7 @@ def test_jacobian_matches_fk_finite_difference(model, rng):
     step = 1e-6
     worst = 0.0
     for q in qs:
-        for pose, jac in (("pose_r", "J_r"), ("pose_t", "J_t")):
+        for pose, jac in (("pose_r", "J_r"), ("pose_t", "Jp_t")):
             J = getattr(kinematics(model, q), jac)
             for j in range(model.n):
                 dq = np.zeros(model.n)
@@ -114,20 +114,23 @@ def test_jacobian_matches_fk_finite_difference(model, rng):
 
 
 def test_jacobian_dot_zero_velocity(model, rng):
-    # No at-rest branch: the general formulas give exact zeros for qdot = 0.
+    # No at-rest branch: the general formulas give exact zeros for qdot = 0,
+    # and so does the bias torque without gravity.
+    m0 = replace(model, gravity=np.zeros(3))
+    zero = np.zeros(model.n)
     for q in [DEFAULT_HOME] + list(rng.uniform(-np.pi, np.pi, (5, model.n))):
-        kin = kinematics(model, q, np.zeros(model.n))
-        for rate in (kin.Jdot_r, kin.Jdot_t, kin.omega_r, kin.Mdot, kin.c):
+        kin = kinematics(model, q, zero)
+        pivot_rate = kin.coincident_rate(kin.pose_r.p, np.zeros(3))
+        for rate in (kin.Jpdot_t, pivot_rate, kin.omega_r, kin.Mdot, kinematics(m0, q, zero).h):
             assert np.abs(rate).max() == 0.0
-        assert np.array_equal(kin.h, kin.g)
 
 
 def test_jacobian_dot_independent_stencil(model, rng):
     qs, qds = random_states(rng, model.n, 10)
     delta = 1e-5
     for q, qd in zip(qs, qds):
-        Jd = kinematics(model, q, qd).Jdot_t
-        ref = (kinematics(model, q + delta * qd).J_t - kinematics(model, q - delta * qd).J_t) / (
+        Jd = kinematics(model, q, qd).Jpdot_t
+        ref = (kinematics(model, q + delta * qd).Jp_t - kinematics(model, q - delta * qd).Jp_t) / (
             2 * delta
         )
         assert np.abs(Jd - ref).max() < 1e-4
@@ -185,10 +188,11 @@ def test_kinetic_energy_matches_per_link_sum(model, rng):
 
 
 def test_bias_terms_zero_velocity_gives_gravity(model):
-    kin = kinematics(model, DEFAULT_HOME, np.zeros(model.n))
-    h, c, g = kin.h, kin.c, kin.g
-    assert np.array_equal(h, g)
-    assert np.abs(c).max() == 0.0
+    h = kinematics(model, DEFAULT_HOME, np.zeros(model.n)).h
+    zero = np.zeros(model.n)
+    g = rnea(model.dh, DEFAULT_HOME, zero, zero, model.gravity, model.masses, model.coms,
+             model.inertias)
+    assert np.abs(h - g).max() < 1e-12
 
 
 def test_bias_terms_zero_gravity_zero_velocity(model):
@@ -199,13 +203,13 @@ def test_bias_terms_zero_gravity_zero_velocity(model):
 
 def test_pendulum_gravity_torque(pendulum_model):
     for theta in (0.0, 0.3, -1.1, np.pi / 2):
-        g = kinematics(pendulum_model, np.array([theta]), np.zeros(1)).g
+        g = kinematics(pendulum_model, np.array([theta]), np.zeros(1)).h
         expected = PENDULUM_MASS * 9.81 * PENDULUM_LENGTH * np.sin(theta)
         assert abs(g[0] - expected) < 1e-9
 
 
 def test_forward_dynamics_gravity_equilibrium(model):
-    g = kinematics(model, DEFAULT_HOME, np.zeros(model.n)).g
+    g = kinematics(model, DEFAULT_HOME, np.zeros(model.n)).h
     qdd = forward_dynamics(model, DEFAULT_HOME, np.zeros(model.n), g)
     assert np.abs(qdd).max() < 1e-10
 
@@ -231,7 +235,8 @@ def test_power_balance_zero_gravity(model, rng):
         tau = rng.uniform(-3.0, 3.0, model.n)
         qdd = forward_dynamics(m0, q, qd, tau)
         kin = kinematics(m0, q, qd)
-        c, M = kin.c, kin.M
+        # without gravity the bias torques are the velocity product terms
+        c, M = kin.h, kin.M
         lhs = qd @ (M @ qdd + c)
         rhs = qd @ tau
         assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs))

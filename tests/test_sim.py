@@ -112,7 +112,7 @@ def test_gravity_compensation_holds_pose(model):
     state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
     q0 = state.q.copy()
     for _ in range(1000):
-        grav = kinematics(model, state.q, state.qdot).g
+        grav = kinematics(model, state.q).h
         state = step(model, state, grav, np.zeros(model.n), 1e-3)
     assert np.abs(state.q - q0).max() < 1e-6
 
@@ -148,7 +148,7 @@ def test_rk4_port_sees_the_trocar_at_stage_times(model, t):
     env = EnvModel(mode="soft")
     at = _moving_trocar(model, DEFAULT_HOME)
     state = JointState(DEFAULT_HOME.copy(), np.random.default_rng(0).uniform(-0.2, 0.2, model.n))
-    tau = kinematics(model, state.q).g
+    tau = kinematics(model, state.q).h
     zero = np.zeros(model.n)
     dt, substeps = 1e-3, 200
     ref, h = state, dt / substeps
@@ -523,3 +523,19 @@ def test_non_finite_q_init_rejected_at_the_boundary(model, variant):
     ):
         run_episode(model, ControlSetup(variant=variant), scenario, SimConfig(duration=0.01))
 
+
+@pytest.mark.parametrize("variant", ["p_approach", "z_approach", "uk"])
+def test_null_gains_must_fit_the_joint_count(model, variant):
+    # A default ControlSetup holds 7-joint null-space gains. On a 6-joint arm
+    # (the default arm's first six rows) the episode is refused before its
+    # first tick; gains built for 6 joints run it.
+    six = replace(model, n=6, dh=model.dh[:6], masses=model.masses[:6],
+                  coms=model.coms[:6], inertias=model.inertias[:6])
+    scenario = Scenario(alpha=0.5, q_init=DEFAULT_HOME[:6])
+    sim = SimConfig(duration=0.05)
+    with pytest.raises(ConfigError, match=r"^control\.gains\.kp_null: expected 6 numbers$"):
+        run_episode(six, ControlSetup(variant=variant), scenario, sim)
+    gains = GainSet.from_proportional(n_joints=6, kd_null=NULL_DAMPING)
+    trace = run_episode(six, ControlSetup(variant=variant, gains=gains), scenario, sim)
+    assert trace.filled == 51
+    assert trace.constraint_gap.max() <= 1e-9
