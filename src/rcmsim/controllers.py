@@ -1,27 +1,41 @@
 """Torque controllers for RCM-constrained tool-tip tracking.
 
-Every variant is a free-motion torque plus a constraint term Jc^T f, and all
-three share one interface: ``control_torque`` takes the tick's
-``ControlSnapshot``, runs the configured variant and adds the disturbance
-compensation.
+The three variants share one core, the constraint-consistent completion
 
-* projected controller: orthogonal torque decomposition with an exactly
-  enforced pivot constraint and operational-space tip tracking in the
-  free-motion subspace;
-* extended-Jacobian controller: stacked constraint/null-space coordinates
-  with a metric-weighted null basis (comparison baseline, static trocar);
-* Udwadia-Kalaba controller: the unconstrained tip law completed by the
-  ideal constraint force, in its reduced form (comparison baseline).
+    tau = N_bar^T tau_task + Jc^T Lambda_c (a_cmd + Jc M^-1 h),
+    N_bar^T = I - Jc^T Lambda_c Jc M^-1,
 
-The controllers are pure functions of the snapshot, the reference, the
-setup and the episode's start configuration; the one integration state,
-the observer's momentum, is passed explicitly by the caller.
+which makes Jc qddot = a_cmd exactly in closed loop, and one stacked
+mobility K = [J; Jc] M^-1 [J; Jc]^T per tick (``Mobility``): Lambda_c =
+K_cc^-1 and S = K_tt - K_tc Lambda_c K_ct. A variant is its tip inertia
+Lambda and bias h_task (the tip force is f = Lambda xdd_d + Kd ed + Kp e +
+h_task), its task/null-space law and its pivot command:
+
+    variant     Lambda   h_task                  tau_task             a_cmd
+    p_approach  S^-1     Lambda (B h - Jdot qd   J^T f + N_B tau_0    -K_cc e_c - b_c
+                         - K_tc Lambda_c a_cmd)
+    z_approach  S^-1     0                       J^T f + tau_0 + h_z  -K_cc e_c - Jdot_c qd
+    uk          K_tt^-1  Lambda (J M^-1 h        J^T f + N_J tau_0    -e_c
+                         - Jdot qd)
+
+with e_c = Kd xdot_c + Kp (x_c - x_c_ref), B = J M^-1 - K_tc Lambda_c Jc M^-1,
+N_B = I - J^T Lambda B, N_J = I - J^T Lambda J M^-1, tau_0 the null-space
+compliance and h_z the extended-Jacobian bias (see ``z_approach_torque``).
+p_approach is the projected controller; z_approach (extended Jacobian,
+static trocar) and uk (Udwadia-Kalaba) are the comparison baselines. An
+orthogonal projector P = I - Jc^+ Jc on tau_task would change nothing:
+N_bar^T Jc^T = 0, so N_bar^T P = N_bar^T.
+
+``control_torque`` runs the configured variant on the tick's
+``ControlSnapshot`` and adds the disturbance compensation. The controllers
+are pure functions of the snapshot, the reference, the setup and the
+episode's start configuration; the one integration state, the observer's
+momentum, is passed explicitly by the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +47,7 @@ from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin
 from . import robot
 from .robot import JointState, KinFrames, RobotModel, kinematics
 from .scenarios import TaskReference
-from .schema import NON_NEGATIVE, POSITIVE, Rule, fail
+from .schema import NON_NEGATIVE, POSITIVE, Rule, fail, length
 
 P_APPROACH = "p_approach"
 Z_APPROACH = "z_approach"
@@ -59,8 +73,11 @@ def _as_diag(value, size: int, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.size == 1:
         arr = np.full(size, float(arr[0]))
-    if arr.shape != (size,):
-        raise ValueError(f"{name}: expected scalar or length-{size} vector")
+    rule = length(size)
+    if not rule.ok(arr):
+        fail(name, rule.message)
+    if not np.all(np.isfinite(arr)):
+        fail(name, "must be finite")
     if np.any(arr < 0):
         fail(name, NON_NEGATIVE.message)
     return arr
@@ -103,8 +120,7 @@ class GainSet:
         kd_null = (
             2.0 * np.sqrt(kp_null) if kd_null is None else _as_diag(kd_null, n_joints, "kd_null")
         )
-        if not NON_NEGATIVE.ok(observer_gain):
-            fail("observer_gain", NON_NEGATIVE.message)
+        observer_gain = _as_diag(observer_gain, 1, "observer_gain")[0]
         return cls(
             kp_task=kp_task,
             kd_task=kd_task,
@@ -143,22 +159,16 @@ class ControlSetup:
 
 
 class ControllerOutput(NamedTuple):
-    """Torque command and its decomposition.
+    """A controller tick's command.
 
-    tau = tau_parallel + tau_perp + tau_ext_hat: ``tau_perp`` is the
-    variant's constraint term Jc^T f, ``tau_parallel`` the free-motion rest
-    and ``tau_ext_hat`` the compensation torque actually added (the float
-    0.0 when compensation is off or there is no estimate).
-    ``constraint_accel_cmd`` is the constraint-space joint acceleration the
-    controller commands (what Jc qddot should equal in closed loop).
-    ``damped`` counts the tick's inertia inverses (the variant's and the
-    compensation's) that fell back to the damped inverse.
+    ``tau`` is the torque, compensation included. ``constraint_accel_cmd`` is
+    the constraint-space joint acceleration the controller commands (what
+    Jc qddot equals in closed loop). ``damped`` counts the tick's inertia
+    inverses (the variant's and the compensation's) that fell back to the
+    damped inverse.
     """
 
     tau: np.ndarray
-    tau_parallel: np.ndarray
-    tau_perp: np.ndarray
-    tau_ext_hat: np.ndarray | float
     constraint_accel_cmd: np.ndarray
     damped: int
 
@@ -282,8 +292,29 @@ def observer_step(
     return ObserverState(gain=obs.gain, p_hat=p_hat, tau_ext_hat=-r_new, n_prev=n_new)
 
 
+# Row blocks of the stacked operators: the tip rows, then the constraint rows.
+TIP, PIVOT = slice(0, 3), slice(3, None)
+
+
+class Mobility(NamedTuple):
+    """The tick's stacked task and constraint operators: A = [J; Jc],
+    W = A M^-1 and the mobility K = W A^T. The TIP and PIVOT blocks of K
+    hold every inertia the controllers and the compensation invert."""
+
+    A: np.ndarray
+    W: np.ndarray
+    K: np.ndarray
+
+
+def stacked_mobility(snap: ControlSnapshot) -> Mobility:
+    """The mobility of the snapshot's own tip and constraint Jacobians."""
+    A = np.concatenate([snap.J_task, snap.constraint.J])
+    W = A.dot(snap.Minv)
+    return Mobility(A, W, W.dot(A.T))
+
+
 def compensation_torque(
-    tau_ext_hat: np.ndarray | None, mode: str, snap: ControlSnapshot
+    tau_ext_hat: np.ndarray | None, mode: str, mob: Mobility
 ) -> tuple[np.ndarray, bool]:
     """Disturbance-compensation torque actually added to the command, and
     whether its inertia inverse was damped.
@@ -292,28 +323,14 @@ def compensation_torque(
     tip task or the pivot constraint, leaving the null-space response free so
     intentional interaction is expressed as compliance instead of rejected.
     """
-    n = snap.M.shape[0]
     if tau_ext_hat is None or mode == COMP_OFF:
-        return np.zeros(n), False
+        return np.zeros(mob.A.shape[1]), False
     if mode == COMP_FULL:
         return tau_ext_hat, False
-    J_aug = np.concatenate([snap.J_task, snap.constraint.J], axis=0)
-    JMinv = J_aug.dot(snap.Minv)
-    Lam, damped = sym_inv(JMinv.dot(J_aug.T))
-    # tau - N_aug tau with N_aug = I - J_aug^T Lam J_aug M^-1, as three
-    # products with vectors instead of the n x n projector
-    return J_aug.T.dot(Lam.dot(JMinv.dot(tau_ext_hat))), damped
-
-
-class Torque(NamedTuple):
-    """A variant's command before compensation: tau = parallel + perp, with
-    ``perp`` its constraint term Jc^T f; ``accel_cmd`` is the Jc qddot it
-    commands and ``damped`` whether its task-inertia inverse was damped."""
-
-    parallel: np.ndarray
-    perp: np.ndarray
-    accel_cmd: np.ndarray
-    damped: bool
+    Lam, damped = sym_inv(mob.K)
+    # tau - N_aug tau with N_aug = I - A^T K^-1 A M^-1, as three products
+    # with vectors instead of the n x n projector
+    return mob.A.T.dot(Lam.dot(mob.W.dot(tau_ext_hat))), damped
 
 
 def control_torque(
@@ -333,18 +350,18 @@ def control_torque(
     trocar, which is nonzero by construction, so the caller passes the
     initial residual there.
     """
+    mob = stacked_mobility(snap)
     # resolved at call time, so a wrapper set on the module attribute sees the call
     variant = (
         p_approach_torque if setup.variant == P_APPROACH
         else z_approach_torque if setup.variant == Z_APPROACH
         else uk_torque
     )
-    tau_par, tau_perp, a_cmd, damped = variant(snap, ref, setup, q_init, x_c_ref)
-    tau = tau_par + tau_perp
+    out = variant(snap, mob, ref, setup, q_init, x_c_ref)
     if tau_ext_hat is None or setup.compensation == COMP_OFF:
-        return ControllerOutput(tau, tau_par, tau_perp, 0.0, a_cmd, damped)
-    tau_c, damped_c = compensation_torque(tau_ext_hat, setup.compensation, snap)
-    return ControllerOutput(tau + tau_c, tau_par, tau_perp, tau_c, a_cmd, damped + damped_c)
+        return out
+    tau_c, damped_c = compensation_torque(tau_ext_hat, setup.compensation, mob)
+    return ControllerOutput(out.tau + tau_c, out.constraint_accel_cmd, out.damped + damped_c)
 
 
 def _pivot_pd(cs: ConstraintState, gains: GainSet, x_c_ref: np.ndarray | None) -> np.ndarray:
@@ -354,27 +371,19 @@ def _pivot_pd(cs: ConstraintState, gains: GainSet, x_c_ref: np.ndarray | None) -
     return gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * x_err
 
 
-def _constraint_inertia(cs: ConstraintState, Minv: np.ndarray):
-    """(M^-1 Jc^T, mobility Jc M^-1 Jc^T, its inverse Lambda_c)."""
-    Minv_JcT = Minv.dot(cs.J.T)
-    mobility_c = cs.J.dot(Minv_JcT)
-    return Minv_JcT, mobility_c, small_inv(mobility_c)
-
-
-def _free_mobility(J: np.ndarray, Minv: np.ndarray, Minv_JcT: np.ndarray, Lambda_c: np.ndarray):
-    """(J M^-1 Jc^T Lambda_c, J N), N = M^-1 - M^-1 Jc^T Lambda_c Jc M^-1."""
-    JG = J.dot(Minv_JcT).dot(Lambda_c)
-    return JG, J.dot(Minv) - JG.dot(Minv_JcT.T)
-
-
-def _completion(
-    snap: ControlSnapshot, Lambda_c: np.ndarray, a_cmd: np.ndarray, tau_free: np.ndarray
-) -> np.ndarray:
-    """Jc^T Lambda_c (a_cmd + Jc M^-1 (h - tau_free)): the constraint torque
-    that, added to ``tau_free``, makes Jc qddot = a_cmd exactly."""
-    Jc = snap.constraint.J
-    f_c = Lambda_c.dot(a_cmd + Jc.dot(snap.Minv.dot(snap.h - tau_free)))
-    return Jc.T.dot(f_c)
+def _complete(
+    snap: ControlSnapshot,
+    mob: Mobility,
+    Lambda_c: np.ndarray,
+    tau_task: np.ndarray,
+    a_cmd: np.ndarray,
+    damped: bool,
+) -> ControllerOutput:
+    """The core: tau_task + Jc^T Lambda_c (a_cmd + Jc M^-1 (h - tau_task)),
+    which is N_bar^T tau_task + Jc^T Lambda_c (a_cmd + Jc M^-1 h) and makes
+    Jc qddot = a_cmd exactly."""
+    f_c = Lambda_c.dot(a_cmd + mob.W[PIVOT].dot(snap.h - tau_task))
+    return ControllerOutput(tau_task + snap.constraint.J.T.dot(f_c), a_cmd, damped)
 
 
 def _task_torque(
@@ -397,60 +406,46 @@ def _task_torque(
 
 def p_approach_torque(
     snap: ControlSnapshot,
+    mob: Mobility,
     ref: TaskReference,
     setup: ControlSetup,
     q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-) -> Torque:
+) -> ControllerOutput:
     """Projected constraint-consistent controller.
 
-    The free-motion torque runs operational-space PD tracking of the tip plus
-    null-space compliance, projected onto the admissible subspace; the
-    constrained torque enforces the commanded constraint acceleration exactly,
-    including the coupling of the projected free torque into the constraint
-    space: f_c = Lambda_c (a_cmd + Jc M^-1 (h - tau_parallel)). In closed loop
-    (no unmodelled external torque) this yields Jc qddot = a_cmd to solver
-    precision and clean PD error dynamics for the tip.
-
-    The pivot command is -Lambda_c^-1 (Kd xdot + Kp x_err) less the
-    acceleration bias b_c, so the residual dynamics stay homogeneous with a
-    moving trocar. The task terms are those of the operational-space law on
-    the free-motion inertia M_f = P M + (I - P), formed from the snapshot's
-    M^-1: M_f^-1 P = M^-1 - M^-1 Jc^T Lambda_c Jc M^-1, and the constraint
-    feedforward M_f^-1 Jc^+ a_cmd = M^-1 Jc^T Lambda_c a_cmd.
+    Operational-space PD tracking of the tip plus null-space compliance on
+    the constrained tip mobility S = B J^T, whose bias carries the
+    constraint feedforward K_tc Lambda_c a_cmd; the core enforces the pivot
+    command exactly, so in closed loop the tip has clean PD error dynamics.
+    Subtracting b_c from the command keeps the residual dynamics homogeneous
+    with a moving trocar. The rank of Jc is checked first: dependent rows
+    raise RankDeficientConstraint before K_cc is inverted.
     """
-    cs = snap.constraint
-    Minv, J = snap.Minv, snap.J_task
+    cs, qd = snap.constraint, snap.state.qdot
+    K, W = mob.K, mob.W
+    row_factor(cs.J)  # the rank check alone
     # Products use ndarray.dot, which costs less per call than @ on these
     # small operands; this runs every tick.
-    Q = row_factor(cs.J)[1]
-    Minv_JcT, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
-    a_cmd = -mobility_c.dot(_pivot_pd(cs, setup.gains, x_c_ref)) - cs.b
-
-    JG, B = _free_mobility(J, Minv, Minv_JcT, Lambda_c)
-    Lambda_f, damped = sym_inv(B.dot(J.T))
-    h_f = Lambda_f.dot(B.dot(snap.h) - snap.Jdot_task.dot(snap.state.qdot) - JG.dot(a_cmd))
-    tau_f = _task_torque(snap, ref, setup.gains, q_init, Lambda_f, h_f, B)
-    # The Moore-Penrose inverse of the orthogonal projector P = I - Q^T Q is P.
-    tau_par = tau_f - Q.T.dot(Q.dot(tau_f))
-    return Torque(tau_par, _completion(snap, Lambda_c, a_cmd, tau_par), a_cmd, damped)
-
-
-@cache
-def _identity(n: int) -> np.ndarray:
-    """The read-only n x n identity, built once per joint count."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+    K_cc = K[PIVOT, PIVOT]
+    Lambda_c = small_inv(K_cc)
+    a_cmd = -K_cc.dot(_pivot_pd(cs, setup.gains, x_c_ref)) - cs.b
+    K_tc_Lambda_c = K[TIP, PIVOT].dot(Lambda_c)
+    B = W[TIP] - K_tc_Lambda_c.dot(W[PIVOT])
+    Lambda_f, damped = sym_inv(K[TIP, TIP] - K_tc_Lambda_c.dot(K[PIVOT, TIP]))
+    h_f = Lambda_f.dot(B.dot(snap.h) - snap.Jdot_task.dot(qd) - K_tc_Lambda_c.dot(a_cmd))
+    tau_task = _task_torque(snap, ref, setup.gains, q_init, Lambda_f, h_f, B)
+    return _complete(snap, mob, Lambda_c, tau_task, a_cmd, damped)
 
 
 def z_approach_torque(
     snap: ControlSnapshot,
+    mob: Mobility,
     ref: TaskReference,
     setup: ControlSetup,
     q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-) -> Torque:
+) -> ControllerOutput:
     """Extended-Jacobian baseline controller (static trocar).
 
     Stacks the constraint Jacobian over Z^# = Lambda_n^-1 Z^T M, the
@@ -464,17 +459,21 @@ def z_approach_torque(
     Zdot = -Jc^+ Jdot_c Z, so it is formed without a basis. With Jc = L Q
     (``row_factor``), G = M^-1 Jc^T Lambda_c, A = I - G Jc and nu = Z^# qd:
 
-        P = I - Q^T Q,  Jc^+ = Q^T L^-1,  Z^# = Z^T A,  Z nu = P A qd,
+        P = I - Q^T Q,  Jc^+ = Q^T L^-1,  Z^# = Z^T A,  Z nu = A qd,
         Z^#^T Z^T v = A^T P v,  Zdot nu = -Jc^+ Jdot_c Z nu,
         Z Zdot^T = -P Jdot_c^T Jc^+^T.
+
+    A^T P = N_bar^T, so the null rows' torque is the core's N_bar^T tau_task,
+    and the pivot rows' Jc^T (f_c + Lambda_c (Jc M^-1 h - Jdot_c qd)) its
+    completion with a_cmd = K_cc f_c - Jdot_c qd.
     """
     cs, gains, qd = snap.constraint, setup.gains, snap.state.qdot
-    M, Minv, J, Jc = snap.M, snap.Minv, snap.J_task, cs.J
+    M, J, Jc, K = snap.M, snap.J_task, cs.J, mob.K
     L, Q = row_factor(Jc)
-    P = _identity(Jc.shape[1]) - Q.T.dot(Q)
     Jc_pinv = Q.T.dot(small_inv(L))
-    Minv_JcT, mobility_c, Lambda_c = _constraint_inertia(cs, Minv)
-    G = Minv_JcT.dot(Lambda_c)
+    K_cc = K[PIVOT, PIVOT]
+    Lambda_c = small_inv(K_cc)
+    G = mob.W[PIVOT].T.dot(Lambda_c)
 
     # J_E = [Jc; Z^#] has the inverse [G, Z], so ||J_E||_F ||J_E^-1||_F bounds
     # its condition number, with ||Z^#||_F^2 = ||P A||_F^2 = m + ||P G L||_F^2
@@ -482,47 +481,48 @@ def z_approach_torque(
     # (room for the rounding of the formed inverse) leaves it to the SVD of
     # [Jc; P A], whose singular values are those of J_E.
     m = Jc.shape[1] - Jc.shape[0]
-    PGL = P.dot(G.dot(L))
+    GL = G.dot(L)
+    PGL = GL - Q.T.dot(Q.dot(GL))
     bound_sq = (np.vdot(Jc, Jc) + m + np.vdot(PGL, PGL)) * (np.vdot(G, G) + m)
     if 4.0 * STACKED_COND_TOL * STACKED_COND_TOL * bound_sq >= 1.0:
+        P = np.eye(Jc.shape[1]) - Q.T.dot(Q)
         sv = np.linalg.svd(np.concatenate([Jc, P - PGL.dot(Q)]), compute_uv=False)
         if sv[-1] <= STACKED_COND_TOL * sv[0]:
             raise SingularExtendedJacobian(
                 f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})"
             )
 
-    H_top = Lambda_c.dot(Jc.dot(Minv.dot(snap.h)) - cs.J_dot.dot(qd))
-    f_c = -_pivot_pd(cs, gains, x_c_ref)
     # Feedforward through this controller's own constrained tip mobility
-    # J Z Lambda_n^-1 Z^T J^T = J N J^T: the acceleration reference maps exactly.
-    Lambda_zn, damped = sym_inv(_free_mobility(J, Minv, Minv_JcT, Lambda_c)[1].dot(J.T))
+    # J Z Lambda_n^-1 Z^T J^T = K_tt - K_tc Lambda_c K_ct: the acceleration
+    # reference maps exactly.
+    Lambda_zn, damped = sym_inv(K[TIP, TIP] - K[TIP, PIVOT].dot(Lambda_c).dot(K[PIVOT, TIP]))
     f_f = free_space_force(Lambda_zn, 0.0, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
     tau_0 = nullspace_torque(snap.state.q, qd, q_init, gains)
     # Z (f_n + H_bot), with f_n = Z^T (J^T f_f + tau_0), the bias
-    # H_bot = Lambda_n (Z^# M^-1 h - d/dt(Z^#) qd) and u = qd - Z nu, is
-    # P (J^T f_f + tau_0 + h - Mdot u + M Zdot nu) - Z Zdot^T M u.
-    Z_nu = P.dot(qd - G.dot(Jc.dot(qd)))
-    u = qd - Z_nu
-    v = P.dot(J.T.dot(f_f) + tau_0 + snap.h - snap.kin.Mdot.dot(u)
-              - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Jc_pinv.T.dot(M.dot(u))))
-    # The torque realizes Jc qddot = mobility_c f_c - b_c.
-    tau_par = v - Jc.T.dot(G.T.dot(v))
-    return Torque(tau_par, Jc.T.dot(f_c + H_top), mobility_c.dot(f_c) - cs.b, damped)
+    # H_bot = Lambda_n (Z^# M^-1 h - d/dt(Z^#) qd) and u = qd - Z nu, is N_bar^T
+    # applied to J^T f_f + tau_0 + h - Mdot u + M Zdot nu - Z Zdot^T M u.
+    u = G.dot(Jc.dot(qd))
+    Z_nu = qd - u
+    tau_task = (J.T.dot(f_f) + tau_0 + snap.h - snap.kin.Mdot.dot(u)
+                - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Jc_pinv.T.dot(M.dot(u))))
+    a_cmd = -K_cc.dot(_pivot_pd(cs, gains, x_c_ref)) - cs.J_dot.dot(qd)
+    return _complete(snap, mob, Lambda_c, tau_task, a_cmd, damped)
 
 
 def uk_torque(
     snap: ControlSnapshot,
+    mob: Mobility,
     ref: TaskReference,
     setup: ControlSetup,
     q_init: np.ndarray,
     x_c_ref: np.ndarray | None = None,
-) -> Torque:
+) -> ControllerOutput:
     """Udwadia-Kalaba baseline: the unconstrained tip law completed by the
     ideal constraint force.
 
     tau_sharp is the operational-space PD tip torque with no constraint
-    (same gains as the projected controller's free-space task, null-space
-    term through the unconstrained dynamically consistent projector) and
+    (same gains as the projected controller's task, null-space term through
+    the unconstrained dynamically consistent projector) and
     b_ic = -(Kd xdot_c + Kp x_err) the commanded constraint acceleration.
     The published form splits the constraint torque through
     Pi = Jc M^-1/2 into an ideal and a non-ideal part with tau_nic = Jc^T b_ic:
@@ -535,16 +535,11 @@ def uk_torque(
 
         tau = tau_sharp + Jc^T Lambda_c (b_ic - Jc M^-1 (tau_sharp - h)),
 
-    the completion the projected controller applies to its free torque. In
-    closed loop Jc qddot = b_ic exactly.
+    the core applied to tau_sharp. In closed loop Jc qddot = b_ic exactly.
     """
-    cs = snap.constraint
-    gains = setup.gains
-    J, Minv = snap.J_task, snap.Minv
-    B = J.dot(Minv)
-    Lambda_tip, damped = sym_inv(B.dot(J.T))
+    gains, K, B = setup.gains, mob.K, mob.W[TIP]
+    Lambda_tip, damped = sym_inv(K[TIP, TIP])
     h_tip = Lambda_tip.dot(B.dot(snap.h) - snap.Jdot_task.dot(snap.state.qdot))
     tau_sharp = _task_torque(snap, ref, gains, q_init, Lambda_tip, h_tip, B)
-    b_ic = -_pivot_pd(cs, gains, x_c_ref)
-    _, _, Lambda_c = _constraint_inertia(cs, Minv)
-    return Torque(tau_sharp, _completion(snap, Lambda_c, b_ic, tau_sharp), b_ic, damped)
+    b_ic = -_pivot_pd(snap.constraint, gains, x_c_ref)
+    return _complete(snap, mob, small_inv(K[PIVOT, PIVOT]), tau_sharp, b_ic, damped)

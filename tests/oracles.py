@@ -15,6 +15,7 @@
   operators (P, Pdot, M_f, task-space terms, the Gauss acceleration split)
   in their general form.
 * Controller references: the unconstrained operational-space PD law, the
+  projected controller in its orthogonal-projector (P) form, the
   published inertia-square-root form of the Udwadia-Kalaba controller and
   the extended-Jacobian controller in its basis form, with an explicit
   null-space basis (the SVD one or any rotation of it), Procrustes basis
@@ -680,6 +681,39 @@ def _residual_error(cs: ConstraintState, x_c_ref):
     return cs.x if x_c_ref is None else cs.x - np.asarray(x_c_ref, dtype=float)
 
 
+def p_approach_reference(
+    snap: ControlSnapshot, ref: TaskReference, gains: GainSet, q_init: np.ndarray, x_c_ref=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projected controller in its P form: (tau, constraint_accel_cmd).
+
+    The free torque tau_f, the operational-space PD tip torque on the
+    constrained tip mobility B J^T (B = J N, N = M^-1 - M^-1 Jc^T Lambda_c
+    Jc M^-1) plus the null-space term through I - J^T Lambda_f B, is
+    projected by the orthogonal P = I - Jc^+ Jc, and the completion
+    Jc^T Lambda_c (a_cmd + Jc M^-1 (h - P tau_f)) enforces the pivot command
+    a_cmd = -Jc M^-1 Jc^T (Kd xdot_c + Kp x_err) - b_c.
+    """
+    cs = snap.constraint
+    state = snap.state
+    k = cs.J.shape[0]
+    Minv, J, h = snap.Minv, snap.J_task, snap.h
+    P = orth_projector(cs.J)
+    Minv_JcT = Minv @ cs.J.T
+    mobility_c = cs.J @ Minv_JcT
+    Lambda_c = np.linalg.inv(mobility_c)
+    pd = gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * _residual_error(cs, x_c_ref)
+    a_cmd = -mobility_c @ pd - cs.b
+    JG = J @ Minv_JcT @ Lambda_c
+    B = J @ Minv - JG @ Minv_JcT.T
+    Lambda_f = np.linalg.inv(B @ J.T)
+    h_f = Lambda_f @ (B @ h - snap.Jdot_task @ state.qdot - JG @ a_cmd)
+    f = free_space_force(Lambda_f, h_f, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
+    tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
+    tau_par = P @ (J.T @ (f - Lambda_f @ (B @ tau_0)) + tau_0)
+    f_c = Lambda_c @ (a_cmd + cs.J @ (Minv @ (h - tau_par)))
+    return tau_par + cs.J.T @ f_c, a_cmd
+
+
 def uk_sqrt_reference(
     snap: ControlSnapshot, ref: TaskReference, gains: GainSet, q_init: np.ndarray, x_c_ref=None
 ) -> np.ndarray:
@@ -746,8 +780,8 @@ def z_approach_reference(
     q_init: np.ndarray,
     x_c_ref=None,
     Z: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extended-Jacobian controller in its basis form: (tau, tau_perp,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extended-Jacobian controller in its basis form: (tau,
     constraint_accel_cmd), with the null basis ``Z`` (default: the SVD one),
     an SVD pseudoinverse and the torque formed through the stacked Jacobian
     J_E = [Jc; Z^#]. The gauge-locked rate Zdot = -Jc^+ Jdot_c Z holds the
@@ -777,7 +811,6 @@ def z_approach_reference(
     edot = ref.xdot - snap.tip_vel
     f_f = Lambda_zn @ ref.xddot + gains.kd_task * edot + gains.kp_task * e
     f_n = Z.T @ (J.T @ f_f) + Z.T @ nullspace_torque(state.q, state.qdot, q_init, gains)
-    tau_perp = cs.J.T @ (f_c + H_top)
     accel_cmd = np.linalg.solve(Lambda_c, f_c) - cs.b
-    return J_E.T @ np.concatenate([f_c + H_top, f_n + H_bot]), tau_perp, accel_cmd
+    return J_E.T @ np.concatenate([f_c + H_top, f_n + H_bot]), accel_cmd
 

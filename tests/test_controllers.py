@@ -17,8 +17,9 @@ from rcmsim.controllers import (
     free_space_force,
     nullspace_torque,
     observer_step,
+    stacked_mobility,
 )
-from rcmsim.errors import ConfigError, SingularExtendedJacobian
+from rcmsim.errors import ConfigError, RankDeficientConstraint, SingularExtendedJacobian
 from rcmsim.numerics import small_inv
 from rcmsim.rcm import RcmMode, TrocarState, place_trocar
 from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
@@ -27,8 +28,8 @@ from oracles import (
     forward_dynamics,
     matrix_sqrt,
     null_basis,
+    p_approach_reference,
     pinv,
-    projection_state,
     uk_sqrt_reference,
     unconstrained_pd_torque,
     without_constraint,
@@ -72,6 +73,26 @@ def test_gain_rejects_negative():
         GainSet.from_proportional(kp_task=-1.0)
 
 
+@pytest.mark.parametrize("name", ["kp_task", "kd_rcm", "kp_null"])
+@pytest.mark.parametrize("value, message", [
+    (float("nan"), "must be finite"),
+    (float("inf"), "must be finite"),
+    ([1.0, 2.0], "expected {n} numbers"),
+])
+def test_gain_rejects_non_finite_and_wrong_length(name, value, message):
+    # rejected where the gains are built, naming the field, not as a
+    # diverged episode at tick 0
+    n = 7 if name == "kp_null" else 3
+    with pytest.raises(ConfigError, match=f"^{name}: {message.format(n=n)}$"):
+        GainSet.from_proportional(**{name: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_observer_gain_must_be_finite(value):
+    with pytest.raises(ConfigError, match="^observer_gain: must be finite$"):
+        GainSet.from_proportional(observer_gain=value)
+
+
 def test_gain_experiment_defaults():
     # default diagonal stiffnesses: 1000 N/m at the tip, 1500 N/m at the pivot
     g = GainSet.from_proportional()
@@ -112,18 +133,6 @@ def test_nullspace_torque_examples():
 # --- projected controller ----------------------------------------------------
 
 
-def test_p_approach_annihilation_random_states(model, rng):
-    g = _gains()
-    for _ in range(15):
-        state, trocar = _scenario_state(model, rng, qd_scale=0.5)
-        ref = _hold_reference(model, state.q)
-        snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
-        out = _control("p_approach", snap, ref, g)
-        P = projection_state(kinematics(model, state.q).M, snap.constraint.J).P
-        assert np.abs(P @ out.tau_perp).max() < 1e-9
-        assert np.abs(out.tau - (out.tau_parallel + out.tau_perp + out.tau_ext_hat)).max() < 1e-12
-
-
 def test_p_approach_constraint_consistency_random_states(model, rng):
     # Feeding the commanded torque through the plant must realize the
     # commanded constraint-space acceleration exactly.
@@ -148,7 +157,6 @@ def test_p_approach_unconstrained_reduction(model):
     out = _control("p_approach", snap, ref, g)
     tau_pd = unconstrained_pd_torque(snap, ref, g, DEFAULT_HOME)
     assert np.abs(out.tau - tau_pd).max() < 1e-10
-    assert np.abs(out.tau_perp).max() == 0.0
 
 
 def test_p_approach_equilibrium_accelerations(model):
@@ -250,6 +258,23 @@ def test_z_approach_stacked_bound_never_skips_a_singular_check(model, seed):
     assert min(conds) < 1e9 and max(conds) > 1e11
 
 
+@pytest.mark.parametrize("variant", ["p_approach", "z_approach"])
+def test_dependent_constraint_rows_raise_before_inversion(model, monkeypatch, variant):
+    # Two parallel residual rows: the rank check names the failure before
+    # the singular constraint mobility is inverted.
+    state, trocar = _scenario_state(model)
+    snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+    cs = snap.constraint
+    snap = snap._replace(constraint=cs._replace(J=np.stack([cs.J[0], 2.0 * cs.J[0]])))
+
+    def forbidden(_):
+        raise AssertionError("constraint mobility inverted")
+
+    monkeypatch.setattr(controllers, "small_inv", forbidden)
+    with pytest.raises(RankDeficientConstraint):
+        _control(variant, snap, _hold_reference(model, state.q), _gains())
+
+
 # --- inertia-square-root controller ------------------------------------------
 
 
@@ -312,6 +337,20 @@ def _rel_err(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+@pytest.mark.parametrize("moving", [False, True])
+def test_p_approach_matches_p_form_reference(model, moving):
+    # The core without the orthogonal projector against the P form: the
+    # completion's N_bar^T annihilates what P removes.
+    rng = np.random.default_rng(11 + moving)
+    worst = 0.0
+    for _ in range(50):
+        snap, ref, gains, q_init, x_ref = _random_case(model, rng, RcmMode.TWO_D, moving)
+        out = _control("p_approach", snap, ref, gains, q_init, x_c_ref=x_ref)
+        tau, accel_cmd = p_approach_reference(snap, ref, gains, q_init, x_ref)
+        worst = max(worst, _rel_err(out.tau, tau), _rel_err(out.constraint_accel_cmd, accel_cmd))
+    assert worst < 1e-9
+
+
 @pytest.mark.parametrize("mode", [RcmMode.TWO_D, RcmMode.THREE_D])
 @pytest.mark.parametrize("moving", [False, True])
 def test_uk_reduced_form_matches_sqrt_reference(model, mode, moving):
@@ -340,9 +379,8 @@ def test_z_approach_matches_pre_change_torque(model):
         Z = null_basis(snap.constraint.J)
         m = Z.shape[1]
         for R in [np.eye(m)] + [np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in range(3)]:
-            tau, tau_perp, accel_cmd = z_approach_reference(snap, ref, gains, q_init, x_ref, Z @ R)
-            worst = max(worst, _rel_err(out.tau, tau), _rel_err(out.tau_perp, tau_perp),
-                        _rel_err(out.constraint_accel_cmd, accel_cmd))
+            tau, accel_cmd = z_approach_reference(snap, ref, gains, q_init, x_ref, Z @ R)
+            worst = max(worst, _rel_err(out.tau, tau), _rel_err(out.constraint_accel_cmd, accel_cmd))
     assert worst < 1e-9
 
 
@@ -430,11 +468,12 @@ def test_observer_first_order_convergence(model):
 def test_compensation_modes(model, rng):
     state, trocar = _scenario_state(model, rng, qd_scale=0.3)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+    mob = stacked_mobility(snap)
     tau_hat = rng.uniform(-2, 2, model.n)
-    assert np.abs(compensation_torque(None, COMP_FULL, snap)[0]).max() == 0.0
-    assert np.abs(compensation_torque(tau_hat, COMP_OFF, snap)[0]).max() == 0.0
-    assert np.array_equal(compensation_torque(tau_hat, COMP_FULL, snap)[0], tau_hat)
-    partial, damped = compensation_torque(tau_hat, COMP_PRESERVE_NULL, snap)
+    assert np.abs(compensation_torque(None, COMP_FULL, mob)[0]).max() == 0.0
+    assert np.abs(compensation_torque(tau_hat, COMP_OFF, mob)[0]).max() == 0.0
+    assert np.array_equal(compensation_torque(tau_hat, COMP_FULL, mob)[0], tau_hat)
+    partial, damped = compensation_torque(tau_hat, COMP_PRESERVE_NULL, mob)
     assert not damped
     # the uncompensated remainder produces no tip or pivot acceleration
     leftover = tau_hat - partial
