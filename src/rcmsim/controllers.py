@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularExtendedJacobian
-from .numerics import lu_inv, row_factor, small_inv
+from .numerics import check_row_rank, lu_inv, row_factor, small_inv
 from .projection import sym_inv
 from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin
 from . import robot
@@ -419,12 +419,12 @@ def p_approach_torque(
     constraint feedforward K_tc Lambda_c a_cmd; the core enforces the pivot
     command exactly, so in closed loop the tip has clean PD error dynamics.
     Subtracting b_c from the command keeps the residual dynamics homogeneous
-    with a moving trocar. The rank of Jc is checked first: dependent rows
-    raise RankDeficientConstraint before K_cc is inverted.
+    with a moving trocar. Jc's rank is checked first (``check_row_rank``):
+    dependent rows raise RankDeficientConstraint before K_cc is inverted.
     """
     cs, qd = snap.constraint, snap.state.qdot
     K, W = mob.K, mob.W
-    row_factor(cs.J)  # the rank check alone
+    check_row_rank(cs.J)
     # Products use ndarray.dot, which costs less per call than @ on these
     # small operands; this runs every tick.
     K_cc = K[PIVOT, PIVOT]

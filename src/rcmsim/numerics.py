@@ -13,6 +13,7 @@ from numpy.linalg import _umath_linalg
 from .errors import RankDeficientConstraint
 
 DEFAULT_RTOL = 1e-10
+GRAM_RTOL = 1e-12
 
 
 def lu_inv(A: np.ndarray) -> np.ndarray:
@@ -69,9 +70,9 @@ def _check_rank(k: int, s_min: float, s_max: float):
 def row_factor(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L, Q) with Jc = L Q and Q's rows orthonormal: Jc^+ = Q^T L^-1 and the
     null-space projector is I - Q^T Q. Raises RankDeficientConstraint when
-    any singular value falls below the relative tolerance (the constraint
-    set is then ill-posed); a Jacobian with no rows (the unconstrained
-    limit) has none to check and gives the projector I.
+    any singular value falls below the relative tolerance (an ill-posed
+    constraint set; ``check_row_rank`` gives this verdict alone); a Jacobian
+    with no rows (the unconstrained limit) gives the projector I.
 
     Two rows take Gram-Schmidt with a second pass, and L is lower triangular.
     Jc's singular values are L's, so s_min s_max = L11 L22 and
@@ -97,3 +98,16 @@ def row_factor(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s_max = math.sqrt(0.5 * (f + math.sqrt(max(f * f - 4.0 * d * d, 0.0))))
     _check_rank(2, d / s_max if s_max else 0.0, s_max)
     return np.array([[l11, 0.0], [l21, l22]]), np.array([q1, w / l22])
+
+
+def check_row_rank(Jc: np.ndarray):
+    """Raise RankDeficientConstraint exactly where ``row_factor`` does. Two
+    rows pass on det G > GRAM_RTOL tr(G)^2 > the least normal float, G = Jc Jc^T
+    (s_min/s_max >~ 1e-6, far above DEFAULT_RTOL and G's rounding); the rest
+    (non-finite, zero or parallel rows, overflow) goes to ``row_factor``."""
+    if Jc.shape[0] == 2:
+        (g11, g12), (_, g22) = Jc.dot(Jc.T).tolist()
+        t = g11 + g22
+        if g11 * g22 - g12 * g12 > GRAM_RTOL * t * t > 2.0**-1022:
+            return
+    row_factor(Jc)

@@ -118,9 +118,10 @@ def tick_count(duration: float, dt: float) -> int:
 
 
 def all_finite(x: np.ndarray) -> bool:
-    """No NaN or infinity in ``x`` (one numpy reduction, cheaper than
-    ``np.isfinite(x).all()`` at the tick's sizes)."""
-    return np.count_nonzero(np.isfinite(x)) == x.size
+    """No NaN or infinity in the vector ``x``. x.x < inf certifies it in one
+    product; else (non-finite entries, overflowing squares) the elementwise
+    test decides. Call under errstate(over="ignore"), as ``run_episode`` does."""
+    return x.dot(x) < math.inf or np.count_nonzero(np.isfinite(x)) == x.size
 
 
 ALPHA = Rule(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")

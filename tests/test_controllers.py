@@ -3,7 +3,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from rcmsim import controllers
+from rcmsim import controllers, numerics
 from rcmsim.controllers import (
     COMP_FULL,
     COMP_OFF,
@@ -386,9 +386,10 @@ def test_z_approach_matches_pre_change_torque(model):
 
 def test_per_tick_factorizations(model, rng, monkeypatch):
     # uk forms neither M^1/2 nor a pseudoinverse nor a projector; p_approach
-    # applies its projector through the two-row factor, without an SVD;
-    # z_approach, on its first call, works in projector form and bounds the
-    # stacked conditioning in closed form: no SVD, no numpy solve or inverse.
+    # certifies Jc's rank from its Gram matrix on a healthy tick, without the
+    # exact two-row factor; z_approach, on its first call, works in projector
+    # form and bounds the stacked conditioning in closed form: no SVD, no
+    # numpy solve or inverse.
     calls = []
 
     def counted(name, fn):
@@ -399,7 +400,7 @@ def test_per_tick_factorizations(model, rng, monkeypatch):
         return wrapper
 
     def forbidden(*_):
-        raise AssertionError("projector formed")
+        raise AssertionError("exact factor formed")
 
     assert not hasattr(controllers, "matrix_sqrt") and not hasattr(controllers, "pinv")
     state, trocar = _scenario_state(model, rng, qd_scale=0.5)
@@ -410,9 +411,10 @@ def test_per_tick_factorizations(model, rng, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     with monkeypatch.context() as patch:
         patch.setattr(controllers, "row_factor", forbidden)
+        patch.setattr(numerics, "row_factor", forbidden)
         _control("uk", snap_3d, ref, _gains(), x_c_ref=snap_3d.constraint.x)
-    assert calls == []
-    _control("p_approach", snap, ref, _gains())
+        assert calls == []
+        _control("p_approach", snap, ref, _gains())
     assert calls == []
     _control("z_approach", snap, ref, _gains())
     assert calls == []

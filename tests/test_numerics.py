@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rcmsim import numerics
 from rcmsim.errors import RankDeficientConstraint
 from rcmsim.kernels import skew_stack
-from rcmsim.numerics import lu_inv, lu_solve, row_factor
+from rcmsim.numerics import check_row_rank, lu_inv, lu_solve, row_factor
 from rcmsim.robot import kinematics
 from conftest import random_states
 from oracles import (
@@ -144,6 +145,49 @@ def test_two_row_rank_threshold_both_sides(rng, scale):
         assert L[0, 1] == 0.0
         assert np.abs(L @ Q - Jc).max() < 1e-15 * scale
         assert np.abs(Q @ Q.T - np.eye(2)).max() < 1e-15
+
+
+def _rank_deficient(check, Jc):
+    try:
+        check(Jc)
+    except RankDeficientConstraint:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_gram_certificate_agrees_with_row_factor(rng, monkeypatch, scale):
+    # check_row_rank raises on exactly the Jacobians row_factor raises on,
+    # and certifies every one with s_min / s_max >= 1e-5 from the Gram
+    # matrix alone. Besides the random ratios: parallel rows, a zero row,
+    # NaN and infinite entries, a Gram matrix that overflows, and parallel
+    # rows whose Gram products round to subnormals, where a bound that has
+    # underflowed to zero would certify them.
+    ratios = 10.0 ** rng.uniform(-14.0, 0.0, 300)
+    draws = [_two_rows(rng, ratio, scale) for ratio in ratios]
+    a = scale * rng.standard_normal(7)
+    e1 = np.eye(7)[0]
+    draws += [
+        np.stack([a, -2.0 * a]),
+        np.stack([a, np.zeros(7)]),
+        np.zeros((2, 7)),
+        np.where(np.arange(14).reshape(2, 7) == 3, np.nan, _two_rows(rng, 0.5, scale)),
+        np.where(np.arange(14).reshape(2, 7) == 9, -np.inf, _two_rows(rng, 0.5, scale)),
+        1e200 * _two_rows(rng, 0.5),
+        np.stack([6.494379172012011e-79 * e1, 7.977157047819924e-79 * e1]),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # as run_episode runs
+        exact = [_rank_deficient(row_factor, Jc) for Jc in draws]
+        assert [_rank_deficient(check_row_rank, Jc) for Jc in draws] == exact
+    assert exact[-7:-4] == [True] * 3 and exact[-1]  # deficient by construction
+
+    def forbidden(_):
+        raise AssertionError("exact factor formed")
+
+    monkeypatch.setattr(numerics, "row_factor", forbidden)
+    for ratio, Jc in zip(ratios, draws):
+        if ratio >= 1e-5:
+            check_row_rank(Jc)
 
 
 def test_two_row_projector_matches_exact_and_svd(rng):

@@ -24,6 +24,7 @@ from rcmsim.sim import (
     Scenario,
     SimConfig,
     SimTrace,
+    all_finite,
     environment_force,
     read_trace_csv,
     run_episode,
@@ -430,6 +431,19 @@ def test_divergence_carries_tick_and_partial_trace(model, integrator, recwarn):
     assert np.isfinite(exc.trace.q[:6]).all()
     # the overflow on the way is reported by the tick, not by numpy warnings
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_all_finite_agrees_with_the_elementwise_test():
+    # x.x < inf decides most vectors in one product; entries from 1e160 up
+    # overflow it, and those and non-finite entries take the elementwise test.
+    huge = 10.0 ** np.arange(160.0, 309.0, 4.0)
+    vectors = [np.zeros(0), np.array([-0.0, 0.0]), np.linspace(-3.0, 3.0, 7), huge, -huge,
+               np.array([np.finfo(float).max, -np.finfo(float).max])]
+    for bad in (np.nan, np.inf, -np.inf):
+        vectors += [np.append(v, bad) for v in vectors[1:6]] + [np.array([bad])]
+    with np.errstate(over="ignore", invalid="ignore"):  # as run_episode runs
+        for x in vectors:
+            assert all_finite(x) == np.isfinite(x).all()
 
 
 def test_sensor_noise_is_seeded_and_deterministic(model):
