@@ -178,7 +178,9 @@ class ControlSnapshot(NamedTuple):
 
     ``kin`` is the frame pass at the state (it also carries Mdot for the
     controllers that need it); ``Minv`` is the one factorisation of M that
-    the controllers and the plant solve share.
+    the controllers and the plant solve share. ``tip_vel`` (J qd) and
+    ``tip_bias`` (Jdot qd) are the 3-vectors the frame pass contracts for
+    ``h``; ``constraint`` forms its rate terms on their first read.
     """
 
     state: JointState
@@ -187,8 +189,8 @@ class ControlSnapshot(NamedTuple):
     Minv: np.ndarray
     h: np.ndarray
     J_task: np.ndarray  # 3 x n tip translational Jacobian
-    Jdot_task: np.ndarray
     tip_vel: np.ndarray
+    tip_bias: np.ndarray
     constraint: ConstraintState
 
 
@@ -200,16 +202,15 @@ def build_snapshot(
 ) -> ControlSnapshot:
     # through the module attribute, so a wrapper set there sees every pass
     kin = robot.KinFrames(model.chain, state.q, state.qdot)
-    J_task = kin.Jp_t
     return ControlSnapshot(
         state=state,
         kin=kin,
         M=kin.M,
         Minv=lu_inv(kin.M),
         h=kin.h,
-        J_task=J_task,
-        Jdot_task=kin.Jpdot_t,
-        tip_vel=J_task.dot(state.qdot),
+        J_task=kin.Jp_t,
+        tip_vel=kin.v_t,
+        tip_bias=kin.abias_t,
         constraint=constraint_from_kin(kin, state.qdot, trocar, mode),
     )
 
@@ -422,7 +423,7 @@ def p_approach_torque(
     with a moving trocar. Jc's rank is checked first (``check_row_rank``):
     dependent rows raise RankDeficientConstraint before K_cc is inverted.
     """
-    cs, qd = snap.constraint, snap.state.qdot
+    cs = snap.constraint
     K, W = mob.K, mob.W
     check_row_rank(cs.J)
     # Products use ndarray.dot, which costs less per call than @ on these
@@ -433,7 +434,7 @@ def p_approach_torque(
     K_tc_Lambda_c = K[TIP, PIVOT].dot(Lambda_c)
     B = W[TIP] - K_tc_Lambda_c.dot(W[PIVOT])
     Lambda_f, damped = sym_inv(K[TIP, TIP] - K_tc_Lambda_c.dot(K[PIVOT, TIP]))
-    h_f = Lambda_f.dot(B.dot(snap.h) - snap.Jdot_task.dot(qd) - K_tc_Lambda_c.dot(a_cmd))
+    h_f = Lambda_f.dot(B.dot(snap.h) - snap.tip_bias - K_tc_Lambda_c.dot(a_cmd))
     tau_task = _task_torque(snap, ref, setup.gains, q_init, Lambda_f, h_f, B)
     return _complete(snap, mob, Lambda_c, tau_task, a_cmd, damped)
 
@@ -539,7 +540,7 @@ def uk_torque(
     """
     gains, K, B = setup.gains, mob.K, mob.W[TIP]
     Lambda_tip, damped = sym_inv(K[TIP, TIP])
-    h_tip = Lambda_tip.dot(B.dot(snap.h) - snap.Jdot_task.dot(snap.state.qdot))
+    h_tip = Lambda_tip.dot(B.dot(snap.h) - snap.tip_bias)
     tau_sharp = _task_torque(snap, ref, gains, q_init, Lambda_tip, h_tip, B)
     b_ic = -_pivot_pd(snap.constraint, gains, x_c_ref)
     return _complete(snap, mob, small_inv(K[PIVOT, PIVOT]), tau_sharp, b_ic, damped)

@@ -188,7 +188,7 @@ class Chain:
         )
 
 
-class _lazy:
+class lazy:
     """Attribute computed on first access and then stored on the instance
     (functools.cached_property without its per-access lock)."""
 
@@ -209,9 +209,10 @@ class KinFrames:
     Eager: the joint ``axes`` and ``pose_r`` and ``pose_t`` (tool-reference
     frame and tip; same orientation). On first access: the 6xn geometric
     Jacobian ``J_r`` of the tool-reference frame, the tip's 3xn
-    translational Jacobian ``Jp_t`` and its rate ``Jpdot_t``, the
-    reference-frame angular velocity ``omega_r``, ``M``, the bias torques
-    ``h`` (velocity product and gravity) and ``Mdot``.
+    translational Jacobian ``Jp_t``, the tip velocity ``v_t`` = Jp_t qdot
+    and bias acceleration ``abias_t`` = (d/dt Jp_t) qdot (its acceleration
+    at qdd = 0), the reference-frame angular velocity ``omega_r``, ``M``, the
+    bias torques ``h`` (velocity product and gravity) and ``Mdot``.
 
     There is no at-rest branch: every rate term carries a factor of qdot
     (the link angular velocities, the contractions by qdot and u = A qdot),
@@ -264,7 +265,7 @@ class KinFrames:
         self._skew_z = self.axes.dot(_SKEW).reshape(-1, 3)
         self._Jv, self._z_x_o = self._lever_cross(self._skew_z)
 
-    @_lazy
+    @lazy
     def J_r(self) -> np.ndarray:
         J = np.empty((6, self.chain.n))
         J[:3] = self._Jv[:, self.chain.n].reshape(-1, 3).T
@@ -293,7 +294,7 @@ class KinFrames:
     def coincident_rate(self, p: np.ndarray, pdot: np.ndarray) -> np.ndarray:
         """Rate of ``coincident_jacobian(p)`` when ``p`` itself moves with
         ``pdot``: columns zdot_j x (p - o_j) + z_j x (pdot - v(o_j))."""
-        *_, skew_zdot, z_x_o_dot = self._rates
+        skew_zdot, z_x_o_dot = self._rates[3:5]
         Jdot = skew_zdot.dot(p) + self._skew_z.dot(pdot) - z_x_o_dot
         return Jdot.reshape(self.chain.n, 3).T
 
@@ -311,31 +312,43 @@ class KinFrames:
         n = self.chain.n
         return self.qdot.dot(cols.reshape(n, -1)).reshape(3, -1)
 
-    @_lazy
+    @lazy
     def _rates(self):
         """Link angular velocities, axis rates, the Jacobian rates of every
-        tracked point (layout of ``_Jv``), the axis-rate skew rows and the
-        rate of z_j x o_j."""
+        tracked point (layout of ``_Jv``), the axis-rate skew rows, the
+        rate of z_j x o_j and the velocities of the tracked points, (3,
+        points)."""
         # add.accumulate is what cumsum runs, without its wrapper's cost
         omega = np.add.accumulate(self.axes * self.qdot[:, None], 0)
         # zdot_j = w_j x z_j: entry (3j + i, j) of the products z_j x w_a
         zdot = -self._skew_z.dot(omega.T).take(self.chain.own_link)
         # d/dt [z_j x (p - o_j)] = zdot_j x (p - o_j) + z_j x (v_p - v(o_j))
-        vel = self._skew_z.dot(self._contract(self._Jv))
+        point_vel = self._contract(self._Jv)
         skew_zdot = zdot.dot(_SKEW).reshape(-1, 3)
-        Jv_dot, z_x_o_dot = self._lever_cross(skew_zdot, vel)
-        return omega, zdot, Jv_dot, skew_zdot, z_x_o_dot
+        Jv_dot, z_x_o_dot = self._lever_cross(skew_zdot, self._skew_z.dot(point_vel))
+        return omega, zdot, Jv_dot, skew_zdot, z_x_o_dot, point_vel
+
+    @lazy
+    def _point_bias(self) -> np.ndarray:
+        """Accelerations at qdd = 0 of the tracked points, (3, points)."""
+        return self._contract(self._rates[2])
 
     @property
     def omega_r(self) -> np.ndarray:
         return self._rates[0][-1]
 
     @property
-    def Jpdot_t(self) -> np.ndarray:
-        """Rate of ``Jp_t``."""
-        return self._rates[2][:, self.chain.n + 1].reshape(-1, 3).T
+    def v_t(self) -> np.ndarray:
+        """Tip velocity, Jp_t qdot."""
+        return self._rates[5][:, self.chain.n + 1]
 
-    @_lazy
+    @property
+    def abias_t(self) -> np.ndarray:
+        """Tip bias acceleration (d/dt Jp_t) qdot: the tip's acceleration at
+        qdd = 0."""
+        return self._point_bias[:, self.chain.n + 1]
+
+    @lazy
     def _RL_rows(self) -> np.ndarray:
         """(3, 3n) with entry [l, i*n + a] = (R_a L_a)[l, i]."""
         return self._T.take(self.chain.rot_index).dot(self.chain.chol)
@@ -343,47 +356,51 @@ class KinFrames:
     def _A_T(self, lin: np.ndarray, ang_rows: np.ndarray) -> np.ndarray:
         """A^T (n x 6n) from Jacobian-like columns: row j holds
         sqrt(m_a) lin[3j + i, a] and ang_rows[j, i*n + a], link a >= j."""
-        n = self.chain.n
-        At = np.empty((n, 2, 3 * n))
-        At[:, 0] = (lin[:, :n] * self.chain.sqrt_m).reshape(n, -1)
-        At[:, 1] = ang_rows * self.chain.link_support
-        return At.reshape(n, 6 * n)
+        chain = self.chain
+        return np.concatenate(
+            [(lin[:, : chain.n] * chain.sqrt_m).reshape(chain.n, -1), ang_rows * chain.link_support],
+            axis=1,
+        )
 
-    @_lazy
+    @lazy
     def _At(self) -> np.ndarray:
         # (L_a^T R_a^T z_j)_i
         return self._A_T(self._Jv, self.axes.dot(self._RL_rows))
 
-    @_lazy
+    @lazy
     def M(self) -> np.ndarray:
         At = self._At
         return At.dot(At.T)
 
-    @_lazy
+    @lazy
+    def _zdot_RL(self) -> np.ndarray:
+        """(n, 3n) with entry [j, i*n + a] = zdot_j . (R_a L_a)[:, i]."""
+        return self._rates[1].dot(self._RL_rows)
+
+    @lazy
     def h(self) -> np.ndarray:
         chain, n, qd = self.chain, self.chain.n, self.qdot
-        _, zdot, Jv_dot, *_ = self._rates
         At = self._At
         y = np.empty((2, 3, n))
         # COM accelerations at qdd = 0 (the COMs are the first tracked points)
-        y[0] = self._contract(Jv_dot)[:, :n] * chain.sqrt_m
+        y[0] = self._point_bias[:, :n] * chain.sqrt_m
         # L^T alpha_b = sum_j qdot_j L_a^T R_a^T zdot_j, and w_b x I w_b from
         # u = L^T w_b, the angular rows of A qdot
         u = qd.dot(At)[3 * n :].reshape(3, n)
         y[1] = (
-            qd.dot(zdot.dot(self._RL_rows) * chain.link_support)
+            qd.dot(self._zdot_RL * chain.link_support)
             + (u[:, None] * u).ravel().dot(chain.gyro)
         ).reshape(3, n)
         return At.dot(y.ravel() + chain.gravity_load)
 
-    @_lazy
+    @lazy
     def Mdot(self) -> np.ndarray:
         n = self.chain.n
-        omega, zdot, Jv_dot, *_ = self._rates
+        omega, _, Jv_dot, *_ = self._rates
         # d/dt (L_a^T R_a^T z_j) = L_a^T R_a^T (zdot_j + z_j x w_a), and
         # (z_j x w_a) . R_a L_a e_i = z_j . (w_a x R_a L_a e_i)
         RL = self._RL_rows
         w_x_RL = _SKEW.dot((RL.reshape(3, 1, 3, n) * omega.T[None, :, None]).reshape(9, -1))
-        At_dot = self._A_T(Jv_dot, zdot.dot(RL) + self.axes.dot(w_x_RL))
+        At_dot = self._A_T(Jv_dot, self._zdot_RL + self.axes.dot(w_x_RL))
         AtAd = self._At.dot(At_dot.T)
         return AtAd + AtAd.T

@@ -13,7 +13,10 @@ from numpy.linalg import _umath_linalg
 from .errors import RankDeficientConstraint
 
 DEFAULT_RTOL = 1e-10
+# det(Jc Jc^T) / tr(Jc Jc^T)^2 above which two rows are certified independent
+# (GRAM_RTOL) and factored from their Gram matrix (CHOL_RTOL)
 GRAM_RTOL = 1e-12
+CHOL_RTOL = 1e-2
 
 
 def lu_inv(A: np.ndarray) -> np.ndarray:
@@ -67,6 +70,16 @@ def _check_rank(k: int, s_min: float, s_max: float):
         )
 
 
+def _certified_gram(Jc: np.ndarray, rtol: float) -> tuple[float, float, float] | None:
+    """(g11, g12, det G) of G = Jc Jc^T for two rows, in Python floats, when
+    det G > rtol tr(G)^2 > the least normal float; None otherwise (non-finite,
+    zero or near-parallel rows, a Gram matrix that overflows or underflows)."""
+    (g11, g12), (_, g22) = Jc.dot(Jc.T).tolist()
+    t = g11 + g22
+    det = g11 * g22 - g12 * g12
+    return (g11, g12, det) if det > rtol * t * t > 2.0**-1022 else None
+
+
 def row_factor(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L, Q) with Jc = L Q and Q's rows orthonormal: Jc^+ = Q^T L^-1 and the
     null-space projector is I - Q^T Q. Raises RankDeficientConstraint when
@@ -74,18 +87,36 @@ def row_factor(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     constraint set; ``check_row_rank`` gives this verdict alone); a Jacobian
     with no rows (the unconstrained limit) gives the projector I.
 
-    Two rows take Gram-Schmidt with a second pass, and L is lower triangular.
-    Jc's singular values are L's, so s_min s_max = L11 L22 and
-    s_min^2 + s_max^2 = ||Jc||_F^2 give their ratio exactly (Jc Jc^T would
-    square it). Other row counts take the thin SVD, L = U S."""
+    Two rows take L lower triangular. When G = Jc Jc^T passes
+    det G > CHOL_RTOL tr(G)^2 (s_min/s_max > 0.1), L = chol(G) and
+    Q = L^-1 Jc, from G's entries in Python floats: at that conditioning
+    the factor is as accurate as Gram-Schmidt's, and no rank check is needed.
+    Every other pair of rows takes ``_gram_schmidt``. Other row counts take
+    the thin SVD, L = U S."""
     k, n = Jc.shape
-    if k != 2:
-        if k > n:
-            raise RankDeficientConstraint(f"more constraints ({k}) than joints ({n})")
-        U, s, Vt = np.linalg.svd(Jc, full_matrices=False)
-        if k:
-            _check_rank(k, s[-1], s[0])
-        return U * s, Vt
+    if k == 2:
+        gram = _certified_gram(Jc, CHOL_RTOL)
+        if gram is None:
+            return _gram_schmidt(Jc)
+        g11, g12, det = gram
+        l11 = math.sqrt(g11)
+        l21 = g12 / l11
+        l22 = math.sqrt(det / g11)
+        L_inv = [[1.0 / l11, 0.0], [-l21 / (l11 * l22), 1.0 / l22]]
+        return np.array([[l11, 0.0], [l21, l22]]), np.array(L_inv).dot(Jc)
+    if k > n:
+        raise RankDeficientConstraint(f"more constraints ({k}) than joints ({n})")
+    U, s, Vt = np.linalg.svd(Jc, full_matrices=False)
+    if k:
+        _check_rank(k, s[-1], s[0])
+    return U * s, Vt
+
+
+def _gram_schmidt(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``row_factor`` of two rows by Gram-Schmidt with a second pass. Jc's
+    singular values are L's, so s_min s_max = L11 L22 and
+    s_min^2 + s_max^2 = ||Jc||_F^2 give their ratio exactly (Jc Jc^T would
+    square it)."""
     j1, j2 = Jc
     l11 = math.sqrt(j1.dot(j1))
     q1 = j1 / (l11 or 1.0)  # a zero row fails the rank check below
@@ -105,9 +136,5 @@ def check_row_rank(Jc: np.ndarray):
     rows pass on det G > GRAM_RTOL tr(G)^2 > the least normal float, G = Jc Jc^T
     (s_min/s_max >~ 1e-6, far above DEFAULT_RTOL and G's rounding); the rest
     (non-finite, zero or parallel rows, overflow) goes to ``row_factor``."""
-    if Jc.shape[0] == 2:
-        (g11, g12), (_, g22) = Jc.dot(Jc.T).tolist()
-        t = g11 + g22
-        if g11 * g22 - g12 * g12 > GRAM_RTOL * t * t > 2.0**-1022:
-            return
-    row_factor(Jc)
+    if Jc.shape[0] != 2 or _certified_gram(Jc, GRAM_RTOL) is None:
+        row_factor(Jc)

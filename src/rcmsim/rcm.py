@@ -7,25 +7,25 @@ moving trocar makes the constraint rheonomic: the residual rate and the
 acceleration bias ``b_c`` carry the trocar velocity/acceleration terms.
 
 ``constraint_from_kin`` is the one source of the constraint terms the
-controllers use: residual, Jacobian, their rates and the acceleration bias,
-all read from one frame pass. ``residual_terms`` gives its position-level
-rows alone (residual, Jacobian and residual rate), what the soft-port force
-needs. Every rate is exact:
-Jdot_c and ``b_c`` are assembled from the pass's axis rates and
-d/dt(B^T) = -B^T skew(w_r), with no differencing. ``residual`` alone gives
-the residual of a pose, for set-points taken before the first tick.
+controllers and the soft-port force use, all read from one frame pass: the
+residual, its Jacobian and its rate on construction, the rate terms Jdot_c
+and ``b_c`` on first read, so a caller that reads only the position rows
+never forms them. Every rate is exact: Jdot_c and ``b_c`` are assembled from
+the pass's axis rates and d/dt(B^T) = -B^T skew(w_r), with no differencing.
+``residual`` alone gives the residual of a pose, for set-points taken before
+the first tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidAlpha
-from .kernels import KinFrames, Pose, skew_stack
+from .kernels import KinFrames, Pose, lazy, skew_stack
 
 
 class RcmMode(Enum):
@@ -50,18 +50,32 @@ class TrocarState:
         return cls(np.asarray(p, dtype=float), np.zeros(3), np.zeros(3))
 
 
-class ConstraintState(NamedTuple):
+class ConstraintState:
     """RCM constraint quantities at one instant (k = 2 or 3 rows).
 
-    xddot = J qddot + b holds exactly along any motion, so b is the full
-    acceleration-level bias including the rheonomic (trocar-motion) terms.
+    The residual ``x``, its Jacobian ``J`` and rate ``xdot`` are given on
+    construction; ``rates()`` gives the rate terms (J_dot, b), called on
+    the first read of either. xddot = J qddot + b holds exactly along any
+    motion, so b is the full acceleration-level bias including the
+    rheonomic (trocar-motion) terms.
     """
 
-    x: np.ndarray
-    J: np.ndarray
-    J_dot: np.ndarray
-    xdot: np.ndarray
-    b: np.ndarray
+    def __init__(self, x: np.ndarray, J: np.ndarray, xdot: np.ndarray,
+                 rates: Callable[[], tuple[np.ndarray, np.ndarray]]):
+        self.x, self.J, self.xdot = x, J, xdot
+        self._rate_terms = rates
+
+    @lazy
+    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._rate_terms()
+
+    @property
+    def J_dot(self) -> np.ndarray:
+        return self._rates[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self._rates[1]
 
 
 def place_trocar(p_r0: np.ndarray, p_t0: np.ndarray, alpha: float) -> np.ndarray:
@@ -79,26 +93,6 @@ def residual(pose_r: Pose, p_c: np.ndarray, mode: RcmMode = RcmMode.THREE_D) -> 
     return pose_r.R.T[: mode.k] @ (pose_r.p - np.asarray(p_c, dtype=float))
 
 
-def _position_terms(kin: KinFrames, qdot: np.ndarray, trocar: TrocarState, k: int):
-    """(B^T, J_pc, J, x, xdot) of the k-row residual at the frame pass
-    ``kin`` (see ``constraint_from_kin``)."""
-    pose_r = kin.pose_r
-    Bt = pose_r.R.T[:k]
-    J_pc = kin.coincident_jacobian(trocar.p)
-    # ndarray.dot: the cheapest product call for these small operands
-    J = Bt.dot(J_pc)
-    return Bt, J_pc, J, Bt.dot(pose_r.p - trocar.p), J.dot(qdot) - Bt.dot(trocar.pdot)
-
-
-def residual_terms(
-    kin: KinFrames, qdot: np.ndarray, trocar: TrocarState, mode: RcmMode
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The residual's Jacobian, value and rate (J, x, xdot) at the frame
-    pass ``kin``, the rows of ``constraint_from_kin`` without its rate
-    terms: what a force on the residual needs."""
-    return _position_terms(kin, qdot, trocar, mode.k)[2:]
-
-
 def constraint_from_kin(
     kin: KinFrames, qdot: np.ndarray, trocar: TrocarState, mode: RcmMode
 ) -> ConstraintState:
@@ -111,9 +105,18 @@ def constraint_from_kin(
     Jdot_c = B^T (Jdot_pc - skew(w_r) J_pc) and
     b = Jdot_c qdot + B^T (w_r x pdot_c - pddot_c).
     """
-    Bt, J_pc, J, x, xdot = _position_terms(kin, qdot, trocar, mode.k)
-    Jdot_pc = kin.coincident_rate(trocar.p, trocar.pdot)
-    W = skew_stack(kin.omega_r)
-    J_dot = Bt.dot(Jdot_pc - W.dot(J_pc))
-    b = J_dot.dot(qdot) + Bt.dot(W.dot(trocar.pdot) - trocar.pddot)
-    return ConstraintState(x=x, J=J, J_dot=J_dot, xdot=xdot, b=b)
+    pose_r = kin.pose_r
+    Bt = pose_r.R.T[: mode.k]
+    J_pc = kin.coincident_jacobian(trocar.p)
+    # ndarray.dot: the cheapest product call for these small operands
+    J = Bt.dot(J_pc)
+
+    def rates():
+        Jdot_pc = kin.coincident_rate(trocar.p, trocar.pdot)
+        W = skew_stack(kin.omega_r)
+        J_dot = Bt.dot(Jdot_pc - W.dot(J_pc))
+        return J_dot, J_dot.dot(qdot) + Bt.dot(W.dot(trocar.pdot) - trocar.pddot)
+
+    return ConstraintState(
+        Bt.dot(pose_r.p - trocar.p), J, J.dot(qdot) - Bt.dot(trocar.pdot), rates
+    )

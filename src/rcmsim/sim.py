@@ -19,7 +19,7 @@ from . import controllers as ctl
 from .controllers import ControlSetup
 from .errors import ConfigError, SimulationDiverged
 from .numerics import lu_solve
-from .rcm import RcmMode, TrocarState, place_trocar, residual, residual_terms
+from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
 from . import robot
 from .robot import DEFAULT_HOME, JointState, RobotModel
 from .robot import kinematics as kinematics_of
@@ -74,11 +74,11 @@ def environment_force(x2d: np.ndarray, xdot2d: np.ndarray, env: EnvModel) -> np.
     return -env.stiffness * x2d - env.damping * xdot2d
 
 
-def port_torque(J: np.ndarray, x: np.ndarray, xdot: np.ndarray, env: EnvModel) -> np.ndarray:
+def port_torque(cs: ConstraintState, env: EnvModel) -> np.ndarray:
     """Joint torque of the port force: ``environment_force`` on the 2D pivot
-    residual ``x``, ``xdot`` through its Jacobian ``J``. At a frame pass,
-    ``rcm.residual_terms`` gives the three."""
-    return J.T.dot(environment_force(x, xdot, env))
+    residual of ``cs`` through its Jacobian. It reads the position rows
+    only, so the constraint's rate terms are never formed."""
+    return cs.J.T.dot(environment_force(cs.x, cs.xdot, env))
 
 
 @dataclass
@@ -301,8 +301,8 @@ def step(
         kin = robot.KinFrames(model.chain, q, qd)
         load = tau + tau_ext - kin.h
         if port:
-            rows = residual_terms(kin, qd, trocar[time_index], RcmMode.TWO_D)
-            load = load + port_torque(*rows, env)
+            cs = constraint_from_kin(kin, qd, trocar[time_index], RcmMode.TWO_D)
+            load = load + port_torque(cs, env)
         return lu_solve(kin.M, load)
 
     if qdd is None:
@@ -425,8 +425,8 @@ def run_episode(
             if disturbances.events:
                 tau_dist = tau_ext = disturbance_eval(t, disturbances, model, kin_true)
             if port:
-                rows = residual_terms(kin_true, state.qdot, trocar, RcmMode.TWO_D)
-                tau_port = port_torque(*rows, sim.env)
+                cs = constraint_from_kin(kin_true, state.qdot, trocar, RcmMode.TWO_D)
+                tau_port = port_torque(cs, sim.env)
                 tau_ext = tau_port if tau_dist is None else tau_dist + tau_port
 
             load = out.tau if tau_ext is None else out.tau + tau_ext

@@ -568,8 +568,7 @@ def task_space_terms(
     M_f: np.ndarray,
     P: np.ndarray,
     J: np.ndarray,
-    J_dot: np.ndarray,
-    qdot: np.ndarray,
+    Jdot_qd: np.ndarray,
     h: np.ndarray,
     constraint_feedforward: np.ndarray | None = None,
     on_singular: str = "raise",
@@ -579,9 +578,10 @@ def task_space_terms(
     Lambda_f = (J M_f^-1 P J^T)^-1
     J#T      = Lambda_f J M_f^-1 P
     N_bar    = I - J^T J#T
-    h_f      = Lambda_f (J M_f^-1 P h - J_dot qdot - J M_f^-1 u)
+    h_f      = Lambda_f (J M_f^-1 P h - Jdot_qd - J M_f^-1 u)
 
-    where u = ``constraint_feedforward`` is the constrained joint-acceleration
+    where ``Jdot_qd`` is the task's bias acceleration J_dot qdot and
+    u = ``constraint_feedforward`` is the constrained joint-acceleration
     component Jc^+ (xddot_c - b_c); with u = Pdot qdot the bias reduces exactly
     to the time-invariant-constraint operational-space form, and u defaults to
     zero (no constraint). A singular Lambda_f^-1 raises SingularTaskInertia,
@@ -606,7 +606,7 @@ def task_space_terms(
         raise SingularTaskInertia("task-space inertia is singular")
     J_sharp_T = Lambda_f @ B
     N_bar = np.eye(n) - J.T @ J_sharp_T
-    h_f = Lambda_f @ (B @ h - np.asarray(J_dot, dtype=float) @ qdot - J @ Minv_u)
+    h_f = Lambda_f @ (B @ h - Jdot_qd - J @ Minv_u)
     return TaskSpaceTerms(
         Lambda_f=Lambda_f, h_f=h_f, J_sharp_T=J_sharp_T, N_bar=N_bar, damped=damped
     )
@@ -649,11 +649,7 @@ def without_constraint(snap: ControlSnapshot) -> ControlSnapshot:
     unconstrained-reduction limit."""
     n = snap.M.shape[0]
     empty = ConstraintState(
-        x=np.zeros(0),
-        J=np.zeros((0, n)),
-        J_dot=np.zeros((0, n)),
-        xdot=np.zeros(0),
-        b=np.zeros(0),
+        np.zeros(0), np.zeros((0, n)), np.zeros(0), lambda: (np.zeros((0, n)), np.zeros(0))
     )
     return snap._replace(constraint=empty)
 
@@ -667,8 +663,7 @@ def unconstrained_pd_torque(
         snap.M,
         np.eye(snap.M.shape[0]),
         snap.J_task,
-        snap.Jdot_task,
-        state.qdot,
+        snap.tip_bias,
         snap.h,
         on_singular="damp",
     )
@@ -706,7 +701,7 @@ def p_approach_reference(
     JG = J @ Minv_JcT @ Lambda_c
     B = J @ Minv - JG @ Minv_JcT.T
     Lambda_f = np.linalg.inv(B @ J.T)
-    h_f = Lambda_f @ (B @ h - snap.Jdot_task @ state.qdot - JG @ a_cmd)
+    h_f = Lambda_f @ (B @ h - snap.tip_bias - JG @ a_cmd)
     f = free_space_force(Lambda_f, h_f, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
     tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
     tau_par = P @ (J.T @ (f - Lambda_f @ (B @ tau_0)) + tau_0)
@@ -735,7 +730,7 @@ def uk_sqrt_reference(
     S_inv = np.linalg.solve(S, np.eye(n))
     J = snap.J_task
     Lambda_tip = np.linalg.inv(J @ Minv @ J.T)
-    h_tip = Lambda_tip @ (J @ (Minv @ h) - snap.Jdot_task @ state.qdot)
+    h_tip = Lambda_tip @ (J @ (Minv @ h) - snap.tip_bias)
     f_pd = free_space_force(Lambda_tip, h_tip, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
     tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
     N_x = np.eye(n) - J.T @ (Lambda_tip @ (J @ Minv))

@@ -21,8 +21,8 @@ from rcmsim.controllers import (
 )
 from rcmsim.errors import ConfigError, RankDeficientConstraint, SingularExtendedJacobian
 from rcmsim.numerics import small_inv
-from rcmsim.rcm import RcmMode, TrocarState, place_trocar
-from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
+from rcmsim.rcm import ConstraintState, RcmMode, TrocarState, place_trocar
+from rcmsim.robot import DEFAULT_HOME, JointState, KinFrames, kinematics
 from rcmsim.scenarios import TaskReference
 from oracles import (
     forward_dynamics,
@@ -244,8 +244,8 @@ def test_z_approach_stacked_bound_never_skips_a_singular_check(model, seed):
         state, trocar = _scenario_state(model, rng, qd_scale=0.5)
         snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
         s = 4.0 * 10.0 ** rng.uniform(-12.0, -8.0)
-        cs = snap.constraint
-        cs = cs._replace(x=s * cs.x, J=s * cs.J, J_dot=s * cs.J_dot, xdot=s * cs.xdot, b=s * cs.b)
+        c = snap.constraint
+        cs = ConstraintState(s * c.x, s * c.J, s * c.xdot, lambda s=s, c=c: (s * c.J_dot, s * c.b))
         snap = snap._replace(constraint=cs)
         Z = null_basis(cs.J) @ np.linalg.qr(rng.standard_normal((5, 5)))[0]
         Minv_JcT = snap.Minv.dot(cs.J.T)
@@ -265,7 +265,8 @@ def test_dependent_constraint_rows_raise_before_inversion(model, monkeypatch, va
     state, trocar = _scenario_state(model)
     snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
     cs = snap.constraint
-    snap = snap._replace(constraint=cs._replace(J=np.stack([cs.J[0], 2.0 * cs.J[0]])))
+    J = np.stack([cs.J[0], 2.0 * cs.J[0]])
+    snap = snap._replace(constraint=ConstraintState(cs.x, J, cs.xdot, lambda: (cs.J_dot, cs.b)))
 
     def forbidden(_):
         raise AssertionError("constraint mobility inverted")
@@ -418,6 +419,45 @@ def test_per_tick_factorizations(model, rng, monkeypatch):
     assert calls == []
     _control("z_approach", snap, ref, _gains())
     assert calls == []
+
+
+def test_ticks_form_only_the_terms_they_read(model, rng, monkeypatch):
+    # uk reads neither constraint rate term, so its tick never forms the
+    # pivot Jacobian's rate; z_approach factors a healthy Jc from its Gram
+    # matrix, without Gram-Schmidt. p_approach reads b_c, so the same patch
+    # stops it: the patched method is the one the rate terms call.
+    def forbidden(*_):
+        raise AssertionError("unread or exact term formed")
+
+    for moving in (False, True):
+        state, trocar = _scenario_state(model, rng, qd_scale=0.5)
+        if moving:
+            trocar = TrocarState(trocar.p, rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.1, 0.1, 3))
+        ref = _hold_reference(model, state.q)
+        with monkeypatch.context() as patch:
+            patch.setattr(KinFrames, "coincident_rate", forbidden)
+            snap_3d = build_snapshot(model, state, trocar, RcmMode.THREE_D)
+            _control("uk", snap_3d, ref, _gains(), x_c_ref=snap_3d.constraint.x)
+            snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+            with pytest.raises(AssertionError, match="unread or exact term formed"):
+                _control("p_approach", snap, ref, _gains())
+        snap = build_snapshot(model, state, TrocarState.static(trocar.p), RcmMode.TWO_D)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_gram_schmidt", forbidden)
+            _control("z_approach", snap, ref, _gains())
+
+
+def test_snapshot_tip_terms_match_the_tip_jacobian(model, rng):
+    # tip_bias is Jdot_t qd: a central difference of J_t qd along qd, at the
+    # Jdot tolerance; tip_vel is J_t qd.
+    step = 1e-6
+    for _ in range(10):
+        state, trocar = _scenario_state(model, rng, qd_scale=1.0)
+        q, qd = state.q, state.qdot
+        snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+        fd = (kinematics(model, q + step * qd).Jp_t - kinematics(model, q - step * qd).Jp_t) @ qd
+        assert np.abs(snap.tip_bias - fd / (2.0 * step)).max() < 1e-6
+        assert np.abs(snap.tip_vel - snap.J_task @ qd).max() < 1e-15
 
 
 # --- observer -----------------------------------------------------------------

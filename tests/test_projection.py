@@ -84,7 +84,7 @@ def test_task_space_terms_unconstrained_reduction(rng):
     J_dot = rng.standard_normal((3, n))
     qdot = rng.standard_normal(n)
     h = rng.standard_normal(n)
-    tst = task_space_terms(M, np.eye(n), J, J_dot, qdot, h)
+    tst = task_space_terms(M, np.eye(n), J, J_dot @ qdot, h)
     Lambda_expected = np.linalg.inv(J @ np.linalg.solve(M, J.T))
     assert np.abs(tst.Lambda_f - Lambda_expected).max() < 1e-9
 
@@ -98,7 +98,7 @@ def test_task_space_terms_algebraic_properties(model, rng):
         cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.TWO_D)
         M = kin.M
         ps = projection_state(M, cs.J, cs.J_dot)
-        tst = task_space_terms(ps.M_f, ps.P, kin.Jp_t, np.zeros((3, model.n)), qd, np.zeros(model.n))
+        tst = task_space_terms(ps.M_f, ps.P, kin.Jp_t, np.zeros(3), np.zeros(model.n))
         assert np.abs(tst.J_sharp_T @ kin.Jp_t.T - np.eye(3)).max() < 1e-8
         assert np.abs(tst.J_sharp_T @ tst.N_bar).max() < 1e-9
         assert np.abs(tst.Lambda_f - tst.Lambda_f.T).max() < 1e-9
@@ -118,7 +118,7 @@ def test_task_bias_reduces_to_classic_form(model, rng):
     J = kin.Jp_t
     J_dot = rng.standard_normal((3, model.n))
     h = rng.standard_normal(model.n)
-    tst = task_space_terms(ps.M_f, ps.P, J, J_dot, qd, h, constraint_feedforward=ps.Pdot @ qd)
+    tst = task_space_terms(ps.M_f, ps.P, J, J_dot @ qd, h, constraint_feedforward=ps.Pdot @ qd)
     W = np.linalg.solve(ps.M_f, ps.P)
     Lam = np.linalg.inv(J @ W @ J.T)
     h_classic = Lam @ (J @ W @ h - (J_dot + J @ np.linalg.solve(ps.M_f, ps.Pdot)) @ qd)
@@ -130,9 +130,9 @@ def test_task_space_terms_singular_raises_or_damps(rng):
     M = _random_spd(rng, n)
     J = np.vstack([np.eye(2, n), np.eye(2, n)[:1]])  # rank-deficient 3 x n task
     with pytest.raises(SingularTaskInertia):
-        task_space_terms(M, np.eye(n), J, np.zeros((3, n)), np.zeros(n), np.zeros(n))
+        task_space_terms(M, np.eye(n), J, np.zeros(3), np.zeros(n))
     tst = task_space_terms(
-        M, np.eye(n), J, np.zeros((3, n)), np.zeros(n), np.zeros(n), on_singular="damp"
+        M, np.eye(n), J, np.zeros(3), np.zeros(n), on_singular="damp"
     )
     assert tst.damped
     assert np.isfinite(tst.Lambda_f).all()

@@ -167,14 +167,20 @@ def test_rk4_port_sees_the_trocar_at_stage_times(model, t):
 @pytest.mark.parametrize("integrator,passes_per_step", [("semi_implicit", 0), ("rk4", 3)])
 def test_soft_port_tick_evaluation_counts(model, monkeypatch, integrator, passes_per_step):
     # A soft-port tick builds one frame pass for the snapshot, plus one per
-    # later RK4 stage, and one constraint state, the controller's: the port
-    # force forms only position-level terms, at the tick and in a stage.
-    counts = {"frames": 0, "constraint": 0}
+    # later RK4 stage. The controller and the port force each take a
+    # constraint state at the tick, and the port force one per later stage,
+    # but only the controller reads rate terms: the port force's position
+    # rows never form them.
+    counts = {"frames": 0, "constraint": 0, "rates": 0}
 
     class Counted(robot.KinFrames):
         def __init__(self, *args, **kwargs):
             counts["frames"] += 1
             super().__init__(*args, **kwargs)
+
+        def coincident_rate(self, *args, **kwargs):
+            counts["rates"] += 1
+            return super().coincident_rate(*args, **kwargs)
 
     def counted_constraint(*args, **kwargs):
         counts["constraint"] += 1
@@ -192,7 +198,8 @@ def test_soft_port_tick_evaluation_counts(model, monkeypatch, integrator, passes
     ticks = trace.filled
     # one more frame pass places the trocar before the first tick
     assert counts["frames"] == 1 + ticks + passes_per_step * (ticks - 1)
-    assert counts["constraint"] == ticks
+    assert counts["constraint"] == 2 * ticks + passes_per_step * (ticks - 1)
+    assert counts["rates"] == ticks
 
 
 def test_record_count_and_time_grid(model):
