@@ -239,7 +239,8 @@ def compare_runs(entries: list[tuple[str, MetricsRecord]]) -> dict:
     """Aligned comparison with ratios relative to the first entry.
 
     Returns a dict with ``rows`` (one per run: label, metrics, ratio fields
-    named ``<metric>_ratio``) ready for JSON or text rendering.
+    named ``<metric>_ratio``) ready for JSON or text rendering. A ratio over
+    a zero baseline metric is None (JSON null).
     """
     if len(entries) < 1:
         raise ValueError("compare_runs needs at least one labelled metrics record")
@@ -250,13 +251,13 @@ def compare_runs(entries: list[tuple[str, MetricsRecord]]) -> dict:
         row["tip_mae_norm"] = float(np.linalg.norm(rec.tip_mae))
         for name in _RATIO_FIELDS:
             denom = getattr(base, name)
-            row[f"{name}_ratio"] = float(getattr(rec, name) / denom) if denom else float("nan")
+            row[f"{name}_ratio"] = float(getattr(rec, name) / denom) if denom else None
         rows.append(row)
     return {"baseline": entries[0][0], "rows": rows}
 
 
 def render_comparison(table: dict) -> str:
-    """Fixed-width text table of the comparison dict."""
+    """Fixed-width text table of the comparison dict; a missing ratio reads -."""
     cols = [
         ("label", "%s"),
         ("tip_mae_norm", "%.6g"),
@@ -269,7 +270,8 @@ def render_comparison(table: dict) -> str:
         ("mean_abs_torque_ratio", "%.4f"),
     ]
     header = [name for name, _ in cols]
-    body = [[fmt % row[name] for name, fmt in cols] for row in table["rows"]]
+    body = [["-" if row[name] is None else fmt % row[name] for name, fmt in cols]
+            for row in table["rows"]]
     widths = [max(len(h), *(len(r[i]) for r in body)) for i, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for r in body:

@@ -265,17 +265,23 @@ class KinFrames:
         self._skew_z = self.axes.dot(_SKEW).reshape(-1, 3)
         self._Jv, self._z_x_o = self._lever_cross(self._skew_z)
 
+    def tracked_jacobian(self, point: int) -> np.ndarray:
+        """3xn translational Jacobian of tracked point ``point``: link a's COM
+        for a < n, the tool-reference origin for n, the tip for n + 1.
+        Columns of joints that do not move the point are exactly zero."""
+        return self._Jv[:, point].reshape(-1, 3).T
+
     @lazy
     def J_r(self) -> np.ndarray:
         J = np.empty((6, self.chain.n))
-        J[:3] = self._Jv[:, self.chain.n].reshape(-1, 3).T
+        J[:3] = self.tracked_jacobian(self.chain.n)
         J[3:] = self.axes.T
         return J
 
     @property
     def Jp_t(self) -> np.ndarray:
         """3xn translational Jacobian of the tip."""
-        return self._Jv[:, self.chain.n + 1].reshape(-1, 3).T
+        return self.tracked_jacobian(self.chain.n + 1)
 
     def _lever_cross(self, skew_rows: np.ndarray, extra: np.ndarray | None = None):
         """Columns ``skew_rows @ p (+ extra) - own-origin entry``, masked,
@@ -297,15 +303,6 @@ class KinFrames:
         skew_zdot, z_x_o_dot = self._rates[3:5]
         Jdot = skew_zdot.dot(p) + self._skew_z.dot(pdot) - z_x_o_dot
         return Jdot.reshape(self.chain.n, 3).T
-
-    def point_jacobian(self, link: int, point_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """3xn translational Jacobian and base position of a point fixed to
-        ``link`` (0-based); columns beyond ``link`` are exactly zero."""
-        T = self._T[link]
-        p = T[:3, 3] + T[:3, :3].dot(point_local)
-        J = self.coincident_jacobian(p)
-        J[:, link + 1 :] = 0.0
-        return J, p
 
     def _contract(self, cols: np.ndarray) -> np.ndarray:
         """sum_j qdot_j cols[3j + i, a] as (3, points)."""

@@ -35,17 +35,15 @@ def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def small_inv(A: np.ndarray) -> np.ndarray:
-    """Inverse of a 2x2 or 3x3 matrix by cofactors; other sizes go to
-    np.linalg.inv. At these sizes the LAPACK call's own overhead is most of
-    its cost. Raises numpy.linalg.LinAlgError for an exactly singular matrix."""
+    """Inverse of a 2x2 or 3x3 matrix by cofactors: at these sizes the LAPACK
+    call's own overhead is most of its cost. Raises
+    numpy.linalg.LinAlgError for an exactly singular matrix."""
     if A.shape == (2, 2):
         a, b, c, d = A.ravel().tolist()
         adj = [[d, -b], [-c, a]]
         det = a * d - b * c
-    elif A.shape == (3, 3):
-        adj, det = adjugate3(*A.ravel().tolist())
     else:
-        return np.linalg.inv(A)
+        adj, det = adjugate3(*A.ravel().tolist())
     if det == 0.0:
         raise np.linalg.LinAlgError("Singular matrix")
     return np.array(adj) / det
@@ -62,14 +60,6 @@ def adjugate3(a, b, c, d, e, f, g, h, i) -> tuple[list, float]:
     return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
 
 
-def _check_rank(k: int, s_min: float, s_max: float):
-    """Raise RankDeficientConstraint when s_min <= DEFAULT_RTOL s_max."""
-    if s_min <= DEFAULT_RTOL * s_max:
-        raise RankDeficientConstraint(
-            f"constraint Jacobian rank < {k} (sigma_min={s_min:.3e}, sigma_max={s_max:.3e})"
-        )
-
-
 def _certified_gram(Jc: np.ndarray, rtol: float) -> tuple[float, float, float] | None:
     """(g11, g12, det G) of G = Jc Jc^T for two rows, in Python floats, when
     det G > rtol tr(G)^2 > the least normal float; None otherwise (non-finite,
@@ -81,35 +71,24 @@ def _certified_gram(Jc: np.ndarray, rtol: float) -> tuple[float, float, float] |
 
 
 def row_factor(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, Q) with Jc = L Q and Q's rows orthonormal: Jc^+ = Q^T L^-1 and the
-    null-space projector is I - Q^T Q. Raises RankDeficientConstraint when
-    any singular value falls below the relative tolerance (an ill-posed
-    constraint set; ``check_row_rank`` gives this verdict alone); a Jacobian
-    with no rows (the unconstrained limit) gives the projector I.
+    """(L, Q) with Jc = L Q for a two-row Jc, L lower triangular and Q's rows
+    orthonormal: Jc^+ = Q^T L^-1 and the null-space projector is I - Q^T Q.
+    Raises RankDeficientConstraint when s_min <= DEFAULT_RTOL s_max (an
+    ill-posed constraint set; ``check_row_rank`` gives this verdict alone).
 
-    Two rows take L lower triangular. When G = Jc Jc^T passes
-    det G > CHOL_RTOL tr(G)^2 (s_min/s_max > 0.1), L = chol(G) and
-    Q = L^-1 Jc, from G's entries in Python floats: at that conditioning
-    the factor is as accurate as Gram-Schmidt's, and no rank check is needed.
-    Every other pair of rows takes ``_gram_schmidt``. Other row counts take
-    the thin SVD, L = U S."""
-    k, n = Jc.shape
-    if k == 2:
-        gram = _certified_gram(Jc, CHOL_RTOL)
-        if gram is None:
-            return _gram_schmidt(Jc)
-        g11, g12, det = gram
-        l11 = math.sqrt(g11)
-        l21 = g12 / l11
-        l22 = math.sqrt(det / g11)
-        L_inv = [[1.0 / l11, 0.0], [-l21 / (l11 * l22), 1.0 / l22]]
-        return np.array([[l11, 0.0], [l21, l22]]), np.array(L_inv).dot(Jc)
-    if k > n:
-        raise RankDeficientConstraint(f"more constraints ({k}) than joints ({n})")
-    U, s, Vt = np.linalg.svd(Jc, full_matrices=False)
-    if k:
-        _check_rank(k, s[-1], s[0])
-    return U * s, Vt
+    When G = Jc Jc^T passes det G > CHOL_RTOL tr(G)^2 (s_min/s_max > 0.1),
+    L = chol(G) and Q = L^-1 Jc, from G's entries in Python floats: at that
+    conditioning the factor is as accurate as Gram-Schmidt's, and no rank
+    check is needed. Every other pair of rows takes ``_gram_schmidt``."""
+    gram = _certified_gram(Jc, CHOL_RTOL)
+    if gram is None:
+        return _gram_schmidt(Jc)
+    g11, g12, det = gram
+    l11 = math.sqrt(g11)
+    l21 = g12 / l11
+    l22 = math.sqrt(det / g11)
+    L_inv = [[1.0 / l11, 0.0], [-l21 / (l11 * l22), 1.0 / l22]]
+    return np.array([[l11, 0.0], [l21, l22]]), np.array(L_inv).dot(Jc)
 
 
 def _gram_schmidt(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,14 +106,18 @@ def _gram_schmidt(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     l22 = math.sqrt(w.dot(w))
     f, d = Jc.ravel().dot(Jc.ravel()), l11 * l22
     s_max = math.sqrt(0.5 * (f + math.sqrt(max(f * f - 4.0 * d * d, 0.0))))
-    _check_rank(2, d / s_max if s_max else 0.0, s_max)
+    s_min = d / s_max if s_max else 0.0
+    if s_min <= DEFAULT_RTOL * s_max:
+        raise RankDeficientConstraint(
+            f"constraint Jacobian rank < 2 (sigma_min={s_min:.3e}, sigma_max={s_max:.3e})"
+        )
     return np.array([[l11, 0.0], [l21, l22]]), np.array([q1, w / l22])
 
 
 def check_row_rank(Jc: np.ndarray):
-    """Raise RankDeficientConstraint exactly where ``row_factor`` does. Two
+    """Raise RankDeficientConstraint exactly where ``row_factor`` does. The
     rows pass on det G > GRAM_RTOL tr(G)^2 > the least normal float, G = Jc Jc^T
     (s_min/s_max >~ 1e-6, far above DEFAULT_RTOL and G's rounding); the rest
     (non-finite, zero or parallel rows, overflow) goes to ``row_factor``."""
-    if Jc.shape[0] != 2 or _certified_gram(Jc, GRAM_RTOL) is None:
+    if _certified_gram(Jc, GRAM_RTOL) is None:
         row_factor(Jc)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import adjugate3, small_inv
+from .numerics import adjugate3, lu_inv
 
 # Relative eigenvalue floor below which the inverse is damped, and the damping.
 RTOL = 1e-9
@@ -24,9 +24,9 @@ def sym_inv(A: np.ndarray) -> tuple[np.ndarray, bool]:
     other matrices go through the eigendecomposition.
     """
     if A.shape == (3, 3):
-        # The general path's bits (0.5 (A + A^T), then small_inv's cofactors;
-        # the diagonal is its own mean) in Python floats, without its numpy
-        # calls: every controller tick inverts a 3x3 tip inertia here.
+        # 0.5 (A + A^T) inverted by cofactors in Python floats (the diagonal
+        # is its own mean): every controller tick inverts a 3x3 tip inertia
+        # here, and LAPACK's call overhead is most of its cost at this size.
         a, b, c, d, e, f, g, h, i = A.ravel().tolist()
         b, c, f = 0.5 * (b + d), 0.5 * (c + g), 0.5 * (f + h)
         adj, det = adjugate3(a, b, c, b, e, f, c, f, i)
@@ -34,10 +34,10 @@ def sym_inv(A: np.ndarray) -> tuple[np.ndarray, bool]:
         norm_a = a * a + e * e + i * i + 2.0 * (b * b + c * c + f * f)
     else:
         sym = 0.5 * (A + A.T)
-        try:
-            A_inv = small_inv(sym)
-        except np.linalg.LinAlgError:
-            A_inv = None
+        # np.linalg.inv's bits; an exactly singular matrix gives NaN, which
+        # fails the test below and leaves the verdict to the eigensolve
+        with np.errstate(invalid="ignore"):
+            A_inv = lu_inv(sym)
         norm_a = np.vdot(sym, sym)
     if A_inv is not None:
         inv = A_inv.ravel()

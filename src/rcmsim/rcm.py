@@ -45,10 +45,6 @@ class TrocarState:
     pdot: np.ndarray
     pddot: np.ndarray
 
-    @classmethod
-    def static(cls, p: np.ndarray) -> "TrocarState":
-        return cls(np.asarray(p, dtype=float), np.zeros(3), np.zeros(3))
-
 
 class ConstraintState:
     """RCM constraint quantities at one instant (k = 2 or 3 rows).

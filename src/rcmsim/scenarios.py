@@ -167,8 +167,8 @@ def disturbance_eval(
     plant's joint positions.
 
     Flange wrenches map through the tool-reference Jacobian transpose; link-2
-    forces through the partial Jacobian of the link-2 COM; joint-torque events
-    add directly. Zero outside every window.
+    forces through the Jacobian of the link-2 COM, the pass's tracked point
+    1; joint-torque events add directly. Zero outside every window.
     """
     tau = np.zeros(model.n)
     for e in sched.events:
@@ -179,6 +179,5 @@ def disturbance_eval(
         elif e.flange_wrench is not None:
             tau += kin.J_r.T @ e.flange_wrench
         else:
-            J2, _ = kin.point_jacobian(1, model.coms[1])
-            tau += J2.T @ e.link2_force
+            tau += kin.tracked_jacobian(1).T @ e.link2_force
     return tau

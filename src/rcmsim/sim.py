@@ -19,7 +19,7 @@ from . import controllers as ctl
 from .controllers import ControlSetup
 from .errors import ConfigError, SimulationDiverged
 from .numerics import lu_solve
-from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
+from .rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
 from . import robot
 from .robot import DEFAULT_HOME, JointState, RobotModel
 from .robot import kinematics as kinematics_of
@@ -63,22 +63,34 @@ class EnvModel(Schema):
             fail(path, "gains must be non-negative")
 
 
-def environment_force(x2d: np.ndarray, xdot2d: np.ndarray, env: EnvModel) -> np.ndarray:
-    """Lateral port force on the tool at the trocar, r-frame plane [N].
-
+def port_torque(kin: robot.KinFrames, trocar: TrocarState, env: EnvModel) -> np.ndarray:
+    """Joint torque of the soft port's lateral force -K x - D xdot on the 2D
+    pivot residual at the frame pass ``kin``, through its Jacobian. It reads
+    the constraint's position rows only, so its rate terms are never formed.
     ``env`` is validated once by the caller (``run_episode`` validates it
-    with the sim config), not on every tick.
-    """
-    if env.mode == ENV_OFF:
-        return np.zeros(2)
-    return -env.stiffness * x2d - env.damping * xdot2d
+    with the sim config), not on every evaluation."""
+    cs = constraint_from_kin(kin, kin.qdot, trocar, RcmMode.TWO_D)
+    return cs.J.T.dot(-env.stiffness * cs.x - env.damping * cs.xdot)
 
 
-def port_torque(cs: ConstraintState, env: EnvModel) -> np.ndarray:
-    """Joint torque of the port force: ``environment_force`` on the 2D pivot
-    residual of ``cs`` through its Jacobian. It reads the position rows
-    only, so the constraint's rate terms are never formed."""
-    return cs.J.T.dot(environment_force(cs.x, cs.xdot, env))
+def plant_accel(
+    kin: robot.KinFrames,
+    tau: np.ndarray,
+    tau_ext: np.ndarray | None,
+    env: EnvModel | None = None,
+    trocar: TrocarState | None = None,
+    Minv: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(qddot, total external torque) of the plant at the frame pass ``kin``
+    under the applied torque ``tau`` and the scripted external torque
+    ``tau_ext`` (None when nothing acts), plus the soft port's torque when
+    ``env`` is given, against ``trocar``. ``Minv`` is M^-1 at ``kin`` when the
+    caller holds it (the snapshot at the true state); otherwise M is solved."""
+    if env is not None:
+        tau_port = port_torque(kin, trocar, env)
+        tau_ext = tau_port if tau_ext is None else tau_ext + tau_port
+    load = (tau if tau_ext is None else tau + tau_ext) - kin.h
+    return (lu_solve(kin.M, load) if Minv is None else Minv.dot(load)), tau_ext
 
 
 @dataclass
@@ -274,44 +286,35 @@ def step(
     model: RobotModel,
     state: JointState,
     tau: np.ndarray,
-    tau_ext: np.ndarray,
+    tau_ext: np.ndarray | None,
     dt: float,
+    qdd: np.ndarray,
     integrator: str = SEMI_IMPLICIT,
     env: EnvModel | None = None,
     trocar: tuple[TrocarState, ...] | None = None,
-    qdd: np.ndarray | None = None,
 ) -> JointState:
     """Advance the plant one control period under zero-order-hold torque.
 
-    ``tau_ext`` holds the scripted external torque for the step; the port
-    force (env soft mode) is state dependent and recomputed at every
-    evaluation of the dynamics, against ``trocar``: the trocar at the step's
-    evaluation times, (t,) for the semi-implicit step and (t, t + dt/2,
-    t + dt) for RK4 (read only in soft mode). ``qdd`` is the acceleration
-    at ``state`` under these inputs when the caller has it (the tick
-    computes it from its own frame pass); otherwise one frame pass gives it. Each later RK4 stage builds one
-    frame pass, which gives M, h and the port force. The caller checks the
-    new state.
+    ``qdd`` is ``plant_accel`` at ``state`` under these inputs (the tick
+    computes it from its own frame pass). ``tau_ext`` holds the scripted
+    external torque for the step (None when nothing acts); the soft port's
+    force (``env`` given) is state dependent and recomputed at every later
+    RK4 stage, against ``trocar``: the trocar at the step's evaluation
+    times, (t, t + dt/2, t + dt). Each later RK4 stage builds one frame pass.
+    The caller checks the new state.
     """
     if not POSITIVE.ok(dt):
         fail("dt", POSITIVE.message)
-    port = env is not None and env.mode != ENV_OFF and trocar is not None
-
-    def accel(q, qd, time_index):
-        kin = robot.KinFrames(model.chain, q, qd)
-        load = tau + tau_ext - kin.h
-        if port:
-            cs = constraint_from_kin(kin, qd, trocar[time_index], RcmMode.TWO_D)
-            load = load + port_torque(cs, env)
-        return lu_solve(kin.M, load)
-
-    if qdd is None:
-        qdd = accel(state.q, state.qdot, 0)
     if integrator == SEMI_IMPLICIT:
         qd_new = state.qdot + dt * qdd
         return JointState(state.q + dt * qd_new, qd_new)
     if integrator != RK4:
         raise ValueError(f"unknown integrator {integrator!r}")
+
+    def accel(q, qd, time_index):
+        kin = robot.KinFrames(model.chain, q, qd)
+        return plant_accel(kin, tau, tau_ext, env, trocar[time_index] if trocar else None)[0]
+
     k1q, k1v = state.qdot, qdd
     k2q = state.qdot + 0.5 * dt * k1v
     k2v = accel(state.q + 0.5 * dt * k1q, k2q, 1)
@@ -378,8 +381,8 @@ def run_episode(
     # the soft port under RK4 also the half steps between them.
     # (2k) (dt/2) == k dt exactly, so the tick entries are those of the tick
     # grid.
-    port = sim.env.mode == ENV_SOFT
-    per_tick = 2 if port and sim.integrator == RK4 else 1
+    port_env = sim.env if sim.env.mode == ENV_SOFT else None
+    per_tick = 2 if port_env is not None and sim.integrator == RK4 else 1
     trocars = trocar_schedule_eval(
         np.arange(per_tick * (records - 1) + 1) * (dt / per_tick), trocar_sched
     )
@@ -389,7 +392,6 @@ def run_episode(
         return TrocarState(trocars.p[i], trocars.pdot[i], trocars.pddot[i])
 
     disturbances = disturbance_arrays(scenario.disturbances)
-    no_torque = np.zeros(model.n)
 
     tau_prev = None
     try:
@@ -420,21 +422,13 @@ def run_episode(
                 trace.filled = k
                 raise SimulationDiverged(k, t, "non-finite controller torque", trace)
 
-            # tau_ext stays None while nothing external acts on the arm
-            tau_dist = tau_ext = None
+            # tau_dist and tau_ext stay None while nothing external acts on the arm
+            tau_dist = None
             if disturbances.events:
-                tau_dist = tau_ext = disturbance_eval(t, disturbances, model, kin_true)
-            if port:
-                cs = constraint_from_kin(kin_true, state.qdot, trocar, RcmMode.TWO_D)
-                tau_port = port_torque(cs, sim.env)
-                tau_ext = tau_port if tau_dist is None else tau_dist + tau_port
-
-            load = out.tau if tau_ext is None else out.tau + tau_ext
-            if noise is None:
-                # the snapshot holds M^-1 and h at the true state
-                qdd = snap.Minv.dot(load - snap.h)
-            else:
-                qdd = lu_solve(kin_true.M, load - kin_true.h)
+                tau_dist = disturbance_eval(t, disturbances, model, kin_true)
+            # the snapshot holds M^-1 at the true state when it saw that state
+            qdd, tau_ext = plant_accel(kin_true, out.tau, tau_dist, port_env, trocar,
+                                       snap.Minv if noise is None else None)
             gap = snap.constraint.J.dot(qdd) - out.constraint_accel_cmd
 
             # Record tick k (true plant state, not the measured one).
@@ -457,13 +451,9 @@ def run_episode(
 
             if k == records - 1:
                 break
-            stage_trocars = (trocar,)
-            if per_tick == 2:
-                stage_trocars += (trocar_at(i + 1), trocar_at(i + 2))
-            state = step(
-                model, state, out.tau, no_torque if tau_dist is None else tau_dist, dt,
-                sim.integrator, env=sim.env, trocar=stage_trocars, qdd=qdd,
-            )
+            stage_trocars = (trocar, trocar_at(i + 1), trocar_at(i + 2)) if per_tick == 2 else None
+            state = step(model, state, out.tau, tau_dist, dt, qdd, sim.integrator,
+                         port_env, stage_trocars)
             if not (all_finite(state.q) and all_finite(state.qdot)):
                 raise SimulationDiverged(k + 1, t + dt, "non-finite state after step", trace)
             tau_prev = out.tau

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rcmsim.robot import RobotModel, load_default_model, model_from_dict
+from rcmsim.rcm import TrocarState
+from rcmsim.robot import KinFrames, RobotModel, load_default_model, model_from_dict
+from rcmsim.sim import SEMI_IMPLICIT, plant_accel, step
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +74,16 @@ def random_states(rng, n, count, spread=0.8):
     qs = DEFAULT_HOME[None, :] + rng.uniform(-spread, spread, size=(count, n))
     qds = rng.uniform(-1.0, 1.0, size=(count, n))
     return qs, qds
+
+
+def static_trocar(p) -> TrocarState:
+    """A trocar resting at ``p``."""
+    return TrocarState(np.asarray(p, dtype=float), np.zeros(3), np.zeros(3))
+
+
+def plant_step(model, state, tau, dt, integrator=SEMI_IMPLICIT, env=None, trocar=None):
+    """``sim.step`` with no scripted external torque, from the acceleration
+    ``sim.plant_accel`` gives at ``state`` (trocar[0] for the soft port)."""
+    kin = KinFrames(model.chain, state.q, state.qdot)
+    qdd, _ = plant_accel(kin, tau, None, env, trocar[0] if trocar else None)
+    return step(model, state, tau, None, dt, qdd, integrator, env, trocar)

@@ -33,9 +33,9 @@ from rcmsim.controllers import (
     free_space_force,
     nullspace_torque,
 )
-from rcmsim.errors import RcmSimError, SingularExtendedJacobian
+from rcmsim.errors import RankDeficientConstraint, RcmSimError, SingularExtendedJacobian
 from rcmsim.kernels import skew_stack
-from rcmsim.numerics import row_factor
+from rcmsim.numerics import DEFAULT_RTOL, row_factor
 from rcmsim.projection import sym_inv
 from rcmsim.rcm import ConstraintState, RcmMode
 from rcmsim.robot import Pose, kinematics
@@ -489,10 +489,28 @@ def exact_projector(Jc: np.ndarray) -> np.ndarray:
     ])
 
 
+def any_row_factor(Jc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, Q) with Jc = L Q and Q's rows orthonormal, for any row count: the
+    program's ``numerics.row_factor`` for two rows, the thin SVD L = U S
+    otherwise. Raises RankDeficientConstraint for more rows than columns or
+    for s_min <= DEFAULT_RTOL s_max; no rows give empty factors."""
+    k, n = Jc.shape
+    if k == 2:
+        return row_factor(Jc)
+    if k > n:
+        raise RankDeficientConstraint(f"more constraints ({k}) than joints ({n})")
+    U, s, Vt = np.linalg.svd(Jc, full_matrices=False)
+    if k and s[-1] <= DEFAULT_RTOL * s[0]:
+        raise RankDeficientConstraint(
+            f"constraint Jacobian rank < {k} (sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})"
+        )
+    return U * s, Vt
+
+
 def orth_projector(Jc: np.ndarray) -> np.ndarray:
-    """The program's null-space projector P = I - Q^T Q, with Q from
-    ``numerics.row_factor`` as p_approach applies it."""
-    Q = row_factor(Jc)[1]
+    """The null-space projector P = I - Q^T Q, with Q from ``any_row_factor``:
+    for two rows, as p_approach applies it."""
+    Q = any_row_factor(Jc)[1]
     return np.eye(Jc.shape[1]) - Q.T @ Q
 
 

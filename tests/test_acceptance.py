@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from rcmsim.controllers import GainSet
-from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
+from rcmsim.rcm import RcmMode, constraint_from_kin, place_trocar, residual
 from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
-from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode, step
+from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
 from rcmsim.scenarios import DisturbanceEvent, DisturbanceSchedule, TrocarSchedule
 from rcmsim.harness import compute_metrics, config_from_dict, run_matrix
-from conftest import PENDULUM_LENGTH, PENDULUM_MASS, random_states
+from conftest import PENDULUM_LENGTH, PENDULUM_MASS, plant_step, random_states, static_trocar
 from oracles import forward_dynamics, inverse_dynamics, orth_projector, rcm_point
 
 
@@ -92,7 +92,7 @@ def test_criterion_01_projection_algebra(model, rng):
     for q in qs:
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.25 + 0.65 * rng.uniform())
-        Jc = constraint_from_kin(kin, np.zeros(model.n), TrocarState.static(p_c), RcmMode.TWO_D).J
+        Jc = constraint_from_kin(kin, np.zeros(model.n), static_trocar(p_c), RcmMode.TWO_D).J
         P = orth_projector(Jc)
         tau_c = rng.uniform(-10.0, 10.0, model.n)
         tau_perp = tau_c - P @ tau_c
@@ -118,7 +118,7 @@ def test_criterion_02_kinematics_oracles(model, rng):
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
         J_tool = kin.Jp_t
-        static, rest = TrocarState.static(p_c), np.zeros(model.n)
+        static, rest = static_trocar(p_c), np.zeros(model.n)
         J3 = constraint_from_kin(kin, rest, static, RcmMode.THREE_D).J
         J2 = constraint_from_kin(kin, rest, static, RcmMode.TWO_D).J
         for j in range(model.n):
@@ -181,7 +181,7 @@ def test_criterion_03_dynamics_oracles(model, pendulum_model, rng):
     state = JointState(DEFAULT_HOME.copy(), 0.3 * np.ones(model.n))
     e0 = 0.5 * state.qdot @ kinematics(m0, state.q).M @ state.qdot
     for _ in range(5000):
-        state = step(m0, state, np.zeros(model.n), np.zeros(model.n), 1e-3)
+        state = plant_step(m0, state, np.zeros(model.n), 1e-3)
     drift = abs(0.5 * state.qdot @ kinematics(m0, state.q).M @ state.qdot - e0) / e0
     ok = (
         worst_sym < 1e-10

@@ -24,7 +24,9 @@ from rcmsim.numerics import small_inv
 from rcmsim.rcm import ConstraintState, RcmMode, TrocarState, place_trocar
 from rcmsim.robot import DEFAULT_HOME, JointState, KinFrames, kinematics
 from rcmsim.scenarios import TaskReference
+from conftest import static_trocar
 from oracles import (
+    any_row_factor,
     forward_dynamics,
     matrix_sqrt,
     null_basis,
@@ -58,7 +60,7 @@ def _scenario_state(model, rng=None, alpha=0.5, qd_scale=0.0):
         qd = qd_scale * rng.uniform(-1.0, 1.0, model.n)
     kin = kinematics(model, q)
     p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, alpha)
-    return JointState(q, qd), TrocarState.static(p_c)
+    return JointState(q, qd), static_trocar(p_c)
 
 
 def test_gain_rule_element_wise():
@@ -146,9 +148,13 @@ def test_p_approach_constraint_consistency_random_states(model, rng):
         assert np.abs(snap.constraint.J @ qdd - out.constraint_accel_cmd).max() < 1e-6
 
 
-def test_p_approach_unconstrained_reduction(model):
+def test_p_approach_unconstrained_reduction(model, monkeypatch):
     # k = 0: the projected controller collapses to the standard
-    # operational-space PD law bit for bit.
+    # operational-space PD law bit for bit. The program's rank check and
+    # cofactor inverse take its two constraint rows only; the empty
+    # constraint's go through the oracle factor and numpy's inverse.
+    monkeypatch.setattr(controllers, "check_row_rank", any_row_factor)
+    monkeypatch.setattr(controllers, "small_inv", np.linalg.inv)
     state, trocar = _scenario_state(model)
     state.qdot = np.linspace(-0.2, 0.2, model.n)
     ref = _hold_reference(model, state.q)
@@ -441,7 +447,7 @@ def test_ticks_form_only_the_terms_they_read(model, rng, monkeypatch):
             snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
             with pytest.raises(AssertionError, match="unread or exact term formed"):
                 _control("p_approach", snap, ref, _gains())
-        snap = build_snapshot(model, state, TrocarState.static(trocar.p), RcmMode.TWO_D)
+        snap = build_snapshot(model, state, static_trocar(trocar.p), RcmMode.TWO_D)
         with monkeypatch.context() as patch:
             patch.setattr(numerics, "_gram_schmidt", forbidden)
             _control("z_approach", snap, ref, _gains())

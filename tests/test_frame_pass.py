@@ -14,7 +14,7 @@ from rcmsim.numerics import small_inv
 from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar
 from rcmsim.robot import kinematics
 from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
-from conftest import random_states
+from conftest import random_states, static_trocar
 
 
 def test_frames_and_jacobians_match_loop_pass(model, rng):
@@ -29,15 +29,17 @@ def test_frames_and_jacobians_match_loop_pass(model, rng):
         assert np.abs(kin.axes - J_t[3:].T).max() < 1e-12
 
 
-def test_point_jacobian_matches_loop_oracle(model, rng):
-    qs, _ = random_states(rng, model.n, 5)
+def test_com_jacobians_match_loop_oracle(model, rng):
+    # Every link's COM is a tracked point of the pass; its Jacobian is the
+    # loop oracle's, and joints beyond the link leave it exactly unmoved.
+    qs, _ = random_states(rng, model.n, 20, spread=np.pi)
     for q in qs:
+        kin = kinematics(model, q)
         for link in range(model.n):
-            point = rng.uniform(-0.1, 0.1, 3)
-            J, p = kinematics(model, q).point_jacobian(link, point)
-            J_ref, p_ref = oracles.point_jacobian(model.dh, q, link, point)
+            J = kin.tracked_jacobian(link)
+            J_ref, _ = oracles.point_jacobian(model.dh, q, link, model.coms[link])
             assert np.abs(J - J_ref).max() < 1e-12
-            assert np.abs(p - p_ref).max() < 1e-12
+            assert not J[:, link + 1 :].any()
 
 
 def test_mass_matrix_matches_crba(model, rng):
@@ -95,7 +97,7 @@ def test_constraint_rates_match_finite_difference(model, rng, mode, moving):
         if moving:
             trocar = TrocarState(p_c, rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.1, 0.1, 3))
         else:
-            trocar = TrocarState.static(p_c)
+            trocar = static_trocar(p_c)
         cs = constraint_from_kin(kinematics(model, q, qd), qd, trocar, mode)
         J_dot, b = oracles.constraint_rate_fd(model, q, qd, trocar, mode)
         assert np.abs(cs.J_dot - J_dot).max() < 1e-6
@@ -109,7 +111,7 @@ def test_null_sharp_rate_matches_finite_difference(model, rng):
     qs, qds = random_states(rng, model.n, 10, spread=0.3)
     for q, qd in zip(qs, qds):
         kin = kinematics(model, q)
-        trocar = TrocarState.static(place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5))
+        trocar = static_trocar(place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5))
 
         def sharp(qs_, Z_ref=None):
             cs = constraint_from_kin(kinematics(model, qs_, qd), qd, trocar, RcmMode.TWO_D)
@@ -132,7 +134,7 @@ def test_null_sharp_rate_matches_finite_difference(model, rng):
 
 
 def test_small_inv_matches_lapack(rng):
-    for k in (2, 3, 4):
+    for k in (2, 3):
         for _ in range(20):
             A = rng.uniform(-1.0, 1.0, (k, k)) + k * np.eye(k)
             assert np.abs(small_inv(A) - np.linalg.inv(A)).max() < 1e-12

@@ -216,6 +216,35 @@ def test_run_matrix_depth_sweep(tmp_path):
     assert [row["label"] for row in table["rows"]] == [c.label for c in configs]
 
 
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_comparison_over_a_zero_baseline_metric_is_strict_json(tmp_path):
+    # The first run settles 0.5 ms before its end, so one tick is settled
+    # and its smoothness is 0: every ratio over it is null, not NaN.
+    configs = [
+        config_from_dict(
+            {"controller": "p_approach", "label": label, "scenario": {"alpha": 0.5},
+             "sim": {"duration": 0.05}, "settle_time": settle}
+        )
+        for label, settle in (("short", 0.0495), ("long", 0.01))
+    ]
+    assert run_matrix(configs, str(tmp_path)) == EXIT_OK
+    table = _strict_json((tmp_path / "comparison.json").read_text())
+    assert table["rows"][0]["smoothness"] == 0.0
+    assert [row["smoothness_ratio"] for row in table["rows"]] == [None, None]
+    assert table["rows"][1]["peak_torque_ratio"] > 0.0
+    # the text table prints a missing ratio as -
+    zero_peak = compare_runs([("a", _record(peak_torque=0.0)), ("b", _record())])
+    assert zero_peak["rows"][1]["peak_torque_ratio"] is None
+    last = render_comparison(zero_peak).splitlines()[-1].split()
+    assert last[0] == "b" and last[-2] == "-"
+
+
 def test_run_matrix_single_run_degenerates(tmp_path):
     cfg = config_from_dict(
         {"controller": "p_approach", "label": "solo",

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rcmsim.numerics import small_inv
-from rcmsim.projection import sym_inv
-from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin
+from rcmsim.projection import DAMPING, RTOL, sym_inv
+from rcmsim.rcm import RcmMode, constraint_from_kin
 from rcmsim.robot import DEFAULT_HOME, kinematics
 from rcmsim.rcm import place_trocar
-from conftest import random_states
+from conftest import random_states, static_trocar
 from oracles import (
     SingularTaskInertia,
     gauss_acceleration_split,
@@ -62,7 +64,7 @@ def test_pdot_matches_projector_finite_difference(model):
     q0 = DEFAULT_HOME
     kin = kinematics(model, q0)
     p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
-    trocar = TrocarState.static(p_c)
+    trocar = static_trocar(p_c)
     M = kin.M
     cs0 = constraint_from_kin(kin, np.zeros(model.n), trocar, RcmMode.TWO_D)
     qd = projection_state(M, cs0.J).P @ np.linspace(-0.4, 0.4, model.n)
@@ -94,7 +96,7 @@ def test_task_space_terms_algebraic_properties(model, rng):
     for q, qd in zip(qs, qds):
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
-        static = TrocarState.static(p_c)
+        static = static_trocar(p_c)
         cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.TWO_D)
         M = kin.M
         ps = projection_state(M, cs.J, cs.J_dot)
@@ -111,7 +113,7 @@ def test_task_bias_reduces_to_classic_form(model, rng):
     q, qd = DEFAULT_HOME, rng.uniform(-0.5, 0.5, model.n)
     kin = kinematics(model, q)
     p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
-    static = TrocarState.static(p_c)
+    static = static_trocar(p_c)
     cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.TWO_D)
     M = kin.M
     ps = projection_state(M, cs.J, cs.J_dot)
@@ -143,7 +145,7 @@ def test_torque_decomposition_annihilation(model, rng):
     for q in qs:
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
-        cs = constraint_from_kin(kin, np.zeros(model.n), TrocarState.static(p_c), RcmMode.TWO_D)
+        cs = constraint_from_kin(kin, np.zeros(model.n), static_trocar(p_c), RcmMode.TWO_D)
         M = kin.M
         ps = projection_state(M, cs.J)
         P = ps.P
@@ -188,10 +190,30 @@ def test_sym_inv_matches_inverse(rng):
     A_inv, damped = sym_inv(A)
     assert not damped
     assert np.abs(A_inv - np.linalg.inv(A)).max() < 1e-10
-    # the 3x3 path in Python floats keeps the bits of the general one:
-    # symmetric part, then the cofactor inverse
+    # the 3x3 path in Python floats has small_inv's bits: symmetric part,
+    # then the cofactor inverse
     for _ in range(50):
         A = _random_spd(rng, 3) * 10.0 ** rng.uniform(-3, 3) + 1e-9 * rng.standard_normal((3, 3))
         A_inv, damped = sym_inv(A)
         assert not damped
         assert np.array_equal(A_inv, small_inv(0.5 * (A + A.T)))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_sym_inv_of_the_stacked_mobility_size(rng, n):
+    # The compensation's 5x5 or 6x6 mobility: np.linalg.inv's bits for the
+    # symmetric part. An exactly singular input gets the eigensolve's verdict
+    # (damped) and lets no warning escape.
+    for _ in range(50):
+        A = _random_spd(rng, n) * 10.0 ** rng.uniform(-3, 3) + 1e-9 * rng.standard_normal((n, n))
+        A_inv, damped = sym_inv(A)
+        assert not damped
+        assert np.array_equal(A_inv, np.linalg.inv(0.5 * (A + A.T)))
+    singular = _random_spd(rng, n)
+    singular[-1], singular[:, -1] = 0.0, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A_inv, damped = sym_inv(singular)
+    w, Q = np.linalg.eigh(0.5 * (singular + singular.T))
+    assert damped and abs(w).min() <= RTOL * abs(w).max()
+    assert np.array_equal(A_inv, (Q * (w / (w * w + DAMPING * DAMPING))) @ Q.T)

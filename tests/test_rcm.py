@@ -4,7 +4,7 @@ import pytest
 from rcmsim.errors import InvalidAlpha
 from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
 from rcmsim.robot import DEFAULT_HOME, Pose, kinematics
-from conftest import random_states
+from conftest import random_states, static_trocar
 from oracles import InconsistentTool, rcm_point
 
 
@@ -67,7 +67,7 @@ def test_residual_2d_is_first_two_rows_of_3d(model, rng):
         x3 = residual(kin.pose_r, p_c, RcmMode.THREE_D)
         x2 = residual(kin.pose_r, p_c, RcmMode.TWO_D)
         assert np.abs(x2 - x3[:2]).max() < 1e-12
-        static, rest = TrocarState.static(p_c), np.zeros(model.n)
+        static, rest = static_trocar(p_c), np.zeros(model.n)
         J3 = constraint_from_kin(kin, rest, static, RcmMode.THREE_D).J
         J2 = constraint_from_kin(kin, rest, static, RcmMode.TWO_D).J
         assert np.abs(J2 - J3[:2]).max() < 1e-12
@@ -90,7 +90,7 @@ def test_residual_norm_decomposition(model, rng):
 def test_residual_jacobian_reference_point_case(model):
     # Trocar at the reference point: J_c reduces to the rotated J_p rows.
     kin = kinematics(model, DEFAULT_HOME)
-    static = TrocarState.static(kin.pose_r.p)
+    static = static_trocar(kin.pose_r.p)
     J3 = constraint_from_kin(kin, np.zeros(model.n), static, RcmMode.THREE_D).J
     assert np.abs(J3 - kin.pose_r.R.T @ kin.J_r[:3]).max() < 1e-12
 
@@ -102,7 +102,7 @@ def test_residual_jacobian_finite_difference(model, rng):
     for q in qs:
         kin, p_c = _mid_axis_trocar(model, q)
         p_c = p_c + rng.uniform(-0.05, 0.05, 3)
-        static = TrocarState.static(p_c)
+        static = static_trocar(p_c)
         J = constraint_from_kin(kin, np.zeros(model.n), static, RcmMode.THREE_D).J
         for j in range(model.n):
             dq = np.zeros(model.n)
@@ -117,7 +117,7 @@ def test_residual_rate_static_and_moving(model, rng):
     q = DEFAULT_HOME
     qd = rng.uniform(-0.5, 0.5, model.n)
     kin, p_c = _mid_axis_trocar(model, q)
-    static = TrocarState.static(p_c)
+    static = static_trocar(p_c)
     cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.THREE_D)
     J = cs.J
     assert np.allclose(cs.xdot, J @ qd)
@@ -141,7 +141,7 @@ def test_residual_rate_matches_trajectory_difference(model):
     amp = np.linspace(0.05, 0.11, model.n)
     omega = 1.7
     kin0, p_c = _mid_axis_trocar(model, q0)
-    trocar = TrocarState.static(p_c)
+    trocar = static_trocar(p_c)
     dt = 1e-5
     for t in (0.3, 0.9):
         qs = [_analytic_motion(model, s, q0, amp, omega)[0] for s in (t - dt, t, t + dt)]
@@ -154,7 +154,7 @@ def test_residual_rate_matches_trajectory_difference(model):
 
 def test_residual_bias_zero_when_everything_static(model):
     kin, p_c = _mid_axis_trocar(model, DEFAULT_HOME)
-    static = TrocarState.static(p_c)
+    static = static_trocar(p_c)
     b = constraint_from_kin(kin, np.zeros(model.n), static, RcmMode.THREE_D).b
     assert np.abs(b).max() == 0.0
 
@@ -188,7 +188,7 @@ def test_second_difference_oracle(model, moving):
 
     def trocar_at(t):
         if not moving:
-            return TrocarState.static(p_c0)
+            return static_trocar(p_c0)
         e = np.array([0.0, 0.0, 1.0])
         return TrocarState(
             p_c0 + 0.04 * np.sin(wt * t) * e,

@@ -92,8 +92,8 @@ def test_planar_jacobian_analytic(planar_model):
 
 
 def test_jacobian_zero_columns_beyond_supporting_joint(model):
-    # A point on link 2 cannot be moved by joints 3..n.
-    J, _ = kinematics(model, DEFAULT_HOME).point_jacobian(1, model.coms[1])
+    # Link 2's COM cannot be moved by joints 3..n.
+    J = kinematics(model, DEFAULT_HOME).tracked_jacobian(1)
     assert np.abs(J[:, 2:]).max() == 0.0
 
 
@@ -142,8 +142,8 @@ def test_jacobian_dot_single_revolute_circular_motion(pendulum_model):
     q = np.array([0.3])
     qd = np.array([0.8])
     step = 1e-6
-    Jp, _ = kinematics(pendulum_model, q + step * qd).point_jacobian(0, pendulum_model.coms[0])
-    Jm, _ = kinematics(pendulum_model, q - step * qd).point_jacobian(0, pendulum_model.coms[0])
+    Jp = kinematics(pendulum_model, q + step * qd).tracked_jacobian(0)
+    Jm = kinematics(pendulum_model, q - step * qd).tracked_jacobian(0)
     Jd = (Jp - Jm) / (2 * step)
     assert abs(np.linalg.norm(Jd[:, 0]) - abs(qd[0]) * PENDULUM_LENGTH) < 1e-5
 

@@ -25,21 +25,26 @@ from rcmsim.sim import (
     SimConfig,
     SimTrace,
     all_finite,
-    environment_force,
+    port_torque,
     read_trace_csv,
     run_episode,
     step,
 )
-from conftest import PENDULUM_LENGTH, PENDULUM_MASS
+from conftest import PENDULUM_LENGTH, PENDULUM_MASS, plant_step, static_trocar
 
 
-def test_environment_force_examples():
+def test_port_torque_examples(model):
+    # The port force -K x - D xdot on the 2D pivot residual, through the
+    # residual's Jacobian: zero with the trocar at the reference point, -5 N
+    # along the frame's x axis 1 mm off it.
     env = EnvModel(mode="soft")
-    assert np.abs(environment_force(np.zeros(2), np.zeros(2), env)).max() == 0.0
-    f = environment_force(np.array([0.001, 0.0]), np.zeros(2), env)
-    assert np.allclose(f, [-5.0, 0.0])
-    off = EnvModel(mode="off")
-    assert np.abs(environment_force(np.array([1.0, 1.0]), np.ones(2), off)).max() == 0.0
+    kin = kinematics(model, DEFAULT_HOME, np.zeros(model.n))
+    at_pivot = static_trocar(kin.pose_r.p)
+    assert np.abs(port_torque(kin, at_pivot, env)).max() == 0.0
+    off_axis = static_trocar(kin.pose_r.p - 0.001 * kin.pose_r.R[:, 0])
+    J = rcm.constraint_from_kin(kin, kin.qdot, off_axis, rcm.RcmMode.TWO_D).J
+    expected = J.T @ np.array([-5.0, 0.0])
+    assert np.abs(port_torque(kin, off_axis, env) - expected).max() < 1e-12
 
 
 def test_environment_steady_penetration_scale():
@@ -49,20 +54,25 @@ def test_environment_steady_penetration_scale():
     assert x == pytest.approx(0.2e-3)
 
 
-def test_environment_energy_balance():
-    # Work done by the port force along a prescribed path equals the spring
-    # energy change plus the dissipated power integral (within 1%).
+def test_environment_energy_balance(model):
+    # Work done on the arm by the port torque along a prescribed joint path
+    # equals minus the spring energy change plus the dissipated power
+    # integral (within 1%): its power is the force times the residual rate.
     env = EnvModel(mode="soft")
+    kin0 = kinematics(model, DEFAULT_HOME)
+    trocar = static_trocar(kin0.pose_r.p + 0.001 * kin0.pose_r.R[:, 1])
     dt = 1e-4
-    ts = np.arange(0.0, 1.0, dt)
-    xs = 0.002 * np.column_stack([np.sin(3 * ts), 1 - np.cos(2 * ts)])
-    vs = np.gradient(xs, dt, axis=0)
-    work = 0.0
-    dissipated = 0.0
-    for x, v in zip(xs, vs):
-        f = environment_force(x, v, env)
-        work += f @ v * dt
-        dissipated += env.damping * (v @ v) * dt
+    rate = np.linspace(10.0, 30.0, model.n)
+    work = dissipated = 0.0
+    xs = []
+    for t in np.arange(0.0, 1.0, dt):
+        q = DEFAULT_HOME + 0.002 * np.sin(rate * t)
+        qd = 0.002 * rate * np.cos(rate * t)
+        kin = kinematics(model, q, qd)
+        cs = rcm.constraint_from_kin(kin, qd, trocar, rcm.RcmMode.TWO_D)
+        work += port_torque(kin, trocar, env) @ qd * dt
+        dissipated += env.damping * (cs.xdot @ cs.xdot) * dt
+        xs.append(cs.x)
     spring = 0.5 * env.stiffness * (xs[-1] @ xs[-1] - xs[0] @ xs[0])
     assert work == pytest.approx(-(spring + dissipated), rel=0.01)
 
@@ -70,7 +80,7 @@ def test_environment_energy_balance():
 def test_step_holds_state_with_no_forces(model):
     m0 = replace(model, gravity=np.zeros(3))
     state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
-    out = step(m0, state, np.zeros(model.n), np.zeros(model.n), 1e-3)
+    out = plant_step(m0, state, np.zeros(model.n), 1e-3)
     assert np.array_equal(out.q, state.q)
     assert np.array_equal(out.qdot, state.qdot)
 
@@ -90,7 +100,7 @@ def test_free_pendulum_energy_drift(pendulum_model, integrator, tol):
     e0 = _pendulum_energy(pendulum_model, state)
     scale = PENDULUM_MASS * 9.81 * PENDULUM_LENGTH  # energy scale of the swing
     for _ in range(5000):
-        state = step(pendulum_model, state, np.zeros(1), np.zeros(1), 1e-3, integrator)
+        state = plant_step(pendulum_model, state, np.zeros(1), 1e-3, integrator)
     drift = abs(_pendulum_energy(pendulum_model, state) - e0) / scale
     assert drift < tol
 
@@ -102,7 +112,7 @@ def test_zero_gravity_arm_energy_drift(model):
     state = JointState(DEFAULT_HOME.copy(), 0.3 * np.ones(model.n))
     e0 = 0.5 * state.qdot @ kinematics(m0, state.q).M @ state.qdot
     for _ in range(5000):
-        state = step(m0, state, np.zeros(model.n), np.zeros(model.n), 1e-3)
+        state = plant_step(m0, state, np.zeros(model.n), 1e-3)
     e1 = 0.5 * state.qdot @ kinematics(m0, state.q).M @ state.qdot
     assert abs(e1 - e0) / e0 < 5e-3
 
@@ -114,14 +124,14 @@ def test_gravity_compensation_holds_pose(model):
     q0 = state.q.copy()
     for _ in range(1000):
         grav = kinematics(model, state.q).h
-        state = step(model, state, grav, np.zeros(model.n), 1e-3)
+        state = plant_step(model, state, grav, 1e-3)
     assert np.abs(state.q - q0).max() < 1e-6
 
 
 def test_step_rejects_bad_dt(model):
     state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
     with pytest.raises(ValueError):
-        step(model, state, np.zeros(model.n), np.zeros(model.n), 0.0)
+        step(model, state, np.zeros(model.n), None, 0.0, np.zeros(model.n))
 
 
 def _moving_trocar(model, q):
@@ -150,16 +160,13 @@ def test_rk4_port_sees_the_trocar_at_stage_times(model, t):
     at = _moving_trocar(model, DEFAULT_HOME)
     state = JointState(DEFAULT_HOME.copy(), np.random.default_rng(0).uniform(-0.2, 0.2, model.n))
     tau = kinematics(model, state.q).h
-    zero = np.zeros(model.n)
     dt, substeps = 1e-3, 200
     ref, h = state, dt / substeps
     for i in range(substeps):
         s = t + i * h
-        ref = step(model, ref, tau, zero, h, "rk4", env=env,
-                   trocar=(at(s), at(s + h / 2), at(s + h)))
-    one = step(model, state, tau, zero, dt, "rk4", env=env,
-               trocar=(at(t), at(t + dt / 2), at(t + dt)))
-    frozen = step(model, state, tau, zero, dt, "rk4", env=env, trocar=(at(t),) * 3)
+        ref = plant_step(model, ref, tau, h, "rk4", env, (at(s), at(s + h / 2), at(s + h)))
+    one = plant_step(model, state, tau, dt, "rk4", env, (at(t), at(t + dt / 2), at(t + dt)))
+    frozen = plant_step(model, state, tau, dt, "rk4", env, (at(t),) * 3)
     assert np.abs(one.qdot - ref.qdot).max() < 2e-7
     assert np.abs(frozen.qdot - ref.qdot).max() > 1e-6
 
