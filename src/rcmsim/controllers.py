@@ -11,16 +11,17 @@ K_cc^-1 and S = K_tt - K_tc Lambda_c K_ct. A variant is its tip inertia
 Lambda and bias h_task (the tip force is f = Lambda xdd_d + Kd ed + Kp e +
 h_task), its task/null-space law and its pivot command:
 
-    variant     Lambda   h_task                  tau_task             a_cmd
-    p_approach  S^-1     Lambda (B h - Jdot qd   J^T f + N_B tau_0    -K_cc e_c - b_c
+    variant     Lambda   h_task                  tau_task                 a_cmd
+    p_approach  S^-1     Lambda (B h - Jdot qd   J^T f + N_B tau_0        -K_cc e_c - b_c
                          - K_tc Lambda_c a_cmd)
-    z_approach  S^-1     0                       J^T f + tau_0 + h_z  -K_cc e_c - Jdot_c qd
-    uk          K_tt^-1  Lambda (J M^-1 h        J^T f + N_J tau_0    -e_c
+    z_approach  S^-1     0                       J^T f + tau_0 + h_z      -K_cc e_c - Jdot_c qd
+    uk          K_tt^-1  Lambda (J M^-1 h        J^T f + N_J (tau_0 + h)  -e_c
                          - Jdot qd)
 
-with e_c = Kd xdot_c + Kp (x_c - x_c_ref), B = J M^-1 - K_tc Lambda_c Jc M^-1,
-N_B = I - J^T Lambda B, N_J = I - J^T Lambda J M^-1, tau_0 the null-space
-compliance and h_z the extended-Jacobian bias (see ``z_approach_torque``).
+with e_c = Kd xdot_c + Kp x_c on the lateral pivot residual x_c,
+B = J M^-1 - K_tc Lambda_c Jc M^-1, N_B = I - J^T Lambda B,
+N_J = I - J^T Lambda J M^-1, tau_0 the null-space compliance and h_z the
+extended-Jacobian bias (see ``z_approach_torque``).
 p_approach is the projected controller; z_approach (extended Jacobian,
 static trocar) and uk (Udwadia-Kalaba) are the comparison baselines. An
 orthogonal projector P = I - Jc^+ Jc on tau_task would change nothing:
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import SingularExtendedJacobian
 from .numerics import check_row_rank, lu_inv, row_factor, small_inv
 from .projection import sym_inv
-from .rcm import ConstraintState, RcmMode, TrocarState, constraint_from_kin
+from .rcm import ConstraintState, TrocarState, constraint_from_kin
 from . import robot
 from .robot import JointState, KinFrames, RobotModel, kinematics
 from .scenarios import TaskReference
@@ -53,8 +54,9 @@ P_APPROACH = "p_approach"
 Z_APPROACH = "z_approach"
 UK = "uk"
 
-# The variants and the pivot residual each controller is defined on.
-RCM_MODE = {P_APPROACH: RcmMode.TWO_D, Z_APPROACH: RcmMode.TWO_D, UK: RcmMode.THREE_D}
+VARIANT = Rule(
+    lambda v: v in (P_APPROACH, Z_APPROACH, UK), "must be one of p_approach/z_approach/uk"
+)
 
 # Gain defaults of library and config runs alike.
 KP_TASK = 1000.0  # N/m
@@ -113,10 +115,10 @@ class GainSet:
         kd_null=None,
     ) -> "GainSet":
         kp_task = _as_diag(kp_task, 3, "kp_task")
-        kp_rcm = _as_diag(kp_rcm, 3, "kp_rcm")  # sliced to k rows at use
+        kp_rcm = _as_diag(kp_rcm, 2, "kp_rcm")
         kp_null = _as_diag(kp_null, n_joints, "kp_null")
         kd_task = 2.0 * np.sqrt(kp_task) if kd_task is None else _as_diag(kd_task, 3, "kd_task")
-        kd_rcm = 2.0 * np.sqrt(kp_rcm) if kd_rcm is None else _as_diag(kd_rcm, 3, "kd_rcm")
+        kd_rcm = 2.0 * np.sqrt(kp_rcm) if kd_rcm is None else _as_diag(kd_rcm, 2, "kd_rcm")
         kd_null = (
             2.0 * np.sqrt(kp_null) if kd_null is None else _as_diag(kd_null, n_joints, "kd_null")
         )
@@ -150,8 +152,8 @@ class ControlSetup:
     compensation: str = COMP_FULL
 
     def __post_init__(self):
-        if self.variant not in RCM_MODE:
-            raise ValueError(f"unknown controller variant {self.variant!r}")
+        if not VARIANT.ok(self.variant):
+            fail("variant", VARIANT.message)
         if not COMPENSATION.ok(self.compensation):
             fail("compensation", COMPENSATION.message)
         if self.gains is None:
@@ -198,7 +200,6 @@ def build_snapshot(
     model: RobotModel,
     state: JointState,
     trocar: TrocarState,
-    mode: RcmMode,
 ) -> ControlSnapshot:
     # through the module attribute, so a wrapper set there sees every pass
     kin = robot.KinFrames(model.chain, state.q, state.qdot)
@@ -211,7 +212,7 @@ def build_snapshot(
         J_task=kin.Jp_t,
         tip_vel=kin.v_t,
         tip_bias=kin.abias_t,
-        constraint=constraint_from_kin(kin, state.qdot, trocar, mode),
+        constraint=constraint_from_kin(kin, state.qdot, trocar),
     )
 
 
@@ -340,17 +341,10 @@ def control_torque(
     ref: TaskReference,
     q_init: np.ndarray,
     tau_ext_hat: np.ndarray | None = None,
-    x_c_ref: np.ndarray | None = None,
 ) -> ControllerOutput:
     """One controller tick: the configured variant plus the disturbance
-    compensation of ``tau_ext_hat``.
-
-    ``q_init`` is the centre of the null-space compliance. ``x_c_ref`` is
-    the pivot-residual set-point (default zero); in the 3D residual its third
-    component is the signed axial offset of the reference frame from the
-    trocar, which is nonzero by construction, so the caller passes the
-    initial residual there.
-    """
+    compensation of ``tau_ext_hat``. ``q_init`` is the centre of the
+    null-space compliance."""
     mob = stacked_mobility(snap)
     # resolved at call time, so a wrapper set on the module attribute sees the call
     variant = (
@@ -358,18 +352,16 @@ def control_torque(
         else z_approach_torque if setup.variant == Z_APPROACH
         else uk_torque
     )
-    out = variant(snap, mob, ref, setup, q_init, x_c_ref)
+    out = variant(snap, mob, ref, setup, q_init)
     if tau_ext_hat is None or setup.compensation == COMP_OFF:
         return out
     tau_c, damped_c = compensation_torque(tau_ext_hat, setup.compensation, mob)
     return ControllerOutput(out.tau + tau_c, out.constraint_accel_cmd, out.damped + damped_c)
 
 
-def _pivot_pd(cs: ConstraintState, gains: GainSet, x_c_ref: np.ndarray | None) -> np.ndarray:
-    """Kd xdot_c + Kp (x_c - x_c_ref) on the k residual rows."""
-    k = cs.J.shape[0]
-    x_err = cs.x if x_c_ref is None else cs.x - x_c_ref
-    return gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * x_err
+def _pivot_pd(cs: ConstraintState, gains: GainSet) -> np.ndarray:
+    """Kd xdot_c + Kp x_c on the residual rows."""
+    return gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x
 
 
 def _complete(
@@ -391,17 +383,15 @@ def _task_torque(
     snap: ControlSnapshot,
     ref: TaskReference,
     gains: GainSet,
-    q_init: np.ndarray,
     Lambda: np.ndarray,
     h_task: np.ndarray,
     B: np.ndarray,
+    tau_0: np.ndarray,
 ) -> np.ndarray:
     """J^T f + N_bar tau_0: the tip PD force f through the task inertia
-    ``Lambda`` and bias ``h_task``, and the null-space torque through
-    N_bar = I - J^T Lambda B."""
-    state = snap.state
+    ``Lambda`` and bias ``h_task``, and the null-space torque ``tau_0``
+    through N_bar = I - J^T Lambda B."""
     f = free_space_force(Lambda, h_task, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
-    tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
     return snap.J_task.T.dot(f - Lambda.dot(B.dot(tau_0))) + tau_0
 
 
@@ -411,7 +401,6 @@ def p_approach_torque(
     ref: TaskReference,
     setup: ControlSetup,
     q_init: np.ndarray,
-    x_c_ref: np.ndarray | None = None,
 ) -> ControllerOutput:
     """Projected constraint-consistent controller.
 
@@ -430,12 +419,13 @@ def p_approach_torque(
     # small operands; this runs every tick.
     K_cc = K[PIVOT, PIVOT]
     Lambda_c = small_inv(K_cc)
-    a_cmd = -K_cc.dot(_pivot_pd(cs, setup.gains, x_c_ref)) - cs.b
+    a_cmd = -K_cc.dot(_pivot_pd(cs, setup.gains)) - cs.b
     K_tc_Lambda_c = K[TIP, PIVOT].dot(Lambda_c)
     B = W[TIP] - K_tc_Lambda_c.dot(W[PIVOT])
     Lambda_f, damped = sym_inv(K[TIP, TIP] - K_tc_Lambda_c.dot(K[PIVOT, TIP]))
     h_f = Lambda_f.dot(B.dot(snap.h) - snap.tip_bias - K_tc_Lambda_c.dot(a_cmd))
-    tau_task = _task_torque(snap, ref, setup.gains, q_init, Lambda_f, h_f, B)
+    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, setup.gains)
+    tau_task = _task_torque(snap, ref, setup.gains, Lambda_f, h_f, B, tau_0)
     return _complete(snap, mob, Lambda_c, tau_task, a_cmd, damped)
 
 
@@ -445,7 +435,6 @@ def z_approach_torque(
     ref: TaskReference,
     setup: ControlSetup,
     q_init: np.ndarray,
-    x_c_ref: np.ndarray | None = None,
 ) -> ControllerOutput:
     """Extended-Jacobian baseline controller (static trocar).
 
@@ -506,7 +495,7 @@ def z_approach_torque(
     Z_nu = qd - u
     tau_task = (J.T.dot(f_f) + tau_0 + snap.h - snap.kin.Mdot.dot(u)
                 - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Jc_pinv.T.dot(M.dot(u))))
-    a_cmd = -K_cc.dot(_pivot_pd(cs, gains, x_c_ref)) - cs.J_dot.dot(qd)
+    a_cmd = -K_cc.dot(_pivot_pd(cs, gains)) - cs.J_dot.dot(qd)
     return _complete(snap, mob, Lambda_c, tau_task, a_cmd, damped)
 
 
@@ -516,15 +505,17 @@ def uk_torque(
     ref: TaskReference,
     setup: ControlSetup,
     q_init: np.ndarray,
-    x_c_ref: np.ndarray | None = None,
 ) -> ControllerOutput:
     """Udwadia-Kalaba baseline: the unconstrained tip law completed by the
     ideal constraint force.
 
     tau_sharp is the operational-space PD tip torque with no constraint
-    (same gains as the projected controller's task, null-space term through
-    the unconstrained dynamically consistent projector) and
-    b_ic = -(Kd xdot_c + Kp x_err) the commanded constraint acceleration.
+    (same gains as the projected controller's task) plus N_J (tau_0 + h):
+    the null-space compliance and the null-space share of the bias torque,
+    through the unconstrained dynamically consistent projector N_J. Neither
+    the tip force nor the constraint force compensates that share of h;
+    without it the arm falls through its self-motion manifold. The
+    commanded constraint acceleration is b_ic = -(Kd xdot_c + Kp x_c).
     The published form splits the constraint torque through
     Pi = Jc M^-1/2 into an ideal and a non-ideal part with tau_nic = Jc^T b_ic:
 
@@ -541,6 +532,7 @@ def uk_torque(
     gains, K, B = setup.gains, mob.K, mob.W[TIP]
     Lambda_tip, damped = sym_inv(K[TIP, TIP])
     h_tip = Lambda_tip.dot(B.dot(snap.h) - snap.tip_bias)
-    tau_sharp = _task_torque(snap, ref, gains, q_init, Lambda_tip, h_tip, B)
-    b_ic = -_pivot_pd(snap.constraint, gains, x_c_ref)
+    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, gains) + snap.h
+    tau_sharp = _task_torque(snap, ref, gains, Lambda_tip, h_tip, B, tau_0)
+    b_ic = -_pivot_pd(snap.constraint, gains)
     return _complete(snap, mob, small_inv(K[PIVOT, PIVOT]), tau_sharp, b_ic, damped)

@@ -92,9 +92,7 @@ def _load_model(model_path: str | None) -> RobotModel:
 class RunConfig(Schema):
     """Serializable description of one closed-loop run."""
 
-    controller: str = setting(
-        rule=Rule(lambda v: v in ctl.RCM_MODE, f"must be one of {'/'.join(ctl.RCM_MODE)}"),
-    )
+    controller: str = setting(rule=ctl.VARIANT)
     scenario: ScenarioConfig
     label: str = setting("", Rule(
         lambda v: v not in (".", "..") and "/" not in v and "\\" not in v,

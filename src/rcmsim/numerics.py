@@ -1,8 +1,8 @@
 """Dense linear-algebra primitives used by the projection and control layers.
 
 All operators are tolerant of the small, dense matrices this package works
-with (at most ~13 rows: 7 joints + 6 task dimensions); there is no sparse
-path. Singular-value tolerances are relative to the largest singular value.
+with (the 7 x 7 joint-space inertia at most); there is no sparse path.
+Singular-value tolerances are relative to the largest singular value.
 """
 
 import math
@@ -35,18 +35,14 @@ def lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def small_inv(A: np.ndarray) -> np.ndarray:
-    """Inverse of a 2x2 or 3x3 matrix by cofactors: at these sizes the LAPACK
-    call's own overhead is most of its cost. Raises
-    numpy.linalg.LinAlgError for an exactly singular matrix."""
-    if A.shape == (2, 2):
-        a, b, c, d = A.ravel().tolist()
-        adj = [[d, -b], [-c, a]]
-        det = a * d - b * c
-    else:
-        adj, det = adjugate3(*A.ravel().tolist())
+    """Inverse of a 2x2 matrix by cofactors: at this size the LAPACK call's
+    own overhead is most of its cost. Raises numpy.linalg.LinAlgError for
+    an exactly singular matrix."""
+    a, b, c, d = A.ravel().tolist()
+    det = a * d - b * c
     if det == 0.0:
         raise np.linalg.LinAlgError("Singular matrix")
-    return np.array(adj) / det
+    return np.array([[d, -b], [-c, a]]) / det
 
 
 def adjugate3(a, b, c, d, e, f, g, h, i) -> tuple[list, float]:

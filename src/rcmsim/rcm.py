@@ -1,10 +1,11 @@
 """Remote-center-of-motion constraint kinematics in the tool-reference frame.
 
 The pivot residual is the trocar-to-reference vector expressed in the tool
-reference frame (3D), or its projection onto the frame's lateral plane (2D,
-first two frame axes). All rates treat the trocar point as time varying, so a
-moving trocar makes the constraint rheonomic: the residual rate and the
-acceleration bias ``b_c`` carry the trocar velocity/acceleration terms.
+reference frame and projected onto the frame's lateral plane (its first two
+axes); its norm is the trocar's distance from the tool axis. All rates treat
+the trocar point as time varying, so a moving trocar makes the constraint
+rheonomic: the residual rate and the acceleration bias ``b_c`` carry the
+trocar velocity/acceleration terms.
 
 ``constraint_from_kin`` is the one source of the constraint terms the
 controllers and the soft-port force use, all read from one frame pass: the
@@ -12,29 +13,17 @@ residual, its Jacobian and its rate on construction, the rate terms Jdot_c
 and ``b_c`` on first read, so a caller that reads only the position rows
 never forms them. Every rate is exact: Jdot_c and ``b_c`` are assembled from
 the pass's axis rates and d/dt(B^T) = -B^T skew(w_r), with no differencing.
-``residual`` alone gives the residual of a pose, for set-points taken before
-the first tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidAlpha
-from .kernels import KinFrames, Pose, lazy, skew_stack
-
-
-class RcmMode(Enum):
-    THREE_D = 3
-    TWO_D = 2
-
-    @property
-    def k(self) -> int:
-        return self.value
+from .kernels import KinFrames, lazy, skew_stack
 
 
 @dataclass
@@ -47,7 +36,7 @@ class TrocarState:
 
 
 class ConstraintState:
-    """RCM constraint quantities at one instant (k = 2 or 3 rows).
+    """RCM constraint quantities at one instant (two rows).
 
     The residual ``x``, its Jacobian ``J`` and rate ``xdot`` are given on
     construction; ``rates()`` gives the rate terms (J_dot, b), called on
@@ -83,26 +72,18 @@ def place_trocar(p_r0: np.ndarray, p_t0: np.ndarray, alpha: float) -> np.ndarray
     return p_r0 + alpha * (p_t0 - p_r0)
 
 
-def residual(pose_r: Pose, p_c: np.ndarray, mode: RcmMode = RcmMode.THREE_D) -> np.ndarray:
-    """Pivot residual: (p_r - p_c) expressed in the reference frame, or its
-    lateral-plane projection in 2D mode."""
-    return pose_r.R.T[: mode.k] @ (pose_r.p - np.asarray(p_c, dtype=float))
-
-
-def constraint_from_kin(
-    kin: KinFrames, qdot: np.ndarray, trocar: TrocarState, mode: RcmMode
-) -> ConstraintState:
+def constraint_from_kin(kin: KinFrames, qdot: np.ndarray, trocar: TrocarState) -> ConstraintState:
     """Constraint state from a frame pass evaluated at (q, ``qdot``).
 
     J_pc is the Jacobian of the arm point that coincides with the trocar
     (columns z_j x (p_c - o_j), equal to J_p + skew(p_cr) J_w) and Jdot_pc
-    its rate with the trocar moving; with B^T the residual basis rows,
+    its rate with the trocar moving; with B^T the lateral basis rows,
     J_c = B^T J_pc and d/dt(B^T) = -B^T skew(w_r) give
     Jdot_c = B^T (Jdot_pc - skew(w_r) J_pc) and
     b = Jdot_c qdot + B^T (w_r x pdot_c - pddot_c).
     """
     pose_r = kin.pose_r
-    Bt = pose_r.R.T[: mode.k]
+    Bt = pose_r.R.T[:2]
     J_pc = kin.coincident_jacobian(trocar.p)
     # ndarray.dot: the cheapest product call for these small operands
     J = Bt.dot(J_pc)

@@ -88,11 +88,13 @@ def spiral_reference(t, params: SpiralParams) -> TaskReference:
 
 TROCAR_STATIC = "static"
 TROCAR_SINUSOIDAL = "sinusoidal"
+# Direction of the sinusoidal trocar motion: base z.
+TROCAR_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass
 class TrocarSchedule(Schema):
-    """Trocar point over time: static, or sinusoidal along ``axis`` (base z)."""
+    """Trocar point over time: static, or sinusoidal along ``TROCAR_AXIS``."""
 
     mode: str = setting(
         TROCAR_STATIC,
@@ -101,7 +103,6 @@ class TrocarSchedule(Schema):
     p0: np.ndarray | None = field(default=None, metadata=EPISODE_SET)
     amplitude: float = setting(0.04, NON_NEGATIVE)
     frequency: float = setting(0.2, NON_NEGATIVE)
-    axis: tuple = field(default=(0.0, 0.0, 1.0), metadata=EPISODE_SET)
 
 
 def trocar_schedule_eval(t, sched: TrocarSchedule) -> TrocarState:
@@ -115,7 +116,7 @@ def trocar_schedule_eval(t, sched: TrocarSchedule) -> TrocarState:
         raise ValueError("trocar schedule base point not set")
     amplitude = sched.amplitude if sched.mode == TROCAR_SINUSOIDAL else 0.0
     w = 2.0 * np.pi * sched.frequency
-    ax = amplitude * np.asarray(sched.axis, dtype=float)
+    ax = amplitude * TROCAR_AXIS
     wt = w * np.asarray(t, dtype=float)[..., None]
     s, c = np.sin(wt), np.cos(wt)
     return TrocarState(np.asarray(sched.p0, dtype=float) + s * ax, w * c * ax, -w * w * s * ax)

@@ -19,7 +19,7 @@ from . import controllers as ctl
 from .controllers import ControlSetup
 from .errors import ConfigError, SimulationDiverged
 from .numerics import lu_solve
-from .rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar, residual
+from .rcm import TrocarState, constraint_from_kin, place_trocar
 from . import robot
 from .robot import DEFAULT_HOME, JointState, RobotModel
 from .robot import kinematics as kinematics_of
@@ -55,12 +55,8 @@ class EnvModel(Schema):
     mode: str = setting(
         ENV_OFF, Rule(lambda v: v in (ENV_OFF, ENV_SOFT), "must be 'off' or 'soft'")
     )
-    stiffness: float = 5000.0
-    damping: float = 50.0
-
-    def check(self, path: str):
-        if self.stiffness < 0 or self.damping < 0:
-            fail(path, "gains must be non-negative")
+    stiffness: float = setting(5000.0, NON_NEGATIVE)
+    damping: float = setting(50.0, NON_NEGATIVE)
 
 
 def port_torque(kin: robot.KinFrames, trocar: TrocarState, env: EnvModel) -> np.ndarray:
@@ -69,7 +65,7 @@ def port_torque(kin: robot.KinFrames, trocar: TrocarState, env: EnvModel) -> np.
     the constraint's position rows only, so its rate terms are never formed.
     ``env`` is validated once by the caller (``run_episode`` validates it
     with the sim config), not on every evaluation."""
-    cs = constraint_from_kin(kin, kin.qdot, trocar, RcmMode.TWO_D)
+    cs = constraint_from_kin(kin, kin.qdot, trocar)
     return cs.J.T.dot(-env.stiffness * cs.x - env.damping * cs.xdot)
 
 
@@ -113,6 +109,8 @@ class SimConfig(Schema):
     noise_seed: int = setting(0, NON_NEGATIVE)
 
     def check(self, path: str):
+        if self.duration is not None and not math.isfinite(self.duration):
+            fail(join(path, "duration"), "must be finite")
         if self.duration is not None and self.duration < self.dt:
             fail(join(path, "duration"), "must cover at least one step")
 
@@ -356,7 +354,6 @@ def run_episode(
     spiral = replace(scenario.spiral, start=kin0.pose_t.p.copy())
     trocar_sched = replace(scenario.trocar, p0=p_c0)
 
-    mode = ctl.RCM_MODE[control.variant]
     dt = sim.dt
     records = tick_count(sim.duration, dt) + 1
     trace = SimTrace(model.n, records, dt)
@@ -369,10 +366,6 @@ def run_episode(
     noise = (
         np.random.default_rng(sim.noise_seed) if sim.sensor_noise_std > 0 else None
     )
-    # 3D residual set-point: lateral components zero (trocar starts on the
-    # axis); the axial component holds its initial value so the regulation
-    # does not command the reference frame onto the port.
-    x_c_ref = residual(kin0.pose_r, p_c0, mode) if mode is RcmMode.THREE_D else None
 
     trace.t[:] = np.arange(records) * dt
     refs = spiral_reference(trace.t, spiral)
@@ -407,7 +400,7 @@ def run_episode(
                     state.q + sim.sensor_noise_std * noise.standard_normal(model.n),
                     state.qdot,
                 )
-            snap = ctl.build_snapshot(model, meas, trocar, mode)
+            snap = ctl.build_snapshot(model, meas, trocar)
             # Observer update for the period that just ended, at the true state
             # (the snapshot's frame pass when the controller sees that state).
             kin_true = (
@@ -417,7 +410,7 @@ def run_episode(
                 obs = ctl.observer_step(obs, state, tau_prev, dt, kin_true)
             tau_hat = obs.tau_ext_hat if obs is not None else None
 
-            out = ctl.control_torque(control, snap, ref, q0, tau_hat, x_c_ref)
+            out = ctl.control_torque(control, snap, ref, q0, tau_hat)
             if not all_finite(out.tau):
                 trace.filled = k
                 raise SimulationDiverged(k, t, "non-finite controller torque", trace)

@@ -37,7 +37,7 @@ from rcmsim.errors import RankDeficientConstraint, RcmSimError, SingularExtended
 from rcmsim.kernels import skew_stack
 from rcmsim.numerics import DEFAULT_RTOL, row_factor
 from rcmsim.projection import sym_inv
-from rcmsim.rcm import ConstraintState, RcmMode
+from rcmsim.rcm import ConstraintState
 from rcmsim.robot import Pose, kinematics
 from rcmsim.scenarios import TaskReference
 
@@ -355,13 +355,13 @@ def jacobian_dot_fd(model, q, qdot, step=FD_STEP):
     return (J_rp - J_rm) / (2.0 * step), (J_tp - J_tm) / (2.0 * step)
 
 
-def residual_jacobian(pose_r, J_r, p_c, mode=RcmMode.THREE_D):
+def residual_jacobian(pose_r, J_r, p_c, rows=2):
     """Constraint Jacobian in its skew form: the trocar-point translational
-    Jacobian J_pc = J_pr + skew(p_cr) J_wr, premultiplied by R_r^T (3D) or
-    the lateral basis transpose (2D)."""
+    Jacobian J_pc = J_pr + skew(p_cr) J_wr, premultiplied by the first
+    ``rows`` rows of R_r^T (2: the lateral residual; 3: the trace's res3d)."""
     p_cr = pose_r.p - np.asarray(p_c, dtype=float)
     J_pc = J_r[:3] + skew_stack(p_cr) @ J_r[3:]
-    return pose_r.R.T[: mode.k] @ J_pc
+    return pose_r.R.T[:rows] @ J_pc
 
 
 class InconsistentTool(RcmSimError):
@@ -383,7 +383,7 @@ def rcm_point(p_r, p_t, p_c, l_tool, tol=1e-6):
     return p_r + (p_rt @ p_rc / (l_tool * l_tool)) * p_rt
 
 
-def constraint_rate_fd(model, q, qdot, trocar, mode, step=FD_STEP):
+def constraint_rate_fd(model, q, qdot, trocar, step=FD_STEP):
     """(J_dot, b) of the RCM constraint, configuration part by central difference.
 
     The trocar-motion part of J_dot is the analytic -B^T skew(pdot_c) J_w; the
@@ -392,15 +392,14 @@ def constraint_rate_fd(model, q, qdot, trocar, mode, step=FD_STEP):
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     R_r, _, J_r, _ = jacobians(model, q)
-    k = mode.k
 
     def at(qs):
         R, p, J, _ = jacobians(model, qs)
-        return R.T[:k], residual_jacobian(Pose(p=p, R=R), J, trocar.p, mode)
+        return R.T[:2], residual_jacobian(Pose(p=p, R=R), J, trocar.p)
 
     Bt_p, Jc_p = at(q + step * qdot)
     Bt_m, Jc_m = at(q - step * qdot)
-    Bt = R_r.T[:k]
+    Bt = R_r.T[:2]
     pv = trocar.pdot
     skew_pv = np.array([[0.0, -pv[2], pv[1]], [pv[2], 0.0, -pv[0]], [-pv[1], pv[0], 0.0]])
     J_dot = (Jc_p - Jc_m) / (2.0 * step) - Bt @ (skew_pv @ J_r[3:])
@@ -690,12 +689,8 @@ def unconstrained_pd_torque(
     return snap.J_task.T @ f_f + tst.N_bar @ tau_0
 
 
-def _residual_error(cs: ConstraintState, x_c_ref):
-    return cs.x if x_c_ref is None else cs.x - np.asarray(x_c_ref, dtype=float)
-
-
 def p_approach_reference(
-    snap: ControlSnapshot, ref: TaskReference, gains: GainSet, q_init: np.ndarray, x_c_ref=None
+    snap: ControlSnapshot, ref: TaskReference, gains: GainSet, q_init: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected controller in its P form: (tau, constraint_accel_cmd).
 
@@ -704,17 +699,16 @@ def p_approach_reference(
     Jc M^-1) plus the null-space term through I - J^T Lambda_f B, is
     projected by the orthogonal P = I - Jc^+ Jc, and the completion
     Jc^T Lambda_c (a_cmd + Jc M^-1 (h - P tau_f)) enforces the pivot command
-    a_cmd = -Jc M^-1 Jc^T (Kd xdot_c + Kp x_err) - b_c.
+    a_cmd = -Jc M^-1 Jc^T (Kd xdot_c + Kp x_c) - b_c.
     """
     cs = snap.constraint
     state = snap.state
-    k = cs.J.shape[0]
     Minv, J, h = snap.Minv, snap.J_task, snap.h
     P = orth_projector(cs.J)
     Minv_JcT = Minv @ cs.J.T
     mobility_c = cs.J @ Minv_JcT
     Lambda_c = np.linalg.inv(mobility_c)
-    pd = gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * _residual_error(cs, x_c_ref)
+    pd = gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x
     a_cmd = -mobility_c @ pd - cs.b
     JG = J @ Minv_JcT @ Lambda_c
     B = J @ Minv - JG @ Minv_JcT.T
@@ -728,20 +722,19 @@ def p_approach_reference(
 
 
 def uk_sqrt_reference(
-    snap: ControlSnapshot, ref: TaskReference, gains: GainSet, q_init: np.ndarray, x_c_ref=None
+    snap: ControlSnapshot, ref: TaskReference, gains: GainSet, q_init: np.ndarray
 ) -> np.ndarray:
     """Udwadia-Kalaba torque in its published inertia-square-root form.
 
     Q = tau_sharp - h with tau_sharp the unconstrained operational-space PD
-    tip torque plus the null-space term; with S = M^1/2, Pi = Jc S^-1,
-    b_ic = -(Kd xdot_c + Kp x_err) and tau_nic = Jc^T b_ic:
+    tip torque plus the null-space term N_x (tau_0 + h); with S = M^1/2,
+    Pi = Jc S^-1, b_ic = -(Kd xdot_c + Kp x_c) and tau_nic = Jc^T b_ic:
 
         tau = Q + S Pi^+ (b_ic - Jc M^-1 Q) + S (I - Pi^+ Pi) S^-1 tau_nic + h
     """
     cs = snap.constraint
     state = snap.state
     n = snap.M.shape[0]
-    k = cs.J.shape[0]
     M, h = snap.M, snap.h
     Minv = np.linalg.inv(M)
     S = matrix_sqrt(M)
@@ -752,8 +745,8 @@ def uk_sqrt_reference(
     f_pd = free_space_force(Lambda_tip, h_tip, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
     tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
     N_x = np.eye(n) - J.T @ (Lambda_tip @ (J @ Minv))
-    Q = J.T @ f_pd + N_x @ tau_0 - h
-    b_ic = -(gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * _residual_error(cs, x_c_ref))
+    Q = J.T @ f_pd + N_x @ (tau_0 + h) - h
+    b_ic = -(gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x)
     Pi = cs.J @ S_inv
     Pi_pinv = pinv(Pi)
     Q_ic = S @ (Pi_pinv @ (b_ic - cs.J @ (Minv @ Q)))
@@ -791,7 +784,6 @@ def z_approach_reference(
     ref: TaskReference,
     gains: GainSet,
     q_init: np.ndarray,
-    x_c_ref=None,
     Z: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extended-Jacobian controller in its basis form: (tau,
@@ -801,7 +793,6 @@ def z_approach_reference(
     basis still along null(Jc)."""
     cs = snap.constraint
     state = snap.state
-    k = cs.J.shape[0]
     M, h, Minv = snap.M, snap.h, snap.Minv
     if Z is None:
         Z = null_basis(cs.J)
@@ -817,7 +808,7 @@ def z_approach_reference(
     Minv_h = Minv @ h
     H_top = Lambda_c @ (cs.J @ Minv_h - cs.J_dot @ state.qdot)
     H_bot = Lambda_n @ (Z_sharp @ Minv_h - Zs_dot @ state.qdot)
-    f_c = -(gains.kd_rcm[:k] * cs.xdot + gains.kp_rcm[:k] * _residual_error(cs, x_c_ref))
+    f_c = -(gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x)
     J = snap.J_task
     Lambda_zn = np.linalg.inv(J @ Z @ np.linalg.solve(Lambda_n, Z.T @ J.T))
     e = ref.x - snap.kin.pose_t.p

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rcmsim.controllers import GainSet
-from rcmsim.rcm import RcmMode, constraint_from_kin, place_trocar, residual
+from rcmsim.rcm import constraint_from_kin, place_trocar
 from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
 from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
 from rcmsim.scenarios import DisturbanceEvent, DisturbanceSchedule, TrocarSchedule
@@ -92,7 +92,7 @@ def test_criterion_01_projection_algebra(model, rng):
     for q in qs:
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.25 + 0.65 * rng.uniform())
-        Jc = constraint_from_kin(kin, np.zeros(model.n), static_trocar(p_c), RcmMode.TWO_D).J
+        Jc = constraint_from_kin(kin, np.zeros(model.n), static_trocar(p_c)).J
         P = orth_projector(Jc)
         tau_c = rng.uniform(-10.0, 10.0, model.n)
         tau_perp = tau_c - P @ tau_c
@@ -119,23 +119,18 @@ def test_criterion_02_kinematics_oracles(model, rng):
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
         J_tool = kin.Jp_t
         static, rest = static_trocar(p_c), np.zeros(model.n)
-        J3 = constraint_from_kin(kin, rest, static, RcmMode.THREE_D).J
-        J2 = constraint_from_kin(kin, rest, static, RcmMode.TWO_D).J
+        Jc = constraint_from_kin(kin, rest, static).J
         for j in range(model.n):
             dq = np.zeros(model.n)
             dq[j] = step_q
             kp, km = kinematics(model, q + dq), kinematics(model, q - dq)
             fd_tool = (kp.pose_t.p - km.pose_t.p) / (2 * step_q)
-            fd_3d = (residual(kp.pose_r, p_c) - residual(km.pose_r, p_c)) / (2 * step_q)
-            fd_2d = (
-                residual(kp.pose_r, p_c, RcmMode.TWO_D)
-                - residual(km.pose_r, p_c, RcmMode.TWO_D)
-            ) / (2 * step_q)
+            x_p = constraint_from_kin(kp, rest, static).x
+            x_m = constraint_from_kin(km, rest, static).x
             worst = max(
                 worst,
                 np.abs(fd_tool - J_tool[:, j]).max(),
-                np.abs(fd_3d - J3[:, j]).max(),
-                np.abs(fd_2d - J2[:, j]).max(),
+                np.abs((x_p - x_m) / (2 * step_q) - Jc[:, j]).max(),
             )
     worst_orth = 0.0
     kin = kinematics(model, DEFAULT_HOME)

@@ -144,9 +144,9 @@ REJECTED = [
     ("sim.env.mode", 5, "sim.env.mode: expected a string"),
     ("sim.env.mode", "hard", "sim.env.mode: must be 'off' or 'soft'"),
     ("sim.env.stiffness", "x", "sim.env.stiffness: expected a number"),
-    ("sim.env.stiffness", -1.0, "sim.env: gains must be non-negative"),
+    ("sim.env.stiffness", -1.0, "sim.env.stiffness: must be non-negative"),
     ("sim.env.damping", "x", "sim.env.damping: expected a number"),
-    ("sim.env.damping", -1.0, "sim.env: gains must be non-negative"),
+    ("sim.env.damping", -1.0, "sim.env.damping: must be non-negative"),
     ("sim.env.bogus", 1, "sim.env.bogus: unknown field"),
     ("sim.sensor_noise_std", "x", "sim.sensor_noise_std: expected a number"),
     ("sim.sensor_noise_std", -1.0, "sim.sensor_noise_std: must be non-negative"),

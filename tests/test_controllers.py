@@ -1,4 +1,5 @@
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from rcmsim.controllers import (
     stacked_mobility,
 )
 from rcmsim.errors import ConfigError, RankDeficientConstraint, SingularExtendedJacobian
+from rcmsim.harness import compute_metrics
 from rcmsim.numerics import small_inv
-from rcmsim.rcm import ConstraintState, RcmMode, TrocarState, place_trocar
+from rcmsim.rcm import ConstraintState, TrocarState, place_trocar
 from rcmsim.robot import DEFAULT_HOME, JointState, KinFrames, kinematics
 from rcmsim.scenarios import TaskReference
+from rcmsim.sim import Scenario, SimConfig, run_episode
 from conftest import static_trocar
 from oracles import (
     any_row_factor,
@@ -79,12 +82,12 @@ def test_gain_rejects_negative():
 @pytest.mark.parametrize("value, message", [
     (float("nan"), "must be finite"),
     (float("inf"), "must be finite"),
-    ([1.0, 2.0], "expected {n} numbers"),
+    ([1.0, 2.0, 3.0, 4.0], "expected {n} numbers"),
 ])
 def test_gain_rejects_non_finite_and_wrong_length(name, value, message):
     # rejected where the gains are built, naming the field, not as a
     # diverged episode at tick 0
-    n = 7 if name == "kp_null" else 3
+    n = {"kp_task": 3, "kd_rcm": 2, "kp_null": 7}[name]
     with pytest.raises(ConfigError, match=f"^{name}: {message.format(n=n)}$"):
         GainSet.from_proportional(**{name: value})
 
@@ -142,7 +145,7 @@ def test_p_approach_constraint_consistency_random_states(model, rng):
     for _ in range(15):
         state, trocar = _scenario_state(model, rng, qd_scale=0.8)
         ref = _hold_reference(model, state.q)
-        snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+        snap = build_snapshot(model, state, trocar)
         out = _control("p_approach", snap, ref, g)
         qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
         assert np.abs(snap.constraint.J @ qdd - out.constraint_accel_cmd).max() < 1e-6
@@ -152,14 +155,15 @@ def test_p_approach_unconstrained_reduction(model, monkeypatch):
     # k = 0: the projected controller collapses to the standard
     # operational-space PD law bit for bit. The program's rank check and
     # cofactor inverse take its two constraint rows only; the empty
-    # constraint's go through the oracle factor and numpy's inverse.
+    # constraint's go through the oracle factor and numpy's inverse, and it
+    # has no pivot gains.
     monkeypatch.setattr(controllers, "check_row_rank", any_row_factor)
     monkeypatch.setattr(controllers, "small_inv", np.linalg.inv)
     state, trocar = _scenario_state(model)
     state.qdot = np.linspace(-0.2, 0.2, model.n)
     ref = _hold_reference(model, state.q)
-    g = _gains()
-    snap = without_constraint(build_snapshot(model, state, trocar, RcmMode.TWO_D))
+    g = replace(_gains(), kp_rcm=np.zeros(0), kd_rcm=np.zeros(0))
+    snap = without_constraint(build_snapshot(model, state, trocar))
     out = _control("p_approach", snap, ref, g)
     tau_pd = unconstrained_pd_torque(snap, ref, g, DEFAULT_HOME)
     assert np.abs(out.tau - tau_pd).max() < 1e-10
@@ -173,7 +177,7 @@ def test_p_approach_equilibrium_accelerations(model):
     # additionally needs the null-space term.
     state, trocar = _scenario_state(model)
     ref = _hold_reference(model, state.q)
-    snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+    snap = build_snapshot(model, state, trocar)
     out = _control("p_approach", snap, ref, _gains())
     qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
     assert np.abs(snap.J_task @ qdd).max() < 1e-8
@@ -189,7 +193,7 @@ def test_p_approach_moving_trocar_feedforward(model):
     acc = np.array([0.0, 0.0, -0.063])
     trocar = TrocarState(p_c, np.zeros(3), acc)
     ref = _hold_reference(model, state.q)
-    snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+    snap = build_snapshot(model, state, trocar)
     out = _control("p_approach", snap, ref, _gains())
     qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
     xdd = snap.constraint.J @ qdd + snap.constraint.b
@@ -204,7 +208,7 @@ def test_p_approach_moving_trocar_feedforward(model):
 def test_z_approach_gravity_consistent_equilibrium(model):
     state, trocar = _scenario_state(model)
     ref = _hold_reference(model, state.q)
-    snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+    snap = build_snapshot(model, state, trocar)
     out = _control("z_approach", snap, ref, _gains())
     grav = kinematics(model, state.q).h
     assert np.abs(out.tau - grav).max() < 1e-8
@@ -213,7 +217,6 @@ def test_z_approach_gravity_consistent_equilibrium(model):
 def test_z_approach_rejects_moving_trocar_in_episode():
     from rcmsim.robot import load_default_model
     from rcmsim.scenarios import TrocarSchedule
-    from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
 
     model = load_default_model()
     with pytest.raises(ValueError, match="static"):
@@ -228,8 +231,6 @@ def test_z_approach_rejects_moving_trocar_in_episode():
 def test_z_approach_episode_realizes_its_constraint_command(model):
     # The reported command is the Jc qddot the torque realizes, bias
     # included, over the paper's 20 s episode.
-    from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
-
     trace = run_episode(
         model, ControlSetup(variant="z_approach"), Scenario(alpha=0.5), SimConfig(duration=20.0)
     )
@@ -248,7 +249,7 @@ def test_z_approach_stacked_bound_never_skips_a_singular_check(model, seed):
     conds = []
     for _ in range(100):
         state, trocar = _scenario_state(model, rng, qd_scale=0.5)
-        snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+        snap = build_snapshot(model, state, trocar)
         s = 4.0 * 10.0 ** rng.uniform(-12.0, -8.0)
         c = snap.constraint
         cs = ConstraintState(s * c.x, s * c.J, s * c.xdot, lambda s=s, c=c: (s * c.J_dot, s * c.b))
@@ -269,7 +270,7 @@ def test_dependent_constraint_rows_raise_before_inversion(model, monkeypatch, va
     # Two parallel residual rows: the rank check names the failure before
     # the singular constraint mobility is inverted.
     state, trocar = _scenario_state(model)
-    snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+    snap = build_snapshot(model, state, trocar)
     cs = snap.constraint
     J = np.stack([cs.J[0], 2.0 * cs.J[0]])
     snap = snap._replace(constraint=ConstraintState(cs.x, J, cs.xdot, lambda: (cs.J_dot, cs.b)))
@@ -290,9 +291,8 @@ def test_uk_constraint_satisfaction_random_states(model, rng):
     for _ in range(15):
         state, trocar = _scenario_state(model, rng, qd_scale=0.6)
         ref = _hold_reference(model, state.q)
-        snap = build_snapshot(model, state, trocar, RcmMode.THREE_D)
-        x_ref = snap.constraint.x.copy()
-        out = _control("uk", snap, ref, g, x_c_ref=x_ref)
+        snap = build_snapshot(model, state, trocar)
+        out = _control("uk", snap, ref, g)
         qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
         assert np.abs(snap.constraint.J @ qdd - out.constraint_accel_cmd).max() < 1e-6
 
@@ -303,14 +303,16 @@ def test_uk_zero_feedback_reduction(model):
     state, trocar = _scenario_state(model)
     ref = _hold_reference(model, state.q)
     g = _gains()
-    snap = build_snapshot(model, state, trocar, RcmMode.THREE_D)
-    x_ref = snap.constraint.x.copy()  # zero residual error by construction
-    out = _control("uk", snap, ref, g, x_c_ref=x_ref)
+    snap = build_snapshot(model, state, trocar)
+    cs = snap.constraint  # at rest on the constraint: residual zero, not rounding
+    on_constraint = ConstraintState(np.zeros(2), cs.J, cs.xdot, lambda: (cs.J_dot, cs.b))
+    snap = snap._replace(constraint=on_constraint)
+    out = _control("uk", snap, ref, g)
     M, h = snap.M, snap.h
     S = matrix_sqrt(M)
     Pi = snap.constraint.J @ np.linalg.solve(S, np.eye(model.n))
     Q = out.tau - h - (
-        S @ (pinv(Pi) @ (np.zeros(3) - snap.constraint.J @ np.linalg.solve(M, out.tau - h)))
+        S @ (pinv(Pi) @ (np.zeros(2) - snap.constraint.J @ np.linalg.solve(M, out.tau - h)))
     )
     # reconstruct: tau = Q + Qic + 0 + h with Qic = -S Pi^+ Jc M^-1 Q
     Qic_expected = -S @ (pinv(Pi) @ (snap.constraint.J @ np.linalg.solve(M, Q)))
@@ -318,26 +320,58 @@ def test_uk_zero_feedback_reduction(model):
     assert np.abs(out.constraint_accel_cmd).max() == 0.0
 
 
+def test_uk_episode_tracks_the_tip(model):
+    # 2 s at alpha 0.5 with the default gains: the tip follows the spiral to
+    # within 2 mm on every axis over the settled window.
+    trace = run_episode(model, ControlSetup(variant="uk"), Scenario(alpha=0.5),
+                        SimConfig(duration=2.0))
+    assert max(compute_metrics(trace).tip_mae) <= 2e-3
+
+
+def test_uk_preserve_null_compensation_is_never_damped(model):
+    # Tip and pivot rows are independent, so the compensation's stacked
+    # mobility stays invertible on every tick.
+    control = ControlSetup(variant="uk", observer=True, compensation=COMP_PRESERVE_NULL)
+    trace = run_episode(model, control, Scenario(alpha=0.5), SimConfig(duration=0.3))
+    assert trace.filled == 301
+    assert np.count_nonzero(trace.damped[: trace.filled]) == 0
+
+
+# --- every controller ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", [
+    pytest.param("p_approach", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: tau_0 carries no share of h, so the null space sags")),
+    "z_approach",
+    "uk",
+])
+def test_gravity_hold(model, variant):
+    # At rest at the home posture, on the constraint, with the tip on its
+    # reference and null-space stiffness on: the torque holds the arm still.
+    state, trocar = _scenario_state(model)
+    snap = build_snapshot(model, state, trocar)
+    out = _control(variant, snap, _hold_reference(model, state.q), _gains(kp_null=5.0))
+    assert np.abs(snap.Minv.dot(out.tau - snap.h)).max() <= 1e-9
+
+
 # --- oracle references ---------------------------------------------------------
 
 
-def _random_case(model, rng, mode, moving):
+def _random_case(model, rng, moving):
     """A random arm state with a pivot error, random gains with null-space
     stiffness, a moving reference and (optionally) an accelerating trocar."""
     state, trocar = _scenario_state(model, rng, alpha=rng.uniform(0.2, 0.9), qd_scale=0.8)
-    p_c = trocar.p + rng.uniform(-0.01, 0.01, 3)  # off the tool axis
+    p_c = trocar.p + rng.uniform(-0.01, 0.01, 3)  # off the tool axis: a pivot error
     trocar = TrocarState(p_c, rng.uniform(-0.05, 0.05, 3) if moving else np.zeros(3),
                          rng.uniform(-0.2, 0.2, 3) if moving else np.zeros(3))
     tip = kinematics(model, state.q).pose_t.p
     ref = TaskReference(tip + rng.uniform(-0.005, 0.005, 3), rng.uniform(-0.05, 0.05, 3),
                         rng.uniform(-0.5, 0.5, 3))
-    gains = _gains(kp_task=rng.uniform(200.0, 2000.0, 3), kp_rcm=rng.uniform(500.0, 3000.0, 3),
+    gains = _gains(kp_task=rng.uniform(200.0, 2000.0, 3), kp_rcm=rng.uniform(500.0, 3000.0, 2),
                    kp_null=rng.uniform(0.0, 10.0, model.n), kd_null=rng.uniform(0.0, 5.0, model.n))
-    snap = build_snapshot(model, state, trocar, mode)
-    # a pivot error of 1 to 3 mm on every residual row
-    x_ref = snap.constraint.x + rng.choice([-1.0, 1.0], mode.k) * rng.uniform(0.001, 0.003, mode.k)
     q_init = DEFAULT_HOME + rng.uniform(-0.2, 0.2, model.n)
-    return snap, ref, gains, q_init, x_ref
+    return build_snapshot(model, state, trocar), ref, gains, q_init
 
 
 def _rel_err(a, b):
@@ -351,42 +385,38 @@ def test_p_approach_matches_p_form_reference(model, moving):
     rng = np.random.default_rng(11 + moving)
     worst = 0.0
     for _ in range(50):
-        snap, ref, gains, q_init, x_ref = _random_case(model, rng, RcmMode.TWO_D, moving)
-        out = _control("p_approach", snap, ref, gains, q_init, x_c_ref=x_ref)
-        tau, accel_cmd = p_approach_reference(snap, ref, gains, q_init, x_ref)
+        snap, ref, gains, q_init = _random_case(model, rng, moving)
+        out = _control("p_approach", snap, ref, gains, q_init)
+        tau, accel_cmd = p_approach_reference(snap, ref, gains, q_init)
         worst = max(worst, _rel_err(out.tau, tau), _rel_err(out.constraint_accel_cmd, accel_cmd))
     assert worst < 1e-9
 
 
-@pytest.mark.parametrize("mode", [RcmMode.TWO_D, RcmMode.THREE_D])
 @pytest.mark.parametrize("moving", [False, True])
-def test_uk_reduced_form_matches_sqrt_reference(model, mode, moving):
+def test_uk_reduced_form_matches_sqrt_reference(model, moving):
     # tau_sharp + Jc^T Lambda_c (b_ic - Jc M^-1 (tau_sharp - h)) against the
     # published M^1/2 form, whose non-ideal term Q_nic must vanish.
-    rng = np.random.default_rng(7 + mode.k + 10 * moving)
+    rng = np.random.default_rng(9 + 10 * moving)
     worst = 0.0
     for _ in range(50):
-        snap, ref, gains, q_init, x_ref = _random_case(model, rng, mode, moving)
-        out = _control("uk", snap, ref, gains, q_init, x_c_ref=x_ref)
-        worst = max(worst, _rel_err(out.tau, uk_sqrt_reference(snap, ref, gains, q_init, x_ref)))
+        snap, ref, gains, q_init = _random_case(model, rng, moving)
+        out = _control("uk", snap, ref, gains, q_init)
+        worst = max(worst, _rel_err(out.tau, uk_sqrt_reference(snap, ref, gains, q_init)))
     assert worst < 1e-9
 
 
 def test_z_approach_matches_pre_change_torque(model):
-    # 2D residual only: the 3D one pins the reference point, which leaves the
-    # tip two directions and makes this controller's tip inertia singular.
-    mode = RcmMode.TWO_D
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(50):
-        snap, ref, gains, q_init, x_ref = _random_case(model, rng, mode, moving=False)
-        out = _control("z_approach", snap, ref, gains, q_init, x_c_ref=x_ref)
+        snap, ref, gains, q_init = _random_case(model, rng, moving=False)
+        out = _control("z_approach", snap, ref, gains, q_init)
         # The projector form matches the basis form for the SVD basis and for
         # random rotations of it: the torque does not depend on the basis.
         Z = null_basis(snap.constraint.J)
         m = Z.shape[1]
         for R in [np.eye(m)] + [np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in range(3)]:
-            tau, accel_cmd = z_approach_reference(snap, ref, gains, q_init, x_ref, Z @ R)
+            tau, accel_cmd = z_approach_reference(snap, ref, gains, q_init, Z @ R)
             worst = max(worst, _rel_err(out.tau, tau), _rel_err(out.constraint_accel_cmd, accel_cmd))
     assert worst < 1e-9
 
@@ -412,14 +442,13 @@ def test_per_tick_factorizations(model, rng, monkeypatch):
     assert not hasattr(controllers, "matrix_sqrt") and not hasattr(controllers, "pinv")
     state, trocar = _scenario_state(model, rng, qd_scale=0.5)
     ref = _hold_reference(model, state.q)
-    snap_3d = build_snapshot(model, state, trocar, RcmMode.THREE_D)
-    snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+    snap = build_snapshot(model, state, trocar)
     for name in ("svd", "solve", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     with monkeypatch.context() as patch:
         patch.setattr(controllers, "row_factor", forbidden)
         patch.setattr(numerics, "row_factor", forbidden)
-        _control("uk", snap_3d, ref, _gains(), x_c_ref=snap_3d.constraint.x)
+        _control("uk", snap, ref, _gains())
         assert calls == []
         _control("p_approach", snap, ref, _gains())
     assert calls == []
@@ -442,12 +471,11 @@ def test_ticks_form_only_the_terms_they_read(model, rng, monkeypatch):
         ref = _hold_reference(model, state.q)
         with monkeypatch.context() as patch:
             patch.setattr(KinFrames, "coincident_rate", forbidden)
-            snap_3d = build_snapshot(model, state, trocar, RcmMode.THREE_D)
-            _control("uk", snap_3d, ref, _gains(), x_c_ref=snap_3d.constraint.x)
-            snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+            snap = build_snapshot(model, state, trocar)
+            _control("uk", snap, ref, _gains())
             with pytest.raises(AssertionError, match="unread or exact term formed"):
                 _control("p_approach", snap, ref, _gains())
-        snap = build_snapshot(model, state, static_trocar(trocar.p), RcmMode.TWO_D)
+        snap = build_snapshot(model, state, static_trocar(trocar.p))
         with monkeypatch.context() as patch:
             patch.setattr(numerics, "_gram_schmidt", forbidden)
             _control("z_approach", snap, ref, _gains())
@@ -460,7 +488,7 @@ def test_snapshot_tip_terms_match_the_tip_jacobian(model, rng):
     for _ in range(10):
         state, trocar = _scenario_state(model, rng, qd_scale=1.0)
         q, qd = state.q, state.qdot
-        snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+        snap = build_snapshot(model, state, trocar)
         fd = (kinematics(model, q + step * qd).Jp_t - kinematics(model, q - step * qd).Jp_t) @ qd
         assert np.abs(snap.tip_bias - fd / (2.0 * step)).max() < 1e-6
         assert np.abs(snap.tip_vel - snap.J_task @ qd).max() < 1e-15
@@ -515,7 +543,7 @@ def test_observer_first_order_convergence(model):
 
 def test_compensation_modes(model, rng):
     state, trocar = _scenario_state(model, rng, qd_scale=0.3)
-    snap = build_snapshot(model, state, trocar, RcmMode.TWO_D)
+    snap = build_snapshot(model, state, trocar)
     mob = stacked_mobility(snap)
     tau_hat = rng.uniform(-2, 2, model.n)
     assert np.abs(compensation_torque(None, COMP_FULL, mob)[0]).max() == 0.0
@@ -535,3 +563,9 @@ def test_unknown_compensation_rejected_at_setup(observer):
     # The config's rule, whether or not the observer would ever use it.
     with pytest.raises(ConfigError, match=r"^compensation: must be off/full/preserve_null$"):
         ControlSetup(observer=observer, compensation="bogus")
+
+
+def test_unknown_variant_rejected_at_setup():
+    # the run config's rule and message, naming the field
+    with pytest.raises(ConfigError, match=r"^variant: must be one of p_approach/z_approach/uk$"):
+        ControlSetup(variant="pid")

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from rcmsim.numerics import small_inv
-from rcmsim.rcm import RcmMode, TrocarState, constraint_from_kin, place_trocar
+from rcmsim.rcm import TrocarState, constraint_from_kin, place_trocar
 from rcmsim.robot import kinematics
 from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
 from conftest import random_states, static_trocar
@@ -86,9 +86,8 @@ def test_mass_matrix_dot_matches_central_difference(model, rng):
         assert np.abs(Mdot - Mdot.T).max() < 1e-12
 
 
-@pytest.mark.parametrize("mode", [RcmMode.THREE_D, RcmMode.TWO_D])
 @pytest.mark.parametrize("moving", [False, True])
-def test_constraint_rates_match_finite_difference(model, rng, mode, moving):
+def test_constraint_rates_match_finite_difference(model, rng, moving):
     qs, qds = random_states(rng, model.n, 15)
     for q, qd in zip(qs, qds):
         kin = kinematics(model, q)
@@ -98,8 +97,8 @@ def test_constraint_rates_match_finite_difference(model, rng, mode, moving):
             trocar = TrocarState(p_c, rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.1, 0.1, 3))
         else:
             trocar = static_trocar(p_c)
-        cs = constraint_from_kin(kinematics(model, q, qd), qd, trocar, mode)
-        J_dot, b = oracles.constraint_rate_fd(model, q, qd, trocar, mode)
+        cs = constraint_from_kin(kinematics(model, q, qd), qd, trocar)
+        J_dot, b = oracles.constraint_rate_fd(model, q, qd, trocar)
         assert np.abs(cs.J_dot - J_dot).max() < 1e-6
         assert np.abs(cs.b - b).max() < 1e-6
 
@@ -114,7 +113,7 @@ def test_null_sharp_rate_matches_finite_difference(model, rng):
         trocar = static_trocar(place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5))
 
         def sharp(qs_, Z_ref=None):
-            cs = constraint_from_kin(kinematics(model, qs_, qd), qd, trocar, RcmMode.TWO_D)
+            cs = constraint_from_kin(kinematics(model, qs_, qd), qd, trocar)
             Z = oracles.null_basis(cs.J)
             if Z_ref is not None:
                 Z = oracles.procrustes_align(Z, Z_ref)
@@ -134,14 +133,13 @@ def test_null_sharp_rate_matches_finite_difference(model, rng):
 
 
 def test_small_inv_matches_lapack(rng):
-    for k in (2, 3):
-        for _ in range(20):
-            A = rng.uniform(-1.0, 1.0, (k, k)) + k * np.eye(k)
-            assert np.abs(small_inv(A) - np.linalg.inv(A)).max() < 1e-12
+    for _ in range(20):
+        A = rng.uniform(-1.0, 1.0, (2, 2)) + 2.0 * np.eye(2)
+        assert np.abs(small_inv(A) - np.linalg.inv(A)).max() < 1e-12
     with pytest.raises(np.linalg.LinAlgError):
         small_inv(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(np.linalg.LinAlgError):
-        small_inv(np.zeros((3, 3)))
+        small_inv(np.zeros((2, 2)))
 
 
 def test_recorded_pivot_point_matches_rcm_point(model):

@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from rcmsim.numerics import small_inv
+from rcmsim.numerics import adjugate3
 from rcmsim.projection import DAMPING, RTOL, sym_inv
-from rcmsim.rcm import RcmMode, constraint_from_kin
+from rcmsim.rcm import constraint_from_kin
 from rcmsim.robot import DEFAULT_HOME, kinematics
 from rcmsim.rcm import place_trocar
 from conftest import random_states, static_trocar
@@ -66,14 +66,14 @@ def test_pdot_matches_projector_finite_difference(model):
     p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
     trocar = static_trocar(p_c)
     M = kin.M
-    cs0 = constraint_from_kin(kin, np.zeros(model.n), trocar, RcmMode.TWO_D)
+    cs0 = constraint_from_kin(kin, np.zeros(model.n), trocar)
     qd = projection_state(M, cs0.J).P @ np.linspace(-0.4, 0.4, model.n)
-    cs = constraint_from_kin(kinematics(model, q0, qd), qd, trocar, RcmMode.TWO_D)
+    cs = constraint_from_kin(kinematics(model, q0, qd), qd, trocar)
     ps = projection_state(M, cs.J, cs.J_dot)
     dt = 1e-6
     Ps = []
     for s in (-dt, dt):
-        cs_s = constraint_from_kin(kinematics(model, q0 + s * qd, qd), qd, trocar, RcmMode.TWO_D)
+        cs_s = constraint_from_kin(kinematics(model, q0 + s * qd, qd), qd, trocar)
         Ps.append(projection_state(M, cs_s.J).P)
     P_fd = (Ps[1] - Ps[0]) / (2 * dt)
     assert np.abs((ps.Pdot - P_fd) @ qd).max() < 1e-4
@@ -97,7 +97,7 @@ def test_task_space_terms_algebraic_properties(model, rng):
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
         static = static_trocar(p_c)
-        cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.TWO_D)
+        cs = constraint_from_kin(kinematics(model, q, qd), qd, static)
         M = kin.M
         ps = projection_state(M, cs.J, cs.J_dot)
         tst = task_space_terms(ps.M_f, ps.P, kin.Jp_t, np.zeros(3), np.zeros(model.n))
@@ -114,7 +114,7 @@ def test_task_bias_reduces_to_classic_form(model, rng):
     kin = kinematics(model, q)
     p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
     static = static_trocar(p_c)
-    cs = constraint_from_kin(kinematics(model, q, qd), qd, static, RcmMode.TWO_D)
+    cs = constraint_from_kin(kinematics(model, q, qd), qd, static)
     M = kin.M
     ps = projection_state(M, cs.J, cs.J_dot)
     J = kin.Jp_t
@@ -145,7 +145,7 @@ def test_torque_decomposition_annihilation(model, rng):
     for q in qs:
         kin = kinematics(model, q)
         p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
-        cs = constraint_from_kin(kin, np.zeros(model.n), static_trocar(p_c), RcmMode.TWO_D)
+        cs = constraint_from_kin(kin, np.zeros(model.n), static_trocar(p_c))
         M = kin.M
         ps = projection_state(M, cs.J)
         P = ps.P
@@ -190,18 +190,19 @@ def test_sym_inv_matches_inverse(rng):
     A_inv, damped = sym_inv(A)
     assert not damped
     assert np.abs(A_inv - np.linalg.inv(A)).max() < 1e-10
-    # the 3x3 path in Python floats has small_inv's bits: symmetric part,
-    # then the cofactor inverse
+    # the 3x3 path in Python floats has the cofactor inverse's bits:
+    # symmetric part, adjugate, determinant
     for _ in range(50):
         A = _random_spd(rng, 3) * 10.0 ** rng.uniform(-3, 3) + 1e-9 * rng.standard_normal((3, 3))
         A_inv, damped = sym_inv(A)
         assert not damped
-        assert np.array_equal(A_inv, small_inv(0.5 * (A + A.T)))
+        adj, det = adjugate3(*(0.5 * (A + A.T)).ravel().tolist())
+        assert np.array_equal(A_inv, np.array(adj) / det)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_sym_inv_of_the_stacked_mobility_size(rng, n):
-    # The compensation's 5x5 or 6x6 mobility: np.linalg.inv's bits for the
+    # The compensation's 5x5 mobility and one size up: np.linalg.inv's bits for the
     # symmetric part. An exactly singular input gets the eigensolve's verdict
     # (damped) and lets no warning escape.
     for _ in range(50):

@@ -42,7 +42,7 @@ def test_port_torque_examples(model):
     at_pivot = static_trocar(kin.pose_r.p)
     assert np.abs(port_torque(kin, at_pivot, env)).max() == 0.0
     off_axis = static_trocar(kin.pose_r.p - 0.001 * kin.pose_r.R[:, 0])
-    J = rcm.constraint_from_kin(kin, kin.qdot, off_axis, rcm.RcmMode.TWO_D).J
+    J = rcm.constraint_from_kin(kin, kin.qdot, off_axis).J
     expected = J.T @ np.array([-5.0, 0.0])
     assert np.abs(port_torque(kin, off_axis, env) - expected).max() < 1e-12
 
@@ -69,7 +69,7 @@ def test_environment_energy_balance(model):
         q = DEFAULT_HOME + 0.002 * np.sin(rate * t)
         qd = 0.002 * rate * np.cos(rate * t)
         kin = kinematics(model, q, qd)
-        cs = rcm.constraint_from_kin(kin, qd, trocar, rcm.RcmMode.TWO_D)
+        cs = rcm.constraint_from_kin(kin, qd, trocar)
         work += port_torque(kin, trocar, env) @ qd * dt
         dissipated += env.damping * (cs.xdot @ cs.xdot) * dt
         xs.append(cs.x)
@@ -567,3 +567,18 @@ def test_null_gains_must_fit_the_joint_count(model, variant):
     trace = run_episode(six, ControlSetup(variant=variant, gains=gains), scenario, sim)
     assert trace.filled == 51
     assert trace.constraint_gap.max() <= 1e-9
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_duration_rejected_at_the_boundary(model, value):
+    # named at the boundary, not a bare error from the tick count
+    with pytest.raises(ConfigError, match=r"^sim\.duration: must be finite$"):
+        run_episode(model, ControlSetup(), Scenario(), SimConfig(duration=value))
+
+
+@pytest.mark.parametrize("name", ["stiffness", "damping"])
+def test_port_gains_rejected_at_the_boundary(model, name):
+    # a NaN gain would otherwise run until the state turns non-finite
+    env = EnvModel(mode="soft", **{name: np.nan})
+    with pytest.raises(ConfigError, match=rf"^sim\.env\.{name}: must be non-negative$"):
+        run_episode(model, ControlSetup(), Scenario(), SimConfig(duration=0.01, env=env))
