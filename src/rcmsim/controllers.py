@@ -2,30 +2,31 @@
 
 The three variants share one core, the constraint-consistent completion
 
-    tau = N_bar^T tau_task + Jc^T Lambda_c (a_cmd + Jc M^-1 h),
-    N_bar^T = I - Jc^T Lambda_c Jc M^-1,
+    tau = h + r + Jc^T Lambda_c (a_cmd - Jc M^-1 r),
 
-which makes Jc qddot = a_cmd exactly in closed loop, and one stacked
-mobility K = [J; Jc] M^-1 [J; Jc]^T per tick (``Mobility``): Lambda_c =
-K_cc^-1 and S = K_tt - K_tc Lambda_c K_ct. A variant is its tip inertia
-Lambda and bias h_task (the tip force is f = Lambda xdd_d + Kd ed + Kp e +
-h_task), its task/null-space law and its pivot command:
+which makes Jc qddot = a_cmd exactly in closed loop and is the one place
+the bias torque h enters a command, and one stacked mobility
+K = [J; Jc] M^-1 [J; Jc]^T per tick (``Mobility``): Lambda_c = K_cc^-1 and
+S = K_tt - K_tc Lambda_c K_ct. A variant is its tip inertia Lambda and tip
+bias feedforward h_task (the tip force is f = Lambda xdd_d + Kd ed + Kp e +
+h_task), its task/null-space torque r and its pivot command:
 
-    variant     Lambda   h_task                  tau_task                 a_cmd
-    p_approach  S^-1     Lambda (B h - Jdot qd   J^T f + N_B tau_0        -K_cc e_c - b_c
-                         - K_tc Lambda_c a_cmd)
-    z_approach  S^-1     0                       J^T f + tau_0 + h_z      -K_cc e_c - Jdot_c qd
-    uk          K_tt^-1  Lambda (J M^-1 h        J^T f + N_J (tau_0 + h)  -e_c
-                         - Jdot qd)
+    variant     Lambda   h_task                   r                        a_cmd
+    p_approach  S^-1     -Lambda (Jdot qd         J^T f + N_B (tau_0 - h)  -K_cc e_c - b_c
+                         + K_tc Lambda_c a_cmd)
+    z_approach  S^-1     0                        J^T f + tau_0 + r_z      -K_cc e_c - b_c
+    uk          K_tt^-1  -Lambda Jdot qd          J^T f + N_J tau_0        -e_c
 
-with e_c = Kd xdot_c + Kp x_c on the lateral pivot residual x_c,
-B = J M^-1 - K_tc Lambda_c Jc M^-1, N_B = I - J^T Lambda B,
-N_J = I - J^T Lambda J M^-1, tau_0 the null-space compliance and h_z the
-extended-Jacobian bias (see ``z_approach_torque``).
-p_approach is the projected controller; z_approach (extended Jacobian,
-static trocar) and uk (Udwadia-Kalaba) are the comparison baselines. An
-orthogonal projector P = I - Jc^+ Jc on tau_task would change nothing:
-N_bar^T Jc^T = 0, so N_bar^T P = N_bar^T.
+with e_c = Kd xdot_c + Kp x_c on the lateral pivot residual x_c, b_c its
+acceleration bias (trocar motion included), B = J M^-1 - K_tc Lambda_c
+Jc M^-1, N_B = I - J^T Lambda B, N_J = I - J^T Lambda J M^-1, tau_0 the
+null-space compliance and r_z the extended-Jacobian null rows' rate terms
+(see ``z_approach_torque``). p_approach's -h takes the null-space share of
+h back out, so its null space sags under gravity. p_approach is the
+projected controller; z_approach (extended Jacobian) and uk
+(Udwadia-Kalaba) are the comparison baselines. The core maps r through
+N_bar^T = I - Jc^T Lambda_c Jc M^-1, and N_bar^T Jc^T = 0, so an orthogonal
+projector P = I - Jc^+ Jc on r would change nothing: N_bar^T P = N_bar^T.
 
 ``control_torque`` runs the configured variant on the tick's
 ``ControlSnapshot`` and adds the disturbance compensation. The controllers
@@ -71,18 +72,12 @@ NULL_DAMPING = 4.0
 STACKED_COND_TOL = 1e-10
 
 
-def _as_diag(value, size: int, name: str) -> np.ndarray:
+def _broadcast(value, size: int, name: str) -> np.ndarray:
+    """A scalar gain repeated ``size`` times, else the gain's ``size`` entries."""
     arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1:
-        arr = np.full(size, float(arr[0]))
-    rule = length(size)
-    if not rule.ok(arr):
-        fail(name, rule.message)
-    if not np.all(np.isfinite(arr)):
-        fail(name, "must be finite")
-    if np.any(arr < 0):
-        fail(name, NON_NEGATIVE.message)
-    return arr
+    if arr.shape not in ((1,), (size,)):
+        fail(name, length(size).message)
+    return np.full(size, arr[0]) if arr.size == 1 else arr
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,9 @@ class GainSet:
     """Diagonal gain vectors for the task, pivot and null-space loops.
 
     Units: task N/m and N s/m, pivot N/m and N s/m, null-space N m/rad and
-    N m s/rad, observer 1/s. Derivative gains default element-wise to
-    2 sqrt(proportional).
+    N m s/rad, observer 1/s. However a gain set is built, it is checked on
+    construction: 3 task, 2 pivot and as many ``kd_null`` as ``kp_null``
+    entries, every gain finite and non-negative; an error names the field.
     """
 
     kp_task: np.ndarray
@@ -102,7 +98,20 @@ class GainSet:
     kd_null: np.ndarray
     observer_gain: float = OBSERVER_GAIN
 
+    def __post_init__(self):
+        joints = np.size(self.kp_null)
+        for name, size in (("kp_task", 3), ("kd_task", 3), ("kp_rcm", 2), ("kd_rcm", 2),
+                           ("kp_null", joints), ("kd_null", joints), ("observer_gain", None)):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if size and not length(size).ok(value):
+                fail(name, length(size).message)
+            if not np.isfinite(value).all():
+                fail(name, "must be finite")
+            if (value < 0).any():
+                fail(name, NON_NEGATIVE.message)
+
     @classmethod
+    @np.errstate(invalid="ignore")  # a negative kp is rejected before its NaN kd
     def from_proportional(
         cls,
         kp_task=KP_TASK,
@@ -114,24 +123,18 @@ class GainSet:
         kd_rcm=None,
         kd_null=None,
     ) -> "GainSet":
-        kp_task = _as_diag(kp_task, 3, "kp_task")
-        kp_rcm = _as_diag(kp_rcm, 2, "kp_rcm")
-        kp_null = _as_diag(kp_null, n_joints, "kp_null")
-        kd_task = 2.0 * np.sqrt(kp_task) if kd_task is None else _as_diag(kd_task, 3, "kd_task")
-        kd_rcm = 2.0 * np.sqrt(kp_rcm) if kd_rcm is None else _as_diag(kd_rcm, 2, "kd_rcm")
-        kd_null = (
-            2.0 * np.sqrt(kp_null) if kd_null is None else _as_diag(kd_null, n_joints, "kd_null")
-        )
-        observer_gain = _as_diag(observer_gain, 1, "observer_gain")[0]
-        return cls(
-            kp_task=kp_task,
-            kd_task=kd_task,
-            kp_rcm=kp_rcm,
-            kd_rcm=kd_rcm,
-            kp_null=kp_null,
-            kd_null=kd_null,
-            observer_gain=float(observer_gain),
-        )
+        """Scalars repeat over their loop (``n_joints`` for the null-space
+        pair); derivative gains default element-wise to 2 sqrt(kp)."""
+        kp_task = _broadcast(kp_task, 3, "kp_task")
+        kp_rcm = _broadcast(kp_rcm, 2, "kp_rcm")
+        kp_null = _broadcast(kp_null, n_joints, "kp_null")
+
+        def kd(value, kp, name):
+            return 2.0 * np.sqrt(kp) if value is None else _broadcast(value, kp.size, name)
+
+        return cls(kp_task, kd(kd_task, kp_task, "kd_task"), kp_rcm, kd(kd_rcm, kp_rcm, "kd_rcm"),
+                   kp_null, kd(kd_null, kp_null, "kd_null"),
+                   float(_broadcast(observer_gain, 1, "observer_gain")[0]))
 
 
 COMP_OFF = "off"
@@ -368,15 +371,15 @@ def _complete(
     snap: ControlSnapshot,
     mob: Mobility,
     Lambda_c: np.ndarray,
-    tau_task: np.ndarray,
+    r: np.ndarray,
     a_cmd: np.ndarray,
     damped: bool,
 ) -> ControllerOutput:
-    """The core: tau_task + Jc^T Lambda_c (a_cmd + Jc M^-1 (h - tau_task)),
-    which is N_bar^T tau_task + Jc^T Lambda_c (a_cmd + Jc M^-1 h) and makes
-    Jc qddot = a_cmd exactly."""
-    f_c = Lambda_c.dot(a_cmd + mob.W[PIVOT].dot(snap.h - tau_task))
-    return ControllerOutput(tau_task + snap.constraint.J.T.dot(f_c), a_cmd, damped)
+    """The core: tau = h + r + Jc^T Lambda_c (a_cmd - Jc M^-1 r). The plant
+    then has M qddot = r + Jc^T Lambda_c (...), so Jc qddot = a_cmd exactly;
+    no variant adds h itself."""
+    f_c = Lambda_c.dot(a_cmd - mob.W[PIVOT].dot(r))
+    return ControllerOutput(snap.h + r + snap.constraint.J.T.dot(f_c), a_cmd, damped)
 
 
 def _task_torque(
@@ -406,11 +409,13 @@ def p_approach_torque(
 
     Operational-space PD tracking of the tip plus null-space compliance on
     the constrained tip mobility S = B J^T, whose bias carries the
-    constraint feedforward K_tc Lambda_c a_cmd; the core enforces the pivot
-    command exactly, so in closed loop the tip has clean PD error dynamics.
+    constraint feedforward K_tc Lambda_c a_cmd; the core adds h and enforces
+    the pivot command exactly, so in closed loop the tip has clean PD error
+    dynamics. Its null-space torque N_B (tau_0 - h) takes the null-space
+    share of the core's h back out, so the null space sags under gravity.
     Subtracting b_c from the command keeps the residual dynamics homogeneous
-    with a moving trocar. Jc's rank is checked first (``check_row_rank``):
-    dependent rows raise RankDeficientConstraint before K_cc is inverted.
+    with a moving trocar. Jc's rank is checked first (``check_row_rank``): dependent
+    rows raise RankDeficientConstraint before K_cc is inverted.
     """
     cs = snap.constraint
     K, W = mob.K, mob.W
@@ -423,10 +428,10 @@ def p_approach_torque(
     K_tc_Lambda_c = K[TIP, PIVOT].dot(Lambda_c)
     B = W[TIP] - K_tc_Lambda_c.dot(W[PIVOT])
     Lambda_f, damped = sym_inv(K[TIP, TIP] - K_tc_Lambda_c.dot(K[PIVOT, TIP]))
-    h_f = Lambda_f.dot(B.dot(snap.h) - snap.tip_bias - K_tc_Lambda_c.dot(a_cmd))
-    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, setup.gains)
-    tau_task = _task_torque(snap, ref, setup.gains, Lambda_f, h_f, B, tau_0)
-    return _complete(snap, mob, Lambda_c, tau_task, a_cmd, damped)
+    h_f = -Lambda_f.dot(snap.tip_bias + K_tc_Lambda_c.dot(a_cmd))
+    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, setup.gains) - snap.h
+    r = _task_torque(snap, ref, setup.gains, Lambda_f, h_f, B, tau_0)
+    return _complete(snap, mob, Lambda_c, r, a_cmd, damped)
 
 
 def z_approach_torque(
@@ -436,14 +441,16 @@ def z_approach_torque(
     setup: ControlSetup,
     q_init: np.ndarray,
 ) -> ControllerOutput:
-    """Extended-Jacobian baseline controller (static trocar).
+    """Extended-Jacobian baseline controller.
 
     Stacks the constraint Jacobian over Z^# = Lambda_n^-1 Z^T M, the
     inertia-weighted inverse of an orthonormal basis Z of null(Jc)
     (Lambda_n = Z^T M Z), drives the pivot residual with a PD force and the
     tip task through the null-space rows. The bias torque is the
     stacked-coordinate bias mapped through the stacked Jacobian transpose, so
-    a resting arm at zero error receives exactly the gravity torque.
+    a resting arm at zero error receives exactly the gravity torque. The
+    pivot rows carry the full acceleration bias b_c, and Zdot the total rate
+    of Jc, so a moving trocar needs nothing more.
 
     The torque depends on Z only through P = Z Z^T and the gauge-locked rate
     Zdot = -Jc^+ Jdot_c Z, so it is formed without a basis. With Jc = L Q
@@ -453,9 +460,9 @@ def z_approach_torque(
         Z^#^T Z^T v = A^T P v,  Zdot nu = -Jc^+ Jdot_c Z nu,
         Z Zdot^T = -P Jdot_c^T Jc^+^T.
 
-    A^T P = N_bar^T, so the null rows' torque is the core's N_bar^T tau_task,
-    and the pivot rows' Jc^T (f_c + Lambda_c (Jc M^-1 h - Jdot_c qd)) its
-    completion with a_cmd = K_cc f_c - Jdot_c qd.
+    A^T P = N_bar^T, so the null rows' torque is the core's h + N_bar^T r,
+    and the pivot rows' Jc^T (f_c + Lambda_c (Jc M^-1 h - b_c)) its
+    completion with a_cmd = K_cc f_c - b_c.
     """
     cs, gains, qd = snap.constraint, setup.gains, snap.state.qdot
     M, J, Jc, K = snap.M, snap.J_task, cs.J, mob.K
@@ -490,13 +497,13 @@ def z_approach_torque(
     tau_0 = nullspace_torque(snap.state.q, qd, q_init, gains)
     # Z (f_n + H_bot), with f_n = Z^T (J^T f_f + tau_0), the bias
     # H_bot = Lambda_n (Z^# M^-1 h - d/dt(Z^#) qd) and u = qd - Z nu, is N_bar^T
-    # applied to J^T f_f + tau_0 + h - Mdot u + M Zdot nu - Z Zdot^T M u.
+    # applied to h + r, r = J^T f_f + tau_0 - Mdot u + M Zdot nu - Z Zdot^T M u.
     u = G.dot(Jc.dot(qd))
     Z_nu = qd - u
-    tau_task = (J.T.dot(f_f) + tau_0 + snap.h - snap.kin.Mdot.dot(u)
-                - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Jc_pinv.T.dot(M.dot(u))))
-    a_cmd = -K_cc.dot(_pivot_pd(cs, gains)) - cs.J_dot.dot(qd)
-    return _complete(snap, mob, Lambda_c, tau_task, a_cmd, damped)
+    r = (J.T.dot(f_f) + tau_0 - snap.kin.Mdot.dot(u)
+         - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Jc_pinv.T.dot(M.dot(u))))
+    a_cmd = -K_cc.dot(_pivot_pd(cs, gains)) - cs.b
+    return _complete(snap, mob, Lambda_c, r, a_cmd, damped)
 
 
 def uk_torque(
@@ -509,13 +516,12 @@ def uk_torque(
     """Udwadia-Kalaba baseline: the unconstrained tip law completed by the
     ideal constraint force.
 
-    tau_sharp is the operational-space PD tip torque with no constraint
-    (same gains as the projected controller's task) plus N_J (tau_0 + h):
-    the null-space compliance and the null-space share of the bias torque,
-    through the unconstrained dynamically consistent projector N_J. Neither
-    the tip force nor the constraint force compensates that share of h;
-    without it the arm falls through its self-motion manifold. The
-    commanded constraint acceleration is b_ic = -(Kd xdot_c + Kp x_c).
+    tau_sharp = h + r is the operational-space PD tip torque with no
+    constraint (same gains as the projected controller's task), with
+    r = J^T f + N_J tau_0: the tip force without its h share, and the
+    null-space compliance through the unconstrained dynamically consistent
+    projector N_J; the core adds all of h. The commanded constraint
+    acceleration is b_ic = -(Kd xdot_c + Kp x_c).
     The published form splits the constraint torque through
     Pi = Jc M^-1/2 into an ideal and a non-ideal part with tau_nic = Jc^T b_ic:
 
@@ -525,14 +531,14 @@ def uk_torque(
     Since Pi^+ = M^-1/2 Jc^T Lambda_c, M^1/2 Pi^+ = Jc^T Lambda_c, and
     (I - Pi^+ Pi) M^-1/2 Jc^T = (I - Pi^+ Pi) Pi^T = 0, so Q_nic vanishes and
 
-        tau = tau_sharp + Jc^T Lambda_c (b_ic - Jc M^-1 (tau_sharp - h)),
+        tau = h + r + Jc^T Lambda_c (b_ic - Jc M^-1 r),
 
-    the core applied to tau_sharp. In closed loop Jc qddot = b_ic exactly.
+    the core applied to r. In closed loop Jc qddot = b_ic exactly.
     """
     gains, K, B = setup.gains, mob.K, mob.W[TIP]
     Lambda_tip, damped = sym_inv(K[TIP, TIP])
-    h_tip = Lambda_tip.dot(B.dot(snap.h) - snap.tip_bias)
-    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, gains) + snap.h
-    tau_sharp = _task_torque(snap, ref, gains, Lambda_tip, h_tip, B, tau_0)
+    h_tip = -Lambda_tip.dot(snap.tip_bias)
+    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, gains)
+    r = _task_torque(snap, ref, gains, Lambda_tip, h_tip, B, tau_0)
     b_ic = -_pivot_pd(snap.constraint, gains)
-    return _complete(snap, mob, small_inv(K[PIVOT, PIVOT]), tau_sharp, b_ic, damped)
+    return _complete(snap, mob, small_inv(K[PIVOT, PIVOT]), r, b_ic, damped)

@@ -27,7 +27,6 @@ from .sim import (
     Scenario,
     SimConfig,
     check_joint_vectors,
-    check_trocar_support,
     run_episode,
 )
 
@@ -115,7 +114,6 @@ class RunConfig(Schema):
         sc = self.scenario
         if self.settle_time >= self.duration:
             fail("settle_time", "must be smaller than the run duration")
-        check_trocar_support("scenario", self.controller, sc.trocar)
         try:
             n = _load_model(self.model).n
         except ModelError as exc:

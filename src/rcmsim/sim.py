@@ -24,7 +24,6 @@ from . import robot
 from .robot import DEFAULT_HOME, JointState, RobotModel
 from .robot import kinematics as kinematics_of
 from .scenarios import (
-    TROCAR_STATIC,
     DisturbanceSchedule,
     SpiralParams,
     TaskReference,
@@ -162,13 +161,6 @@ def check_joint_vectors(n: int, q_init, q_path: str, events: list, events_path: 
             fail(path, rule.message)
         if not np.isfinite(vector).all():
             fail(path, "must be finite")
-
-
-def check_trocar_support(path: str, variant: str, trocar: TrocarSchedule):
-    """The extended-Jacobian controller handles a static trocar only."""
-    if variant == ctl.Z_APPROACH and trocar.mode != TROCAR_STATIC:
-        fail(join(path, "trocar.mode"),
-             "the extended-Jacobian controller supports static trocars only")
 
 
 def _trace_columns(n: int) -> tuple[list, list]:
@@ -345,7 +337,6 @@ def run_episode(
                         scenario.disturbances.events, "scenario.disturbances.events",
                         ("control.gains.kp_null", control.gains.kp_null),
                         ("control.gains.kd_null", control.gains.kd_null))
-    check_trocar_support("scenario", control.variant, scenario.trocar)
     q0 = DEFAULT_HOME.copy() if scenario.q_init is None else np.asarray(scenario.q_init, dtype=float)
     state = JointState(q0.copy(), np.zeros(model.n))
 

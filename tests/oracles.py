@@ -806,7 +806,7 @@ def z_approach_reference(
     if sv[-1] <= 1e-10 * sv[0]:
         raise SingularExtendedJacobian(f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})")
     Minv_h = Minv @ h
-    H_top = Lambda_c @ (cs.J @ Minv_h - cs.J_dot @ state.qdot)
+    H_top = Lambda_c @ (cs.J @ Minv_h - cs.b)
     H_bot = Lambda_n @ (Z_sharp @ Minv_h - Zs_dot @ state.qdot)
     f_c = -(gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x)
     J = snap.J_task

@@ -25,7 +25,7 @@ from rcmsim.harness import compute_metrics
 from rcmsim.numerics import small_inv
 from rcmsim.rcm import ConstraintState, TrocarState, place_trocar
 from rcmsim.robot import DEFAULT_HOME, JointState, KinFrames, kinematics
-from rcmsim.scenarios import TaskReference
+from rcmsim.scenarios import TaskReference, TrocarSchedule
 from rcmsim.sim import Scenario, SimConfig, run_episode
 from conftest import static_trocar
 from oracles import (
@@ -76,6 +76,21 @@ def test_gain_rule_element_wise():
 def test_gain_rejects_negative():
     with pytest.raises(ValueError):
         GainSet.from_proportional(kp_task=-1.0)
+
+
+def test_gain_set_checked_however_it_is_built():
+    # dataclasses.replace and the constructor reach the same checks as
+    # from_proportional, naming the field, instead of a broadcast error or a
+    # diverged episode at tick 0.
+    g = GainSet.from_proportional(kd_null=4.0)
+    with pytest.raises(ConfigError, match="^kp_rcm: expected 2 numbers$"):
+        replace(g, kp_rcm=np.full(3, 1500.0), kd_rcm=np.full(3, 77.0))
+    with pytest.raises(ConfigError, match="^kp_task: must be finite$"):
+        replace(g, kp_task=np.array([np.nan, 1000.0, 1000.0]))
+    with pytest.raises(ConfigError, match="^kd_null: expected 7 numbers$"):
+        replace(g, kd_null=np.ones(6))
+    with pytest.raises(ConfigError, match="^observer_gain: must be non-negative$"):
+        replace(g, observer_gain=-1.0)
 
 
 @pytest.mark.parametrize("name", ["kp_task", "kd_rcm", "kp_null"])
@@ -156,13 +171,16 @@ def test_p_approach_unconstrained_reduction(model, monkeypatch):
     # operational-space PD law bit for bit. The program's rank check and
     # cofactor inverse take its two constraint rows only; the empty
     # constraint's go through the oracle factor and numpy's inverse, and it
-    # has no pivot gains.
+    # has no pivot gains, which a gain set's own check (two pivot entries)
+    # would reject.
     monkeypatch.setattr(controllers, "check_row_rank", any_row_factor)
     monkeypatch.setattr(controllers, "small_inv", np.linalg.inv)
     state, trocar = _scenario_state(model)
     state.qdot = np.linspace(-0.2, 0.2, model.n)
     ref = _hold_reference(model, state.q)
-    g = replace(_gains(), kp_rcm=np.zeros(0), kd_rcm=np.zeros(0))
+    gains = _gains()
+    monkeypatch.setattr(GainSet, "__post_init__", lambda self: None)
+    g = replace(gains, kp_rcm=np.zeros(0), kd_rcm=np.zeros(0))
     snap = without_constraint(build_snapshot(model, state, trocar))
     out = _control("p_approach", snap, ref, g)
     tau_pd = unconstrained_pd_torque(snap, ref, g, DEFAULT_HOME)
@@ -214,18 +232,22 @@ def test_z_approach_gravity_consistent_equilibrium(model):
     assert np.abs(out.tau - grav).max() < 1e-8
 
 
-def test_z_approach_rejects_moving_trocar_in_episode():
-    from rcmsim.robot import load_default_model
-    from rcmsim.scenarios import TrocarSchedule
-
-    model = load_default_model()
-    with pytest.raises(ValueError, match="static"):
-        run_episode(
-            model,
-            ControlSetup(variant="z_approach"),
-            Scenario(alpha=0.5, trocar=TrocarSchedule(mode="sinusoidal")),
-            SimConfig(duration=0.01),
-        )
+def test_z_approach_tracks_a_moving_trocar(model):
+    # The pivot command carries the full acceleration bias b_c, so under a
+    # moving trocar z_approach realizes its constraint command and holds the
+    # pivot as closely as p_approach does. With -Jdot_c qd in place of -b_c
+    # its residual reads 5.4e-7 m.
+    scenario = Scenario(alpha=0.5, trocar=TrocarSchedule(mode="sinusoidal"))
+    gains = _gains(kp_null=5.0)
+    residual = {}
+    for variant in ("z_approach", "p_approach"):
+        trace = run_episode(model, ControlSetup(variant=variant, gains=gains), scenario,
+                            SimConfig(duration=6.0))
+        residual[variant] = compute_metrics(trace).residual_norm_mean
+        if variant == "z_approach":
+            assert trace.constraint_gap.max() <= 1e-9
+    assert residual["z_approach"] <= 3e-7
+    assert residual["z_approach"] <= 2.0 * residual["p_approach"]
 
 
 def test_z_approach_episode_realizes_its_constraint_command(model):
@@ -342,7 +364,9 @@ def test_uk_preserve_null_compensation_is_never_damped(model):
 
 @pytest.mark.parametrize("variant", [
     pytest.param("p_approach", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: tau_0 carries no share of h, so the null space sags")),
+        strict=True,
+        reason="ROADMAP item 1: the null-space torque N_B (tau_0 - h) takes the null share "
+               "of h back out, so the null space sags")),
     "z_approach",
     "uk",
 ])
@@ -405,11 +429,12 @@ def test_uk_reduced_form_matches_sqrt_reference(model, moving):
     assert worst < 1e-9
 
 
-def test_z_approach_matches_pre_change_torque(model):
-    rng = np.random.default_rng(5)
+@pytest.mark.parametrize("moving", [False, True])
+def test_z_approach_matches_pre_change_torque(model, moving):
+    rng = np.random.default_rng(5 + 10 * moving)
     worst = 0.0
     for _ in range(50):
-        snap, ref, gains, q_init = _random_case(model, rng, moving=False)
+        snap, ref, gains, q_init = _random_case(model, rng, moving)
         out = _control("z_approach", snap, ref, gains, q_init)
         # The projector form matches the basis form for the SVD basis and for
         # random rotations of it: the torque does not depend on the basis.

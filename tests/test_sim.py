@@ -495,25 +495,23 @@ ALPHA_MAX = {"p_approach": 0.99, "z_approach": 1.0, "uk": 1.0}
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_closed_loop_properties(model, variant, data):
-    # Random start near home, depth, gains, integrator and (for the
-    # controllers that handle them) trocar motion and the soft port: the
-    # state stays finite unless the run reports its divergence tick, a repeat
-    # run is bit-identical, and without the port every tick realizes the
-    # constraint command. The port's force is an external torque the
-    # controllers do not model, so the gap need not vanish with it on.
+    # Random start near home, depth, gains, integrator, trocar motion and
+    # the soft port: the state stays finite unless the run reports its
+    # divergence tick, a repeat run is bit-identical, and without the port
+    # every tick realizes the constraint command. The port's force is an
+    # external torque the controllers do not model, so the gap need not
+    # vanish with it on.
     q_offset = data.draw(st.lists(st.floats(-0.05, 0.05), min_size=model.n, max_size=model.n))
     alpha = data.draw(st.floats(0.2, ALPHA_MAX[variant]))
     kp_task = data.draw(st.floats(200.0, 2000.0))
     kp_rcm = data.draw(st.floats(500.0, 3000.0))
     integrator = data.draw(st.sampled_from(["semi_implicit", "rk4"]))
-    trocar, port = TrocarSchedule(), "off"
-    if variant != "z_approach":
-        trocar = TrocarSchedule(
-            mode="sinusoidal",
-            amplitude=data.draw(st.floats(0.0, 0.04)),
-            frequency=data.draw(st.floats(0.0, 0.5)),
-        )
-        port = data.draw(st.sampled_from(["off", "soft"]))
+    trocar = TrocarSchedule(
+        mode="sinusoidal",
+        amplitude=data.draw(st.floats(0.0, 0.04)),
+        frequency=data.draw(st.floats(0.0, 0.5)),
+    )
+    port = data.draw(st.sampled_from(["off", "soft"]))
     args = (model, variant, q_offset, alpha, kp_task, kp_rcm, trocar, integrator, port)
     trace, tick = _closed_loop(*args)
     again, tick_again = _closed_loop(*args)
