@@ -1,21 +1,26 @@
 """Torque controllers for RCM-constrained tool-tip tracking.
 
-The three variants share one core, the constraint-consistent completion
+The three variants share one core, ``control_torque``. It checks Jc's row
+rank (``check_row_rank``: dependent rows raise RankDeficientConstraint
+before anything is inverted), forms one stacked mobility
+K = [J; Jc] M^-1 [J; Jc]^T per tick (``Mobility``), Lambda_c = K_cc^-1 and
+the one pivot command
+
+    a_cmd = -K_cc e_c - b_c,
+
+asks the variant for its task/null-space torque r, and completes
 
     tau = h + r + Jc^T Lambda_c (a_cmd - Jc M^-1 r),
 
 which makes Jc qddot = a_cmd exactly in closed loop and is the one place
-the bias torque h enters a command, and one stacked mobility
-K = [J; Jc] M^-1 [J; Jc]^T per tick (``Mobility``): Lambda_c = K_cc^-1 and
-S = K_tt - K_tc Lambda_c K_ct. A variant is its tip inertia Lambda and tip
-bias feedforward h_task (the tip force is f = Lambda xdd_d + Kd ed + Kp e +
-h_task), its task/null-space torque r and its pivot command:
+the bias torque h enters a command. A variant is its tip inertia Lambda and
+tip bias feedforward h_task (the tip force is f = Lambda xdd_d + Kd ed +
+Kp e + h_task) and its r, with S = K_tt - K_tc Lambda_c K_ct:
 
-    variant     Lambda   h_task                   r                        a_cmd
-    p_approach  S^-1     -Lambda (Jdot qd         J^T f + N_B (tau_0 - h)  -K_cc e_c - b_c
-                         + K_tc Lambda_c a_cmd)
-    z_approach  S^-1     0                        J^T f + tau_0 + r_z      -K_cc e_c - b_c
-    uk          K_tt^-1  -Lambda Jdot qd          J^T f + N_J tau_0        -e_c
+    variant     Lambda   h_task                                   r
+    p_approach  S^-1     -Lambda (Jdot qd + K_tc Lambda_c a_cmd)  J^T f + N_B (tau_0 - h)
+    z_approach  S^-1     0                                        J^T f + tau_0 + r_z
+    uk          K_tt^-1  -Lambda Jdot qd                          J^T f + N_J tau_0
 
 with e_c = Kd xdot_c + Kp x_c on the lateral pivot residual x_c, b_c its
 acceleration bias (trocar motion included), B = J M^-1 - K_tc Lambda_c
@@ -28,8 +33,7 @@ projected controller; z_approach (extended Jacobian) and uk
 N_bar^T = I - Jc^T Lambda_c Jc M^-1, and N_bar^T Jc^T = 0, so an orthogonal
 projector P = I - Jc^+ Jc on r would change nothing: N_bar^T P = N_bar^T.
 
-``control_torque`` runs the configured variant on the tick's
-``ControlSnapshot`` and adds the disturbance compensation. The controllers
+``control_torque`` also adds the disturbance compensation. The controllers
 are pure functions of the snapshot, the reference, the setup and the
 episode's start configuration; the one integration state, the observer's
 momentum, is passed explicitly by the caller.
@@ -345,41 +349,37 @@ def control_torque(
     q_init: np.ndarray,
     tau_ext_hat: np.ndarray | None = None,
 ) -> ControllerOutput:
-    """One controller tick: the configured variant plus the disturbance
-    compensation of ``tau_ext_hat``. ``q_init`` is the centre of the
-    null-space compliance."""
+    """One controller tick: the core around the configured variant, plus the
+    disturbance compensation of ``tau_ext_hat``. ``q_init`` is the centre of
+    the null-space compliance.
+
+    Jc's rank is checked first, so dependent rows raise
+    RankDeficientConstraint before K_cc is inverted. The variant gets
+    Lambda_c and the pivot command a_cmd = -K_cc e_c - b_c and returns its
+    torque r and whether its tip inertia was damped; the completion
+    tau = h + r + Jc^T Lambda_c (a_cmd - Jc M^-1 r) gives M qddot =
+    r + Jc^T Lambda_c (...) at the plant, so Jc qddot = a_cmd exactly.
+    """
+    cs, gains = snap.constraint, setup.gains
+    check_row_rank(cs.J)
     mob = stacked_mobility(snap)
+    # Products use ndarray.dot, which costs less per call than @ on these
+    # small operands; this runs every tick.
+    K_cc = mob.K[PIVOT, PIVOT]
+    Lambda_c = small_inv(K_cc)
+    a_cmd = -K_cc.dot(gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x) - cs.b
     # resolved at call time, so a wrapper set on the module attribute sees the call
     variant = (
         p_approach_torque if setup.variant == P_APPROACH
         else z_approach_torque if setup.variant == Z_APPROACH
         else uk_torque
     )
-    out = variant(snap, mob, ref, setup, q_init)
-    if tau_ext_hat is None or setup.compensation == COMP_OFF:
-        return out
-    tau_c, damped_c = compensation_torque(tau_ext_hat, setup.compensation, mob)
-    return ControllerOutput(out.tau + tau_c, out.constraint_accel_cmd, out.damped + damped_c)
-
-
-def _pivot_pd(cs: ConstraintState, gains: GainSet) -> np.ndarray:
-    """Kd xdot_c + Kp x_c on the residual rows."""
-    return gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x
-
-
-def _complete(
-    snap: ControlSnapshot,
-    mob: Mobility,
-    Lambda_c: np.ndarray,
-    r: np.ndarray,
-    a_cmd: np.ndarray,
-    damped: bool,
-) -> ControllerOutput:
-    """The core: tau = h + r + Jc^T Lambda_c (a_cmd - Jc M^-1 r). The plant
-    then has M qddot = r + Jc^T Lambda_c (...), so Jc qddot = a_cmd exactly;
-    no variant adds h itself."""
-    f_c = Lambda_c.dot(a_cmd - mob.W[PIVOT].dot(r))
-    return ControllerOutput(snap.h + r + snap.constraint.J.T.dot(f_c), a_cmd, damped)
+    r, damped = variant(snap, mob, Lambda_c, a_cmd, ref, setup, q_init)
+    tau = snap.h + r + cs.J.T.dot(Lambda_c.dot(a_cmd - mob.W[PIVOT].dot(r)))
+    if tau_ext_hat is not None and setup.compensation != COMP_OFF:
+        tau_c, damped_c = compensation_torque(tau_ext_hat, setup.compensation, mob)
+        tau, damped = tau + tau_c, damped + damped_c
+    return ControllerOutput(tau, a_cmd, damped)
 
 
 def _task_torque(
@@ -401,11 +401,13 @@ def _task_torque(
 def p_approach_torque(
     snap: ControlSnapshot,
     mob: Mobility,
+    Lambda_c: np.ndarray,
+    a_cmd: np.ndarray,
     ref: TaskReference,
     setup: ControlSetup,
     q_init: np.ndarray,
-) -> ControllerOutput:
-    """Projected constraint-consistent controller.
+) -> tuple[np.ndarray, bool]:
+    """Projected constraint-consistent controller: (r, damped).
 
     Operational-space PD tracking of the tip plus null-space compliance on
     the constrained tip mobility S = B J^T, whose bias carries the
@@ -413,35 +415,26 @@ def p_approach_torque(
     the pivot command exactly, so in closed loop the tip has clean PD error
     dynamics. Its null-space torque N_B (tau_0 - h) takes the null-space
     share of the core's h back out, so the null space sags under gravity.
-    Subtracting b_c from the command keeps the residual dynamics homogeneous
-    with a moving trocar. Jc's rank is checked first (``check_row_rank``): dependent
-    rows raise RankDeficientConstraint before K_cc is inverted.
     """
-    cs = snap.constraint
     K, W = mob.K, mob.W
-    check_row_rank(cs.J)
-    # Products use ndarray.dot, which costs less per call than @ on these
-    # small operands; this runs every tick.
-    K_cc = K[PIVOT, PIVOT]
-    Lambda_c = small_inv(K_cc)
-    a_cmd = -K_cc.dot(_pivot_pd(cs, setup.gains)) - cs.b
     K_tc_Lambda_c = K[TIP, PIVOT].dot(Lambda_c)
     B = W[TIP] - K_tc_Lambda_c.dot(W[PIVOT])
     Lambda_f, damped = sym_inv(K[TIP, TIP] - K_tc_Lambda_c.dot(K[PIVOT, TIP]))
     h_f = -Lambda_f.dot(snap.tip_bias + K_tc_Lambda_c.dot(a_cmd))
     tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, setup.gains) - snap.h
-    r = _task_torque(snap, ref, setup.gains, Lambda_f, h_f, B, tau_0)
-    return _complete(snap, mob, Lambda_c, r, a_cmd, damped)
+    return _task_torque(snap, ref, setup.gains, Lambda_f, h_f, B, tau_0), damped
 
 
 def z_approach_torque(
     snap: ControlSnapshot,
     mob: Mobility,
+    Lambda_c: np.ndarray,
+    a_cmd: np.ndarray,
     ref: TaskReference,
     setup: ControlSetup,
     q_init: np.ndarray,
-) -> ControllerOutput:
-    """Extended-Jacobian baseline controller.
+) -> tuple[np.ndarray, bool]:
+    """Extended-Jacobian baseline controller: (r, damped).
 
     Stacks the constraint Jacobian over Z^# = Lambda_n^-1 Z^T M, the
     inertia-weighted inverse of an orthonormal basis Z of null(Jc)
@@ -468,8 +461,6 @@ def z_approach_torque(
     M, J, Jc, K = snap.M, snap.J_task, cs.J, mob.K
     L, Q = row_factor(Jc)
     Jc_pinv = Q.T.dot(small_inv(L))
-    K_cc = K[PIVOT, PIVOT]
-    Lambda_c = small_inv(K_cc)
     G = mob.W[PIVOT].T.dot(Lambda_c)
 
     # J_E = [Jc; Z^#] has the inverse [G, Z], so ||J_E||_F ||J_E^-1||_F bounds
@@ -502,43 +493,43 @@ def z_approach_torque(
     Z_nu = qd - u
     r = (J.T.dot(f_f) + tau_0 - snap.kin.Mdot.dot(u)
          - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Jc_pinv.T.dot(M.dot(u))))
-    a_cmd = -K_cc.dot(_pivot_pd(cs, gains)) - cs.b
-    return _complete(snap, mob, Lambda_c, r, a_cmd, damped)
+    return r, damped
 
 
 def uk_torque(
     snap: ControlSnapshot,
     mob: Mobility,
+    Lambda_c: np.ndarray,
+    a_cmd: np.ndarray,
     ref: TaskReference,
     setup: ControlSetup,
     q_init: np.ndarray,
-) -> ControllerOutput:
-    """Udwadia-Kalaba baseline: the unconstrained tip law completed by the
-    ideal constraint force.
+) -> tuple[np.ndarray, bool]:
+    """Udwadia-Kalaba baseline: the unconstrained tip law, (r, damped), that
+    the core completes with the ideal constraint force.
 
     tau_sharp = h + r is the operational-space PD tip torque with no
     constraint (same gains as the projected controller's task), with
     r = J^T f + N_J tau_0: the tip force without its h share, and the
     null-space compliance through the unconstrained dynamically consistent
     projector N_J; the core adds all of h. The commanded constraint
-    acceleration is b_ic = -(Kd xdot_c + Kp x_c).
-    The published form splits the constraint torque through
-    Pi = Jc M^-1/2 into an ideal and a non-ideal part with tau_nic = Jc^T b_ic:
+    acceleration is the core's a_cmd = -K_cc e_c - b_c, whose -b_c keeps the
+    residual dynamics homogeneous under a moving trocar. The published form
+    splits the constraint torque through Pi = Jc M^-1/2 into an ideal and a
+    non-ideal part with tau_nic = Jc^T a_cmd:
 
-        Q_ic  = M^1/2 Pi^+ (b_ic - Jc M^-1 (tau_sharp - h))
+        Q_ic  = M^1/2 Pi^+ (a_cmd - Jc M^-1 (tau_sharp - h))
         Q_nic = M^1/2 (I - Pi^+ Pi) M^-1/2 tau_nic
 
     Since Pi^+ = M^-1/2 Jc^T Lambda_c, M^1/2 Pi^+ = Jc^T Lambda_c, and
     (I - Pi^+ Pi) M^-1/2 Jc^T = (I - Pi^+ Pi) Pi^T = 0, so Q_nic vanishes and
 
-        tau = h + r + Jc^T Lambda_c (b_ic - Jc M^-1 r),
+        tau = h + r + Jc^T Lambda_c (a_cmd - Jc M^-1 r),
 
-    the core applied to r. In closed loop Jc qddot = b_ic exactly.
+    the core's completion of r. In closed loop Jc qddot = a_cmd exactly.
     """
     gains, K, B = setup.gains, mob.K, mob.W[TIP]
     Lambda_tip, damped = sym_inv(K[TIP, TIP])
     h_tip = -Lambda_tip.dot(snap.tip_bias)
     tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, gains)
-    r = _task_torque(snap, ref, gains, Lambda_tip, h_tip, B, tau_0)
-    b_ic = -_pivot_pd(snap.constraint, gains)
-    return _complete(snap, mob, small_inv(K[PIVOT, PIVOT]), r, b_ic, damped)
+    return _task_torque(snap, ref, gains, Lambda_tip, h_tip, B, tau_0), damped

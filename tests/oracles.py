@@ -728,7 +728,8 @@ def uk_sqrt_reference(
 
     Q = tau_sharp - h with tau_sharp the unconstrained operational-space PD
     tip torque plus the null-space term N_x (tau_0 + h); with S = M^1/2,
-    Pi = Jc S^-1, b_ic = -(Kd xdot_c + Kp x_c) and tau_nic = Jc^T b_ic:
+    Pi = Jc S^-1, b_ic = -(Jc M^-1 Jc^T)(Kd xdot_c + Kp x_c) - b_c (the pivot
+    command of the other two controllers) and tau_nic = Jc^T b_ic:
 
         tau = Q + S Pi^+ (b_ic - Jc M^-1 Q) + S (I - Pi^+ Pi) S^-1 tau_nic + h
     """
@@ -746,7 +747,7 @@ def uk_sqrt_reference(
     tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
     N_x = np.eye(n) - J.T @ (Lambda_tip @ (J @ Minv))
     Q = J.T @ f_pd + N_x @ (tau_0 + h) - h
-    b_ic = -(gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x)
+    b_ic = -(cs.J @ Minv @ cs.J.T) @ (gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x) - cs.b
     Pi = cs.J @ S_inv
     Pi_pinv = pinv(Pi)
     Q_ic = S @ (Pi_pinv @ (b_ic - cs.J @ (Minv @ Q)))
