@@ -455,13 +455,15 @@ def z_approach_torque(
 
     A^T P = N_bar^T, so the null rows' torque is the core's h + N_bar^T r,
     and the pivot rows' Jc^T (f_c + Lambda_c (Jc M^-1 h - b_c)) its
-    completion with a_cmd = K_cc f_c - b_c.
+    completion with a_cmd = K_cc f_c - b_c. Jc G = K_cc Lambda_c = I gives
+    Q G L = I, so Jc^+ = Q^T Q G and ||P G L||_F^2 = ||G L||_F^2 - 2; and
+    Jc Jc^+ = I with M u = Jc^T Lambda_c Jc qd gives Jc^+^T M u = Lambda_c Jc qd.
     """
     cs, gains, qd = snap.constraint, setup.gains, snap.state.qdot
     M, J, Jc, K = snap.M, snap.J_task, cs.J, mob.K
     L, Q = row_factor(Jc)
-    Jc_pinv = Q.T.dot(small_inv(L))
     G = mob.W[PIVOT].T.dot(Lambda_c)
+    Jc_pinv = Q.T.dot(Q.dot(G))
 
     # J_E = [Jc; Z^#] has the inverse [G, Z], so ||J_E||_F ||J_E^-1||_F bounds
     # its condition number, with ||Z^#||_F^2 = ||P A||_F^2 = m + ||P G L||_F^2
@@ -470,11 +472,10 @@ def z_approach_torque(
     # [Jc; P A], whose singular values are those of J_E.
     m = Jc.shape[1] - Jc.shape[0]
     GL = G.dot(L)
-    PGL = GL - Q.T.dot(Q.dot(GL))
-    bound_sq = (np.vdot(Jc, Jc) + m + np.vdot(PGL, PGL)) * (np.vdot(G, G) + m)
+    bound_sq = (np.vdot(Jc, Jc) + m + np.vdot(GL, GL) - 2.0) * (np.vdot(G, G) + m)
     if 4.0 * STACKED_COND_TOL * STACKED_COND_TOL * bound_sq >= 1.0:
         P = np.eye(Jc.shape[1]) - Q.T.dot(Q)
-        sv = np.linalg.svd(np.concatenate([Jc, P - PGL.dot(Q)]), compute_uv=False)
+        sv = np.linalg.svd(np.concatenate([Jc, P - P.dot(G.dot(Jc))]), compute_uv=False)
         if sv[-1] <= STACKED_COND_TOL * sv[0]:
             raise SingularExtendedJacobian(
                 f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})"
@@ -489,10 +490,11 @@ def z_approach_torque(
     # Z (f_n + H_bot), with f_n = Z^T (J^T f_f + tau_0), the bias
     # H_bot = Lambda_n (Z^# M^-1 h - d/dt(Z^#) qd) and u = qd - Z nu, is N_bar^T
     # applied to h + r, r = J^T f_f + tau_0 - Mdot u + M Zdot nu - Z Zdot^T M u.
-    u = G.dot(Jc.dot(qd))
+    Jc_qd = Jc.dot(qd)
+    u = G.dot(Jc_qd)
     Z_nu = qd - u
     r = (J.T.dot(f_f) + tau_0 - snap.kin.Mdot.dot(u)
-         - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Jc_pinv.T.dot(M.dot(u))))
+         - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Lambda_c.dot(Jc_qd)))
     return r, damped
 
 

@@ -19,7 +19,7 @@ from . import controllers as ctl
 from .controllers import ControlSetup
 from .errors import ConfigError, SimulationDiverged
 from .numerics import lu_solve
-from .rcm import TrocarState, constraint_from_kin, place_trocar
+from .rcm import ConstraintState, TrocarState, constraint_from_kin, place_trocar
 from . import robot
 from .robot import DEFAULT_HOME, JointState, RobotModel
 from .robot import kinematics as kinematics_of
@@ -58,13 +58,12 @@ class EnvModel(Schema):
     damping: float = setting(50.0, NON_NEGATIVE)
 
 
-def port_torque(kin: robot.KinFrames, trocar: TrocarState, env: EnvModel) -> np.ndarray:
+def port_torque(cs: ConstraintState, env: EnvModel) -> np.ndarray:
     """Joint torque of the soft port's lateral force -K x - D xdot on the 2D
-    pivot residual at the frame pass ``kin``, through its Jacobian. It reads
-    the constraint's position rows only, so its rate terms are never formed.
-    ``env`` is validated once by the caller (``run_episode`` validates it
-    with the sim config), not on every evaluation."""
-    cs = constraint_from_kin(kin, kin.qdot, trocar)
+    pivot residual of the constraint state ``cs``, through its Jacobian. It
+    reads the constraint's position rows only, so its rate terms are never
+    formed. ``env`` is validated once by the caller (``run_episode``
+    validates it with the sim config), not on every evaluation."""
     return cs.J.T.dot(-env.stiffness * cs.x - env.damping * cs.xdot)
 
 
@@ -75,14 +74,18 @@ def plant_accel(
     env: EnvModel | None = None,
     trocar: TrocarState | None = None,
     Minv: np.ndarray | None = None,
+    constraint: ConstraintState | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(qddot, total external torque) of the plant at the frame pass ``kin``
     under the applied torque ``tau`` and the scripted external torque
     ``tau_ext`` (None when nothing acts), plus the soft port's torque when
-    ``env`` is given, against ``trocar``. ``Minv`` is M^-1 at ``kin`` when the
-    caller holds it (the snapshot at the true state); otherwise M is solved."""
+    ``env`` is given, against ``trocar``. ``Minv`` and ``constraint`` are M^-1
+    and the constraint state at ``kin`` when the caller holds them (the
+    snapshot's at the true state); otherwise M is solved and the port builds its own."""
     if env is not None:
-        tau_port = port_torque(kin, trocar, env)
+        if constraint is None:
+            constraint = constraint_from_kin(kin, kin.qdot, trocar)
+        tau_port = port_torque(constraint, env)
         tau_ext = tau_port if tau_ext is None else tau_ext + tau_port
     load = (tau if tau_ext is None else tau + tau_ext) - kin.h
     return (lu_solve(kin.M, load) if Minv is None else Minv.dot(load)), tau_ext
@@ -410,9 +413,9 @@ def run_episode(
             tau_dist = None
             if disturbances.events:
                 tau_dist = disturbance_eval(t, disturbances, model, kin_true)
-            # the snapshot holds M^-1 at the true state when it saw that state
-            qdd, tau_ext = plant_accel(kin_true, out.tau, tau_dist, port_env, trocar,
-                                       snap.Minv if noise is None else None)
+            # when the snapshot saw the true state, its M^-1 and constraint hold there
+            held = (snap.Minv, snap.constraint) if noise is None else (None, None)
+            qdd, tau_ext = plant_accel(kin_true, out.tau, tau_dist, port_env, trocar, *held)
             gap = snap.constraint.J.dot(qdd) - out.constraint_accel_cmd
 
             # Record tick k (true plant state, not the measured one).

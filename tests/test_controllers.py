@@ -507,8 +507,6 @@ def test_per_tick_factorizations(model, rng, monkeypatch):
 def test_ticks_form_only_the_terms_they_read(model, rng, monkeypatch):
     # The core's pivot command reads b_c, so p_approach's and uk's ticks form
     # the constraint rate terms: the patched method is the one they call.
-    # z_approach factors a healthy Jc from its Gram matrix, without
-    # Gram-Schmidt.
     def forbidden(*_):
         raise AssertionError("unread or exact term formed")
 
@@ -523,10 +521,44 @@ def test_ticks_form_only_the_terms_they_read(model, rng, monkeypatch):
             for variant in ("p_approach", "uk"):
                 with pytest.raises(AssertionError, match="unread or exact term formed"):
                     _control(variant, snap, ref, _gains())
-        snap = build_snapshot(model, state, static_trocar(trocar.p))
-        with monkeypatch.context() as patch:
-            patch.setattr(numerics, "_gram_schmidt", forbidden)
-            _control("z_approach", snap, ref, _gains())
+
+
+class _GramCounted(np.ndarray):
+    """A constraint Jacobian that counts the products of itself with its own
+    transpose, Jc Jc^T, by ndarray.dot or @; products and ufuncs return plain arrays."""
+
+    grams = 0
+
+    def _count(self, other):
+        if isinstance(other, _GramCounted) and np.shares_memory(self, other) and (
+            self.shape == other.shape[::-1] == (2, 7)
+        ):
+            _GramCounted.grams += 1
+
+    def dot(self, other, *args):
+        self._count(other)
+        return np.asarray(self).dot(np.asarray(other), *args)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul and len(inputs) == 2 and isinstance(inputs[0], _GramCounted):
+            inputs[0]._count(inputs[1])
+        plain = [np.asarray(x) if isinstance(x, _GramCounted) else x for x in inputs]
+        if out is not None:  # an in-place operation writes through a plain view
+            kwargs["out"] = tuple(np.asarray(x) for x in out)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_z_approach_forms_the_gram_matrix_once(model, rng):
+    # The core's rank certificate forms Jc Jc^T; z_approach factors Jc by
+    # Gram-Schmidt from its rows and does not form it a second time.
+    for moving in (False, True):
+        snap, ref, gains, q_init = _random_case(model, rng, moving)
+        expected = _control("z_approach", snap, ref, gains, q_init).tau
+        snap.constraint.J = snap.constraint.J.view(_GramCounted)
+        _GramCounted.grams = 0
+        out = _control("z_approach", snap, ref, gains, q_init)
+        assert _GramCounted.grams == 1
+        assert np.array_equal(out.tau, expected)
 
 
 def test_snapshot_tip_terms_match_the_tip_jacobian(model, rng):

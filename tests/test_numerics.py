@@ -162,9 +162,7 @@ def test_gram_certificate_agrees_with_row_factor(rng, monkeypatch, scale):
     # matrix alone. Besides the random ratios: parallel rows, a zero row,
     # NaN and infinite entries, a Gram matrix that overflows, and parallel
     # rows whose Gram products round to subnormals, where a bound that has
-    # underflowed to zero would certify them. row_factor factors from the
-    # Gram matrix only rows with s_min / s_max above about 0.1, and there
-    # matches Gram-Schmidt to 1e-12; every other draw goes to Gram-Schmidt.
+    # underflowed to zero would certify them.
     ratios = 10.0 ** np.concatenate([rng.uniform(-14.0, 0.0, 300), rng.uniform(-1.5, 0.0, 100)])
     draws = [_two_rows(rng, ratio, scale) for ratio in ratios]
     a = scale * rng.standard_normal(7)
@@ -178,32 +176,13 @@ def test_gram_certificate_agrees_with_row_factor(rng, monkeypatch, scale):
         1e200 * _two_rows(rng, 0.5),
         np.stack([6.494379172012011e-79 * e1, 7.977157047819924e-79 * e1]),
     ]
-    # the seven special draws count as ratio 0: each must go to Gram-Schmidt
+    # the seven special draws count as ratio 0
     ratios = np.concatenate([ratios, np.zeros(7)])
-    gram_schmidt = numerics._gram_schmidt
-    via_gram_schmidt = []
-
-    def recorded(Jc):
-        via_gram_schmidt[-1] = True
-        return gram_schmidt(Jc)
 
     with np.errstate(over="ignore", invalid="ignore"):  # as run_episode runs
         exact = [_rank_deficient(row_factor, Jc) for Jc in draws]
         assert [_rank_deficient(check_row_rank, Jc) for Jc in draws] == exact
-        with monkeypatch.context() as patch:
-            patch.setattr(numerics, "_gram_schmidt", recorded)
-            for Jc in draws:
-                via_gram_schmidt.append(False)
-                _rank_deficient(row_factor, Jc)
     assert exact[-7:-4] == [True] * 3 and exact[-1]  # deficient by construction
-    for ratio, Jc, slow in zip(ratios, draws, via_gram_schmidt):
-        assert slow == (ratio < 0.1) or 0.1 <= ratio < 0.11  # the boundary may go either way
-        if not slow:
-            L, Q = row_factor(Jc)
-            L_gs, Q_gs = gram_schmidt(Jc)
-            assert np.abs(L - L_gs).max() <= 1e-12 * np.abs(L_gs).max()
-            assert np.abs(Q - Q_gs).max() <= 1e-12
-    assert sum(not slow for slow in via_gram_schmidt) > 50
 
     def forbidden(_):
         raise AssertionError("exact factor formed")

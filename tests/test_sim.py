@@ -39,12 +39,12 @@ def test_port_torque_examples(model):
     # along the frame's x axis 1 mm off it.
     env = EnvModel(mode="soft")
     kin = kinematics(model, DEFAULT_HOME, np.zeros(model.n))
-    at_pivot = static_trocar(kin.pose_r.p)
-    assert np.abs(port_torque(kin, at_pivot, env)).max() == 0.0
+    at_pivot = rcm.constraint_from_kin(kin, kin.qdot, static_trocar(kin.pose_r.p))
+    assert np.abs(port_torque(at_pivot, env)).max() == 0.0
     off_axis = static_trocar(kin.pose_r.p - 0.001 * kin.pose_r.R[:, 0])
-    J = rcm.constraint_from_kin(kin, kin.qdot, off_axis).J
-    expected = J.T @ np.array([-5.0, 0.0])
-    assert np.abs(port_torque(kin, off_axis, env) - expected).max() < 1e-12
+    cs = rcm.constraint_from_kin(kin, kin.qdot, off_axis)
+    expected = cs.J.T @ np.array([-5.0, 0.0])
+    assert np.abs(port_torque(cs, env) - expected).max() < 1e-12
 
 
 def test_environment_steady_penetration_scale():
@@ -70,7 +70,7 @@ def test_environment_energy_balance(model):
         qd = 0.002 * rate * np.cos(rate * t)
         kin = kinematics(model, q, qd)
         cs = rcm.constraint_from_kin(kin, qd, trocar)
-        work += port_torque(kin, trocar, env) @ qd * dt
+        work += port_torque(cs, env) @ qd * dt
         dissipated += env.damping * (cs.xdot @ cs.xdot) * dt
         xs.append(cs.x)
     spring = 0.5 * env.stiffness * (xs[-1] @ xs[-1] - xs[0] @ xs[0])
@@ -174,10 +174,10 @@ def test_rk4_port_sees_the_trocar_at_stage_times(model, t):
 @pytest.mark.parametrize("integrator,passes_per_step", [("semi_implicit", 0), ("rk4", 3)])
 def test_soft_port_tick_evaluation_counts(model, monkeypatch, integrator, passes_per_step):
     # A soft-port tick builds one frame pass for the snapshot, plus one per
-    # later RK4 stage. The controller and the port force each take a
-    # constraint state at the tick, and the port force one per later stage,
-    # but only the controller reads rate terms: the port force's position
-    # rows never form them.
+    # later RK4 stage. The controller and the port force share the tick's
+    # constraint state, and the port force takes one per later stage, but
+    # only the controller reads rate terms: the port force's position rows
+    # never form them.
     counts = {"frames": 0, "constraint": 0, "rates": 0}
 
     class Counted(robot.KinFrames):
@@ -205,7 +205,7 @@ def test_soft_port_tick_evaluation_counts(model, monkeypatch, integrator, passes
     ticks = trace.filled
     # one more frame pass places the trocar before the first tick
     assert counts["frames"] == 1 + ticks + passes_per_step * (ticks - 1)
-    assert counts["constraint"] == 2 * ticks + passes_per_step * (ticks - 1)
+    assert counts["constraint"] == ticks + passes_per_step * (ticks - 1)
     assert counts["rates"] == ticks
 
 
