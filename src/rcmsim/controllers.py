@@ -41,7 +41,7 @@ momentum, is passed explicitly by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -128,10 +128,13 @@ class GainSet:
         kd_null=None,
     ) -> "GainSet":
         """Scalars repeat over their loop (``n_joints`` for the null-space
-        pair); derivative gains default element-wise to 2 sqrt(kp)."""
+        pair); derivative gains default element-wise to 2 sqrt(kp), and
+        ``kd_null`` with no null-space stiffness to ``NULL_DAMPING``."""
         kp_task = _broadcast(kp_task, 3, "kp_task")
         kp_rcm = _broadcast(kp_rcm, 2, "kp_rcm")
         kp_null = _broadcast(kp_null, n_joints, "kp_null")
+        if kd_null is None and not kp_null.any():
+            kd_null = NULL_DAMPING
 
         def kd(value, kp, name):
             return 2.0 * np.sqrt(kp) if value is None else _broadcast(value, kp.size, name)
@@ -154,7 +157,7 @@ class ControlSetup:
     """Which controller runs the episode and how it is configured."""
 
     variant: str = P_APPROACH
-    gains: GainSet | None = None
+    gains: GainSet = field(default_factory=GainSet.from_proportional)
     observer: bool = False
     compensation: str = COMP_FULL
 
@@ -163,8 +166,6 @@ class ControlSetup:
             fail("variant", VARIANT.message)
         if not COMPENSATION.ok(self.compensation):
             fail("compensation", COMPENSATION.message)
-        if self.gains is None:
-            self.gains = GainSet.from_proportional(kd_null=NULL_DAMPING)
 
 
 class ControllerOutput(NamedTuple):

@@ -13,10 +13,6 @@ class SingularExtendedJacobian(RcmSimError):
     """Stacked constraint/null-space Jacobian is not invertible."""
 
 
-class InvalidAlpha(RcmSimError):
-    """Trocar scaling factor outside (0, 1]."""
-
-
 class ModelError(RcmSimError):
     """Robot model file is missing or malformed; message names the field path."""
 

@@ -1,8 +1,10 @@
 """Run configuration, metrics and the scenario-matrix runner.
 
 Configs are plain JSON (strict: unknown keys are rejected with the dotted
-field path); metrics are pure functions of the trace, so recomputing them
-from an exported CSV reproduces the metrics file exactly.
+field path); ``build`` hands the sections to ``run_episode`` as loaded, so
+the duration, alpha and gain-default rules are the library's. Metrics are
+pure functions of the trace, so recomputing them from an exported CSV
+reproduces the metrics file exactly.
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ import numpy as np
 
 from . import controllers as ctl
 from .errors import ConfigError, ModelError, SimulationDiverged
+from .rcm import ALPHA
 from .robot import RobotModel, default_model_path, load_model
 from .scenarios import DisturbanceEvent, DisturbanceSchedule, SpiralParams, TrocarSchedule
 from .schema import NON_NEGATIVE, Rule, Schema, fail, naming_file, read_json, setting
 from .sim import (
-    ALPHA,
     ControlSetup,
     Scenario,
     SimConfig,
     check_joint_vectors,
+    run_duration,
     run_episode,
 )
 
@@ -49,8 +52,9 @@ class GainsConfig(Schema):
     ``ControlSetup``. The one intended difference is ``kp_null``: 5.0 here,
     the stiffness of the compliance experiment, applied only with
     ``scenario.nullspace`` (the library default is no null-space stiffness).
-    With no null-space stiffness and ``kd_null`` null, the null-space damping
-    is ``controllers.NULL_DAMPING``.
+    Null derivative gains take ``GainSet.from_proportional``'s defaults:
+    2 sqrt(kp), and for ``kd_null`` with no null-space stiffness
+    ``controllers.NULL_DAMPING``.
     """
 
     kp_task: float = setting(ctl.KP_TASK, NON_NEGATIVE)
@@ -74,13 +78,6 @@ class ScenarioConfig(Schema):
     nullspace: bool = False
 
 
-@dataclass
-class SimSection(SimConfig):
-    """``SimConfig`` whose duration defaults (null) to the spiral duration."""
-
-    duration: float | None = None
-
-
 @functools.cache
 def _load_model(model_path: str | None) -> RobotModel:
     """The model at ``model_path``, loaded once for ``check`` and every ``build``."""
@@ -101,18 +98,13 @@ class RunConfig(Schema):
         None, Rule(os.path.exists, "file not found: {value}"), kind="a path string"
     )
     gains: GainsConfig = field(default_factory=GainsConfig)
-    sim: SimSection = field(default_factory=SimSection)
+    sim: SimConfig = field(default_factory=SimConfig)
     settle_time: float = setting(1.0, NON_NEGATIVE)
     output: str | None = setting(None, kind="a directory path string")
 
-    @property
-    def duration(self) -> float:
-        """Run duration: the sim section's, else the spiral's."""
-        return self.sim.duration if self.sim.duration is not None else self.scenario.spiral.duration
-
     def check(self, path: str):
         sc = self.scenario
-        if self.settle_time >= self.duration:
+        if self.settle_time >= run_duration(self.sim, sc.spiral):
             fail("settle_time", "must be smaller than the run duration")
         try:
             n = _load_model(self.model).n
@@ -126,11 +118,7 @@ class RunConfig(Schema):
         model = _load_model(self.model)
         g = self.gains
         kp_null = g.kp_null if self.scenario.nullspace else 0.0
-        kd_null = g.kd_null
-        if kd_null is None and kp_null == 0.0:
-            kd_null = ctl.NULL_DAMPING
-        params = vars(g) | {"kp_null": kp_null, "kd_null": kd_null}
-        gains = ctl.GainSet.from_proportional(n_joints=model.n, **params)
+        gains = ctl.GainSet.from_proportional(n_joints=model.n, **(vars(g) | {"kp_null": kp_null}))
         sc = self.scenario
         control = ControlSetup(
             variant=self.controller,
@@ -143,10 +131,9 @@ class RunConfig(Schema):
             spiral=sc.spiral,
             trocar=sc.trocar,
             disturbances=DisturbanceSchedule(sc.disturbances),
-            q_init=None if sc.q_init is None else np.asarray(sc.q_init, dtype=float),
+            q_init=sc.q_init,
         )
-        sim = SimConfig(**(vars(self.sim) | {"duration": self.duration}))
-        return model, control, scenario, sim
+        return model, control, scenario, self.sim
 
 
 def config_from_dict(data: dict, label_hint: str = "") -> RunConfig:
@@ -325,10 +312,11 @@ def run_matrix(configs: list[RunConfig], out_dir: str, jobs: int = 1) -> int:
     Divergence in one run does not abort the siblings; the exit status is 3
     if any run diverged, else 0. Aggregation order follows config order.
     """
-    os.makedirs(out_dir, exist_ok=True)
     labels = [c.label for c in configs]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("duplicate run labels in the config set")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"duplicate run label {label!r} in the config set")
+    os.makedirs(out_dir, exist_ok=True)
     # a fork-started pool starts all its workers at the first submit
     workers = min(jobs, len(configs))
     if workers > 1:

@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidAlpha
 from .kernels import KinFrames, lazy, skew_stack
+from .schema import Rule, fail
 
 
 @dataclass
@@ -63,10 +63,15 @@ class ConstraintState:
         return self._rates[1]
 
 
+# alpha: the trocar's fraction of the tool length from the reference frame
+ALPHA = Rule(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+
+
 def place_trocar(p_r0: np.ndarray, p_t0: np.ndarray, alpha: float) -> np.ndarray:
-    """Trocar point on the initial tool axis: p_c = p_r0 + alpha (p_t0 - p_r0)."""
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
+    """Trocar point on the initial tool axis: p_c = p_r0 + alpha (p_t0 - p_r0).
+    An alpha outside (0, 1] raises a ``ConfigError`` naming ``alpha``."""
+    if not ALPHA.ok(alpha):
+        fail("alpha", ALPHA.message)
     p_r0 = np.asarray(p_r0, dtype=float)
     p_t0 = np.asarray(p_t0, dtype=float)
     return p_r0 + alpha * (p_t0 - p_r0)

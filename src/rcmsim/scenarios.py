@@ -1,5 +1,6 @@
 """Reference trajectories and schedules: spiral tip path on a trapezoidal
-velocity profile, trocar placement/motion, scripted disturbance wrenches."""
+velocity profile, trocar motion, scripted disturbance wrenches. The episode
+passes the spiral's start and the trocar's base point in as arguments."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .rcm import TrocarState
 from .robot import KinFrames, RobotModel
-from .schema import EPISODE_SET, NON_NEGATIVE, POSITIVE, Rule, Schema, fail, length, setting
+from .schema import NON_NEGATIVE, POSITIVE, Rule, Schema, fail, length, setting
 
 
 class TaskReference(NamedTuple):
@@ -24,10 +25,10 @@ class TaskReference(NamedTuple):
 
 @dataclass
 class SpiralParams(Schema):
-    """Spiral tip trajectory along base z, starting at the initial tip point.
+    """Spiral tip trajectory along base z from the start point it is given.
 
-    The path begins at ``start`` (center offset -radius along x so t=0 lies on
-    the circle) and rises turns*pitch over the duration.
+    The center sits -radius along x from the start, so t=0 lies on the
+    circle; the path rises turns*pitch over the duration.
     """
 
     radius: float = setting(0.02, POSITIVE)
@@ -35,7 +36,6 @@ class SpiralParams(Schema):
     duration: float = setting(20.0, POSITIVE)
     turns: int = setting(3, Rule(lambda v: v >= 1, "must be at least 1"))
     accel_fraction: float = setting(0.2, Rule(lambda v: 0.0 < v < 0.5, "must lie in (0, 0.5)"))
-    start: np.ndarray | None = field(default=None, metadata=EPISODE_SET)
 
 
 def trapezoid_profile(t, T: float, accel_fraction: float):
@@ -61,15 +61,13 @@ def trapezoid_profile(t, T: float, accel_fraction: float):
     )
 
 
-def spiral_reference(t, params: SpiralParams) -> TaskReference:
-    """Tip reference on the spiral at time t (chain rule through the profile).
+def spiral_reference(t, params: SpiralParams, start: np.ndarray) -> TaskReference:
+    """Tip reference at time t on the spiral from ``start`` (chain rule through the profile).
 
     ``t`` is a scalar or an array of N times; the reference rows are then
     (3,) or (N, 3). ``params`` are validated once by the caller
     (``run_episode`` does so at the episode boundary).
     """
-    if params.start is None:
-        raise ValueError("spiral start point not set")
     s, sd, sdd = trapezoid_profile(t, params.duration, params.accel_fraction)
     r = params.radius
     phi_s = 2.0 * math.pi * params.turns  # d(phi)/ds
@@ -80,7 +78,7 @@ def spiral_reference(t, params: SpiralParams) -> TaskReference:
     dx, dy = -r * sn * phi_s, r * c * phi_s
     ddx, ddy = -r * c * phi_s * phi_s, -r * sn * phi_s * phi_s
     return TaskReference(
-        x=params.start + np.stack([r * (c - 1.0), r * sn, rise * s], axis=-1),
+        x=start + np.stack([r * (c - 1.0), r * sn, rise * s], axis=-1),
         xdot=np.stack([dx * sd, dy * sd, rise * sd], axis=-1),
         xddot=np.stack([ddx * sd * sd + dx * sdd, ddy * sd * sd + dy * sdd, rise * sdd], axis=-1),
     )
@@ -100,26 +98,23 @@ class TrocarSchedule(Schema):
         TROCAR_STATIC,
         Rule(lambda v: v in (TROCAR_STATIC, TROCAR_SINUSOIDAL), "must be 'static' or 'sinusoidal'"),
     )
-    p0: np.ndarray | None = field(default=None, metadata=EPISODE_SET)
     amplitude: float = setting(0.04, NON_NEGATIVE)
     frequency: float = setting(0.2, NON_NEGATIVE)
 
 
-def trocar_schedule_eval(t, sched: TrocarSchedule) -> TrocarState:
-    """TrocarState at time t with analytic first and second derivatives.
+def trocar_schedule_eval(t, sched: TrocarSchedule, p0: np.ndarray) -> TrocarState:
+    """TrocarState at time t about ``p0``, with analytic derivatives.
 
     ``t`` is a scalar or an array of N times; the state's rows are then (3,)
     or (N, 3). ``sched`` is validated once by the caller (``run_episode``
     does so at the episode boundary).
     """
-    if sched.p0 is None:
-        raise ValueError("trocar schedule base point not set")
     amplitude = sched.amplitude if sched.mode == TROCAR_SINUSOIDAL else 0.0
     w = 2.0 * np.pi * sched.frequency
     ax = amplitude * TROCAR_AXIS
     wt = w * np.asarray(t, dtype=float)[..., None]
     s, c = np.sin(wt), np.cos(wt)
-    return TrocarState(np.asarray(sched.p0, dtype=float) + s * ax, w * c * ax, -w * w * s * ax)
+    return TrocarState(np.asarray(p0, dtype=float) + s * ax, w * c * ax, -w * w * s * ax)
 
 
 @dataclass

@@ -45,10 +45,6 @@ def setting(default=MISSING, rule: Rule | None = None, kind: str | None = None) 
     return field(default=default, metadata={"rule": rule, "kind": kind})
 
 
-# Metadata of the fields an episode sets (start points, axes): never loaded or dumped.
-EPISODE_SET = {"episode": True}
-
-
 def join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -72,9 +68,9 @@ _SCALARS = {
 
 @functools.cache
 def _config_fields(cls) -> tuple:
-    """(field, resolved type hint) of every loaded field."""
+    """(field, resolved type hint) of every field."""
     hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in fields(cls) if not f.metadata.get("episode"))
+    return tuple((f, hints[f.name]) for f in fields(cls))
 
 
 def _finite(value, path: str) -> float:

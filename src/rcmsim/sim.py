@@ -5,13 +5,16 @@ enforced by the controller torque (matching a torque-controlled arm), with an
 optional visco-elastic port model adding a lateral restoring force at the
 trocar. Control rate equals the simulation rate; by default the controller
 sees the exact simulated state (seeded sensor noise available as an option).
+``run_episode`` validates its inputs once, starts the spiral at the initial
+tip point, places the trocar on the initial tool axis and runs for
+``run_duration``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from . import controllers as ctl
 from .controllers import ControlSetup
 from .errors import ConfigError, SimulationDiverged
 from .numerics import lu_solve
-from .rcm import ConstraintState, TrocarState, constraint_from_kin, place_trocar
+from .rcm import ALPHA, ConstraintState, TrocarState, constraint_from_kin, place_trocar
 from . import robot
 from .robot import DEFAULT_HOME, JointState, RobotModel
 from .robot import kinematics as kinematics_of
@@ -33,7 +36,7 @@ from .scenarios import (
     spiral_reference,
     trocar_schedule_eval,
 )
-from .schema import NON_NEGATIVE, POSITIVE, Rule, Schema, fail, join, length, naming_file, setting
+from .schema import NON_NEGATIVE, POSITIVE, Rule, Schema, fail, length, naming_file, setting
 
 SEMI_IMPLICIT = "semi_implicit"
 RK4 = "rk4"
@@ -98,11 +101,11 @@ class SimConfig(Schema):
     ``sensor_noise_std`` adds seeded zero-mean Gaussian noise to the joint
     positions the controller sees (the plant and the trace keep the true
     state). Default off; runs stay bit-reproducible because the stream is
-    seeded per episode.
+    seeded per episode. ``duration`` None runs for the spiral's duration.
     """
 
     dt: float = setting(1e-3, POSITIVE)
-    duration: float = 20.0
+    duration: float | None = None
     integrator: str = setting(
         SEMI_IMPLICIT, Rule(lambda v: v in (SEMI_IMPLICIT, RK4), "must be 'semi_implicit' or 'rk4'")
     )
@@ -110,11 +113,20 @@ class SimConfig(Schema):
     sensor_noise_std: float = setting(0.0, NON_NEGATIVE)
     noise_seed: int = setting(0, NON_NEGATIVE)
 
-    def check(self, path: str):
-        if self.duration is not None and not math.isfinite(self.duration):
-            fail(join(path, "duration"), "must be finite")
-        if self.duration is not None and self.duration < self.dt:
-            fail(join(path, "duration"), "must cover at least one step")
+
+def run_duration(sim: SimConfig, spiral: SpiralParams) -> float:
+    """The episode's duration: ``sim.duration``, else (None) the spiral's.
+    It must be finite and cover one step of ``sim.dt``; an error names the
+    field it came from (``sim.duration`` or ``scenario.spiral.duration``)."""
+    if sim.duration is None:
+        duration, path = spiral.duration, "scenario.spiral.duration"
+    else:
+        duration, path = sim.duration, "sim.duration"
+    if not math.isfinite(duration):
+        fail(path, "must be finite")
+    if duration < sim.dt:
+        fail(path, "must cover at least one step")
+    return duration
 
 
 # Relative distance of duration/dt from an integer within which the duration
@@ -134,9 +146,6 @@ def all_finite(x: np.ndarray) -> bool:
     product; else (non-finite entries, overflowing squares) the elementwise
     test decides. Call under errstate(over="ignore"), as ``run_episode`` does."""
     return x.dot(x) < math.inf or np.count_nonzero(np.isfinite(x)) == x.size
-
-
-ALPHA = Rule(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 
 
 @dataclass
@@ -336,6 +345,7 @@ def run_episode(
     """
     sim.validate("sim")
     scenario.validate("scenario")
+    duration = run_duration(sim, scenario.spiral)
     check_joint_vectors(model.n, scenario.q_init, "scenario.q_init",
                         scenario.disturbances.events, "scenario.disturbances.events",
                         ("control.gains.kp_null", control.gains.kp_null),
@@ -345,11 +355,9 @@ def run_episode(
 
     kin0 = kinematics_of(model, q0)
     p_c0 = place_trocar(kin0.pose_r.p, kin0.pose_t.p, scenario.alpha)
-    spiral = replace(scenario.spiral, start=kin0.pose_t.p.copy())
-    trocar_sched = replace(scenario.trocar, p0=p_c0)
 
     dt = sim.dt
-    records = tick_count(sim.duration, dt) + 1
+    records = tick_count(duration, dt) + 1
     trace = SimTrace(model.n, records, dt)
 
     obs = (
@@ -362,7 +370,7 @@ def run_episode(
     )
 
     trace.t[:] = np.arange(records) * dt
-    refs = spiral_reference(trace.t, spiral)
+    refs = spiral_reference(trace.t, scenario.spiral, kin0.pose_t.p)
     trace.ref[:] = refs.x
     # The trocar on the grid the plant is evaluated on: the ticks, and for
     # the soft port under RK4 also the half steps between them.
@@ -371,7 +379,7 @@ def run_episode(
     port_env = sim.env if sim.env.mode == ENV_SOFT else None
     per_tick = 2 if port_env is not None and sim.integrator == RK4 else 1
     trocars = trocar_schedule_eval(
-        np.arange(per_tick * (records - 1) + 1) * (dt / per_tick), trocar_sched
+        np.arange(per_tick * (records - 1) + 1) * (dt / per_tick), scenario.trocar, p_c0
     )
     trace.p_c[:] = trocars.p[::per_tick]
 

@@ -159,6 +159,10 @@ REJECTED = [
     ("label", "..", LABEL),
     ("label", ".", LABEL),
     ("label", "/tmp/abs", LABEL),
+    # the episode anchors the spiral and the trocar; neither anchor is a setting
+    ("scenario.spiral.start", [0.0, 0.0, 0.0], "scenario.spiral.start: unknown field"),
+    ("scenario.trocar.p0", [0.0, 0.0, 0.0], "scenario.trocar.p0: unknown field"),
+    ("scenario.spiral.duration", 0.0005, "scenario.spiral.duration: must cover at least one step"),
 ]
 
 
@@ -294,6 +298,11 @@ ESCAPES = {
     "alpha_nan": (with_value("scenario.alpha", float("nan")), "scenario.alpha: must be finite"),
     "q_init_nan": (
         with_value("scenario.q_init", [float("nan")] * 7), "scenario.q_init: must be finite"
+    ),
+    # a run duration taken from a spiral shorter than one step
+    "short_spiral": (
+        {**with_value("scenario.spiral.duration", 0.0005), "settle_time": 0.0},
+        "scenario.spiral.duration: must cover at least one step",
     ),
 }
 

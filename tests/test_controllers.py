@@ -9,6 +9,7 @@ from rcmsim.controllers import (
     COMP_FULL,
     COMP_OFF,
     COMP_PRESERVE_NULL,
+    NULL_DAMPING,
     ControlSetup,
     GainSet,
     ObserverState,
@@ -71,6 +72,14 @@ def test_gain_rule_element_wise():
     assert np.allclose(g.kd_task, [60.0, 40.0, 20.0])
     assert np.allclose(g.kd_rcm, 2.0 * np.sqrt(1500.0))
     assert np.allclose(g.kd_null, 2.0 * np.sqrt(5.0))
+
+
+def test_null_damping_default():
+    # no null-space stiffness: the arm's internal motion is damped by
+    # NULL_DAMPING; with stiffness, kd_null follows the 2 sqrt(kp) rule
+    assert np.array_equal(GainSet.from_proportional().kd_null, np.full(7, NULL_DAMPING))
+    stiff = GainSet.from_proportional(kp_null=5.0)
+    assert np.array_equal(stiff.kd_null, np.full(7, 2 * np.sqrt(5.0)))
 
 
 def test_gain_rejects_negative():

@@ -394,6 +394,22 @@ def test_run_matrix_duplicate_labels_rejected(tmp_path):
         run_matrix([cfg, cfg], str(tmp_path))
 
 
+def test_sweep_with_duplicate_labels_writes_nothing(tmp_path, capsys):
+    # rejected before the output directory is made, naming the label
+    from rcmsim.cli import main
+
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for name in ("a.json", "b.json"):
+        (configs / name).write_text(json.dumps({**MINIMAL, "label": "twin"}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--configs", str(configs), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "config error: duplicate run label 'twin' in the config set\n"
+    )
+
+
 def test_metrics_reproduce_exactly_from_csv(tmp_path):
     from rcmsim.robot import load_default_model
     from rcmsim.sim import ControlSetup, Scenario, SimConfig, read_trace_csv, run_episode

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rcmsim.errors import InvalidAlpha
+from rcmsim.errors import ConfigError
 from rcmsim.rcm import TrocarState, constraint_from_kin, place_trocar
 from rcmsim.robot import DEFAULT_HOME, Pose, kinematics
 from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
@@ -56,7 +56,7 @@ def test_place_trocar_depths(model):
 def test_place_trocar_rejects_bad_alpha():
     p = np.zeros(3)
     for alpha in (0.0, -0.1, 1.2):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ConfigError, match=r"^alpha: must lie in \(0, 1\]$"):
             place_trocar(p, p, alpha)
 
 

@@ -56,75 +56,71 @@ def test_trapezoid_integrates_to_one(a, T):
     assert abs(np.trapezoid(sd, ts) - 1.0) < 1e-3
 
 
-def _spiral(start=None):
-    return SpiralParams(start=np.zeros(3) if start is None else start)
+START = np.zeros(3)  # the spiral's start point
 
 
 def test_spiral_start_and_end():
-    p = _spiral()
-    r0 = spiral_reference(0.0, p)
-    assert np.abs(r0.x - p.start).max() == 0.0
+    p = SpiralParams()
+    r0 = spiral_reference(0.0, p, START)
+    assert np.abs(r0.x - START).max() == 0.0
     assert np.abs(r0.xdot).max() == 0.0
-    rT = spiral_reference(p.duration, p)
+    rT = spiral_reference(p.duration, p, START)
     assert rT.x[2] == pytest.approx(p.turns * p.pitch, abs=1e-12)
     assert rT.x[2] == pytest.approx(0.045, abs=1e-12)  # 3 turns x 15 mm pitch
     assert np.abs(rT.xdot).max() == 0.0
 
 
 def test_spiral_radius_invariant():
-    p = _spiral()
-    center_xy = p.start[:2] + np.array([-p.radius, 0.0])
+    p = SpiralParams()
+    center_xy = START[:2] + np.array([-p.radius, 0.0])
     for t in np.linspace(0, p.duration, 101):
-        x = spiral_reference(t, p).x
+        x = spiral_reference(t, p, START).x
         assert np.linalg.norm(x[:2] - center_xy) == pytest.approx(p.radius, abs=1e-12)
 
 
 def test_spiral_derivatives_match_finite_difference():
-    p = _spiral()
+    p = SpiralParams()
     dt = 1e-5
     for t in (1.0, 5.0, 10.0, 17.5):
-        xm = spiral_reference(t - dt, p)
-        x0 = spiral_reference(t, p)
-        xp = spiral_reference(t + dt, p)
+        xm = spiral_reference(t - dt, p, START)
+        x0 = spiral_reference(t, p, START)
+        xp = spiral_reference(t + dt, p, START)
         v_fd = (xp.x - xm.x) / (2 * dt)
         a_fd = (xp.x - 2 * x0.x + xm.x) / dt**2
         assert np.abs(x0.xdot - v_fd).max() < 1e-5
         assert np.abs(x0.xddot - a_fd).max() < 1e-3
 
 
-def test_spiral_requires_start():
-    with pytest.raises(ValueError, match="start"):
-        spiral_reference(0.0, SpiralParams())
-
-
 def test_trocar_static():
-    sched = TrocarSchedule(mode="static", p0=np.array([0.1, 0.2, 0.3]))
+    sched = TrocarSchedule(mode="static")
+    p0 = np.array([0.1, 0.2, 0.3])
     for t in (0.0, 1.0, 7.3):
-        ts = trocar_schedule_eval(t, sched)
-        assert np.array_equal(ts.p, sched.p0)
+        ts = trocar_schedule_eval(t, sched, p0)
+        assert np.array_equal(ts.p, p0)
         assert np.abs(ts.pdot).max() == 0.0
 
 
 def test_trocar_sinusoidal_quarter_period():
-    sched = TrocarSchedule(mode="sinusoidal", p0=np.zeros(3))
-    ts = trocar_schedule_eval(1.25, sched)  # 1/(4 f) at f = 0.2 Hz
+    sched = TrocarSchedule(mode="sinusoidal")
+    ts = trocar_schedule_eval(1.25, sched, np.zeros(3))  # 1/(4 f) at f = 0.2 Hz
     assert ts.p[2] == pytest.approx(0.04, abs=1e-12)
     assert abs(ts.pdot[2]) < 1e-12
 
 
 def test_trocar_sinusoidal_peak_speed():
-    sched = TrocarSchedule(mode="sinusoidal", p0=np.zeros(3))
-    speeds = [np.linalg.norm(trocar_schedule_eval(t, sched).pdot) for t in np.linspace(0, 5, 2001)]
+    sched = TrocarSchedule(mode="sinusoidal")
+    speeds = [np.linalg.norm(trocar_schedule_eval(t, sched, np.zeros(3)).pdot)
+              for t in np.linspace(0, 5, 2001)]
     assert max(speeds) == pytest.approx(0.04 * 2 * np.pi * 0.2, rel=1e-5)
 
 
 def test_trocar_derivatives_match_finite_difference():
-    sched = TrocarSchedule(mode="sinusoidal", p0=np.zeros(3))
+    sched = TrocarSchedule(mode="sinusoidal")
     dt = 1e-6
     for t in (0.3, 1.7, 4.4):
-        m = trocar_schedule_eval(t - dt, sched)
-        c = trocar_schedule_eval(t, sched)
-        p = trocar_schedule_eval(t + dt, sched)
+        m = trocar_schedule_eval(t - dt, sched, np.zeros(3))
+        c = trocar_schedule_eval(t, sched, np.zeros(3))
+        p = trocar_schedule_eval(t + dt, sched, np.zeros(3))
         assert np.abs(c.pdot - (p.p - m.p) / (2 * dt)).max() < 1e-6
         assert np.abs(c.pddot - (p.pdot - m.pdot) / (2 * dt)).max() < 1e-6
 

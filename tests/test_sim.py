@@ -15,6 +15,7 @@ from rcmsim.rcm import TrocarState, place_trocar
 from rcmsim.scenarios import (
     DisturbanceEvent,
     DisturbanceSchedule,
+    SpiralParams,
     TrocarSchedule,
     trocar_schedule_eval,
 )
@@ -138,13 +139,11 @@ def _moving_trocar(model, q):
     """``at(t)``: the trocar state at time t, for a trocar placed at alpha
     0.5 on the tool axis at ``q`` and moving 0.04 m at 0.2 Hz along base z."""
     kin = kinematics(model, q)
-    sched = TrocarSchedule(
-        mode="sinusoidal", amplitude=0.04, frequency=0.2,
-        p0=place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5),
-    )
+    sched = TrocarSchedule(mode="sinusoidal", amplitude=0.04, frequency=0.2)
+    p0 = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
 
     def at(t):
-        s = trocar_schedule_eval(t, sched)
+        s = trocar_schedule_eval(t, sched, p0)
         return TrocarState(s.p, s.pdot, s.pddot)
 
     return at
@@ -561,10 +560,23 @@ def test_null_gains_must_fit_the_joint_count(model, variant):
     sim = SimConfig(duration=0.05)
     with pytest.raises(ConfigError, match=r"^control\.gains\.kp_null: expected 6 numbers$"):
         run_episode(six, ControlSetup(variant=variant), scenario, sim)
-    gains = GainSet.from_proportional(n_joints=6, kd_null=NULL_DAMPING)
+    gains = GainSet.from_proportional(n_joints=6)
     trace = run_episode(six, ControlSetup(variant=variant, gains=gains), scenario, sim)
     assert trace.filled == 51
     assert trace.constraint_gap.max() <= 1e-9
+
+
+def test_duration_defaults_to_the_spiral(model):
+    # a SimConfig without a duration runs for the spiral's, under the same
+    # one-step rule, which names the field the duration came from
+    scenario = Scenario(spiral=SpiralParams(duration=0.05))
+    assert run_episode(model, ControlSetup(), scenario, SimConfig()).filled == 51
+    short = Scenario(spiral=SpiralParams(duration=0.0005))
+    one_step = "duration: must cover at least one step$"
+    with pytest.raises(ConfigError, match=r"^scenario\.spiral\." + one_step):
+        run_episode(model, ControlSetup(), short, SimConfig())
+    with pytest.raises(ConfigError, match=r"^sim\." + one_step):
+        run_episode(model, ControlSetup(), scenario, SimConfig(duration=0.0005))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
