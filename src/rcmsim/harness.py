@@ -1,10 +1,12 @@
 """Run configuration, metrics and the scenario-matrix runner.
 
 Configs are plain JSON (strict: unknown keys are rejected with the dotted
-field path); ``build`` hands the sections to ``run_episode`` as loaded, so
-the duration, alpha and gain-default rules are the library's. Metrics are
-pure functions of the trace, so recomputing them from an exported CSV
-reproduces the metrics file exactly.
+field path). The ``scenario`` section is a ``sim.Scenario`` plus three
+control switches and the ``sim`` section a ``SimConfig``; ``build`` hands
+both to ``run_episode`` as loaded, so the duration, alpha, joint-vector and
+gain-default rules and their messages are the library's. Metrics are pure
+functions of the trace, so recomputing them from an exported CSV reproduces
+the metrics file exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from . import controllers as ctl
 from .errors import ConfigError, ModelError, SimulationDiverged
 from .rcm import ALPHA
 from .robot import RobotModel, default_model_path, load_model
-from .scenarios import DisturbanceEvent, DisturbanceSchedule, SpiralParams, TrocarSchedule
 from .schema import NON_NEGATIVE, Rule, Schema, fail, naming_file, read_json, setting
 from .sim import (
     ControlSetup,
@@ -67,12 +68,12 @@ class GainsConfig(Schema):
 
 
 @dataclass
-class ScenarioConfig(Schema):
+class ScenarioConfig(Scenario):
+    """A run config's scenario: the episode's ``Scenario`` with ``alpha``
+    required, plus the control switches the JSON keeps in this section.
+    ``build`` passes it to ``run_episode`` as it is."""
+
     alpha: float = setting(rule=ALPHA)
-    spiral: SpiralParams = field(default_factory=SpiralParams)
-    trocar: TrocarSchedule = field(default_factory=TrocarSchedule)
-    disturbances: list[DisturbanceEvent] = field(default_factory=list)
-    q_init: list[float] | None = None
     observer: bool = False
     compensation: str = setting(ctl.COMP_FULL, ctl.COMPENSATION)
     nullspace: bool = False
@@ -110,30 +111,19 @@ class RunConfig(Schema):
             n = _load_model(self.model).n
         except ModelError as exc:
             fail("model", str(exc))
-        check_joint_vectors(n, sc.q_init, "scenario.q_init",
-                            sc.disturbances, "scenario.disturbances")
+        check_joint_vectors(n, sc)
 
     def build(self):
-        """Materialize (model, control setup, scenario, sim config)."""
+        """Materialize (model, control setup, scenario, sim config); the
+        scenario and the sim config are the loaded sections themselves."""
         model = _load_model(self.model)
-        g = self.gains
-        kp_null = g.kp_null if self.scenario.nullspace else 0.0
+        sc, g = self.scenario, self.gains
+        kp_null = g.kp_null if sc.nullspace else 0.0
         gains = ctl.GainSet.from_proportional(n_joints=model.n, **(vars(g) | {"kp_null": kp_null}))
-        sc = self.scenario
         control = ControlSetup(
-            variant=self.controller,
-            gains=gains,
-            observer=sc.observer,
-            compensation=sc.compensation if sc.observer else ctl.COMP_OFF,
+            variant=self.controller, gains=gains, observer=sc.observer, compensation=sc.compensation
         )
-        scenario = Scenario(
-            alpha=sc.alpha,
-            spiral=sc.spiral,
-            trocar=sc.trocar,
-            disturbances=DisturbanceSchedule(sc.disturbances),
-            q_init=sc.q_init,
-        )
-        return model, control, scenario, self.sim
+        return model, control, sc, self.sim
 
 
 def config_from_dict(data: dict, label_hint: str = "") -> RunConfig:

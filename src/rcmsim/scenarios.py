@@ -1,11 +1,12 @@
 """Reference trajectories and schedules: spiral tip path on a trapezoidal
-velocity profile, trocar motion, scripted disturbance wrenches. The episode
-passes the spiral's start and the trocar's base point in as arguments."""
+velocity profile, trocar motion, scripted disturbances (a plain list of
+``DisturbanceEvent``s, typed ``DisturbanceSchedule``). The episode passes the
+spiral's start and the trocar's base point in as arguments."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -140,24 +141,23 @@ class DisturbanceEvent(Schema):
             fail(path, "set exactly one of joint_torque/flange_wrench/link2_force")
 
 
-@dataclass
-class DisturbanceSchedule(Schema):
-    events: list[DisturbanceEvent] = field(default_factory=list)
+# A scenario's disturbances: its events, in a plain list.
+DisturbanceSchedule = list[DisturbanceEvent]
 
 
-def disturbance_arrays(sched: DisturbanceSchedule) -> DisturbanceSchedule:
-    """``sched`` with every event's vector as a float array, converted once
+def disturbance_arrays(events: DisturbanceSchedule) -> DisturbanceSchedule:
+    """``events`` with every event's vector as a float array, converted once
     per episode rather than on every tick."""
     kinds = ("flange_wrench", "joint_torque", "link2_force")
-    return DisturbanceSchedule([
+    return [
         replace(e, **{k: np.asarray(getattr(e, k), dtype=float)
                       for k in kinds if getattr(e, k) is not None})
-        for e in sched.events
-    ])
+        for e in events
+    ]
 
 
 def disturbance_eval(
-    t: float, sched: DisturbanceSchedule, model: RobotModel, kin: KinFrames
+    t: float, events: DisturbanceSchedule, model: RobotModel, kin: KinFrames
 ) -> np.ndarray:
     """External joint torque at time t, from the frame pass ``kin`` at the
     plant's joint positions.
@@ -167,7 +167,7 @@ def disturbance_eval(
     1; joint-torque events add directly. Zero outside every window.
     """
     tau = np.zeros(model.n)
-    for e in sched.events:
+    for e in events:
         if not e.t0 <= t <= e.t1:
             continue
         if e.joint_torque is not None:

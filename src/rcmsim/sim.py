@@ -7,7 +7,9 @@ trocar. Control rate equals the simulation rate; by default the controller
 sees the exact simulated state (seeded sensor noise available as an option).
 ``run_episode`` validates its inputs once, starts the spiral at the initial
 tip point, places the trocar on the initial tool axis and runs for
-``run_duration``.
+``run_duration``. A run config's ``scenario`` and ``sim`` sections are a
+``Scenario`` and a ``SimConfig``, so a bad input has one path
+(``scenario.disturbances[0].joint_torque``) from a config and from the library.
 """
 
 from __future__ import annotations
@@ -150,21 +152,26 @@ def all_finite(x: np.ndarray) -> bool:
 
 @dataclass
 class Scenario(Schema):
-    """Episode description: trajectory, trocar, disturbances, start state."""
+    """Episode description: trajectory, trocar, disturbances, start state.
+
+    A run config's ``scenario`` section is one (``harness.ScenarioConfig``).
+    """
 
     alpha: float = setting(0.5, ALPHA)
     spiral: SpiralParams = field(default_factory=SpiralParams)
     trocar: TrocarSchedule = field(default_factory=TrocarSchedule)
-    disturbances: DisturbanceSchedule = field(default_factory=DisturbanceSchedule)
-    q_init: np.ndarray | None = None
+    disturbances: DisturbanceSchedule = field(default_factory=list)
+    q_init: list[float] | None = None
 
 
-def check_joint_vectors(n: int, q_init, q_path: str, events: list, events_path: str, *more):
-    """``q_init``, each (path, vector) of ``more`` and every joint-torque
-    disturbance hold one finite entry per joint."""
+def check_joint_vectors(n: int, scenario: Scenario, *more):
+    """The scenario's ``q_init``, each (path, vector) of ``more`` and every
+    joint-torque disturbance hold one finite entry per joint; an error names
+    the vector by its path from the run config's root."""
     rule = length(n)
-    vectors = [(q_path, q_init), *more] + [
-        (f"{events_path}[{i}].joint_torque", event.joint_torque) for i, event in enumerate(events)
+    vectors = [("scenario.q_init", scenario.q_init), *more] + [
+        (f"scenario.disturbances[{i}].joint_torque", event.joint_torque)
+        for i, event in enumerate(scenario.disturbances)
     ]
     for path, vector in vectors:
         if vector is None:
@@ -346,8 +353,7 @@ def run_episode(
     sim.validate("sim")
     scenario.validate("scenario")
     duration = run_duration(sim, scenario.spiral)
-    check_joint_vectors(model.n, scenario.q_init, "scenario.q_init",
-                        scenario.disturbances.events, "scenario.disturbances.events",
+    check_joint_vectors(model.n, scenario,
                         ("control.gains.kp_null", control.gains.kp_null),
                         ("control.gains.kd_null", control.gains.kd_null))
     q0 = DEFAULT_HOME.copy() if scenario.q_init is None else np.asarray(scenario.q_init, dtype=float)
@@ -419,7 +425,7 @@ def run_episode(
 
             # tau_dist and tau_ext stay None while nothing external acts on the arm
             tau_dist = None
-            if disturbances.events:
+            if disturbances:
                 tau_dist = disturbance_eval(t, disturbances, model, kin_true)
             # when the snapshot saw the true state, its M^-1 and constraint hold there
             held = (snap.Minv, snap.constraint) if noise is None else (None, None)

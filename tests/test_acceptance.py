@@ -16,7 +16,7 @@ from rcmsim.controllers import GainSet
 from rcmsim.rcm import constraint_from_kin, place_trocar
 from rcmsim.robot import DEFAULT_HOME, JointState, kinematics
 from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
-from rcmsim.scenarios import DisturbanceEvent, DisturbanceSchedule, TrocarSchedule
+from rcmsim.scenarios import DisturbanceEvent, TrocarSchedule
 from rcmsim.harness import compute_metrics, config_from_dict, run_matrix
 from conftest import PENDULUM_LENGTH, PENDULUM_MASS, plant_step, random_states, static_trocar
 from oracles import forward_dynamics, inverse_dynamics, orth_projector, rcm_point
@@ -68,7 +68,7 @@ def observer_runs(model, warmed):
     base = run_episode(model, control, Scenario(alpha=0.5), SIM20)
     torque = np.zeros(model.n)
     torque[3] = 2.0
-    dist = DisturbanceSchedule([DisturbanceEvent(t0=5.0, t1=15.0, joint_torque=torque)])
+    dist = [DisturbanceEvent(t0=5.0, t1=15.0, joint_torque=torque)]
     disturbed = run_episode(model, control, Scenario(alpha=0.5, disturbances=dist), SIM20)
     return base, disturbed
 
@@ -78,9 +78,7 @@ def compliance_runs(model, warmed):
     gains = GainSet.from_proportional(kp_null=5.0, n_joints=model.n)
     control = ControlSetup(gains=gains, observer=True, compensation="preserve_null")
     base = run_episode(model, control, Scenario(alpha=0.5), SIM20)
-    push = DisturbanceSchedule(
-        [DisturbanceEvent(t0=4.0, t1=7.0, link2_force=np.array([0.0, 8.0, 0.0]))]
-    )
+    push = [DisturbanceEvent(t0=4.0, t1=7.0, link2_force=np.array([0.0, 8.0, 0.0]))]
     pushed = run_episode(model, control, Scenario(alpha=0.5, disturbances=push), SIM20)
     return base, pushed
 

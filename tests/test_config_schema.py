@@ -2,7 +2,9 @@
 
 ``REJECTED`` pins the exact message of every malformed config the loader
 rejects: each field with a wrong type, an out-of-range value, a missing
-required key or an unknown key, one fault per case.
+required key or an unknown key, one fault per case. Each row's test id is
+built from the row alone (``_rejected_case``), so inserting or editing a row
+renames no other test.
 """
 
 import copy
@@ -50,7 +52,7 @@ def with_value(path, value) -> dict:
 REJECTED = [
     ("controller", 5, "controller: expected a string"),
     ("controller", "pid", "controller: must be one of p_approach/z_approach/uk"),
-    ("controller", DROP, "controller: missing required field"),
+    ("controller", DROP, "controller: missing required field", "value2"),
     ("label", 5, "label: expected a string"),
     ("model", 5, "model: expected a path string"),
     ("model", "no_such_model.json", "model: file not found: no_such_model.json"),
@@ -62,7 +64,7 @@ REJECTED = [
     ("constraint_bias_feedforward", 1, "constraint_bias_feedforward: unknown field"),
     ("output", 5, "output: expected a directory path string"),
     ("bogus", 1, "bogus: unknown field"),
-    ("gains", [], "gains: expected an object"),
+    ("gains", [], "gains: expected an object", "value14"),
     ("gains", None, "gains: expected an object"),
     ("gains.bogus", 1, "gains.bogus: unknown field"),
     ("gains.kp_task", "x", "gains.kp_task: expected a number"),
@@ -84,12 +86,12 @@ REJECTED = [
     ("gains.kd_rcm", "x", "gains.kd_rcm: expected a number or null"),
     ("gains.kd_null", "x", "gains.kd_null: expected a number or null"),
     ("scenario", 5, "scenario: expected an object"),
-    ("scenario", DROP, "scenario: missing required field"),
+    ("scenario", DROP, "scenario: missing required field", "value36"),
     ("scenario.bogus", 1, "scenario.bogus: unknown field"),
     ("scenario.alpha", "x", "scenario.alpha: expected a number"),
     ("scenario.alpha", 0.0, "scenario.alpha: must lie in (0, 1]"),
     ("scenario.alpha", 1.5, "scenario.alpha: must lie in (0, 1]"),
-    ("scenario.alpha", DROP, "scenario.alpha: missing required field"),
+    ("scenario.alpha", DROP, "scenario.alpha: missing required field", "value41"),
     ("scenario.spiral.radius", "x", "scenario.spiral.radius: expected a number"),
     ("scenario.spiral.radius", 0.0, "scenario.spiral.radius: must be positive"),
     ("scenario.spiral.pitch", "x", "scenario.spiral.pitch: expected a number"),
@@ -110,26 +112,28 @@ REJECTED = [
     ("scenario.trocar.frequency", "x", "scenario.trocar.frequency: expected a number"),
     ("scenario.trocar.frequency", -0.1, "scenario.trocar.frequency: must be non-negative"),
     ("scenario.trocar.bogus", 1, "scenario.trocar.bogus: unknown field"),
-    ("scenario.disturbances", {}, "scenario.disturbances: expected a list"),
+    ("scenario.disturbances", {}, "scenario.disturbances: expected a list", "value62"),
     ("scenario.disturbances", None, "scenario.disturbances: expected a list"),
     (D, 5, f"{D}: expected an object"),
     (f"{D}.t0", "x", f"{D}.t0: expected a number"),
-    (f"{D}.t0", DROP, f"{D}.t0: missing required field"),
+    (f"{D}.t0", DROP, f"{D}.t0: missing required field", "value66"),
     (f"{D}.t0", -1.0, f"{D}: window must satisfy 0 <= t0 < t1"),
     (f"{D}.t1", "x", f"{D}.t1: expected a number"),
-    (f"{D}.t1", DROP, f"{D}.t1: missing required field"),
+    (f"{D}.t1", DROP, f"{D}.t1: missing required field", "value69"),
     (f"{D}.t1", 1.0, f"{D}: window must satisfy 0 <= t0 < t1"),
     (f"{D}.joint_torque", "x", f"{D}.joint_torque: expected a list of numbers"),
-    (f"{D}.joint_torque", [1.0, "a"], f"{D}.joint_torque: expected a list of numbers"),
-    (f"{D}.joint_torque", DROP, f"{D}: {ONE_KIND}"),
+    (f"{D}.joint_torque", [1.0, "a"], f"{D}.joint_torque: expected a list of numbers", "value72"),
+    (f"{D}.joint_torque", DROP, f"{D}: {ONE_KIND}", "value73"),
     (f"{D}.flange_wrench", "x", f"{D}.flange_wrench: expected a list of numbers"),
-    (f"{D}.flange_wrench", [1.0, 1.0, 1.0, 1.0, 1.0], f"{D}.flange_wrench: expected 6 numbers"),
-    (f"{D}.flange_wrench", [1.0, 1.0, 1.0, 1.0, 1.0, 1.0], f"{D}: {ONE_KIND}"),
-    (f"{D}.link2_force", [True, 0.0, 0.0], f"{D}.link2_force: expected a list of numbers"),
-    (f"{D}.link2_force", [1.0, 2.0], f"{D}.link2_force: expected 3 numbers"),
+    (f"{D}.flange_wrench", [1.0, 1.0, 1.0, 1.0, 1.0], f"{D}.flange_wrench: expected 6 numbers",
+     "value75"),
+    (f"{D}.flange_wrench", [1.0, 1.0, 1.0, 1.0, 1.0, 1.0], f"{D}: {ONE_KIND}", "value76"),
+    (f"{D}.link2_force", [True, 0.0, 0.0], f"{D}.link2_force: expected a list of numbers",
+     "value77"),
+    (f"{D}.link2_force", [1.0, 2.0], f"{D}.link2_force: expected 3 numbers", "value78"),
     (f"{D}.bogus", 1, f"{D}.bogus: unknown field"),
     ("scenario.q_init", 5, "scenario.q_init: expected a list of numbers"),
-    ("scenario.q_init", ["a"], "scenario.q_init: expected a list of numbers"),
+    ("scenario.q_init", ["a"], "scenario.q_init: expected a list of numbers", "value81"),
     ("scenario.observer", 1, "scenario.observer: expected true/false"),
     ("scenario.compensation", 5, "scenario.compensation: expected a string"),
     ("scenario.compensation", "half", "scenario.compensation: must be off/full/preserve_null"),
@@ -160,10 +164,20 @@ REJECTED = [
     ("label", ".", LABEL),
     ("label", "/tmp/abs", LABEL),
     # the episode anchors the spiral and the trocar; neither anchor is a setting
-    ("scenario.spiral.start", [0.0, 0.0, 0.0], "scenario.spiral.start: unknown field"),
-    ("scenario.trocar.p0", [0.0, 0.0, 0.0], "scenario.trocar.p0: unknown field"),
+    ("scenario.spiral.start", [0.0, 0.0, 0.0], "scenario.spiral.start: unknown field", "value111"),
+    ("scenario.trocar.p0", [0.0, 0.0, 0.0], "scenario.trocar.p0: unknown field", "value112"),
     ("scenario.spiral.duration", 0.0005, "scenario.spiral.duration: must cover at least one step"),
 ]
+
+
+def _rejected_case(path, value, message, name=None):
+    """One ``REJECTED`` row as a test case with id ``path-value-message``. A
+    scalar value is written as ``str`` writes it; a list, an object or DROP
+    is written as the row's ``name`` (the rows that held one before the ids
+    were explicit keep the positional name pytest gave them then)."""
+    if name is None and not isinstance(value, (str, int, float, type(None))):
+        raise TypeError(f"REJECTED row {path!r} needs a name for its value {value!r}")
+    return pytest.param(path, value, message, id=f"{path}-{value if name is None else name}-{message}")
 
 
 def test_base_config_is_valid():
@@ -181,7 +195,7 @@ def test_every_controller_takes_a_moving_trocar():
         assert control.variant == controller and scenario.trocar.mode == "sinusoidal"
 
 
-@pytest.mark.parametrize("path,value,message", REJECTED)
+@pytest.mark.parametrize("path,value,message", [_rejected_case(*row) for row in REJECTED])
 def test_rejection_message(path, value, message):
     with pytest.raises(ConfigError) as info:
         config_from_dict(with_value(path, value))
@@ -374,6 +388,29 @@ def test_escape_rejected_before_any_run(name, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count(f"config error: {configs / 'b_bad.json'}: {message}\n") == 2
+
+
+@pytest.mark.parametrize("torque,message", [
+    ([1.0, 2.0], "expected 7 numbers"),
+    ([np.inf] + [0.0] * 6, "must be finite"),
+], ids=["length", "non_finite"])
+def test_joint_torque_error_is_the_same_from_a_config_and_the_library(model, torque, message):
+    # the config's scenario section is the Scenario that run_episode takes,
+    # so a bad disturbance has one path however the run is described
+    from rcmsim.scenarios import DisturbanceEvent
+    from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
+
+    event = DisturbanceEvent(t0=0.0, t1=0.01, joint_torque=torque)
+    with pytest.raises(ConfigError) as library:
+        run_episode(model, ControlSetup(), Scenario(disturbances=[event]), SimConfig(duration=0.01))
+    with pytest.raises(ConfigError) as loaded:
+        config_from_dict(with_value(f"{D}.joint_torque", torque))
+    cfg = config_from_dict(copy.deepcopy(BASE))
+    assert cfg.build()[2] is cfg.scenario
+    cfg.scenario.disturbances[0].joint_torque = torque
+    with pytest.raises(ConfigError) as checked:
+        cfg.check("")
+    assert str(library.value) == str(loaded.value) == str(checked.value) == f"{D}.joint_torque: {message}"
 
 
 def test_episode_boundary_uses_the_same_rules(model):

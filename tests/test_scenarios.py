@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from rcmsim.robot import DEFAULT_HOME, kinematics
 from rcmsim.scenarios import (
     DisturbanceEvent,
-    DisturbanceSchedule,
     SpiralParams,
     TrocarSchedule,
     disturbance_eval,
@@ -126,14 +125,14 @@ def test_trocar_derivatives_match_finite_difference():
 
 
 def test_disturbance_empty_schedule(model):
-    tau = disturbance_eval(1.0, DisturbanceSchedule(), model, kinematics(model, DEFAULT_HOME))
+    tau = disturbance_eval(1.0, [], model, kinematics(model, DEFAULT_HOME))
     assert np.abs(tau).max() == 0.0
 
 
 def test_disturbance_joint_torque_window(model):
     torque = np.zeros(model.n)
     torque[3] = 2.0
-    sched = DisturbanceSchedule([DisturbanceEvent(t0=5.0, t1=10.0, joint_torque=torque)])
+    sched = [DisturbanceEvent(t0=5.0, t1=10.0, joint_torque=torque)]
     kin = kinematics(model, DEFAULT_HOME)
     assert disturbance_eval(7.0, sched, model, kin)[3] == 2.0
     assert np.abs(disturbance_eval(4.9, sched, model, kin)).max() == 0.0
@@ -142,7 +141,7 @@ def test_disturbance_joint_torque_window(model):
 
 def test_disturbance_flange_wrench_virtual_work(model, rng):
     wrench = rng.uniform(-5, 5, 6)
-    sched = DisturbanceSchedule([DisturbanceEvent(t0=0.0, t1=1.0, flange_wrench=wrench)])
+    sched = [DisturbanceEvent(t0=0.0, t1=1.0, flange_wrench=wrench)]
     q = DEFAULT_HOME
     qd = rng.uniform(-1, 1, model.n)
     kin = kinematics(model, q)
@@ -151,9 +150,7 @@ def test_disturbance_flange_wrench_virtual_work(model, rng):
 
 
 def test_disturbance_link2_force_zero_columns(model):
-    sched = DisturbanceSchedule(
-        [DisturbanceEvent(t0=0.0, t1=1.0, link2_force=np.array([0.0, 10.0, 0.0]))]
-    )
+    sched = [DisturbanceEvent(t0=0.0, t1=1.0, link2_force=np.array([0.0, 10.0, 0.0]))]
     tau = disturbance_eval(0.5, sched, model, kinematics(model, DEFAULT_HOME))
     assert np.abs(tau[2:]).max() == 0.0  # mapped through joints 1-2 only
     assert np.abs(tau[:2]).max() > 0.0

@@ -14,7 +14,6 @@ from rcmsim.controllers import NULL_DAMPING, GainSet
 from rcmsim.rcm import TrocarState, place_trocar
 from rcmsim.scenarios import (
     DisturbanceEvent,
-    DisturbanceSchedule,
     SpiralParams,
     TrocarSchedule,
     trocar_schedule_eval,
@@ -434,7 +433,7 @@ def test_divergence_carries_tick_and_partial_trace(model, integrator, recwarn):
     # A torque pulse from tick 5 too large for a finite state: the check
     # after the step names tick 6, the first state that is not finite.
     pulse = DisturbanceEvent(t0=0.005, t1=0.05, joint_torque=np.full(model.n, 1e308))
-    scenario = Scenario(alpha=0.5, disturbances=DisturbanceSchedule([pulse]))
+    scenario = Scenario(alpha=0.5, disturbances=[pulse])
     with pytest.raises(SimulationDiverged) as exc_info:
         run_episode(model, ControlSetup(), scenario, replace(sim, duration=0.05))
     exc = exc_info.value
@@ -542,9 +541,9 @@ def test_non_finite_q_init_rejected_at_the_boundary(model, variant):
         run_episode(model, ControlSetup(variant=variant), Scenario(q_init=q_init),
                     SimConfig(duration=0.01))
     pulse = DisturbanceEvent(t0=0.0, t1=0.01, joint_torque=[np.inf] + [0.0] * (model.n - 1))
-    scenario = Scenario(disturbances=DisturbanceSchedule([pulse]))
+    scenario = Scenario(disturbances=[pulse])
     with pytest.raises(
-        ConfigError, match=r"^scenario\.disturbances\.events\[0\]\.joint_torque: must be finite$"
+        ConfigError, match=r"^scenario\.disturbances\[0\]\.joint_torque: must be finite$"
     ):
         run_episode(model, ControlSetup(variant=variant), scenario, SimConfig(duration=0.01))
 
