@@ -274,7 +274,7 @@ class ObserverState(NamedTuple):
 
 def _momentum_bias(kin: KinFrames, qdot: np.ndarray) -> np.ndarray:
     """n(q, qd) = c + g - Mdot qd, the drift of the generalized momentum."""
-    return kin.h - kin.Mdot @ qdot
+    return kin.h - kin.Mdot.dot(qdot)
 
 
 def observer_step(
@@ -297,7 +297,7 @@ def observer_step(
     n_mid = 0.5 * (obs.n_prev + n_new)
     r_old = -obs.tau_ext_hat
     drift = obs.p_hat + dt * (tau_applied - n_mid + 0.5 * r_old)
-    r_new = obs.gain * (kin.M @ qd - drift) / (1.0 + 0.5 * obs.gain * dt)
+    r_new = obs.gain * (kin.M.dot(qd) - drift) / (1.0 + 0.5 * obs.gain * dt)
     p_hat = drift + 0.5 * dt * r_new
     return ObserverState(gain=obs.gain, p_hat=p_hat, tau_ext_hat=-r_new, n_prev=n_new)
 
@@ -383,22 +383,6 @@ def control_torque(
     return ControllerOutput(tau, a_cmd, damped)
 
 
-def _task_torque(
-    snap: ControlSnapshot,
-    ref: TaskReference,
-    gains: GainSet,
-    Lambda: np.ndarray,
-    h_task: np.ndarray,
-    B: np.ndarray,
-    tau_0: np.ndarray,
-) -> np.ndarray:
-    """J^T f + N_bar tau_0: the tip PD force f through the task inertia
-    ``Lambda`` and bias ``h_task``, and the null-space torque ``tau_0``
-    through N_bar = I - J^T Lambda B."""
-    f = free_space_force(Lambda, h_task, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
-    return snap.J_task.T.dot(f - Lambda.dot(B.dot(tau_0))) + tau_0
-
-
 def p_approach_torque(
     snap: ControlSnapshot,
     mob: Mobility,
@@ -417,13 +401,20 @@ def p_approach_torque(
     dynamics. Its null-space torque N_B (tau_0 - h) takes the null-space
     share of the core's h back out, so the null space sags under gravity.
     """
-    K, W = mob.K, mob.W
+    gains, K = setup.gains, mob.K
+    # One elimination of the pivot rows from [K | W] gives [S | B]:
+    # S = K_tt - K_tc Lambda_c K_ct and B = W_t - K_tc Lambda_c W_c.
     K_tc_Lambda_c = K[TIP, PIVOT].dot(Lambda_c)
-    B = W[TIP] - K_tc_Lambda_c.dot(W[PIVOT])
-    Lambda_f, damped = sym_inv(K[TIP, TIP] - K_tc_Lambda_c.dot(K[PIVOT, TIP]))
-    h_f = -Lambda_f.dot(snap.tip_bias + K_tc_Lambda_c.dot(a_cmd))
-    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, setup.gains) - snap.h
-    return _task_torque(snap, ref, setup.gains, Lambda_f, h_f, B, tau_0), damped
+    KW = np.concatenate([K, mob.W], axis=1)
+    SB = KW[TIP] - K_tc_Lambda_c.dot(KW[PIVOT])
+    Lambda_f, damped = sym_inv(SB[:, TIP])
+    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, gains) - snap.h
+    # r = J^T (f - Lambda_f B tau_0) + tau_0 with the tip force
+    # f = Lambda_f xdd_d + Kd ed + Kp e + h_f: its Lambda_f products are one
+    acc = ref.xddot - snap.tip_bias - K_tc_Lambda_c.dot(a_cmd) - SB[:, K.shape[1]:].dot(tau_0)
+    f_net = (Lambda_f.dot(acc) + gains.kd_task * (ref.xdot - snap.tip_vel)
+             + gains.kp_task * (ref.x - snap.kin.pose_t.p))
+    return snap.J_task.T.dot(f_net) + tau_0, damped
 
 
 def z_approach_torque(
@@ -531,8 +522,10 @@ def uk_torque(
 
     the core's completion of r. In closed loop Jc qddot = a_cmd exactly.
     """
-    gains, K, B = setup.gains, mob.K, mob.W[TIP]
-    Lambda_tip, damped = sym_inv(K[TIP, TIP])
-    h_tip = -Lambda_tip.dot(snap.tip_bias)
+    gains = setup.gains
+    Lambda_tip, damped = sym_inv(mob.K[TIP, TIP])
+    f = free_space_force(Lambda_tip, -Lambda_tip.dot(snap.tip_bias), ref, snap.kin.pose_t.p,
+                         snap.tip_vel, gains)
     tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, gains)
-    return _task_torque(snap, ref, gains, Lambda_tip, h_tip, B, tau_0), damped
+    # J^T f + N_J tau_0, N_J = I - J^T Lambda_tip J M^-1
+    return snap.J_task.T.dot(f - Lambda_tip.dot(mob.W[TIP].dot(tau_0))) + tau_0, damped

@@ -14,12 +14,16 @@ differenced. Two identities do the work:
   (Carpentier & Mansard, RSS 2018); the same A maps the per-link bias
   accelerations and gravity to ``h``.
 
-Derived quantities (rates, inertia, bias torques, inertia rate) are computed
-on first access, so a kinematics-only caller pays for the frames only.
-At these sizes a tick is bound by numpy's cost per call, and a 2-D
-``ndarray.dot`` costs a third to a half of a stacked ``@``: per-link products
-are 2-D products against per-model constants (``Chain``). Only the frame
-scan and the point transform stay stacked.
+The frames and the Jacobians are formed on construction. Every dynamics
+term (the rates, ``A``, ``M``, ``h`` and the tip's velocity and bias
+acceleration) comes from one straight-line body that runs on the first read
+of any of them, as Pinocchio forms all of a configuration's terms in one
+pass; the inertia rate is formed on its own first read, from what that body
+stored. A kinematics-only caller pays for the frames only.
+At these sizes a tick is bound by numpy's cost per call, Python calls
+included, and a 2-D ``ndarray.dot`` costs a third to a half of a stacked
+``@``: per-link products are 2-D products against per-model constants
+(``Chain``). Only the frame scan and the point transform stay stacked.
 
 The pass is the package's only rigid-body algorithm. The loop-form
 kinematics, composite-rigid-body inertia and recursive Newton-Euler that
@@ -203,16 +207,40 @@ class lazy:
         return value
 
 
+class dynamics_term:
+    """A term that ``KinFrames._dynamics`` forms: the first read of any of
+    them runs that one body, which stores every term on the instance, so
+    later reads are plain attribute reads. ``fn(kin)`` gives the term, as a
+    ``lazy`` attribute's ``fn`` does."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj._dynamics()
+        return obj.__dict__[self.name]
+
+    def fn(self, obj):
+        return self.__get__(obj)
+
+
 class KinFrames:
     """One frame pass at (q, qdot): frames, Jacobians and their exact rates.
 
-    Eager: the joint ``axes`` and ``pose_r`` and ``pose_t`` (tool-reference
-    frame and tip; same orientation). On first access: the 6xn geometric
-    Jacobian ``J_r`` of the tool-reference frame, the tip's 3xn
-    translational Jacobian ``Jp_t``, the tip velocity ``v_t`` = Jp_t qdot
-    and bias acceleration ``abias_t`` = (d/dt Jp_t) qdot (its acceleration
-    at qdd = 0), the reference-frame angular velocity ``omega_r``, ``M``, the
-    bias torques ``h`` (velocity product and gravity) and ``Mdot``.
+    Eager: the joint ``axes``, ``pose_r`` and ``pose_t`` (tool-reference
+    frame and tip; same orientation) and the Jacobian columns of the tracked
+    points (``tracked_jacobian``, ``Jp_t``, ``coincident_jacobian``); the
+    6xn geometric Jacobian ``J_r`` of the tool-reference frame on first
+    access. The dynamics terms are formed together, by one body
+    (``_dynamics``) that runs on the first read of any of them: the tip
+    velocity ``v_t`` = Jp_t qdot and bias acceleration ``abias_t`` =
+    (d/dt Jp_t) qdot (its acceleration at qdd = 0), the reference-frame
+    angular velocity ``omega_r``, the Jacobian rates, ``M`` and the bias
+    torques ``h`` (velocity product and gravity). ``Mdot`` is formed on its
+    own first read, from what the body stored. A kinematics-only caller
+    pays for the frames only.
 
     There is no at-rest branch: every rate term carries a factor of qdot
     (the link angular velocities, the contractions by qdot and u = A qdot),
@@ -229,6 +257,20 @@ class KinFrames:
     u = L^T w_b, the angular part is L^T alpha_b plus a fixed quadratic map
     of u.
     """
+
+    # Formed by ``_dynamics``: the rate terms (link angular velocities, the
+    # Jacobian rates of the tracked points, the axis-rate skew rows and the
+    # rate of z_j x o_j), the rows of R_a L_a, (n, 3n) zdot_j . (R_a L_a)[:, i]
+    # and A^T (n x 6n), then the public terms.
+    _rates = dynamics_term()
+    _RL_rows = dynamics_term()
+    _zdot_RL = dynamics_term()
+    _At = dynamics_term()
+    M = dynamics_term()
+    h = dynamics_term()
+    v_t = dynamics_term()
+    abias_t = dynamics_term()
+    omega_r = dynamics_term()
 
     def __init__(self, chain: Chain, q: np.ndarray, qdot: np.ndarray | None = None):
         n = chain.n
@@ -261,9 +303,12 @@ class KinFrames:
         self.pose_r = Pose(points[n], R_r)
         self.pose_t = Pose(points[n + 1], R_r)
         # Row 3j + i: component i of z_j x p for every point p; subtracting
-        # z_j x o_j (joint j's own-origin entry) gives z_j x (p - o_j).
+        # z_j x o_j (joint j's own-origin entry) gives z_j x (p - o_j),
+        # masked to the joints that move the point.
         self._skew_z = self.axes.dot(_SKEW).reshape(-1, 3)
-        self._Jv, self._z_x_o = self._lever_cross(self._skew_z)
+        z_x_p = self._skew_z.dot(self._points_T)
+        self._z_x_o = z_x_p.take(chain.own_origin)
+        self._Jv = (z_x_p - self._z_x_o[:, None]) * chain.support
 
     def tracked_jacobian(self, point: int) -> np.ndarray:
         """3xn translational Jacobian of tracked point ``point``: link a's COM
@@ -283,15 +328,6 @@ class KinFrames:
         """3xn translational Jacobian of the tip."""
         return self.tracked_jacobian(self.chain.n + 1)
 
-    def _lever_cross(self, skew_rows: np.ndarray, extra: np.ndarray | None = None):
-        """Columns ``skew_rows @ p (+ extra) - own-origin entry``, masked,
-        plus the own-origin entries themselves (z_j x o_j, or its rate)."""
-        raw = skew_rows.dot(self._points_T)
-        if extra is not None:
-            raw += extra
-        own = raw.take(self.chain.own_origin)
-        return (raw - own[:, None]) * self.chain.support, own
-
     def coincident_jacobian(self, p: np.ndarray) -> np.ndarray:
         """3xn Jacobian of the last-link point that coincides with ``p``:
         columns z_j x (p - o_j)."""
@@ -300,104 +336,71 @@ class KinFrames:
     def coincident_rate(self, p: np.ndarray, pdot: np.ndarray) -> np.ndarray:
         """Rate of ``coincident_jacobian(p)`` when ``p`` itself moves with
         ``pdot``: columns zdot_j x (p - o_j) + z_j x (pdot - v(o_j))."""
-        skew_zdot, z_x_o_dot = self._rates[3:5]
+        _, _, skew_zdot, z_x_o_dot = self._rates
         Jdot = skew_zdot.dot(p) + self._skew_z.dot(pdot) - z_x_o_dot
         return Jdot.reshape(self.chain.n, 3).T
 
-    def _contract(self, cols: np.ndarray) -> np.ndarray:
-        """sum_j qdot_j cols[3j + i, a] as (3, points)."""
-        n = self.chain.n
-        return self.qdot.dot(cols.reshape(n, -1)).reshape(3, -1)
-
-    @lazy
-    def _rates(self):
-        """Link angular velocities, axis rates, the Jacobian rates of every
-        tracked point (layout of ``_Jv``), the axis-rate skew rows, the
-        rate of z_j x o_j and the velocities of the tracked points, (3,
-        points)."""
-        # add.accumulate is what cumsum runs, without its wrapper's cost
-        omega = np.add.accumulate(self.axes * self.qdot[:, None], 0)
-        # zdot_j = w_j x z_j: entry (3j + i, j) of the products z_j x w_a
-        zdot = -self._skew_z.dot(omega.T).take(self.chain.own_link)
+    def _dynamics(self):
+        """Form and store every ``dynamics_term``, in one pass."""
+        chain, n, qd = self.chain, self.chain.n, self.qdot
+        # Rates. add.accumulate is what cumsum runs, without its wrapper's
+        # cost; zdot_j = w_j x z_j is entry (3j + i, j) of the products
+        # z_j x w_a.
+        omega = np.add.accumulate(self.axes * qd[:, None], 0)
+        zdot = -self._skew_z.dot(omega.T).take(chain.own_link)
+        # Velocities of the tracked points, (3, points): sum_j qdot_j Jv[3j + i]
+        point_vel = qd.dot(self._Jv.reshape(n, -1)).reshape(3, -1)
         # d/dt [z_j x (p - o_j)] = zdot_j x (p - o_j) + z_j x (v_p - v(o_j))
-        point_vel = self._contract(self._Jv)
         skew_zdot = zdot.dot(_SKEW).reshape(-1, 3)
-        Jv_dot, z_x_o_dot = self._lever_cross(skew_zdot, self._skew_z.dot(point_vel))
-        return omega, zdot, Jv_dot, skew_zdot, z_x_o_dot, point_vel
+        rate_x_p = skew_zdot.dot(self._points_T)
+        rate_x_p += self._skew_z.dot(point_vel)
+        z_x_o_dot = rate_x_p.take(chain.own_origin)
+        Jv_dot = (rate_x_p - z_x_o_dot[:, None]) * chain.support
+        # Accelerations at qdd = 0 of the tracked points, (3, points)
+        point_bias = qd.dot(Jv_dot.reshape(n, -1)).reshape(3, -1)
 
-    @lazy
-    def _point_bias(self) -> np.ndarray:
-        """Accelerations at qdd = 0 of the tracked points, (3, points)."""
-        return self._contract(self._rates[2])
-
-    @property
-    def omega_r(self) -> np.ndarray:
-        return self._rates[0][-1]
-
-    @property
-    def v_t(self) -> np.ndarray:
-        """Tip velocity, Jp_t qdot."""
-        return self._rates[5][:, self.chain.n + 1]
-
-    @property
-    def abias_t(self) -> np.ndarray:
-        """Tip bias acceleration (d/dt Jp_t) qdot: the tip's acceleration at
-        qdd = 0."""
-        return self._point_bias[:, self.chain.n + 1]
-
-    @lazy
-    def _RL_rows(self) -> np.ndarray:
-        """(3, 3n) with entry [l, i*n + a] = (R_a L_a)[l, i]."""
-        return self._T.take(self.chain.rot_index).dot(self.chain.chol)
-
-    def _A_T(self, lin: np.ndarray, ang_rows: np.ndarray) -> np.ndarray:
-        """A^T (n x 6n) from Jacobian-like columns: row j holds
-        sqrt(m_a) lin[3j + i, a] and ang_rows[j, i*n + a], link a >= j."""
-        chain = self.chain
-        return np.concatenate(
-            [(lin[:, : chain.n] * chain.sqrt_m).reshape(chain.n, -1), ang_rows * chain.link_support],
+        # A^T: row j holds sqrt(m_a) Jv_a[:, j] and (L_a^T R_a^T z_j), link
+        # a >= j, from the rows [l, i n + a] = (R_a L_a)[l, i].
+        RL = self._T.take(chain.rot_index).dot(chain.chol)
+        At = np.concatenate(
+            [(self._Jv[:, :n] * chain.sqrt_m).reshape(n, -1),
+             self.axes.dot(RL) * chain.link_support],
             axis=1,
         )
-
-    @lazy
-    def _At(self) -> np.ndarray:
-        # (L_a^T R_a^T z_j)_i
-        return self._A_T(self._Jv, self.axes.dot(self._RL_rows))
-
-    @lazy
-    def M(self) -> np.ndarray:
-        At = self._At
-        return At.dot(At.T)
-
-    @lazy
-    def _zdot_RL(self) -> np.ndarray:
-        """(n, 3n) with entry [j, i*n + a] = zdot_j . (R_a L_a)[:, i]."""
-        return self._rates[1].dot(self._RL_rows)
-
-    @lazy
-    def h(self) -> np.ndarray:
-        chain, n, qd = self.chain, self.chain.n, self.qdot
-        At = self._At
+        zdot_RL = zdot.dot(RL)
         y = np.empty((2, 3, n))
         # COM accelerations at qdd = 0 (the COMs are the first tracked points)
-        y[0] = self._point_bias[:, :n] * chain.sqrt_m
+        y[0] = point_bias[:, :n] * chain.sqrt_m
         # L^T alpha_b = sum_j qdot_j L_a^T R_a^T zdot_j, and w_b x I w_b from
         # u = L^T w_b, the angular rows of A qdot
         u = qd.dot(At)[3 * n :].reshape(3, n)
         y[1] = (
-            qd.dot(self._zdot_RL * chain.link_support)
+            qd.dot(zdot_RL * chain.link_support)
             + (u[:, None] * u).ravel().dot(chain.gyro)
         ).reshape(3, n)
-        return At.dot(y.ravel() + chain.gravity_load)
+
+        self._rates = omega, Jv_dot, skew_zdot, z_x_o_dot
+        self._RL_rows = RL
+        self._zdot_RL = zdot_RL
+        self._At = At
+        self.M = At.dot(At.T)
+        self.h = At.dot(y.ravel() + chain.gravity_load)
+        self.v_t = point_vel[:, n + 1]
+        self.abias_t = point_bias[:, n + 1]
+        self.omega_r = omega[-1]
 
     @lazy
     def Mdot(self) -> np.ndarray:
-        n = self.chain.n
-        omega, _, Jv_dot, *_ = self._rates
+        n, chain = self.chain.n, self.chain
+        omega, Jv_dot, *_ = self._rates
         # d/dt (L_a^T R_a^T z_j) = L_a^T R_a^T (zdot_j + z_j x w_a), and
         # (z_j x w_a) . R_a L_a e_i = z_j . (w_a x R_a L_a e_i)
         RL = self._RL_rows
         w_x_RL = _SKEW.dot((RL.reshape(3, 1, 3, n) * omega.T[None, :, None]).reshape(9, -1))
-        At_dot = self._A_T(Jv_dot, self._zdot_RL + self.axes.dot(w_x_RL))
+        At_dot = np.concatenate(
+            [(Jv_dot[:, :n] * chain.sqrt_m).reshape(n, -1),
+             (self._zdot_RL + self.axes.dot(w_x_RL)) * chain.link_support],
+            axis=1,
+        )
         AtAd = self._At.dot(At_dot.T)
         return AtAd + AtAd.T

@@ -173,7 +173,7 @@ def disturbance_eval(
         if e.joint_torque is not None:
             tau += e.joint_torque
         elif e.flange_wrench is not None:
-            tau += kin.J_r.T @ e.flange_wrench
+            tau += kin.J_r.T.dot(e.flange_wrench)
         else:
-            tau += kin.tracked_jacobian(1).T @ e.link2_force
+            tau += kin.tracked_jacobian(1).T.dot(e.link2_force)
     return tau

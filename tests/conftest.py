@@ -6,6 +6,18 @@ from rcmsim.robot import KinFrames, RobotModel, load_default_model, model_from_d
 from rcmsim.sim import SEMI_IMPLICIT, plant_accel, step
 
 
+def rejected_case(path, value, message, name=None):
+    """One row of a rejection table (path, value, exact message) as a test
+    case with id ``path-value-message``, built from the row alone so that
+    inserting or editing a row renames no other test. A scalar value is
+    written as ``str`` writes it; a list, an object or a sentinel is written
+    as the row's ``name`` (the rows that held one before the ids were
+    explicit keep the positional name pytest gave them then)."""
+    if name is None and not isinstance(value, (str, int, float, type(None))):
+        raise TypeError(f"rejection row {path!r} needs a name for its value {value!r}")
+    return pytest.param(path, value, message, id=f"{path}-{value if name is None else name}-{message}")
+
+
 @pytest.fixture(scope="session")
 def model() -> RobotModel:
     return load_default_model()

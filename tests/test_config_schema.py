@@ -3,7 +3,7 @@
 ``REJECTED`` pins the exact message of every malformed config the loader
 rejects: each field with a wrong type, an out-of-range value, a missing
 required key or an unknown key, one fault per case. Each row's test id is
-built from the row alone (``_rejected_case``), so inserting or editing a row
+built from the row alone (``conftest.rejected_case``), so inserting or editing a row
 renames no other test.
 """
 
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from rcmsim.cli import main
 from rcmsim.errors import ConfigError
 from rcmsim.harness import EXIT_CONFIG, config_from_dict
+from conftest import rejected_case
 
 DROP = object()  # delete the key instead of setting it
 LABEL = "label: must be a plain directory name: no '/' or '\\', not '.' or '..'"
@@ -170,16 +171,6 @@ REJECTED = [
 ]
 
 
-def _rejected_case(path, value, message, name=None):
-    """One ``REJECTED`` row as a test case with id ``path-value-message``. A
-    scalar value is written as ``str`` writes it; a list, an object or DROP
-    is written as the row's ``name`` (the rows that held one before the ids
-    were explicit keep the positional name pytest gave them then)."""
-    if name is None and not isinstance(value, (str, int, float, type(None))):
-        raise TypeError(f"REJECTED row {path!r} needs a name for its value {value!r}")
-    return pytest.param(path, value, message, id=f"{path}-{value if name is None else name}-{message}")
-
-
 def test_base_config_is_valid():
     config_from_dict(copy.deepcopy(BASE))
 
@@ -195,7 +186,7 @@ def test_every_controller_takes_a_moving_trocar():
         assert control.variant == controller and scenario.trocar.mode == "sinusoidal"
 
 
-@pytest.mark.parametrize("path,value,message", [_rejected_case(*row) for row in REJECTED])
+@pytest.mark.parametrize("path,value,message", [rejected_case(*row) for row in REJECTED])
 def test_rejection_message(path, value, message):
     with pytest.raises(ConfigError) as info:
         config_from_dict(with_value(path, value))

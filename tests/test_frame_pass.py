@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from rcmsim.kernels import KinFrames, dynamics_term
 from rcmsim.numerics import small_inv
 from rcmsim.rcm import TrocarState, constraint_from_kin, place_trocar
 from rcmsim.robot import kinematics
@@ -65,6 +66,49 @@ def test_bias_terms_match_rnea(model, pendulum_model, rng):
     p = pendulum_model
     h = oracles.rnea(p.dh, q1, qd1, np.zeros(1), p.gravity, p.masses, p.coms, p.inertias)
     assert np.abs(kin.h - h).max() < 1e-12
+
+
+DYNAMICS_TERMS = [name for name, attr in vars(KinFrames).items() if isinstance(attr, dynamics_term)]
+
+
+def test_kinematics_only_pass_forms_no_dynamics(model, rng, monkeypatch):
+    # Trocar placement and the oracles read poses and Jacobians only; such a
+    # pass pays for the frames only.
+    assert {"_rates", "_At", "M", "h", "v_t", "abias_t", "omega_r"} <= set(DYNAMICS_TERMS)
+    bodies = []
+    monkeypatch.setattr(KinFrames, "_dynamics", lambda kin: bodies.append(kin))
+    qs, qds = random_states(rng, model.n, 3)
+    for q, qd in zip(qs, qds):
+        kin = kinematics(model, q, qd)
+        for point in range(model.n + 2):
+            kin.tracked_jacobian(point)
+        kin.coincident_jacobian(place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5))
+        assert kin.J_r.shape == (6, model.n) and kin.Jp_t.shape == (3, model.n)
+        assert not set(DYNAMICS_TERMS + ["Mdot"]) & set(vars(kin))
+    assert not bodies
+
+
+@pytest.mark.parametrize("first", DYNAMICS_TERMS)
+def test_first_dynamics_read_forms_every_term_once(model, rng, monkeypatch, first):
+    # Whichever term is read first, the one body runs once and stores every
+    # term; Mdot waits for its own read.
+    body = KinFrames._dynamics
+    bodies = []
+
+    def counted(kin):
+        bodies.append(kin)
+        body(kin)
+
+    monkeypatch.setattr(KinFrames, "_dynamics", counted)
+    q, qd = (x[0] for x in random_states(rng, model.n, 1))
+    kin = kinematics(model, q, qd)
+    getattr(kin, first)
+    assert set(DYNAMICS_TERMS) <= set(vars(kin)) and "Mdot" not in vars(kin)
+    for name in DYNAMICS_TERMS:
+        getattr(kin, name)
+    kin.Mdot
+    kin.coincident_rate(kin.pose_r.p, kin.v_t)
+    assert len(bodies) == 1
 
 
 def test_jacobian_dot_matches_central_difference(model, rng):

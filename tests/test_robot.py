@@ -20,6 +20,7 @@ from conftest import (
     PENDULUM_MODEL,
     PLANAR_MODEL,
     random_states,
+    rejected_case,
 )
 from oracles import forward_dynamics, inverse_dynamics, rnea
 
@@ -310,7 +311,8 @@ def _model_with(path, value) -> dict:
 
 # Every malformed model the loader rejects, with its exact message: the
 # run-config schema's type, finiteness and unknown-key rules, and the model's
-# own range and shape rules.
+# own range and shape rules. Each row's test id is built from the row alone
+# (``conftest.rejected_case``), so inserting a row renames no other test.
 MODEL_REJECTED = [
     ("joints[0].a", NAN, "joints[0].a: must be finite"),
     ("joints[0].d", INF, "joints[0].d: must be finite"),
@@ -318,62 +320,65 @@ MODEL_REJECTED = [
     ("joints[0].theta_offset", NAN, "joints[0].theta_offset: must be finite"),
     ("links[0].mass", NAN, "links[0].mass: must be finite"),
     ("links[0].mass", INF, "links[0].mass: must be finite"),
-    ("links[0].com", [0.0, NAN, 0.0], "links[0].com: must be finite"),
+    ("links[0].com", [0.0, NAN, 0.0], "links[0].com: must be finite", "value6"),
     ("links[0].inertia", [[INF, 0, 0], [0, 1e-3, 0], [0, 0, 1e-3]],
-     "links[0].inertia[0]: must be finite"),
+     "links[0].inertia[0]: must be finite", "value7"),
     ("l_tool", INF, "l_tool: must be finite"),
     ("l_tool", NAN, "l_tool: must be finite"),
-    ("gravity", [0.0, 0.0, NAN], "gravity: must be finite"),
-    ("gravity", [0.0, 0.0, -INF], "gravity: must be finite"),
+    ("gravity", [0.0, 0.0, NAN], "gravity: must be finite", "value10"),
+    ("gravity", [0.0, 0.0, -INF], "gravity: must be finite", "value11"),
     ("flange.a", INF, "flange.a: must be finite"),
     ("flange.theta", NAN, "flange.theta: must be finite"),
     ("joints[0].a", "0.1", "joints[0].a: expected a number"),
     ("joints[0].a", True, "joints[0].a: expected a number"),
     ("links[0].mass", "1.0", "links[0].mass: expected a number"),
     ("links[0].mass", False, "links[0].mass: expected a number"),
-    ("links[0].com", [0, "0", 0], "links[0].com: expected a list of numbers"),
-    ("links[0].com", [0, True, 0], "links[0].com: expected a list of numbers"),
+    ("links[0].com", [0, "0", 0], "links[0].com: expected a list of numbers", "value18"),
+    ("links[0].com", [0, True, 0], "links[0].com: expected a list of numbers", "value19"),
     ("links[0].inertia", [[1e-3, 0, 0], [0, "1e-3", 0], [0, 0, 1e-3]],
-     "links[0].inertia[1]: expected a list of numbers"),
+     "links[0].inertia[1]: expected a list of numbers", "value20"),
     ("l_tool", "0.5", "l_tool: expected a number"),
-    ("gravity", [0, 0, "-9.81"], "gravity: expected a list of numbers"),
+    ("gravity", [0, 0, "-9.81"], "gravity: expected a list of numbers", "value22"),
     ("flange.theta", True, "flange.theta: expected a number"),
     ("n", True, "n: expected an integer"),
     ("n", 1.0, "n: expected an integer"),
     ("n", 0, "n: expected a positive integer"),
     ("description", 5, "description: expected a string"),
-    ("flang", dict(FLANGE), "flang: unknown field"),
+    ("flang", dict(FLANGE), "flang: unknown field", "value28"),
     ("joints[0].theta", 0.0, "joints[0].theta: unknown field"),
     ("links[0].masss", 1.0, "links[0].masss: unknown field"),
     ("flange.theta_offset", 0.0, "flange.theta_offset: unknown field"),
     ("joints[0]", 5, "joints[0]: expected an object"),
-    ("joints[0]", [0.0, 0.0, 0.0, 0.0], "joints[0]: expected an object"),
+    ("joints[0]", [0.0, 0.0, 0.0, 0.0], "joints[0]: expected an object", "value33"),
     ("links[0]", None, "links[0]: expected an object"),
-    ("flange", [0.0, 0.0, 0.0, 0.0], "flange: expected an object"),
+    ("flange", [0.0, 0.0, 0.0, 0.0], "flange: expected an object", "value35"),
     ("links", 5, "links: expected a list"),
-    ("links", {"0": {}}, "links: expected a list"),
+    ("links", {"0": {}}, "links: expected a list", "value37"),
     ("joints", 5, "joints: expected a list"),
     ("links[0].com", 5, "links[0].com: expected a list of numbers"),
-    ("links[0].com", [0.0, 0.0], "links[0].com: expected 3 numbers"),
-    ("gravity", [0.0, -9.81], "gravity: expected 3 numbers"),
+    ("links[0].com", [0.0, 0.0], "links[0].com: expected 3 numbers", "value40"),
+    ("gravity", [0.0, -9.81], "gravity: expected 3 numbers", "value41"),
     ("links[0].inertia", 5, "links[0].inertia: expected a list"),
-    ("links[0].inertia", [1e-3, 1e-3, 1e-3], "links[0].inertia[0]: expected a list of numbers"),
+    ("links[0].inertia", [1e-3, 1e-3, 1e-3], "links[0].inertia[0]: expected a list of numbers",
+     "value43"),
     ("links[0].inertia", [[1e-3, 0, 0], [0, 1e-3], [0, 0, 1e-3]],
-     "links[0].inertia: expected a 3x3 matrix"),
-    ("links[0].inertia", [[1e-3, 0], [0, 1e-3]], "links[0].inertia: expected a 3x3 matrix"),
-    ("links[0].inertia", EYE + [[0, 0, 0]], "links[0].inertia: expected a 3x3 matrix"),
+     "links[0].inertia: expected a 3x3 matrix", "value44"),
+    ("links[0].inertia", [[1e-3, 0], [0, 1e-3]], "links[0].inertia: expected a 3x3 matrix",
+     "value45"),
+    ("links[0].inertia", EYE + [[0, 0, 0]], "links[0].inertia: expected a 3x3 matrix",
+     "value46"),
     ("links[0].inertia", [[1e-3, 1e-6, 0], [0, 1e-3, 0], [0, 0, 1e-3]],
-     "links[0].inertia: not symmetric"),
+     "links[0].inertia: not symmetric", "value47"),
     ("links[0].inertia", [[1e-3, 0, 0], [0, 0, 0], [0, 0, 1e-3]],
-     "links[0].inertia: not positive-definite"),
+     "links[0].inertia: not positive-definite", "value48"),
     ("links[0].mass", 0.0, "links[0].mass: must be positive"),
     ("l_tool", -0.1, "l_tool: must be positive"),
-    ("joints", [JOINT, JOINT], "joints: expected 1 entries, got 2"),
-    ("links", [], "links: expected 1 entries, got 0"),
+    ("joints", [JOINT, JOINT], "joints: expected 1 entries, got 2", "value51"),
+    ("links", [], "links: expected 1 entries, got 0", "value52"),
 ]
 
 
-@pytest.mark.parametrize("path,value,message", MODEL_REJECTED)
+@pytest.mark.parametrize("path,value,message", [rejected_case(*row) for row in MODEL_REJECTED])
 def test_model_rejection_message(path, value, message):
     with pytest.raises(ModelError) as info:
         model_from_dict(_model_with(path, value))
