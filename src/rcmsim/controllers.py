@@ -8,28 +8,31 @@ the one pivot command
 
     a_cmd = -K_cc e_c - b_c,
 
-asks the variant for its task/null-space torque r, and completes
+forms the null-space compliance tau_0 and asks the variant for its tip
+mobility, its tip acceleration and its torque (mobility, acc, r). The core
+owns the tip law, one inverse and one PD force for every variant,
+
+    Lambda = mobility^-1,  f = Lambda acc + Kd ed + Kp e,  r <- J^T f + r,
+
+and completes
 
     tau = h + r + Jc^T Lambda_c (a_cmd - Jc M^-1 r),
 
 which makes Jc qddot = a_cmd exactly in closed loop and is the one place
-the bias torque h enters a command. A variant is its tip inertia Lambda and
-tip bias feedforward h_task (the tip force is f = Lambda xdd_d + Kd ed +
-Kp e + h_task) and its r, with S = K_tt - K_tc Lambda_c K_ct:
+the bias torque h enters a command. With S = K_tt - K_tc Lambda_c K_ct:
 
-    variant     Lambda   h_task                                   r
-    p_approach  S^-1     -Lambda (Jdot qd + K_tc Lambda_c a_cmd)  J^T f + N_B (tau_0 - h)
-    z_approach  S^-1     0                                        J^T f + tau_0 + r_z
-    uk          K_tt^-1  -Lambda Jdot qd                          J^T f + N_J tau_0
+    variant     mobility  acc                                              r
+    p_approach  S         xdd_d - Jdot qd - K_tc Lambda_c a_cmd - B (tau_0 - h)  tau_0 - h
+    z_approach  S         xdd_d                                            tau_0 + r_z
+    uk          K_tt      xdd_d - Jdot qd - W_t tau_0                      tau_0
 
 with e_c = Kd xdot_c + Kp x_c on the lateral pivot residual x_c, b_c its
-acceleration bias (trocar motion included), B = J M^-1 - K_tc Lambda_c
-Jc M^-1, N_B = I - J^T Lambda B, N_J = I - J^T Lambda J M^-1, tau_0 the
-null-space compliance and r_z the extended-Jacobian null rows' rate terms
-(see ``z_approach_torque``). p_approach's -h takes the null-space share of
-h back out, so its null space sags under gravity. p_approach is the
-projected controller; z_approach (extended Jacobian) and uk
-(Udwadia-Kalaba) are the comparison baselines. The core maps r through
+acceleration bias (trocar motion included), W_t = J M^-1,
+B = W_t - K_tc Lambda_c Jc M^-1 and r_z the extended-Jacobian null rows'
+rate terms (see ``z_approach_torque``). p_approach's -h takes the
+null-space share of h back out, so its null space sags under gravity.
+p_approach is the projected controller; z_approach (extended Jacobian) and
+uk (Udwadia-Kalaba) are the comparison baselines. The core maps r through
 N_bar^T = I - Jc^T Lambda_c Jc M^-1, and N_bar^T Jc^T = 0, so an orthogonal
 projector P = I - Jc^+ Jc on r would change nothing: N_bar^T P = N_bar^T.
 
@@ -174,7 +177,7 @@ class ControllerOutput(NamedTuple):
     ``tau`` is the torque, compensation included. ``constraint_accel_cmd`` is
     the constraint-space joint acceleration the controller commands (what
     Jc qddot equals in closed loop). ``damped`` counts the tick's inertia
-    inverses (the variant's and the compensation's) that fell back to the
+    inverses (the tip's and the compensation's) that fell back to the
     damped inverse.
     """
 
@@ -222,20 +225,6 @@ def build_snapshot(
         tip_bias=kin.abias_t,
         constraint=constraint_from_kin(kin, state.qdot, trocar),
     )
-
-
-def free_space_force(
-    Lambda_f: np.ndarray,
-    h_f: np.ndarray,
-    ref: TaskReference,
-    x: np.ndarray,
-    xdot: np.ndarray,
-    gains: GainSet,
-) -> np.ndarray:
-    """Model-based PD task force: Lambda_f xdd_d + Kd ed + Kp e + h_f."""
-    e = ref.x - x
-    edot = ref.xdot - xdot
-    return Lambda_f.dot(ref.xddot) + gains.kd_task * edot + gains.kp_task * e + h_f
 
 
 def nullspace_torque(
@@ -324,7 +313,7 @@ def stacked_mobility(snap: ControlSnapshot) -> Mobility:
 
 
 def compensation_torque(
-    tau_ext_hat: np.ndarray | None, mode: str, mob: Mobility
+    tau_ext_hat: np.ndarray, mode: str, mob: Mobility
 ) -> tuple[np.ndarray, bool]:
     """Disturbance-compensation torque actually added to the command, and
     whether its inertia inverse was damped.
@@ -333,8 +322,6 @@ def compensation_torque(
     tip task or the pivot constraint, leaving the null-space response free so
     intentional interaction is expressed as compliance instead of rejected.
     """
-    if tau_ext_hat is None or mode == COMP_OFF:
-        return np.zeros(mob.A.shape[1]), False
     if mode == COMP_FULL:
         return tau_ext_hat, False
     Lam, damped = sym_inv(mob.K)
@@ -351,14 +338,17 @@ def control_torque(
     tau_ext_hat: np.ndarray | None = None,
 ) -> ControllerOutput:
     """One controller tick: the core around the configured variant, plus the
-    disturbance compensation of ``tau_ext_hat``. ``q_init`` is the centre of
-    the null-space compliance.
+    disturbance compensation of ``tau_ext_hat`` (none without an estimate or
+    with compensation off). ``q_init`` is the centre of the null-space
+    compliance.
 
     Jc's rank is checked first, so dependent rows raise
     RankDeficientConstraint before K_cc is inverted. The variant gets
-    Lambda_c and the pivot command a_cmd = -K_cc e_c - b_c and returns its
-    torque r and whether its tip inertia was damped; the completion
-    tau = h + r + Jc^T Lambda_c (a_cmd - Jc M^-1 r) gives M qddot =
+    Lambda_c, the pivot command a_cmd = -K_cc e_c - b_c, the reference
+    acceleration and the null-space compliance tau_0, and returns its tip
+    mobility, tip acceleration and torque; the core inverts the mobility,
+    forms the PD tip force and completes r <- J^T f + r as
+    tau = h + r + Jc^T Lambda_c (a_cmd - Jc M^-1 r), which gives M qddot =
     r + Jc^T Lambda_c (...) at the plant, so Jc qddot = a_cmd exactly.
     """
     cs, gains = snap.constraint, setup.gains
@@ -369,13 +359,18 @@ def control_torque(
     K_cc = mob.K[PIVOT, PIVOT]
     Lambda_c = small_inv(K_cc)
     a_cmd = -K_cc.dot(gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x) - cs.b
+    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, gains)
     # resolved at call time, so a wrapper set on the module attribute sees the call
     variant = (
         p_approach_torque if setup.variant == P_APPROACH
         else z_approach_torque if setup.variant == Z_APPROACH
         else uk_torque
     )
-    r, damped = variant(snap, mob, Lambda_c, a_cmd, ref, setup, q_init)
+    mobility, acc, r = variant(snap, mob, Lambda_c, a_cmd, ref.xddot, tau_0)
+    Lambda, damped = sym_inv(mobility)
+    f = (Lambda.dot(acc) + gains.kd_task * (ref.xdot - snap.tip_vel)
+         + gains.kp_task * (ref.x - snap.kin.pose_t.p))
+    r = snap.J_task.T.dot(f) + r
     tau = snap.h + r + cs.J.T.dot(Lambda_c.dot(a_cmd - mob.W[PIVOT].dot(r)))
     if tau_ext_hat is not None and setup.compensation != COMP_OFF:
         tau_c, damped_c = compensation_torque(tau_ext_hat, setup.compensation, mob)
@@ -388,33 +383,29 @@ def p_approach_torque(
     mob: Mobility,
     Lambda_c: np.ndarray,
     a_cmd: np.ndarray,
-    ref: TaskReference,
-    setup: ControlSetup,
-    q_init: np.ndarray,
-) -> tuple[np.ndarray, bool]:
-    """Projected constraint-consistent controller: (r, damped).
+    xdd_d: np.ndarray,
+    tau_0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected constraint-consistent controller: (S, acc, r).
 
     Operational-space PD tracking of the tip plus null-space compliance on
     the constrained tip mobility S = B J^T, whose bias carries the
     constraint feedforward K_tc Lambda_c a_cmd; the core adds h and enforces
     the pivot command exactly, so in closed loop the tip has clean PD error
-    dynamics. Its null-space torque N_B (tau_0 - h) takes the null-space
-    share of the core's h back out, so the null space sags under gravity.
+    dynamics. Its null-space torque N_B (tau_0 - h), N_B = I - J^T S^-1 B,
+    takes the null-space share of the core's h back out, so the null space
+    sags under gravity.
     """
-    gains, K = setup.gains, mob.K
+    K = mob.K
     # One elimination of the pivot rows from [K | W] gives [S | B]:
     # S = K_tt - K_tc Lambda_c K_ct and B = W_t - K_tc Lambda_c W_c.
     K_tc_Lambda_c = K[TIP, PIVOT].dot(Lambda_c)
     KW = np.concatenate([K, mob.W], axis=1)
     SB = KW[TIP] - K_tc_Lambda_c.dot(KW[PIVOT])
-    Lambda_f, damped = sym_inv(SB[:, TIP])
-    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, gains) - snap.h
-    # r = J^T (f - Lambda_f B tau_0) + tau_0 with the tip force
-    # f = Lambda_f xdd_d + Kd ed + Kp e + h_f: its Lambda_f products are one
-    acc = ref.xddot - snap.tip_bias - K_tc_Lambda_c.dot(a_cmd) - SB[:, K.shape[1]:].dot(tau_0)
-    f_net = (Lambda_f.dot(acc) + gains.kd_task * (ref.xdot - snap.tip_vel)
-             + gains.kp_task * (ref.x - snap.kin.pose_t.p))
-    return snap.J_task.T.dot(f_net) + tau_0, damped
+    r = tau_0 - snap.h
+    # r + J^T f = N_B r + J^T (S^-1 (xdd_d - Jdot qd - K_tc Lambda_c a_cmd) + PD)
+    acc = xdd_d - snap.tip_bias - K_tc_Lambda_c.dot(a_cmd) - SB[:, K.shape[1]:].dot(r)
+    return SB[:, TIP], acc, r
 
 
 def z_approach_torque(
@@ -422,11 +413,10 @@ def z_approach_torque(
     mob: Mobility,
     Lambda_c: np.ndarray,
     a_cmd: np.ndarray,
-    ref: TaskReference,
-    setup: ControlSetup,
-    q_init: np.ndarray,
-) -> tuple[np.ndarray, bool]:
-    """Extended-Jacobian baseline controller: (r, damped).
+    xdd_d: np.ndarray,
+    tau_0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extended-Jacobian baseline controller: (S, xdd_d, r).
 
     Stacks the constraint Jacobian over Z^# = Lambda_n^-1 Z^T M, the
     inertia-weighted inverse of an orthonormal basis Z of null(Jc)
@@ -451,8 +441,8 @@ def z_approach_torque(
     Q G L = I, so Jc^+ = Q^T Q G and ||P G L||_F^2 = ||G L||_F^2 - 2; and
     Jc Jc^+ = I with M u = Jc^T Lambda_c Jc qd gives Jc^+^T M u = Lambda_c Jc qd.
     """
-    cs, gains, qd = snap.constraint, setup.gains, snap.state.qdot
-    M, J, Jc, K = snap.M, snap.J_task, cs.J, mob.K
+    cs, qd = snap.constraint, snap.state.qdot
+    M, Jc, K = snap.M, cs.J, mob.K
     L, Q = row_factor(Jc)
     G = mob.W[PIVOT].T.dot(Lambda_c)
     Jc_pinv = Q.T.dot(Q.dot(G))
@@ -473,21 +463,19 @@ def z_approach_torque(
                 f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})"
             )
 
-    # Feedforward through this controller's own constrained tip mobility
+    # The tip mobility is this controller's own constrained one,
     # J Z Lambda_n^-1 Z^T J^T = K_tt - K_tc Lambda_c K_ct: the acceleration
     # reference maps exactly.
-    Lambda_zn, damped = sym_inv(K[TIP, TIP] - K[TIP, PIVOT].dot(Lambda_c).dot(K[PIVOT, TIP]))
-    f_f = free_space_force(Lambda_zn, 0.0, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
-    tau_0 = nullspace_torque(snap.state.q, qd, q_init, gains)
-    # Z (f_n + H_bot), with f_n = Z^T (J^T f_f + tau_0), the bias
+    S = K[TIP, TIP] - K[TIP, PIVOT].dot(Lambda_c).dot(K[PIVOT, TIP])
+    # Z (f_n + H_bot), with f_n = Z^T (J^T f + tau_0), the bias
     # H_bot = Lambda_n (Z^# M^-1 h - d/dt(Z^#) qd) and u = qd - Z nu, is N_bar^T
-    # applied to h + r, r = J^T f_f + tau_0 - Mdot u + M Zdot nu - Z Zdot^T M u.
+    # applied to h + J^T f + r, r = tau_0 - Mdot u + M Zdot nu - Z Zdot^T M u.
     Jc_qd = Jc.dot(qd)
     u = G.dot(Jc_qd)
     Z_nu = qd - u
-    r = (J.T.dot(f_f) + tau_0 - snap.kin.Mdot.dot(u)
+    r = (tau_0 - snap.kin.Mdot.dot(u)
          - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Lambda_c.dot(Jc_qd)))
-    return r, damped
+    return S, xdd_d, r
 
 
 def uk_torque(
@@ -495,22 +483,23 @@ def uk_torque(
     mob: Mobility,
     Lambda_c: np.ndarray,
     a_cmd: np.ndarray,
-    ref: TaskReference,
-    setup: ControlSetup,
-    q_init: np.ndarray,
-) -> tuple[np.ndarray, bool]:
-    """Udwadia-Kalaba baseline: the unconstrained tip law, (r, damped), that
-    the core completes with the ideal constraint force.
+    xdd_d: np.ndarray,
+    tau_0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Udwadia-Kalaba baseline: the unconstrained tip law, (K_tt, acc, r),
+    that the core completes with the ideal constraint force.
 
     tau_sharp = h + r is the operational-space PD tip torque with no
-    constraint (same gains as the projected controller's task), with
-    r = J^T f + N_J tau_0: the tip force without its h share, and the
-    null-space compliance through the unconstrained dynamically consistent
-    projector N_J; the core adds all of h. The commanded constraint
-    acceleration is the core's a_cmd = -K_cc e_c - b_c, whose -b_c keeps the
-    residual dynamics homogeneous under a moving trocar. The published form
-    splits the constraint torque through Pi = Jc M^-1/2 into an ideal and a
-    non-ideal part with tau_nic = Jc^T a_cmd:
+    constraint (same gains as the projected controller's task): with
+    acc = xdd_d - Jdot qd - J M^-1 tau_0, the core's r = J^T f + tau_0 is
+    J^T (K_tt^-1 (xdd_d - Jdot qd) + Kd ed + Kp e) + N_J tau_0, the PD tip
+    force without its h share and the null-space compliance through the
+    unconstrained dynamically consistent projector
+    N_J = I - J^T K_tt^-1 J M^-1; the core adds all of h. The commanded
+    constraint acceleration is the core's a_cmd = -K_cc e_c - b_c, whose
+    -b_c keeps the residual dynamics homogeneous under a moving trocar. The
+    published form splits the constraint torque through Pi = Jc M^-1/2 into
+    an ideal and a non-ideal part with tau_nic = Jc^T a_cmd:
 
         Q_ic  = M^1/2 Pi^+ (a_cmd - Jc M^-1 (tau_sharp - h))
         Q_nic = M^1/2 (I - Pi^+ Pi) M^-1/2 tau_nic
@@ -522,10 +511,4 @@ def uk_torque(
 
     the core's completion of r. In closed loop Jc qddot = a_cmd exactly.
     """
-    gains = setup.gains
-    Lambda_tip, damped = sym_inv(mob.K[TIP, TIP])
-    f = free_space_force(Lambda_tip, -Lambda_tip.dot(snap.tip_bias), ref, snap.kin.pose_t.p,
-                         snap.tip_vel, gains)
-    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, gains)
-    # J^T f + N_J tau_0, N_J = I - J^T Lambda_tip J M^-1
-    return snap.J_task.T.dot(f - Lambda_tip.dot(mob.W[TIP].dot(tau_0))) + tau_0, damped
+    return mob.K[TIP, TIP], xdd_d - snap.tip_bias - mob.W[TIP].dot(tau_0), tau_0

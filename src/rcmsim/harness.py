@@ -176,6 +176,8 @@ def compute_metrics(trace, settle_time: float = 1.0) -> MetricsRecord:
     if m == 0:
         raise ConfigError("empty trace")
     t = trace.t[:m]
+    if not NON_NEGATIVE.ok(settle_time):  # the run config's rule; NaN fails it too
+        fail("settle_time", NON_NEGATIVE.message)
     if settle_time >= t[-1]:
         fail("settle_time", "must be smaller than the trace duration")
     sel = t >= settle_time

@@ -14,10 +14,11 @@
   projector in exact rational arithmetic and the textbook projection
   operators (P, Pdot, M_f, task-space terms, the Gauss acceleration split)
   in their general form.
-* Controller references: the unconstrained operational-space PD law, the
-  projected controller in its orthogonal-projector (P) form, the
-  published inertia-square-root form of the Udwadia-Kalaba controller and
-  the extended-Jacobian controller in its basis form, with an explicit
+* Controller references: the model-based PD task force, the unconstrained
+  operational-space PD law, the projected controller in its
+  orthogonal-projector (P) form, the published inertia-square-root form of
+  the Udwadia-Kalaba controller and the extended-Jacobian controller in its
+  basis form, with an explicit
   null-space basis (the SVD one or any rotation of it), Procrustes basis
   alignment and exact d/dt(Z^#).
 """
@@ -27,12 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rcmsim.controllers import (
-    ControlSnapshot,
-    GainSet,
-    free_space_force,
-    nullspace_torque,
-)
+from rcmsim.controllers import ControlSnapshot, GainSet, nullspace_torque
 from rcmsim.errors import RankDeficientConstraint, RcmSimError, SingularExtendedJacobian
 from rcmsim.kernels import skew_stack
 from rcmsim.numerics import DEFAULT_RTOL, row_factor
@@ -669,6 +665,20 @@ def without_constraint(snap: ControlSnapshot) -> ControlSnapshot:
         np.zeros(0), np.zeros((0, n)), np.zeros(0), lambda: (np.zeros((0, n)), np.zeros(0))
     )
     return snap._replace(constraint=empty)
+
+
+def free_space_force(
+    Lambda_f: np.ndarray,
+    h_f: np.ndarray,
+    ref: TaskReference,
+    x: np.ndarray,
+    xdot: np.ndarray,
+    gains: GainSet,
+) -> np.ndarray:
+    """Model-based PD task force: Lambda_f xdd_d + Kd ed + Kp e + h_f."""
+    e = ref.x - x
+    edot = ref.xdot - xdot
+    return Lambda_f.dot(ref.xddot) + gains.kd_task * edot + gains.kp_task * e + h_f
 
 
 def unconstrained_pd_torque(

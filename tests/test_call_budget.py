@@ -28,8 +28,8 @@ PACKAGE = os.path.dirname(rcmsim.__file__) + os.sep
 # momentum observer on p_approach. Lower them when a change saves calls.
 BUDGET = {
     ("p_approach", False): (39.48, 89.82),
-    ("z_approach", False): (45.48, 116.82),
-    ("uk", False): (40.48, 88.82),
+    ("z_approach", False): (44.48, 116.82),
+    ("uk", False): (39.48, 86.82),
     ("p_approach", True): (46.52, 99.01),
 }
 

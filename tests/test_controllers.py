@@ -16,7 +16,6 @@ from rcmsim.controllers import (
     build_snapshot,
     compensation_torque,
     control_torque,
-    free_space_force,
     nullspace_torque,
     observer_step,
     stacked_mobility,
@@ -32,6 +31,7 @@ from conftest import static_trocar
 from oracles import (
     any_row_factor,
     forward_dynamics,
+    free_space_force,
     matrix_sqrt,
     null_basis,
     p_approach_reference,
@@ -448,6 +448,34 @@ def test_p_approach_matches_p_form_reference(model, moving):
 
 
 @pytest.mark.parametrize("moving", [False, True])
+def test_p_approach_realizes_its_tip_law(model, moving):
+    # The tip half of consistency: fed through the plant, p_approach's torque
+    # gives J qdd + Jdot qd = xdd_d + S (Kd ed + Kp e), with the constrained
+    # tip mobility S = J (M^-1 - M^-1 Jc^T Lambda_c Jc M^-1) J^T, at states
+    # with a pivot error. z_approach's tip law has ROADMAP item 1's defect,
+    # and uk's completion overrides its unconstrained tip law by design.
+    rng = np.random.default_rng(31 + moving)
+    worst = 0.0
+    for _ in range(50):
+        snap, ref, gains, q_init = _random_case(model, rng, moving)
+        out = _control("p_approach", snap, ref, gains, q_init)
+        state, J, Jc = snap.state, snap.J_task, snap.constraint.J
+        qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
+        Minv = np.linalg.inv(snap.M)
+        MJt, MJct = Minv @ J.T, Minv @ Jc.T
+        S = J @ MJt - (J @ MJct) @ np.linalg.solve(Jc @ MJct, MJct.T @ J.T)
+        pd = gains.kd_task * (ref.xdot - snap.tip_vel) + gains.kp_task * (ref.x - snap.kin.pose_t.p)
+        law = ref.xddot + S @ pd
+        # Relative to the larger of the law and the torque's own tip
+        # acceleration J M^-1 tau: the realized one is the difference of
+        # tau's and h's, and its rounding scales with them. Relative to the
+        # law alone, the worst of these states reads 4.4e-10.
+        scale = max(np.abs(law).max(), np.abs(J @ (Minv @ out.tau)).max())
+        worst = max(worst, np.abs(J @ qdd + snap.tip_bias - law).max() / scale)
+    assert worst < 1e-9
+
+
+@pytest.mark.parametrize("moving", [False, True])
 def test_uk_reduced_form_matches_sqrt_reference(model, moving):
     # tau_sharp + Jc^T Lambda_c (a_cmd - Jc M^-1 (tau_sharp - h)) against the
     # published M^1/2 form with b_ic := a_cmd, whose non-ideal term Q_nic
@@ -635,8 +663,12 @@ def test_compensation_modes(model, rng):
     snap = build_snapshot(model, state, trocar)
     mob = stacked_mobility(snap)
     tau_hat = rng.uniform(-2, 2, model.n)
-    assert np.abs(compensation_torque(None, COMP_FULL, mob)[0]).max() == 0.0
-    assert np.abs(compensation_torque(tau_hat, COMP_OFF, mob)[0]).max() == 0.0
+    # no estimate, or an estimate with compensation off: the torque is the
+    # uncompensated one, bit for bit
+    ref = _hold_reference(model, state.q)
+    plain = _control("p_approach", snap, ref, _gains()).tau
+    off = control_torque(ControlSetup(compensation=COMP_OFF), snap, ref, DEFAULT_HOME, tau_hat)
+    assert np.array_equal(off.tau, plain)
     assert np.array_equal(compensation_torque(tau_hat, COMP_FULL, mob)[0], tau_hat)
     partial, damped = compensation_torque(tau_hat, COMP_PRESERVE_NULL, mob)
     assert not damped

@@ -366,8 +366,13 @@ def test_header_only_trace_reads_back_empty(model, tmp_path, capsys):
     assert capsys.readouterr().err == "config error: empty trace\n"
 
 
-@pytest.mark.parametrize("settle", ["0.02", "5"])
-def test_metrics_settle_past_the_trace_is_a_config_error(model, tmp_path, capsys, settle):
+@pytest.mark.parametrize("settle, message", [
+    pytest.param("0.02", "must be smaller than the trace duration", id="0.02"),
+    pytest.param("5", "must be smaller than the trace duration", id="5"),
+    pytest.param("nan", "must be non-negative", id="nan"),
+    pytest.param("-1", "must be non-negative", id="-1"),
+])
+def test_metrics_settle_past_the_trace_is_a_config_error(model, tmp_path, capsys, settle, message):
     from rcmsim.cli import main
 
     trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), SimConfig(duration=0.02))
@@ -375,7 +380,7 @@ def test_metrics_settle_past_the_trace_is_a_config_error(model, tmp_path, capsys
     trace.to_csv(path)
     assert main(["metrics", "--trace", str(path), "--settle", settle]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: settle_time: must be smaller than the trace duration\n"
+    assert err == f"config error: settle_time: {message}\n"
 
 
 def test_rk4_episode_runs(model):
