@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .harness import (
     EXIT_CONFIG,
     EXIT_OK,
+    SETTLE_TIME,
     MetricsRecord,
     compare_runs,
     compute_metrics,
@@ -32,9 +33,7 @@ from .schema import naming_file, read_json
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    out = args.out if args.out is not None else (cfg.output or "out")
-    return run_matrix([cfg], out)
+    return run_matrix([parse_config(args.config)], args.out)
 
 
 def _cmd_sweep(args) -> int:
@@ -79,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one run config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None,
-                       help="output directory (default: config 'output' or ./out)")
+    p_run.add_argument("--out", default="out")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="execute every *.json config in a directory")
@@ -91,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics from a trace CSV")
     p_metrics.add_argument("--trace", required=True)
-    p_metrics.add_argument("--settle", type=float, default=1.0)
+    p_metrics.add_argument("--settle", type=float, default=SETTLE_TIME)
     p_metrics.set_defaults(func=_cmd_metrics)
 
     p_cmp = sub.add_parser("compare", help="tabulate metrics files against the first")

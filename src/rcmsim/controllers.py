@@ -38,8 +38,11 @@ projector P = I - Jc^+ Jc on r would change nothing: N_bar^T P = N_bar^T.
 
 ``control_torque`` also adds the disturbance compensation. The controllers
 are pure functions of the snapshot, the reference, the setup and the
-episode's start configuration; the one integration state, the observer's
-momentum, is passed explicitly by the caller.
+episode's start configuration. The snapshot holds each tick quantity once:
+the frame pass ``kin`` (M, h, the tip Jacobian J, its velocity J qd and bias
+Jdot qd), the one M^-1 and the constraint state. The one integration state,
+the observer's momentum, is passed explicitly by the caller; it starts from
+the frame pass of the episode's start state.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ from .numerics import check_row_rank, lu_inv, row_factor, small_inv
 from .projection import sym_inv
 from .rcm import ConstraintState, TrocarState, constraint_from_kin
 from . import robot
-from .robot import JointState, KinFrames, RobotModel, kinematics
+from .robot import JointState, KinFrames, RobotModel
 from .scenarios import TaskReference
-from .schema import NON_NEGATIVE, POSITIVE, Rule, fail, length
+from .schema import NON_NEGATIVE, Rule, fail, length
 
 P_APPROACH = "p_approach"
 Z_APPROACH = "z_approach"
@@ -189,21 +192,16 @@ class ControllerOutput(NamedTuple):
 class ControlSnapshot(NamedTuple):
     """Shared per-tick quantities every controller needs.
 
-    ``kin`` is the frame pass at the state (it also carries Mdot for the
-    controllers that need it); ``Minv`` is the one factorisation of M that
-    the controllers and the plant solve share. ``tip_vel`` (J qd) and
-    ``tip_bias`` (Jdot qd) are the 3-vectors the frame pass contracts for
-    ``h``; ``constraint`` forms its rate terms on their first read.
+    ``kin`` is the frame pass at the state; the controllers read M, h, Mdot,
+    the tip Jacobian ``Jp_t``, its velocity ``v_t`` (J qd) and bias
+    ``abias_t`` (Jdot qd) from it. ``Minv`` is the one factorisation of M
+    that the controllers and the plant solve share; ``constraint`` forms its
+    rate terms on their first read.
     """
 
     state: JointState
     kin: KinFrames
-    M: np.ndarray
     Minv: np.ndarray
-    h: np.ndarray
-    J_task: np.ndarray  # 3 x n tip translational Jacobian
-    tip_vel: np.ndarray
-    tip_bias: np.ndarray
     constraint: ConstraintState
 
 
@@ -214,17 +212,7 @@ def build_snapshot(
 ) -> ControlSnapshot:
     # through the module attribute, so a wrapper set there sees every pass
     kin = robot.KinFrames(model.chain, state.q, state.qdot)
-    return ControlSnapshot(
-        state=state,
-        kin=kin,
-        M=kin.M,
-        Minv=lu_inv(kin.M),
-        h=kin.h,
-        J_task=kin.Jp_t,
-        tip_vel=kin.v_t,
-        tip_bias=kin.abias_t,
-        constraint=constraint_from_kin(kin, state.qdot, trocar),
-    )
+    return ControlSnapshot(state, kin, lu_inv(kin.M), constraint_from_kin(kin, state.qdot, trocar))
 
 
 def nullspace_torque(
@@ -251,13 +239,14 @@ class ObserverState(NamedTuple):
     n_prev: np.ndarray
 
     @classmethod
-    def initial(cls, model: RobotModel, state: JointState, gain: float) -> "ObserverState":
-        kin = kinematics(model, state.q, state.qdot)
+    def initial(cls, kin: KinFrames, gain: float) -> "ObserverState":
+        """The observer with no estimate yet, on the frame pass ``kin`` of
+        the start state (``run_episode``'s own, at rest)."""
         return cls(
             gain=float(gain),
-            p_hat=kin.M @ state.qdot,
-            tau_ext_hat=np.zeros(model.n),
-            n_prev=_momentum_bias(kin, state.qdot),
+            p_hat=kin.M @ kin.qdot,
+            tau_ext_hat=np.zeros(kin.chain.n),
+            n_prev=_momentum_bias(kin, kin.qdot),
         )
 
 
@@ -277,10 +266,9 @@ def observer_step(
 
     ``state`` is the post-integration state; ``tau_applied`` the total torque
     commanded over the elapsed period (zero-order hold); ``kin`` the frame
-    pass at ``state`` (the next tick's snapshot holds it).
+    pass at ``state`` (the next tick's snapshot holds it). ``dt`` is not
+    checked here: ``run_episode`` validates it once.
     """
-    if not POSITIVE.ok(dt):
-        fail("dt", POSITIVE.message)
     qd = state.qdot
     n_new = _momentum_bias(kin, qd)
     n_mid = 0.5 * (obs.n_prev + n_new)
@@ -307,7 +295,7 @@ class Mobility(NamedTuple):
 
 def stacked_mobility(snap: ControlSnapshot) -> Mobility:
     """The mobility of the snapshot's own tip and constraint Jacobians."""
-    A = np.concatenate([snap.J_task, snap.constraint.J])
+    A = np.concatenate([snap.kin.Jp_t, snap.constraint.J])
     W = A.dot(snap.Minv)
     return Mobility(A, W, W.dot(A.T))
 
@@ -351,7 +339,7 @@ def control_torque(
     tau = h + r + Jc^T Lambda_c (a_cmd - Jc M^-1 r), which gives M qddot =
     r + Jc^T Lambda_c (...) at the plant, so Jc qddot = a_cmd exactly.
     """
-    cs, gains = snap.constraint, setup.gains
+    cs, kin, gains = snap.constraint, snap.kin, setup.gains
     check_row_rank(cs.J)
     mob = stacked_mobility(snap)
     # Products use ndarray.dot, which costs less per call than @ on these
@@ -368,10 +356,10 @@ def control_torque(
     )
     mobility, acc, r = variant(snap, mob, Lambda_c, a_cmd, ref.xddot, tau_0)
     Lambda, damped = sym_inv(mobility)
-    f = (Lambda.dot(acc) + gains.kd_task * (ref.xdot - snap.tip_vel)
-         + gains.kp_task * (ref.x - snap.kin.pose_t.p))
-    r = snap.J_task.T.dot(f) + r
-    tau = snap.h + r + cs.J.T.dot(Lambda_c.dot(a_cmd - mob.W[PIVOT].dot(r)))
+    f = (Lambda.dot(acc) + gains.kd_task * (ref.xdot - kin.v_t)
+         + gains.kp_task * (ref.x - kin.pose_t.p))
+    r = kin.Jp_t.T.dot(f) + r
+    tau = kin.h + r + cs.J.T.dot(Lambda_c.dot(a_cmd - mob.W[PIVOT].dot(r)))
     if tau_ext_hat is not None and setup.compensation != COMP_OFF:
         tau_c, damped_c = compensation_torque(tau_ext_hat, setup.compensation, mob)
         tau, damped = tau + tau_c, damped + damped_c
@@ -402,9 +390,9 @@ def p_approach_torque(
     K_tc_Lambda_c = K[TIP, PIVOT].dot(Lambda_c)
     KW = np.concatenate([K, mob.W], axis=1)
     SB = KW[TIP] - K_tc_Lambda_c.dot(KW[PIVOT])
-    r = tau_0 - snap.h
+    r = tau_0 - snap.kin.h
     # r + J^T f = N_B r + J^T (S^-1 (xdd_d - Jdot qd - K_tc Lambda_c a_cmd) + PD)
-    acc = xdd_d - snap.tip_bias - K_tc_Lambda_c.dot(a_cmd) - SB[:, K.shape[1]:].dot(r)
+    acc = xdd_d - snap.kin.abias_t - K_tc_Lambda_c.dot(a_cmd) - SB[:, K.shape[1]:].dot(r)
     return SB[:, TIP], acc, r
 
 
@@ -441,8 +429,8 @@ def z_approach_torque(
     Q G L = I, so Jc^+ = Q^T Q G and ||P G L||_F^2 = ||G L||_F^2 - 2; and
     Jc Jc^+ = I with M u = Jc^T Lambda_c Jc qd gives Jc^+^T M u = Lambda_c Jc qd.
     """
-    cs, qd = snap.constraint, snap.state.qdot
-    M, Jc, K = snap.M, cs.J, mob.K
+    cs, kin, qd = snap.constraint, snap.kin, snap.state.qdot
+    M, Jc, K = kin.M, cs.J, mob.K
     L, Q = row_factor(Jc)
     G = mob.W[PIVOT].T.dot(Lambda_c)
     Jc_pinv = Q.T.dot(Q.dot(G))
@@ -473,7 +461,7 @@ def z_approach_torque(
     Jc_qd = Jc.dot(qd)
     u = G.dot(Jc_qd)
     Z_nu = qd - u
-    r = (tau_0 - snap.kin.Mdot.dot(u)
+    r = (tau_0 - kin.Mdot.dot(u)
          - M.dot(Jc_pinv.dot(cs.J_dot.dot(Z_nu))) + cs.J_dot.T.dot(Lambda_c.dot(Jc_qd)))
     return S, xdd_d, r
 
@@ -511,4 +499,4 @@ def uk_torque(
 
     the core's completion of r. In closed loop Jc qddot = a_cmd exactly.
     """
-    return mob.K[TIP, TIP], xdd_d - snap.tip_bias - mob.W[TIP].dot(tau_0), tau_0
+    return mob.K[TIP, TIP], xdd_d - snap.kin.abias_t - mob.W[TIP].dot(tau_0), tau_0

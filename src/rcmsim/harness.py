@@ -40,6 +40,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+# Start of the settled window the metrics average over [s], unless a run
+# config or ``rcmsim metrics --settle`` says otherwise.
+SETTLE_TIME = 1.0
+
 
 # --- configuration ---------------------------------------------------------
 
@@ -100,8 +104,7 @@ class RunConfig(Schema):
     )
     gains: GainsConfig = field(default_factory=GainsConfig)
     sim: SimConfig = field(default_factory=SimConfig)
-    settle_time: float = setting(1.0, NON_NEGATIVE)
-    output: str | None = setting(None, kind="a directory path string")
+    settle_time: float = setting(SETTLE_TIME, NON_NEGATIVE)
 
     def check(self, path: str):
         sc = self.scenario
@@ -170,7 +173,7 @@ class MetricsRecord(Schema):
     settle_time: float
 
 
-def compute_metrics(trace, settle_time: float = 1.0) -> MetricsRecord:
+def compute_metrics(trace, settle_time: float = SETTLE_TIME) -> MetricsRecord:
     """Tracking, residual and torque statistics over t >= settle_time."""
     m = trace.filled
     if m == 0:

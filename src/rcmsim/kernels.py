@@ -230,10 +230,10 @@ class KinFrames:
     """One frame pass at (q, qdot): frames, Jacobians and their exact rates.
 
     Eager: the joint ``axes``, ``pose_r`` and ``pose_t`` (tool-reference
-    frame and tip; same orientation) and the Jacobian columns of the tracked
-    points (``tracked_jacobian``, ``Jp_t``, ``coincident_jacobian``); the
-    6xn geometric Jacobian ``J_r`` of the tool-reference frame on first
-    access. The dynamics terms are formed together, by one body
+    frame and tip; same orientation), the Jacobian columns of the tracked
+    points (``tracked_jacobian``, ``coincident_jacobian``) and the tip's 3xn
+    ``Jp_t``; the 6xn geometric Jacobian ``J_r`` of the tool-reference frame
+    on first access. The dynamics terms are formed together, by one body
     (``_dynamics``) that runs on the first read of any of them: the tip
     velocity ``v_t`` = Jp_t qdot and bias acceleration ``abias_t`` =
     (d/dt Jp_t) qdot (its acceleration at qdd = 0), the reference-frame
@@ -309,6 +309,7 @@ class KinFrames:
         z_x_p = self._skew_z.dot(self._points_T)
         self._z_x_o = z_x_p.take(chain.own_origin)
         self._Jv = (z_x_p - self._z_x_o[:, None]) * chain.support
+        self.Jp_t = self.tracked_jacobian(n + 1)
 
     def tracked_jacobian(self, point: int) -> np.ndarray:
         """3xn translational Jacobian of tracked point ``point``: link a's COM
@@ -322,11 +323,6 @@ class KinFrames:
         J[:3] = self.tracked_jacobian(self.chain.n)
         J[3:] = self.axes.T
         return J
-
-    @property
-    def Jp_t(self) -> np.ndarray:
-        """3xn translational Jacobian of the tip."""
-        return self.tracked_jacobian(self.chain.n + 1)
 
     def coincident_jacobian(self, p: np.ndarray) -> np.ndarray:
         """3xn Jacobian of the last-link point that coincides with ``p``:

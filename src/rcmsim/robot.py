@@ -161,10 +161,10 @@ def load_default_model() -> RobotModel:
     return load_model(default_model_path())
 
 
-def _check_q(model: RobotModel, q: np.ndarray) -> np.ndarray:
+def _check_q(model: RobotModel, q: np.ndarray, name: str = "q") -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (model.n,):
-        raise ValueError(f"expected q of length {model.n}, got shape {q.shape}")
+        raise ValueError(f"expected {name} of length {model.n}, got shape {q.shape}")
     return q
 
 
@@ -174,5 +174,5 @@ def kinematics(model: RobotModel, q: np.ndarray, qdot: np.ndarray | None = None)
     joint-space dynamics terms (see ``kernels.KinFrames``)."""
     q = _check_q(model, q)
     if qdot is not None:
-        qdot = _check_q(model, qdot)
+        qdot = _check_q(model, qdot, "qdot")
     return KinFrames(model.chain, q, qdot)

@@ -5,10 +5,12 @@ enforced by the controller torque (matching a torque-controlled arm), with an
 optional visco-elastic port model adding a lateral restoring force at the
 trocar. Control rate equals the simulation rate; by default the controller
 sees the exact simulated state (seeded sensor noise available as an option).
-``run_episode`` validates its inputs once, starts the spiral at the initial
-tip point, places the trocar on the initial tool axis and runs for
-``run_duration``. A run config's ``scenario`` and ``sim`` sections are a
-``Scenario`` and a ``SimConfig``, so a bad input has one path
+``run_episode`` validates its inputs once (``sim.dt`` and the integrator
+are checked there, not per tick), starts the spiral at the initial tip
+point, places the trocar on the initial tool axis, starts the observer on
+that same frame pass of the start state and runs for ``run_duration``. A
+run config's ``scenario`` and ``sim`` sections are a ``Scenario`` and a
+``SimConfig``, so a bad input has one path
 (``scenario.disturbances[0].joint_torque``) from a config and from the library.
 """
 
@@ -232,15 +234,13 @@ class SimTrace:
     ``constraint_gap`` = |Jc qddot - commanded| and ``z_r``, the
     reference frame's z-axis). Every named attribute is a column view of it;
     ``damped``, the tick's damped task-inertia inverses, is its own int8
-    array. Given a ``table`` (as ``read_trace_csv`` does, with ``dt`` None),
-    the trace is a view over its CSV columns and has no diagnostics.
+    array. Given a ``table`` (as ``read_trace_csv`` does), the trace is a
+    view over its CSV columns and has no diagnostics.
     """
 
-    def __init__(self, n_joints: int, records: int, dt: float | None,
-                 table: np.ndarray | None = None):
+    def __init__(self, n_joints: int, records: int, table: np.ndarray | None = None):
         self.n = n_joints
         self.capacity = records
-        self.dt = dt
         self.filled = 0
         csv, memory = _trace_columns(n_joints)
         groups = csv
@@ -286,7 +286,7 @@ def read_trace_csv(path: str) -> SimTrace:
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
         if data.shape[1] != len(header):
             raise ConfigError(f"rows of {data.shape[1]} values under {len(header)} columns")
-    trace = SimTrace(n, len(data), None, table=data)
+    trace = SimTrace(n, len(data), table=data)
     trace.filled = len(data)
     return trace
 
@@ -310,15 +310,12 @@ def step(
     force (``env`` given) is state dependent and recomputed at every later
     RK4 stage, against ``trocar``: the trocar at the step's evaluation
     times, (t, t + dt/2, t + dt). Each later RK4 stage builds one frame pass.
-    The caller checks the new state.
+    ``dt`` and ``integrator`` (``SEMI_IMPLICIT``, else ``RK4``) are the
+    validated ``SimConfig``'s; the caller checks the new state.
     """
-    if not POSITIVE.ok(dt):
-        fail("dt", POSITIVE.message)
     if integrator == SEMI_IMPLICIT:
         qd_new = state.qdot + dt * qdd
         return JointState(state.q + dt * qd_new, qd_new)
-    if integrator != RK4:
-        raise ValueError(f"unknown integrator {integrator!r}")
 
     def accel(q, qd, time_index):
         kin = robot.KinFrames(model.chain, q, qd)
@@ -364,13 +361,10 @@ def run_episode(
 
     dt = sim.dt
     records = tick_count(duration, dt) + 1
-    trace = SimTrace(model.n, records, dt)
+    trace = SimTrace(model.n, records)
 
-    obs = (
-        ctl.ObserverState.initial(model, state, control.gains.observer_gain)
-        if control.observer
-        else None
-    )
+    # kin0 is the start state's pass: at q0, with the start state's zero qdot
+    obs = ctl.ObserverState.initial(kin0, control.gains.observer_gain) if control.observer else None
     noise = (
         np.random.default_rng(sim.noise_seed) if sim.sensor_noise_std > 0 else None
     )
@@ -394,7 +388,6 @@ def run_episode(
 
     disturbances = disturbance_arrays(scenario.disturbances)
 
-    tau_prev = None
     try:
         for k in range(records):
             t = k * dt
@@ -414,8 +407,8 @@ def run_episode(
             kin_true = (
                 snap.kin if noise is None else robot.KinFrames(model.chain, state.q, state.qdot)
             )
-            if obs is not None and tau_prev is not None:
-                obs = ctl.observer_step(obs, state, tau_prev, dt, kin_true)
+            if obs is not None and k > 0:
+                obs = ctl.observer_step(obs, state, trace.tau[k - 1], dt, kin_true)
             tau_hat = obs.tau_ext_hat if obs is not None else None
 
             out = ctl.control_torque(control, snap, ref, q0, tau_hat)
@@ -457,7 +450,6 @@ def run_episode(
                          port_env, stage_trocars)
             if not (all_finite(state.q) and all_finite(state.qdot)):
                 raise SimulationDiverged(k + 1, t + dt, "non-finite state after step", trace)
-            tau_prev = out.tau
     finally:
         # Columns the recorded ones determine, for the recorded ticks (also
         # of a diverged run): the 2D residual is the 3D one's lateral part,

@@ -660,7 +660,7 @@ def gauss_acceleration_split(
 def without_constraint(snap: ControlSnapshot) -> ControlSnapshot:
     """Snapshot variant with an empty (k = 0) constraint, for the
     unconstrained-reduction limit."""
-    n = snap.M.shape[0]
+    n = snap.kin.M.shape[0]
     empty = ConstraintState(
         np.zeros(0), np.zeros((0, n)), np.zeros(0), lambda: (np.zeros((0, n)), np.zeros(0))
     )
@@ -687,16 +687,16 @@ def unconstrained_pd_torque(
     """Standard operational-space PD torque with no constraint (k = 0 limit)."""
     state = snap.state
     tst = task_space_terms(
-        snap.M,
-        np.eye(snap.M.shape[0]),
-        snap.J_task,
-        snap.tip_bias,
-        snap.h,
+        snap.kin.M,
+        np.eye(snap.kin.M.shape[0]),
+        snap.kin.Jp_t,
+        snap.kin.abias_t,
+        snap.kin.h,
         on_singular="damp",
     )
-    f_f = free_space_force(tst.Lambda_f, tst.h_f, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
+    f_f = free_space_force(tst.Lambda_f, tst.h_f, ref, snap.kin.pose_t.p, snap.kin.v_t, gains)
     tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
-    return snap.J_task.T @ f_f + tst.N_bar @ tau_0
+    return snap.kin.Jp_t.T @ f_f + tst.N_bar @ tau_0
 
 
 def p_approach_reference(
@@ -713,7 +713,7 @@ def p_approach_reference(
     """
     cs = snap.constraint
     state = snap.state
-    Minv, J, h = snap.Minv, snap.J_task, snap.h
+    Minv, J, h = snap.Minv, snap.kin.Jp_t, snap.kin.h
     P = orth_projector(cs.J)
     Minv_JcT = Minv @ cs.J.T
     mobility_c = cs.J @ Minv_JcT
@@ -723,8 +723,8 @@ def p_approach_reference(
     JG = J @ Minv_JcT @ Lambda_c
     B = J @ Minv - JG @ Minv_JcT.T
     Lambda_f = np.linalg.inv(B @ J.T)
-    h_f = Lambda_f @ (B @ h - snap.tip_bias - JG @ a_cmd)
-    f = free_space_force(Lambda_f, h_f, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
+    h_f = Lambda_f @ (B @ h - snap.kin.abias_t - JG @ a_cmd)
+    f = free_space_force(Lambda_f, h_f, ref, snap.kin.pose_t.p, snap.kin.v_t, gains)
     tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
     tau_par = P @ (J.T @ (f - Lambda_f @ (B @ tau_0)) + tau_0)
     f_c = Lambda_c @ (a_cmd + cs.J @ (Minv @ (h - tau_par)))
@@ -745,15 +745,15 @@ def uk_sqrt_reference(
     """
     cs = snap.constraint
     state = snap.state
-    n = snap.M.shape[0]
-    M, h = snap.M, snap.h
+    n = snap.kin.M.shape[0]
+    M, h = snap.kin.M, snap.kin.h
     Minv = np.linalg.inv(M)
     S = matrix_sqrt(M)
     S_inv = np.linalg.solve(S, np.eye(n))
-    J = snap.J_task
+    J = snap.kin.Jp_t
     Lambda_tip = np.linalg.inv(J @ Minv @ J.T)
-    h_tip = Lambda_tip @ (J @ (Minv @ h) - snap.tip_bias)
-    f_pd = free_space_force(Lambda_tip, h_tip, ref, snap.kin.pose_t.p, snap.tip_vel, gains)
+    h_tip = Lambda_tip @ (J @ (Minv @ h) - snap.kin.abias_t)
+    f_pd = free_space_force(Lambda_tip, h_tip, ref, snap.kin.pose_t.p, snap.kin.v_t, gains)
     tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
     N_x = np.eye(n) - J.T @ (Lambda_tip @ (J @ Minv))
     Q = J.T @ f_pd + N_x @ (tau_0 + h) - h
@@ -804,7 +804,7 @@ def z_approach_reference(
     basis still along null(Jc)."""
     cs = snap.constraint
     state = snap.state
-    M, h, Minv = snap.M, snap.h, snap.Minv
+    M, h, Minv = snap.kin.M, snap.kin.h, snap.Minv
     if Z is None:
         Z = null_basis(cs.J)
     Lambda_n = Z.T @ M @ Z
@@ -820,10 +820,10 @@ def z_approach_reference(
     H_top = Lambda_c @ (cs.J @ Minv_h - cs.b)
     H_bot = Lambda_n @ (Z_sharp @ Minv_h - Zs_dot @ state.qdot)
     f_c = -(gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x)
-    J = snap.J_task
+    J = snap.kin.Jp_t
     Lambda_zn = np.linalg.inv(J @ Z @ np.linalg.solve(Lambda_n, Z.T @ J.T))
     e = ref.x - snap.kin.pose_t.p
-    edot = ref.xdot - snap.tip_vel
+    edot = ref.xdot - snap.kin.v_t
     f_f = Lambda_zn @ ref.xddot + gains.kd_task * edot + gains.kp_task * e
     f_n = Z.T @ (J.T @ f_f) + Z.T @ nullspace_torque(state.q, state.qdot, q_init, gains)
     accel_cmd = np.linalg.solve(Lambda_c, f_c) - cs.b

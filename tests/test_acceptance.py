@@ -320,12 +320,13 @@ def test_criterion_09_null_space_compliance(model, compliance_runs):
     # drifts cannot pass (its best exponential fit would be slower). The check
     # then requires the displacement to be gone after five of these.
     ta, tb = t1 + 0.5, t1 + 3.0
-    ia, ib = int(ta / pushed.dt), int(tb / pushed.dt)
+    dt = pushed.t[1]  # the timestamps are i dt exactly
+    ia, ib = int(ta / dt), int(tb / dt)
     rate = np.log(dqn[ia] / dqn[ib]) / (tb - ta)
     tc = 1.0 / rate if rate > 0 else np.inf
     fits = 0 < tc <= 4.0
     t_check = t1 + 5.0 * tc if fits else pushed.t[pushed.filled - 1]
-    i_check = min(int(t_check / pushed.dt), pushed.filled - 1)
+    i_check = min(int(t_check / dt), pushed.filled - 1)
     returned = fits and dqn[i_check] < 0.15 * peak + 1e-4
 
     mae_base = np.linalg.norm(compute_metrics(base, 1.0).tip_mae)

@@ -27,10 +27,10 @@ PACKAGE = os.path.dirname(rcmsim.__file__) + os.sep
 # (Python calls, C calls) per tick at most, for each controller and with the
 # momentum observer on p_approach. Lower them when a change saves calls.
 BUDGET = {
-    ("p_approach", False): (39.48, 89.82),
-    ("z_approach", False): (44.48, 116.82),
-    ("uk", False): (39.48, 86.82),
-    ("p_approach", True): (46.52, 99.01),
+    ("p_approach", False): (37.49, 89.82),
+    ("z_approach", False): (42.49, 116.82),
+    ("uk", False): (37.49, 86.82),
+    ("p_approach", True): (43.50, 98.96),
 }
 
 

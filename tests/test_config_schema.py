@@ -63,7 +63,7 @@ REJECTED = [
     ("settle_time", -1.0, "settle_time: must be non-negative"),
     ("settle_time", 20.0, "settle_time: must be smaller than the run duration"),
     ("constraint_bias_feedforward", 1, "constraint_bias_feedforward: unknown field"),
-    ("output", 5, "output: expected a directory path string"),
+    ("output", "out", "output: unknown field"),
     ("bogus", 1, "bogus: unknown field"),
     ("gains", [], "gains: expected an object", "value14"),
     ("gains", None, "gains: expected an object"),
@@ -251,7 +251,6 @@ def _configs():
         optional={
             "label": st.text("abcxyz_", min_size=1, max_size=8),
             "settle_time": st.floats(0.0, 1.5, **finite),
-            "output": st.none() | st.just("out/x"),
             "gains": _optional(
                 kp_task=gain, kd_task=st.none() | gain, kp_rcm=gain, kd_rcm=st.none() | gain,
                 kp_null=gain, kd_null=st.none() | gain, observer_gain=gain,

@@ -207,7 +207,7 @@ def test_p_approach_equilibrium_accelerations(model):
     snap = build_snapshot(model, state, trocar)
     out = _control("p_approach", snap, ref, _gains())
     qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
-    assert np.abs(snap.J_task @ qdd).max() < 1e-8
+    assert np.abs(snap.kin.Jp_t @ qdd).max() < 1e-8
     assert np.abs(snap.constraint.J @ qdd).max() < 1e-8
 
 
@@ -322,7 +322,7 @@ def test_uk_zero_feedback_reduction(model):
     on_constraint = ConstraintState(np.zeros(2), cs.J, cs.xdot, lambda: (cs.J_dot, cs.b))
     snap = snap._replace(constraint=on_constraint)
     out = _control("uk", snap, ref, g)
-    M, h = snap.M, snap.h
+    M, h = snap.kin.M, snap.kin.h
     S = matrix_sqrt(M)
     Pi = snap.constraint.J @ np.linalg.solve(S, np.eye(model.n))
     Q = out.tau - h - (
@@ -368,7 +368,7 @@ def test_gravity_hold(model, variant):
     state, trocar = _scenario_state(model)
     snap = build_snapshot(model, state, trocar)
     out = _control(variant, snap, _hold_reference(model, state.q), _gains(kp_null=5.0))
-    assert np.abs(snap.Minv.dot(out.tau - snap.h)).max() <= 1e-9
+    assert np.abs(snap.Minv.dot(out.tau - snap.kin.h)).max() <= 1e-9
 
 
 def _moving_trocar_run(model, variant, duration):
@@ -459,19 +459,20 @@ def test_p_approach_realizes_its_tip_law(model, moving):
     for _ in range(50):
         snap, ref, gains, q_init = _random_case(model, rng, moving)
         out = _control("p_approach", snap, ref, gains, q_init)
-        state, J, Jc = snap.state, snap.J_task, snap.constraint.J
+        state, J, Jc = snap.state, snap.kin.Jp_t, snap.constraint.J
         qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
-        Minv = np.linalg.inv(snap.M)
+        Minv = np.linalg.inv(snap.kin.M)
         MJt, MJct = Minv @ J.T, Minv @ Jc.T
         S = J @ MJt - (J @ MJct) @ np.linalg.solve(Jc @ MJct, MJct.T @ J.T)
-        pd = gains.kd_task * (ref.xdot - snap.tip_vel) + gains.kp_task * (ref.x - snap.kin.pose_t.p)
+        kin = snap.kin
+        pd = gains.kd_task * (ref.xdot - kin.v_t) + gains.kp_task * (ref.x - kin.pose_t.p)
         law = ref.xddot + S @ pd
         # Relative to the larger of the law and the torque's own tip
         # acceleration J M^-1 tau: the realized one is the difference of
         # tau's and h's, and its rounding scales with them. Relative to the
         # law alone, the worst of these states reads 4.4e-10.
         scale = max(np.abs(law).max(), np.abs(J @ (Minv @ out.tau)).max())
-        worst = max(worst, np.abs(J @ qdd + snap.tip_bias - law).max() / scale)
+        worst = max(worst, np.abs(J @ qdd + snap.kin.abias_t - law).max() / scale)
     assert worst < 1e-9
 
 
@@ -599,16 +600,16 @@ def test_z_approach_forms_the_gram_matrix_once(model, rng):
 
 
 def test_snapshot_tip_terms_match_the_tip_jacobian(model, rng):
-    # tip_bias is Jdot_t qd: a central difference of J_t qd along qd, at the
-    # Jdot tolerance; tip_vel is J_t qd.
+    # abias_t is Jdot_t qd: a central difference of J_t qd along qd, at the
+    # Jdot tolerance; v_t is J_t qd.
     step = 1e-6
     for _ in range(10):
         state, trocar = _scenario_state(model, rng, qd_scale=1.0)
         q, qd = state.q, state.qdot
         snap = build_snapshot(model, state, trocar)
         fd = (kinematics(model, q + step * qd).Jp_t - kinematics(model, q - step * qd).Jp_t) @ qd
-        assert np.abs(snap.tip_bias - fd / (2.0 * step)).max() < 1e-6
-        assert np.abs(snap.tip_vel - snap.J_task @ qd).max() < 1e-15
+        assert np.abs(snap.kin.abias_t - fd / (2.0 * step)).max() < 1e-6
+        assert np.abs(snap.kin.v_t - snap.kin.Jp_t @ qd).max() < 1e-15
 
 
 # --- observer -----------------------------------------------------------------
@@ -616,8 +617,8 @@ def test_snapshot_tip_terms_match_the_tip_jacobian(model, rng):
 
 def test_observer_stays_zero_without_disturbance(model):
     state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
-    obs = ObserverState.initial(model, state, gain=50.0)
     kin = kinematics(model, state.q, state.qdot)
+    obs = ObserverState.initial(kin, gain=50.0)
     for _ in range(100):
         obs = observer_step(obs, state, kin.h, 1e-3, kin)
     assert np.abs(obs.tau_ext_hat).max() < 1e-12
@@ -625,9 +626,9 @@ def test_observer_stays_zero_without_disturbance(model):
 
 def test_observer_zero_gain_frozen(model):
     state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
-    obs = ObserverState.initial(model, state, gain=0.0)
-    tau = np.ones(model.n)
     kin = kinematics(model, state.q, state.qdot)
+    obs = ObserverState.initial(kin, gain=0.0)
+    tau = np.ones(model.n)
     for _ in range(50):
         obs = observer_step(obs, state, tau, 1e-3, kin)
     assert np.abs(obs.tau_ext_hat).max() == 0.0
@@ -638,7 +639,7 @@ def test_observer_first_order_convergence(model):
     # 0.2 s of simulated free motion (time constant 1/gain = 20 ms).
     dt = 1e-3
     state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
-    obs = ObserverState.initial(model, state, gain=50.0)
+    obs = ObserverState.initial(kinematics(model, state.q), gain=50.0)
     tau_ext = np.zeros(model.n)
     tau_ext[3] = 2.0
     t = 0.0
@@ -674,8 +675,8 @@ def test_compensation_modes(model, rng):
     assert not damped
     # the uncompensated remainder produces no tip or pivot acceleration
     leftover = tau_hat - partial
-    M = snap.M
-    assert np.abs(snap.J_task @ np.linalg.solve(M, leftover)).max() < 1e-8
+    M = snap.kin.M
+    assert np.abs(snap.kin.Jp_t @ np.linalg.solve(M, leftover)).max() < 1e-8
     assert np.abs(snap.constraint.J @ np.linalg.solve(M, leftover)).max() < 1e-8
 
 

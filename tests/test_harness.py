@@ -117,7 +117,7 @@ def test_parse_config_label_from_filename(tmp_path):
 def _toy_trace(tau_rows, res_rows=None, dt=0.5):
     n = len(tau_rows[0])
     count = len(tau_rows)
-    tr = SimTrace(n, count, dt)
+    tr = SimTrace(n, count)
     tr.filled = count
     tr.t[:] = np.arange(count) * dt
     tr.tau[:] = np.asarray(tau_rows, dtype=float)

@@ -200,6 +200,20 @@ def test_sym_inv_matches_inverse(rng):
         assert np.array_equal(A_inv, np.array(adj) / det)
 
 
+def test_sym_inv_eigensolve_decides_near_the_floor():
+    # diag(1, 1, 1.2e-9) fails the Frobenius certificate (RTOL^2 ||A||_F^2
+    # ||A^-1||_F^2 = 1.39) but clears the eigenvalue floor RTOL |eig|_max:
+    # the eigensolve returns its plain inverse, exact for a diagonal matrix.
+    # Just under the floor (0.9e-9) the inverse is damped.
+    diagonal = np.array([1.0, 1.0, 1.2e-9])
+    A_inv, damped = sym_inv(np.diag(diagonal))
+    assert not damped
+    assert np.array_equal(A_inv, np.diag(1.0 / diagonal))
+    A_inv, damped = sym_inv(np.diag([1.0, 1.0, 0.9e-9]))
+    assert damped
+    assert A_inv[2, 2] == pytest.approx(0.9e-9 / (0.9e-9**2 + DAMPING**2))
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_sym_inv_of_the_stacked_mobility_size(rng, n):
     # The compensation's 5x5 mobility and one size up: np.linalg.inv's bits for the

@@ -92,6 +92,15 @@ def test_planar_jacobian_analytic(planar_model):
     assert np.abs(J[1] - np.array([2.0, 1.0])).max() < 1e-12  # row y: l1+l2, l2
 
 
+@pytest.mark.parametrize("which", ["q", "qdot"])
+def test_kinematics_rejects_a_joint_vector_of_the_wrong_length(model, which):
+    vectors = {"q": DEFAULT_HOME, "qdot": np.zeros(model.n)}
+    vectors[which] = np.zeros(model.n - 1)
+    message = rf"^expected {which} of length {model.n}, got shape \({model.n - 1},\)$"
+    with pytest.raises(ValueError, match=message):
+        kinematics(model, vectors["q"], vectors["qdot"])
+
+
 def test_jacobian_zero_columns_beyond_supporting_joint(model):
     # Link 2's COM cannot be moved by joints 3..n.
     J = kinematics(model, DEFAULT_HOME).tracked_jacobian(1)

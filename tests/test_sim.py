@@ -28,7 +28,6 @@ from rcmsim.sim import (
     port_torque,
     read_trace_csv,
     run_episode,
-    step,
 )
 from conftest import PENDULUM_LENGTH, PENDULUM_MASS, plant_step, static_trocar
 
@@ -128,10 +127,13 @@ def test_gravity_compensation_holds_pose(model):
     assert np.abs(state.q - q0).max() < 1e-6
 
 
-def test_step_rejects_bad_dt(model):
-    state = JointState(DEFAULT_HOME.copy(), np.zeros(model.n))
-    with pytest.raises(ValueError):
-        step(model, state, np.zeros(model.n), None, 0.0, np.zeros(model.n))
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_run_episode_rejects_a_non_positive_dt(model, dt):
+    # The episode's boundary is the one check on dt: step and observer_step
+    # take it as validated, every tick.
+    control = ControlSetup(observer=True)
+    with pytest.raises(ConfigError, match=r"^sim\.dt: must be positive$"):
+        run_episode(model, control, Scenario(), SimConfig(dt=dt, duration=0.01))
 
 
 def _moving_trocar(model, q):
@@ -358,7 +360,7 @@ def test_header_only_trace_reads_back_empty(model, tmp_path, capsys):
     from rcmsim.cli import main
 
     path = tmp_path / "trace.csv"
-    SimTrace(model.n, 5, 1e-3).to_csv(path)
+    SimTrace(model.n, 5).to_csv(path)
     back = read_trace_csv(str(path))  # no numpy "no data" warning
     assert back.filled == back.capacity == 0
     assert back.tau.shape == (0, model.n)
