@@ -39,7 +39,7 @@ projector P = I - Jc^+ Jc on r would change nothing: N_bar^T P = N_bar^T.
 ``control_torque`` also adds the disturbance compensation. The controllers
 are pure functions of the snapshot, the reference, the setup and the
 episode's start configuration. The snapshot holds each tick quantity once:
-the frame pass ``kin`` (M, h, the tip Jacobian J, its velocity J qd and bias
+the frame pass ``kin`` (q, qd, M, h, the tip point, its Jacobian J, J qd and
 Jdot qd), the one M^-1 and the constraint state. The one integration state,
 the observer's momentum, is passed explicitly by the caller; it starts from
 the frame pass of the episode's start state.
@@ -192,14 +192,14 @@ class ControllerOutput(NamedTuple):
 class ControlSnapshot(NamedTuple):
     """Shared per-tick quantities every controller needs.
 
-    ``kin`` is the frame pass at the state; the controllers read M, h, Mdot,
-    the tip Jacobian ``Jp_t``, its velocity ``v_t`` (J qd) and bias
-    ``abias_t`` (Jdot qd) from it. ``Minv`` is the one factorisation of M
-    that the controllers and the plant solve share; ``constraint`` forms its
-    rate terms on their first read.
+    ``kin`` is the frame pass at the state the controller sees, that state's
+    one home; the controllers read q, qdot, M, h, Mdot and the tip's point
+    ``p_t``, Jacobian ``Jp_t``, velocity ``v_t`` and bias ``abias_t`` from
+    it. ``Minv`` is the one factorisation of M that the controllers and the
+    plant solve share; ``constraint`` forms its rate terms on their first
+    read.
     """
 
-    state: JointState
     kin: KinFrames
     Minv: np.ndarray
     constraint: ConstraintState
@@ -212,7 +212,7 @@ def build_snapshot(
 ) -> ControlSnapshot:
     # through the module attribute, so a wrapper set there sees every pass
     kin = robot.KinFrames(model.chain, state.q, state.qdot)
-    return ControlSnapshot(state, kin, lu_inv(kin.M), constraint_from_kin(kin, state.qdot, trocar))
+    return ControlSnapshot(kin, lu_inv(kin.M), constraint_from_kin(kin, trocar))
 
 
 def nullspace_torque(
@@ -246,35 +246,33 @@ class ObserverState(NamedTuple):
             gain=float(gain),
             p_hat=kin.M @ kin.qdot,
             tau_ext_hat=np.zeros(kin.chain.n),
-            n_prev=_momentum_bias(kin, kin.qdot),
+            n_prev=_momentum_bias(kin),
         )
 
 
-def _momentum_bias(kin: KinFrames, qdot: np.ndarray) -> np.ndarray:
+def _momentum_bias(kin: KinFrames) -> np.ndarray:
     """n(q, qd) = c + g - Mdot qd, the drift of the generalized momentum."""
-    return kin.h - kin.Mdot.dot(qdot)
+    return kin.h - kin.Mdot.dot(kin.qdot)
 
 
 def observer_step(
     obs: ObserverState,
-    state: JointState,
     tau_applied: np.ndarray,
     dt: float,
     kin: KinFrames,
 ) -> ObserverState:
     """Advance the momentum observer by one control period.
 
-    ``state`` is the post-integration state; ``tau_applied`` the total torque
-    commanded over the elapsed period (zero-order hold); ``kin`` the frame
-    pass at ``state`` (the next tick's snapshot holds it). ``dt`` is not
-    checked here: ``run_episode`` validates it once.
+    ``kin`` is the frame pass at the true post-integration state (the next
+    tick's snapshot holds it when noise is off); ``tau_applied`` the total
+    torque commanded over the elapsed period (zero-order hold). ``dt`` is
+    not checked here: ``run_episode`` validates it once.
     """
-    qd = state.qdot
-    n_new = _momentum_bias(kin, qd)
+    n_new = _momentum_bias(kin)
     n_mid = 0.5 * (obs.n_prev + n_new)
     r_old = -obs.tau_ext_hat
     drift = obs.p_hat + dt * (tau_applied - n_mid + 0.5 * r_old)
-    r_new = obs.gain * (kin.M.dot(qd) - drift) / (1.0 + 0.5 * obs.gain * dt)
+    r_new = obs.gain * (kin.M.dot(kin.qdot) - drift) / (1.0 + 0.5 * obs.gain * dt)
     p_hat = drift + 0.5 * dt * r_new
     return ObserverState(gain=obs.gain, p_hat=p_hat, tau_ext_hat=-r_new, n_prev=n_new)
 
@@ -347,7 +345,7 @@ def control_torque(
     K_cc = mob.K[PIVOT, PIVOT]
     Lambda_c = small_inv(K_cc)
     a_cmd = -K_cc.dot(gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x) - cs.b
-    tau_0 = nullspace_torque(snap.state.q, snap.state.qdot, q_init, gains)
+    tau_0 = nullspace_torque(kin.q, kin.qdot, q_init, gains)
     # resolved at call time, so a wrapper set on the module attribute sees the call
     variant = (
         p_approach_torque if setup.variant == P_APPROACH
@@ -357,7 +355,7 @@ def control_torque(
     mobility, acc, r = variant(snap, mob, Lambda_c, a_cmd, ref.xddot, tau_0)
     Lambda, damped = sym_inv(mobility)
     f = (Lambda.dot(acc) + gains.kd_task * (ref.xdot - kin.v_t)
-         + gains.kp_task * (ref.x - kin.pose_t.p))
+         + gains.kp_task * (ref.x - kin.p_t))
     r = kin.Jp_t.T.dot(f) + r
     tau = kin.h + r + cs.J.T.dot(Lambda_c.dot(a_cmd - mob.W[PIVOT].dot(r)))
     if tau_ext_hat is not None and setup.compensation != COMP_OFF:
@@ -429,7 +427,7 @@ def z_approach_torque(
     Q G L = I, so Jc^+ = Q^T Q G and ||P G L||_F^2 = ||G L||_F^2 - 2; and
     Jc Jc^+ = I with M u = Jc^T Lambda_c Jc qd gives Jc^+^T M u = Lambda_c Jc qd.
     """
-    cs, kin, qd = snap.constraint, snap.kin, snap.state.qdot
+    cs, kin, qd = snap.constraint, snap.kin, snap.kin.qdot
     M, Jc, K = kin.M, cs.J, mob.K
     L, Q = row_factor(Jc)
     G = mob.W[PIVOT].T.dot(Lambda_c)

@@ -229,8 +229,9 @@ class dynamics_term:
 class KinFrames:
     """One frame pass at (q, qdot): frames, Jacobians and their exact rates.
 
-    Eager: the joint ``axes``, ``pose_r`` and ``pose_t`` (tool-reference
-    frame and tip; same orientation), the Jacobian columns of the tracked
+    The pass keeps the state it was formed at, ``q`` and ``qdot`` (zero when
+    not given). Eager: the joint ``axes``, the tool-reference frame
+    ``pose_r`` and the tip point ``p_t``, the Jacobian columns of the tracked
     points (``tracked_jacobian``, ``coincident_jacobian``) and the tip's 3xn
     ``Jp_t``; the 6xn geometric Jacobian ``J_r`` of the tool-reference frame
     on first access. The dynamics terms are formed together, by one body
@@ -275,6 +276,7 @@ class KinFrames:
     def __init__(self, chain: Chain, q: np.ndarray, qdot: np.ndarray | None = None):
         n = chain.n
         self.chain = chain
+        self.q = q
         self.qdot = np.zeros(n) if qdot is None else qdot
 
         # Joint transforms, then the flange; their prefix products (a
@@ -299,9 +301,8 @@ class KinFrames:
         # 1, a singular free-motion tip inertia) turn on those last bits.
         points = (T[chain.point_frame, :3] @ chain.point_local)[:, :, 0]
         self._points_T = points.T
-        R_r = T[n, :3, :3]
-        self.pose_r = Pose(points[n], R_r)
-        self.pose_t = Pose(points[n + 1], R_r)
+        self.pose_r = Pose(points[n], T[n, :3, :3])
+        self.p_t = points[n + 1]
         # Row 3j + i: component i of z_j x p for every point p; subtracting
         # z_j x o_j (joint j's own-origin entry) gives z_j x (p - o_j),
         # masked to the joints that move the point.
@@ -309,7 +310,7 @@ class KinFrames:
         z_x_p = self._skew_z.dot(self._points_T)
         self._z_x_o = z_x_p.take(chain.own_origin)
         self._Jv = (z_x_p - self._z_x_o[:, None]) * chain.support
-        self.Jp_t = self.tracked_jacobian(n + 1)
+        self.Jp_t = self._Jv[:, n + 1].reshape(n, 3).T
 
     def tracked_jacobian(self, point: int) -> np.ndarray:
         """3xn translational Jacobian of tracked point ``point``: link a's COM

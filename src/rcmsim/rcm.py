@@ -77,8 +77,8 @@ def place_trocar(p_r0: np.ndarray, p_t0: np.ndarray, alpha: float) -> np.ndarray
     return p_r0 + alpha * (p_t0 - p_r0)
 
 
-def constraint_from_kin(kin: KinFrames, qdot: np.ndarray, trocar: TrocarState) -> ConstraintState:
-    """Constraint state from a frame pass evaluated at (q, ``qdot``).
+def constraint_from_kin(kin: KinFrames, trocar: TrocarState) -> ConstraintState:
+    """Constraint state from the frame pass ``kin``, at its (q, qdot).
 
     J_pc is the Jacobian of the arm point that coincides with the trocar
     (columns z_j x (p_c - o_j), equal to J_p + skew(p_cr) J_w) and Jdot_pc
@@ -87,7 +87,7 @@ def constraint_from_kin(kin: KinFrames, qdot: np.ndarray, trocar: TrocarState) -
     Jdot_c = B^T (Jdot_pc - skew(w_r) J_pc) and
     b = Jdot_c qdot + B^T (w_r x pdot_c - pddot_c).
     """
-    pose_r = kin.pose_r
+    pose_r, qdot = kin.pose_r, kin.qdot
     Bt = pose_r.R.T[:2]
     J_pc = kin.coincident_jacobian(trocar.p)
     # ndarray.dot: the cheapest product call for these small operands

@@ -91,7 +91,7 @@ def plant_accel(
     snapshot's at the true state); otherwise M is solved and the port builds its own."""
     if env is not None:
         if constraint is None:
-            constraint = constraint_from_kin(kin, kin.qdot, trocar)
+            constraint = constraint_from_kin(kin, trocar)
         tau_port = port_torque(constraint, env)
         tau_ext = tau_port if tau_ext is None else tau_ext + tau_port
     load = (tau if tau_ext is None else tau + tau_ext) - kin.h
@@ -357,7 +357,7 @@ def run_episode(
     state = JointState(q0.copy(), np.zeros(model.n))
 
     kin0 = kinematics_of(model, q0)
-    p_c0 = place_trocar(kin0.pose_r.p, kin0.pose_t.p, scenario.alpha)
+    p_c0 = place_trocar(kin0.pose_r.p, kin0.p_t, scenario.alpha)
 
     dt = sim.dt
     records = tick_count(duration, dt) + 1
@@ -370,7 +370,7 @@ def run_episode(
     )
 
     trace.t[:] = np.arange(records) * dt
-    refs = spiral_reference(trace.t, scenario.spiral, kin0.pose_t.p)
+    refs = spiral_reference(trace.t, scenario.spiral, kin0.p_t)
     trace.ref[:] = refs.x
     # The trocar on the grid the plant is evaluated on: the ticks, and for
     # the soft port under RK4 also the half steps between them.
@@ -394,21 +394,18 @@ def run_episode(
             i = per_tick * k
             trocar = trocar_at(i)
             ref = TaskReference(refs.x[k], refs.xdot[k], refs.xddot[k])
+            # The controller sees the measured state; the observer, the
+            # disturbances, the plant and the records act at the true one.
             if noise is None:
-                meas = state
+                snap = ctl.build_snapshot(model, state, trocar)
+                kin_true = snap.kin
             else:
-                meas = JointState(
-                    state.q + sim.sensor_noise_std * noise.standard_normal(model.n),
-                    state.qdot,
-                )
-            snap = ctl.build_snapshot(model, meas, trocar)
-            # Observer update for the period that just ended, at the true state
-            # (the snapshot's frame pass when the controller sees that state).
-            kin_true = (
-                snap.kin if noise is None else robot.KinFrames(model.chain, state.q, state.qdot)
-            )
+                q_meas = state.q + sim.sensor_noise_std * noise.standard_normal(model.n)
+                snap = ctl.build_snapshot(model, JointState(q_meas, state.qdot), trocar)
+                kin_true = robot.KinFrames(model.chain, state.q, state.qdot)
+            # observer update for the period that just ended
             if obs is not None and k > 0:
-                obs = ctl.observer_step(obs, state, trace.tau[k - 1], dt, kin_true)
+                obs = ctl.observer_step(obs, trace.tau[k - 1], dt, kin_true)
             tau_hat = obs.tau_ext_hat if obs is not None else None
 
             out = ctl.control_torque(control, snap, ref, q0, tau_hat)
@@ -434,7 +431,7 @@ def run_episode(
                 trace.tau_ext[k] = tau_ext
             if obs is not None:
                 trace.tau_ext_hat[k] = obs.tau_ext_hat
-            trace.tip[k] = kin_true.pose_t.p
+            trace.tip[k] = kin_true.p_t
             trace.p_r[k] = pose_r.p
             trace.res3d[k] = pose_r.R.T.dot(pose_r.p - trocar.p)
             trace.z_r[k] = pose_r.R[:, 2]

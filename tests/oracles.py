@@ -685,18 +685,18 @@ def unconstrained_pd_torque(
     snap: ControlSnapshot, ref: TaskReference, gains: GainSet, q_init: np.ndarray
 ) -> np.ndarray:
     """Standard operational-space PD torque with no constraint (k = 0 limit)."""
-    state = snap.state
+    kin = snap.kin
     tst = task_space_terms(
-        snap.kin.M,
-        np.eye(snap.kin.M.shape[0]),
-        snap.kin.Jp_t,
-        snap.kin.abias_t,
-        snap.kin.h,
+        kin.M,
+        np.eye(kin.M.shape[0]),
+        kin.Jp_t,
+        kin.abias_t,
+        kin.h,
         on_singular="damp",
     )
-    f_f = free_space_force(tst.Lambda_f, tst.h_f, ref, snap.kin.pose_t.p, snap.kin.v_t, gains)
-    tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
-    return snap.kin.Jp_t.T @ f_f + tst.N_bar @ tau_0
+    f_f = free_space_force(tst.Lambda_f, tst.h_f, ref, kin.p_t, kin.v_t, gains)
+    tau_0 = nullspace_torque(kin.q, kin.qdot, q_init, gains)
+    return kin.Jp_t.T @ f_f + tst.N_bar @ tau_0
 
 
 def p_approach_reference(
@@ -712,8 +712,8 @@ def p_approach_reference(
     a_cmd = -Jc M^-1 Jc^T (Kd xdot_c + Kp x_c) - b_c.
     """
     cs = snap.constraint
-    state = snap.state
-    Minv, J, h = snap.Minv, snap.kin.Jp_t, snap.kin.h
+    kin = snap.kin
+    Minv, J, h = snap.Minv, kin.Jp_t, kin.h
     P = orth_projector(cs.J)
     Minv_JcT = Minv @ cs.J.T
     mobility_c = cs.J @ Minv_JcT
@@ -723,9 +723,9 @@ def p_approach_reference(
     JG = J @ Minv_JcT @ Lambda_c
     B = J @ Minv - JG @ Minv_JcT.T
     Lambda_f = np.linalg.inv(B @ J.T)
-    h_f = Lambda_f @ (B @ h - snap.kin.abias_t - JG @ a_cmd)
-    f = free_space_force(Lambda_f, h_f, ref, snap.kin.pose_t.p, snap.kin.v_t, gains)
-    tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
+    h_f = Lambda_f @ (B @ h - kin.abias_t - JG @ a_cmd)
+    f = free_space_force(Lambda_f, h_f, ref, kin.p_t, kin.v_t, gains)
+    tau_0 = nullspace_torque(kin.q, kin.qdot, q_init, gains)
     tau_par = P @ (J.T @ (f - Lambda_f @ (B @ tau_0)) + tau_0)
     f_c = Lambda_c @ (a_cmd + cs.J @ (Minv @ (h - tau_par)))
     return tau_par + cs.J.T @ f_c, a_cmd
@@ -744,17 +744,17 @@ def uk_sqrt_reference(
         tau = Q + S Pi^+ (b_ic - Jc M^-1 Q) + S (I - Pi^+ Pi) S^-1 tau_nic + h
     """
     cs = snap.constraint
-    state = snap.state
-    n = snap.kin.M.shape[0]
-    M, h = snap.kin.M, snap.kin.h
+    kin = snap.kin
+    n = kin.M.shape[0]
+    M, h = kin.M, kin.h
     Minv = np.linalg.inv(M)
     S = matrix_sqrt(M)
     S_inv = np.linalg.solve(S, np.eye(n))
-    J = snap.kin.Jp_t
+    J = kin.Jp_t
     Lambda_tip = np.linalg.inv(J @ Minv @ J.T)
-    h_tip = Lambda_tip @ (J @ (Minv @ h) - snap.kin.abias_t)
-    f_pd = free_space_force(Lambda_tip, h_tip, ref, snap.kin.pose_t.p, snap.kin.v_t, gains)
-    tau_0 = nullspace_torque(state.q, state.qdot, q_init, gains)
+    h_tip = Lambda_tip @ (J @ (Minv @ h) - kin.abias_t)
+    f_pd = free_space_force(Lambda_tip, h_tip, ref, kin.p_t, kin.v_t, gains)
+    tau_0 = nullspace_torque(kin.q, kin.qdot, q_init, gains)
     N_x = np.eye(n) - J.T @ (Lambda_tip @ (J @ Minv))
     Q = J.T @ f_pd + N_x @ (tau_0 + h) - h
     b_ic = -(cs.J @ Minv @ cs.J.T) @ (gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x) - cs.b
@@ -803,29 +803,29 @@ def z_approach_reference(
     J_E = [Jc; Z^#]. The gauge-locked rate Zdot = -Jc^+ Jdot_c Z holds the
     basis still along null(Jc)."""
     cs = snap.constraint
-    state = snap.state
-    M, h, Minv = snap.kin.M, snap.kin.h, snap.Minv
+    kin = snap.kin
+    M, h, Minv = kin.M, kin.h, snap.Minv
     if Z is None:
         Z = null_basis(cs.J)
     Lambda_n = Z.T @ M @ Z
     Z_sharp = np.linalg.solve(Lambda_n, Z.T @ M)
     Lambda_c = np.linalg.inv(cs.J @ Minv @ cs.J.T)
     Z_dot = -pinv(cs.J) @ (cs.J_dot @ Z)
-    Zs_dot = null_sharp_rate(M, snap.kin.Mdot, Z, Z_dot, Lambda_n, Z_sharp)
+    Zs_dot = null_sharp_rate(M, kin.Mdot, Z, Z_dot, Lambda_n, Z_sharp)
     J_E = np.concatenate([cs.J, Z_sharp], axis=0)
     sv = np.linalg.svd(J_E, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise SingularExtendedJacobian(f"stacked Jacobian near singular (sigma_min={sv[-1]:.3e})")
     Minv_h = Minv @ h
     H_top = Lambda_c @ (cs.J @ Minv_h - cs.b)
-    H_bot = Lambda_n @ (Z_sharp @ Minv_h - Zs_dot @ state.qdot)
+    H_bot = Lambda_n @ (Z_sharp @ Minv_h - Zs_dot @ kin.qdot)
     f_c = -(gains.kd_rcm * cs.xdot + gains.kp_rcm * cs.x)
-    J = snap.kin.Jp_t
+    J = kin.Jp_t
     Lambda_zn = np.linalg.inv(J @ Z @ np.linalg.solve(Lambda_n, Z.T @ J.T))
-    e = ref.x - snap.kin.pose_t.p
-    edot = ref.xdot - snap.kin.v_t
+    e = ref.x - kin.p_t
+    edot = ref.xdot - kin.v_t
     f_f = Lambda_zn @ ref.xddot + gains.kd_task * edot + gains.kp_task * e
-    f_n = Z.T @ (J.T @ f_f) + Z.T @ nullspace_torque(state.q, state.qdot, q_init, gains)
+    f_n = Z.T @ (J.T @ f_f) + Z.T @ nullspace_torque(kin.q, kin.qdot, q_init, gains)
     accel_cmd = np.linalg.solve(Lambda_c, f_c) - cs.b
     return J_E.T @ np.concatenate([f_c + H_top, f_n + H_bot]), accel_cmd
 

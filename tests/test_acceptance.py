@@ -89,8 +89,8 @@ def test_criterion_01_projection_algebra(model, rng):
     worst_sym = worst_idem = worst_annih = 0.0
     for q in qs:
         kin = kinematics(model, q)
-        p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.25 + 0.65 * rng.uniform())
-        Jc = constraint_from_kin(kin, np.zeros(model.n), static_trocar(p_c)).J
+        p_c = place_trocar(kin.pose_r.p, kin.p_t, 0.25 + 0.65 * rng.uniform())
+        Jc = constraint_from_kin(kin, static_trocar(p_c)).J
         P = orth_projector(Jc)
         tau_c = rng.uniform(-10.0, 10.0, model.n)
         tau_perp = tau_c - P @ tau_c
@@ -114,17 +114,17 @@ def test_criterion_02_kinematics_oracles(model, rng):
     worst = 0.0
     for q in qs:
         kin = kinematics(model, q)
-        p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
+        p_c = place_trocar(kin.pose_r.p, kin.p_t, 0.5)
         J_tool = kin.Jp_t
         static, rest = static_trocar(p_c), np.zeros(model.n)
-        Jc = constraint_from_kin(kin, rest, static).J
+        Jc = constraint_from_kin(kin, static).J
         for j in range(model.n):
             dq = np.zeros(model.n)
             dq[j] = step_q
             kp, km = kinematics(model, q + dq), kinematics(model, q - dq)
-            fd_tool = (kp.pose_t.p - km.pose_t.p) / (2 * step_q)
-            x_p = constraint_from_kin(kp, rest, static).x
-            x_m = constraint_from_kin(km, rest, static).x
+            fd_tool = (kp.p_t - km.p_t) / (2 * step_q)
+            x_p = constraint_from_kin(kp, static).x
+            x_m = constraint_from_kin(km, static).x
             worst = max(
                 worst,
                 np.abs(fd_tool - J_tool[:, j]).max(),
@@ -134,10 +134,10 @@ def test_criterion_02_kinematics_oracles(model, rng):
     kin = kinematics(model, DEFAULT_HOME)
     for _ in range(100):
         p_c = kin.pose_r.p + rng.uniform(0.1, 0.9) * (
-            kin.pose_t.p - kin.pose_r.p
+            kin.p_t - kin.pose_r.p
         ) + rng.uniform(-0.05, 0.05, 3)
-        p = rcm_point(kin.pose_r.p, kin.pose_t.p, p_c, model.l_tool)
-        worst_orth = max(worst_orth, abs((p - p_c) @ (kin.pose_t.p - kin.pose_r.p)))
+        p = rcm_point(kin.pose_r.p, kin.p_t, p_c, model.l_tool)
+        worst_orth = max(worst_orth, abs((p - p_c) @ (kin.p_t - kin.pose_r.p)))
     ok = worst < 1e-6 and worst_orth < 1e-9
     _report(
         "criterion 2 (kinematics oracles)",

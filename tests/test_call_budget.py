@@ -20,23 +20,28 @@ import sys
 import pytest
 
 import rcmsim
-from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
+from rcmsim.sim import ControlSetup, EnvModel, Scenario, SimConfig, run_episode
 
 PACKAGE = os.path.dirname(rcmsim.__file__) + os.sep
 
-# (Python calls, C calls) per tick at most, for each controller and with the
-# momentum observer on p_approach. Lower them when a change saves calls.
-BUDGET = {
-    ("p_approach", False): (37.49, 89.82),
-    ("z_approach", False): (42.49, 116.82),
-    ("uk", False): (37.49, 86.82),
-    ("p_approach", True): (43.50, 98.96),
+# (Python calls, C calls) per tick at most, for each controller, and for
+# p_approach with the momentum observer, under RK4 with the soft port (three
+# more frame passes per tick) and with sensor noise (a second pass, at the
+# true state). Lower them when a change saves calls.
+CASES = {
+    "p_approach": ({}, {}, (35.48, 88.82)),
+    "z_approach": ({"variant": "z_approach"}, {}, (40.48, 115.82)),
+    "uk": ({"variant": "uk"}, {}, (35.48, 85.82)),
+    "p_approach+observer": ({"observer": True}, {}, (41.49, 97.96)),
+    "p_approach+rk4_soft_port": (
+        {}, {"integrator": "rk4", "env": EnvModel(mode="soft")}, (73.30, 224.14)
+    ),
+    "p_approach+noise": ({}, {"sensor_noise_std": 1e-5}, (41.48, 125.82)),
 }
 
 
-def _calls_per_tick(model, variant: str, observer: bool) -> tuple[float, float]:
-    setup = ControlSetup(variant=variant, observer=observer)
-    args = (model, setup, Scenario(alpha=0.5), SimConfig(duration=0.2))
+def _calls_per_tick(model, setup: dict, sim: dict) -> tuple[float, float]:
+    args = (model, ControlSetup(**setup), Scenario(alpha=0.5), SimConfig(duration=0.2, **sim))
     run_episode(*args)  # first calls of lazily imported code are not a tick's
     calls = {"call": 0, "c_call": 0}
 
@@ -59,11 +64,9 @@ def _calls_per_tick(model, variant: str, observer: bool) -> tuple[float, float]:
     return calls["call"] / trace.filled, calls["c_call"] / trace.filled
 
 
-@pytest.mark.parametrize(
-    "variant,observer", list(BUDGET), ids=[v + ("+observer" if o else "") for v, o in BUDGET]
-)
-def test_tick_call_budget(model, variant, observer):
-    python_calls, c_calls = _calls_per_tick(model, variant, observer)
-    python_budget, c_budget = BUDGET[variant, observer]
+@pytest.mark.parametrize("case", list(CASES))
+def test_tick_call_budget(model, case):
+    setup, sim, (python_budget, c_budget) = CASES[case]
+    python_calls, c_calls = _calls_per_tick(model, setup, sim)
     assert python_calls <= python_budget, f"{python_calls:.2f} Python calls per tick"
     assert c_calls <= c_budget, f"{c_calls:.2f} C calls per tick"

@@ -52,7 +52,7 @@ def _control(variant, snap, ref, gains, q_init=DEFAULT_HOME, **kw):
 
 
 def _hold_reference(model, q):
-    tip = kinematics(model, q).pose_t.p
+    tip = kinematics(model, q).p_t
     return TaskReference(x=tip.copy(), xdot=np.zeros(3), xddot=np.zeros(3))
 
 
@@ -63,7 +63,7 @@ def _scenario_state(model, rng=None, alpha=0.5, qd_scale=0.0):
         q = q + rng.uniform(-0.3, 0.3, model.n)
         qd = qd_scale * rng.uniform(-1.0, 1.0, model.n)
     kin = kinematics(model, q)
-    p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, alpha)
+    p_c = place_trocar(kin.pose_r.p, kin.p_t, alpha)
     return JointState(q, qd), static_trocar(p_c)
 
 
@@ -216,7 +216,7 @@ def test_p_approach_moving_trocar_feedforward(model):
     # rheonomic bias so the residual error dynamics stay homogeneous.
     state, _ = _scenario_state(model)
     kin = kinematics(model, state.q)
-    p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
+    p_c = place_trocar(kin.pose_r.p, kin.p_t, 0.5)
     acc = np.array([0.0, 0.0, -0.063])
     trocar = TrocarState(p_c, np.zeros(3), acc)
     ref = _hold_reference(model, state.q)
@@ -420,7 +420,7 @@ def _random_case(model, rng, moving):
     p_c = trocar.p + rng.uniform(-0.01, 0.01, 3)  # off the tool axis: a pivot error
     trocar = TrocarState(p_c, rng.uniform(-0.05, 0.05, 3) if moving else np.zeros(3),
                          rng.uniform(-0.2, 0.2, 3) if moving else np.zeros(3))
-    tip = kinematics(model, state.q).pose_t.p
+    tip = kinematics(model, state.q).p_t
     ref = TaskReference(tip + rng.uniform(-0.005, 0.005, 3), rng.uniform(-0.05, 0.05, 3),
                         rng.uniform(-0.5, 0.5, 3))
     gains = _gains(kp_task=rng.uniform(200.0, 2000.0, 3), kp_rcm=rng.uniform(500.0, 3000.0, 2),
@@ -459,20 +459,20 @@ def test_p_approach_realizes_its_tip_law(model, moving):
     for _ in range(50):
         snap, ref, gains, q_init = _random_case(model, rng, moving)
         out = _control("p_approach", snap, ref, gains, q_init)
-        state, J, Jc = snap.state, snap.kin.Jp_t, snap.constraint.J
-        qdd = forward_dynamics(model, state.q, state.qdot, out.tau)
-        Minv = np.linalg.inv(snap.kin.M)
+        kin, Jc = snap.kin, snap.constraint.J
+        J = kin.Jp_t
+        qdd = forward_dynamics(model, kin.q, kin.qdot, out.tau)
+        Minv = np.linalg.inv(kin.M)
         MJt, MJct = Minv @ J.T, Minv @ Jc.T
         S = J @ MJt - (J @ MJct) @ np.linalg.solve(Jc @ MJct, MJct.T @ J.T)
-        kin = snap.kin
-        pd = gains.kd_task * (ref.xdot - kin.v_t) + gains.kp_task * (ref.x - kin.pose_t.p)
+        pd = gains.kd_task * (ref.xdot - kin.v_t) + gains.kp_task * (ref.x - kin.p_t)
         law = ref.xddot + S @ pd
         # Relative to the larger of the law and the torque's own tip
         # acceleration J M^-1 tau: the realized one is the difference of
         # tau's and h's, and its rounding scales with them. Relative to the
         # law alone, the worst of these states reads 4.4e-10.
         scale = max(np.abs(law).max(), np.abs(J @ (Minv @ out.tau)).max())
-        worst = max(worst, np.abs(J @ qdd + snap.kin.abias_t - law).max() / scale)
+        worst = max(worst, np.abs(J @ qdd + kin.abias_t - law).max() / scale)
     assert worst < 1e-9
 
 
@@ -620,7 +620,7 @@ def test_observer_stays_zero_without_disturbance(model):
     kin = kinematics(model, state.q, state.qdot)
     obs = ObserverState.initial(kin, gain=50.0)
     for _ in range(100):
-        obs = observer_step(obs, state, kin.h, 1e-3, kin)
+        obs = observer_step(obs, kin.h, 1e-3, kin)
     assert np.abs(obs.tau_ext_hat).max() < 1e-12
 
 
@@ -630,7 +630,7 @@ def test_observer_zero_gain_frozen(model):
     obs = ObserverState.initial(kin, gain=0.0)
     tau = np.ones(model.n)
     for _ in range(50):
-        obs = observer_step(obs, state, tau, 1e-3, kin)
+        obs = observer_step(obs, tau, 1e-3, kin)
     assert np.abs(obs.tau_ext_hat).max() == 0.0
 
 
@@ -649,7 +649,7 @@ def test_observer_first_order_convergence(model):
         qdd = forward_dynamics(model, state.q, state.qdot, tau_cmd, tau_ext)
         qd = state.qdot + dt * qdd
         state = JointState(state.q + dt * qd, qd)
-        obs = observer_step(obs, state, tau_cmd, dt, kinematics(model, state.q, state.qdot))
+        obs = observer_step(obs, tau_cmd, dt, kinematics(model, state.q, state.qdot))
         t += dt
     assert abs(obs.tau_ext_hat[3] + 2.0) < 0.1
     # first-order behavior: error decays with time constant 1/gain (10%)

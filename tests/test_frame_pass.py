@@ -82,7 +82,7 @@ def test_kinematics_only_pass_forms_no_dynamics(model, rng, monkeypatch):
         kin = kinematics(model, q, qd)
         for point in range(model.n + 2):
             kin.tracked_jacobian(point)
-        kin.coincident_jacobian(place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5))
+        kin.coincident_jacobian(place_trocar(kin.pose_r.p, kin.p_t, 0.5))
         assert kin.J_r.shape == (6, model.n) and kin.Jp_t.shape == (3, model.n)
         assert not set(DYNAMICS_TERMS + ["Mdot"]) & set(vars(kin))
     assert not bodies
@@ -135,13 +135,13 @@ def test_constraint_rates_match_finite_difference(model, rng, moving):
     qs, qds = random_states(rng, model.n, 15)
     for q, qd in zip(qs, qds):
         kin = kinematics(model, q)
-        p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, rng.uniform(0.2, 0.9))
+        p_c = place_trocar(kin.pose_r.p, kin.p_t, rng.uniform(0.2, 0.9))
         p_c = p_c + rng.uniform(-0.01, 0.01, 3)
         if moving:
             trocar = TrocarState(p_c, rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.1, 0.1, 3))
         else:
             trocar = static_trocar(p_c)
-        cs = constraint_from_kin(kinematics(model, q, qd), qd, trocar)
+        cs = constraint_from_kin(kinematics(model, q, qd), trocar)
         J_dot, b = oracles.constraint_rate_fd(model, q, qd, trocar)
         assert np.abs(cs.J_dot - J_dot).max() < 1e-6
         assert np.abs(cs.b - b).max() < 1e-6
@@ -154,10 +154,10 @@ def test_null_sharp_rate_matches_finite_difference(model, rng):
     qs, qds = random_states(rng, model.n, 10, spread=0.3)
     for q, qd in zip(qs, qds):
         kin = kinematics(model, q)
-        trocar = static_trocar(place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5))
+        trocar = static_trocar(place_trocar(kin.pose_r.p, kin.p_t, 0.5))
 
         def sharp(qs_, Z_ref=None):
-            cs = constraint_from_kin(kinematics(model, qs_, qd), qd, trocar)
+            cs = constraint_from_kin(kinematics(model, qs_, qd), trocar)
             Z = oracles.null_basis(cs.J)
             if Z_ref is not None:
                 Z = oracles.procrustes_align(Z, Z_ref)

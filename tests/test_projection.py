@@ -63,17 +63,17 @@ def test_pdot_matches_projector_finite_difference(model):
     # exactly how the operator is consumed.
     q0 = DEFAULT_HOME
     kin = kinematics(model, q0)
-    p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
+    p_c = place_trocar(kin.pose_r.p, kin.p_t, 0.5)
     trocar = static_trocar(p_c)
     M = kin.M
-    cs0 = constraint_from_kin(kin, np.zeros(model.n), trocar)
+    cs0 = constraint_from_kin(kin, trocar)
     qd = projection_state(M, cs0.J).P @ np.linspace(-0.4, 0.4, model.n)
-    cs = constraint_from_kin(kinematics(model, q0, qd), qd, trocar)
+    cs = constraint_from_kin(kinematics(model, q0, qd), trocar)
     ps = projection_state(M, cs.J, cs.J_dot)
     dt = 1e-6
     Ps = []
     for s in (-dt, dt):
-        cs_s = constraint_from_kin(kinematics(model, q0 + s * qd, qd), qd, trocar)
+        cs_s = constraint_from_kin(kinematics(model, q0 + s * qd, qd), trocar)
         Ps.append(projection_state(M, cs_s.J).P)
     P_fd = (Ps[1] - Ps[0]) / (2 * dt)
     assert np.abs((ps.Pdot - P_fd) @ qd).max() < 1e-4
@@ -95,9 +95,9 @@ def test_task_space_terms_algebraic_properties(model, rng):
     qs, qds = random_states(rng, model.n, 10)
     for q, qd in zip(qs, qds):
         kin = kinematics(model, q)
-        p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
+        p_c = place_trocar(kin.pose_r.p, kin.p_t, 0.5)
         static = static_trocar(p_c)
-        cs = constraint_from_kin(kinematics(model, q, qd), qd, static)
+        cs = constraint_from_kin(kinematics(model, q, qd), static)
         M = kin.M
         ps = projection_state(M, cs.J, cs.J_dot)
         tst = task_space_terms(ps.M_f, ps.P, kin.Jp_t, np.zeros(3), np.zeros(model.n))
@@ -112,9 +112,9 @@ def test_task_bias_reduces_to_classic_form(model, rng):
     # time-invariant-constraint operational-space expression exactly.
     q, qd = DEFAULT_HOME, rng.uniform(-0.5, 0.5, model.n)
     kin = kinematics(model, q)
-    p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
+    p_c = place_trocar(kin.pose_r.p, kin.p_t, 0.5)
     static = static_trocar(p_c)
-    cs = constraint_from_kin(kinematics(model, q, qd), qd, static)
+    cs = constraint_from_kin(kinematics(model, q, qd), static)
     M = kin.M
     ps = projection_state(M, cs.J, cs.J_dot)
     J = kin.Jp_t
@@ -144,8 +144,8 @@ def test_torque_decomposition_annihilation(model, rng):
     qs, _ = random_states(rng, model.n, 10)
     for q in qs:
         kin = kinematics(model, q)
-        p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
-        cs = constraint_from_kin(kin, np.zeros(model.n), static_trocar(p_c))
+        p_c = place_trocar(kin.pose_r.p, kin.p_t, 0.5)
+        cs = constraint_from_kin(kin, static_trocar(p_c))
         M = kin.M
         ps = projection_state(M, cs.J)
         P = ps.P

@@ -16,26 +16,28 @@ def _rotz(angle):
 
 def _mid_axis_trocar(model, q, frac=0.4):
     kin = kinematics(model, q)
-    return kin, place_trocar(kin.pose_r.p, kin.pose_t.p, frac)
+    return kin, place_trocar(kin.pose_r.p, kin.p_t, frac)
 
 
 class _PoseOnly:
     """What the residual's construction reads of a frame pass: the reference
-    pose, and a trocar-point Jacobian (zero, for one joint at rest)."""
+    pose, the velocity, and a trocar-point Jacobian (zero, for one joint at
+    rest)."""
 
     def __init__(self, pose_r):
         self.pose_r = pose_r
+        self.qdot = np.zeros(1)
 
     def coincident_jacobian(self, p_c):
         return np.zeros((3, 1))
 
 
 def _pose_residual(pose_r, p_c):
-    return constraint_from_kin(_PoseOnly(pose_r), np.zeros(1), static_trocar(p_c)).x
+    return constraint_from_kin(_PoseOnly(pose_r), static_trocar(p_c)).x
 
 
 def _residual(model, q, p_c):
-    return constraint_from_kin(kinematics(model, q), np.zeros(model.n), static_trocar(p_c)).x
+    return constraint_from_kin(kinematics(model, q), static_trocar(p_c)).x
 
 
 def test_place_trocar_limit_and_midpoint():
@@ -49,7 +51,7 @@ def test_place_trocar_depths(model):
     # The three sweep depths: insertion depth alpha * l_tool from the frame.
     kin = kinematics(model, DEFAULT_HOME)
     for alpha in (0.75, 0.5, 0.25):
-        p_c = place_trocar(kin.pose_r.p, kin.pose_t.p, alpha)
+        p_c = place_trocar(kin.pose_r.p, kin.p_t, alpha)
         assert abs(np.linalg.norm(p_c - kin.pose_r.p) - alpha * model.l_tool) < 1e-12
 
 
@@ -89,7 +91,7 @@ def test_residual_2d_is_first_two_rows_of_3d(model, rng):
     for q in qs:
         kin = kinematics(model, q)
         p_c = kin.pose_r.p + rng.uniform(-0.2, 0.2, 3)
-        J2 = constraint_from_kin(kin, np.zeros(model.n), static_trocar(p_c)).J
+        J2 = constraint_from_kin(kin, static_trocar(p_c)).J
         J3 = residual_jacobian(kin.pose_r, kin.J_r, p_c, rows=3)
         assert np.abs(J2 - J3[:2]).max() < 1e-12
 
@@ -110,7 +112,7 @@ def test_residual_jacobian_reference_point_case(model):
     # Trocar at the reference point: J_c reduces to the rotated J_p rows.
     kin = kinematics(model, DEFAULT_HOME)
     static = static_trocar(kin.pose_r.p)
-    J = constraint_from_kin(kin, np.zeros(model.n), static).J
+    J = constraint_from_kin(kin, static).J
     assert np.abs(J - kin.pose_r.R.T[:2] @ kin.J_r[:3]).max() < 1e-12
 
 
@@ -122,7 +124,7 @@ def test_residual_jacobian_finite_difference(model, rng):
         kin, p_c = _mid_axis_trocar(model, q)
         p_c = p_c + rng.uniform(-0.05, 0.05, 3)
         static = static_trocar(p_c)
-        J = constraint_from_kin(kin, np.zeros(model.n), static).J
+        J = constraint_from_kin(kin, static).J
         for j in range(model.n):
             dq = np.zeros(model.n)
             dq[j] = step
@@ -137,13 +139,13 @@ def test_residual_rate_static_and_moving(model, rng):
     qd = rng.uniform(-0.5, 0.5, model.n)
     kin, p_c = _mid_axis_trocar(model, q)
     static = static_trocar(p_c)
-    cs = constraint_from_kin(kinematics(model, q, qd), qd, static)
+    cs = constraint_from_kin(kinematics(model, q, qd), static)
     J = cs.J
     assert np.allclose(cs.xdot, J @ qd)
     v = np.array([0.0, 0.0, 0.03])
     moving = TrocarState(p_c, v, np.zeros(3))
     expected = J @ np.zeros(model.n) - kin.pose_r.R.T[:2] @ v
-    got = constraint_from_kin(kin, np.zeros(model.n), moving).xdot
+    got = constraint_from_kin(kin, moving).xdot
     assert np.abs(got - expected).max() < 1e-12
 
 
@@ -166,7 +168,7 @@ def test_residual_rate_matches_trajectory_difference(model):
         qs = [_analytic_motion(model, s, q0, amp, omega)[0] for s in (t - dt, t, t + dt)]
         xs = [_residual(model, q, p_c) for q in qs]
         q, qd, _ = _analytic_motion(model, t, q0, amp, omega)
-        xdot = constraint_from_kin(kinematics(model, q, qd), qd, trocar).xdot
+        xdot = constraint_from_kin(kinematics(model, q, qd), trocar).xdot
         fd = (xs[2] - xs[0]) / (2 * dt)
         assert np.abs(xdot - fd).max() < 1e-4
 
@@ -174,7 +176,7 @@ def test_residual_rate_matches_trajectory_difference(model):
 def test_residual_bias_zero_when_everything_static(model):
     kin, p_c = _mid_axis_trocar(model, DEFAULT_HOME)
     static = static_trocar(p_c)
-    b = constraint_from_kin(kin, np.zeros(model.n), static).b
+    b = constraint_from_kin(kin, static).b
     assert np.abs(b).max() == 0.0
 
 
@@ -190,7 +192,7 @@ def test_residual_bias_frozen_robot_sinusoidal_trocar(model):
         0.04 * w * np.cos(w * t) * np.array([0, 0, 1.0]),
         acc,
     )
-    b = constraint_from_kin(kin, np.zeros(model.n), trocar).b
+    b = constraint_from_kin(kin, trocar).b
     assert np.abs(b - (-kin.pose_r.R.T[:2] @ acc)).max() < 1e-12
     assert abs(np.linalg.norm(acc) - 0.04 * w * w) < 1e-12
 
@@ -223,20 +225,20 @@ def test_second_difference_oracle(model, moving):
             xs.append(_residual(model, q, trocar_at(s).p))
         xdd_fd = (xs[2] - 2 * xs[1] + xs[0]) / dt**2
         q, qd, qdd = _analytic_motion(model, t, q0, amp, omega)
-        cs = constraint_from_kin(kinematics(model, q, qd), qd, trocar_at(t))
+        cs = constraint_from_kin(kinematics(model, q, qd), trocar_at(t))
         assert np.abs(cs.J @ qdd + cs.b - xdd_fd).max() < 1e-3
 
 
 def test_rcm_point_fixed_points(model):
     kin, p_c = _mid_axis_trocar(model, DEFAULT_HOME)
-    p_r, p_t = kin.pose_r.p, kin.pose_t.p
+    p_r, p_t = kin.pose_r.p, kin.p_t
     assert np.abs(rcm_point(p_r, p_t, p_c, model.l_tool) - p_c).max() < 1e-12
     assert np.abs(rcm_point(p_r, p_t, p_r, model.l_tool) - p_r).max() < 1e-12
 
 
 def test_rcm_point_orthogonality_and_minimization(model, rng):
     kin, _ = _mid_axis_trocar(model, DEFAULT_HOME)
-    p_r, p_t = kin.pose_r.p, kin.pose_t.p
+    p_r, p_t = kin.pose_r.p, kin.p_t
     for _ in range(20):
         p_c = p_r + rng.uniform(0.1, 0.9) * (p_t - p_r) + rng.uniform(-0.05, 0.05, 3)
         p = rcm_point(p_r, p_t, p_c, model.l_tool)

@@ -30,6 +30,7 @@ from rcmsim.sim import (
     run_episode,
 )
 from conftest import PENDULUM_LENGTH, PENDULUM_MASS, plant_step, static_trocar
+from oracles import forward_dynamics
 
 
 def test_port_torque_examples(model):
@@ -38,10 +39,10 @@ def test_port_torque_examples(model):
     # along the frame's x axis 1 mm off it.
     env = EnvModel(mode="soft")
     kin = kinematics(model, DEFAULT_HOME, np.zeros(model.n))
-    at_pivot = rcm.constraint_from_kin(kin, kin.qdot, static_trocar(kin.pose_r.p))
+    at_pivot = rcm.constraint_from_kin(kin, static_trocar(kin.pose_r.p))
     assert np.abs(port_torque(at_pivot, env)).max() == 0.0
     off_axis = static_trocar(kin.pose_r.p - 0.001 * kin.pose_r.R[:, 0])
-    cs = rcm.constraint_from_kin(kin, kin.qdot, off_axis)
+    cs = rcm.constraint_from_kin(kin, off_axis)
     expected = cs.J.T @ np.array([-5.0, 0.0])
     assert np.abs(port_torque(cs, env) - expected).max() < 1e-12
 
@@ -68,7 +69,7 @@ def test_environment_energy_balance(model):
         q = DEFAULT_HOME + 0.002 * np.sin(rate * t)
         qd = 0.002 * rate * np.cos(rate * t)
         kin = kinematics(model, q, qd)
-        cs = rcm.constraint_from_kin(kin, qd, trocar)
+        cs = rcm.constraint_from_kin(kin, trocar)
         work += port_torque(cs, env) @ qd * dt
         dissipated += env.damping * (cs.xdot @ cs.xdot) * dt
         xs.append(cs.x)
@@ -141,7 +142,7 @@ def _moving_trocar(model, q):
     0.5 on the tool axis at ``q`` and moving 0.04 m at 0.2 Hz along base z."""
     kin = kinematics(model, q)
     sched = TrocarSchedule(mode="sinusoidal", amplitude=0.04, frequency=0.2)
-    p0 = place_trocar(kin.pose_r.p, kin.pose_t.p, 0.5)
+    p0 = place_trocar(kin.pose_r.p, kin.p_t, 0.5)
 
     def at(t):
         s = trocar_schedule_eval(t, sched, p0)
@@ -472,6 +473,24 @@ def test_sensor_noise_is_seeded_and_deterministic(model):
     assert np.array_equal(a.tau, b.tau)
     quiet = run_episode(model, ControlSetup(), Scenario(alpha=0.5), replace(sim, sensor_noise_std=0.0))
     assert not np.array_equal(a.tau, quiet.tau)
+
+
+def test_noisy_run_keeps_the_plant_and_the_records_on_the_true_state(model):
+    # The controller sees the measured q; the plant and the records stay on
+    # the true state. Every recorded qdd is the forward
+    # dynamics at the recorded q, qd under the recorded torque, and the
+    # recorded tip and reference point are the frame pass's at that q. A
+    # plant fed the measured state's pass misses qdd by about 1e-2 relative.
+    sim = SimConfig(duration=0.2, sensor_noise_std=1e-5, noise_seed=3)
+    trace = run_episode(model, ControlSetup(observer=True), Scenario(alpha=0.5), sim)
+    worst = 0.0
+    for k in range(trace.filled):
+        qdd = forward_dynamics(model, trace.q[k], trace.qd[k], trace.tau[k])
+        worst = max(worst, np.abs(trace.qdd[k] - qdd).max() / np.abs(qdd).max())
+        kin = kinematics(model, trace.q[k])
+        assert np.array_equal(trace.tip[k], kin.p_t)
+        assert np.array_equal(trace.p_r[k], kin.pose_r.p)
+    assert worst < 1e-9
 
 
 def _closed_loop(model, variant, q_offset, alpha, kp_task, kp_rcm, trocar,
