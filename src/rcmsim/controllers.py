@@ -47,7 +47,7 @@ the frame pass of the episode's start state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +59,7 @@ from .rcm import ConstraintState, TrocarState, constraint_from_kin
 from . import robot
 from .robot import JointState, KinFrames, RobotModel
 from .scenarios import TaskReference
-from .schema import NON_NEGATIVE, Rule, fail, length
+from .schema import NON_NEGATIVE, Rule, fail, finite, is_number
 
 P_APPROACH = "p_approach"
 Z_APPROACH = "z_approach"
@@ -82,43 +82,34 @@ NULL_DAMPING = 4.0
 STACKED_COND_TOL = 1e-10
 
 
-def _broadcast(value, size: int, name: str) -> np.ndarray:
-    """A scalar gain repeated ``size`` times, else the gain's ``size`` entries."""
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.shape not in ((1,), (size,)):
-        fail(name, length(size).message)
-    return np.full(size, arr[0]) if arr.size == 1 else arr
-
-
 @dataclass(frozen=True)
 class GainSet:
-    """Diagonal gain vectors for the task, pivot and null-space loops.
+    """One stiffness and one damping per loop: task, pivot and null space.
 
     Units: task N/m and N s/m, pivot N/m and N s/m, null-space N m/rad and
     N m s/rad, observer 1/s. However a gain set is built, it is checked on
-    construction: 3 task, 2 pivot and as many ``kd_null`` as ``kp_null``
-    entries, every gain finite and non-negative; an error names the field.
+    construction, with the run config's rules: each gain is a number (not a
+    bool, a list or an array), finite and non-negative; an error names the
+    field. A gain set fits an arm of any joint count.
     """
 
-    kp_task: np.ndarray
-    kd_task: np.ndarray
-    kp_rcm: np.ndarray
-    kd_rcm: np.ndarray
-    kp_null: np.ndarray
-    kd_null: np.ndarray
+    kp_task: float
+    kd_task: float
+    kp_rcm: float
+    kd_rcm: float
+    kp_null: float
+    kd_null: float
     observer_gain: float = OBSERVER_GAIN
 
     def __post_init__(self):
-        joints = np.size(self.kp_null)
-        for name, size in (("kp_task", 3), ("kd_task", 3), ("kp_rcm", 2), ("kd_rcm", 2),
-                           ("kp_null", joints), ("kd_null", joints), ("observer_gain", None)):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if size and not length(size).ok(value):
-                fail(name, length(size).message)
-            if not np.isfinite(value).all():
-                fail(name, "must be finite")
-            if (value < 0).any():
-                fail(name, NON_NEGATIVE.message)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not is_number(value):
+                fail(f.name, "expected a number")
+            value = finite(value, f.name)
+            if value < 0:
+                fail(f.name, NON_NEGATIVE.message)
+            object.__setattr__(self, f.name, value)
 
     @classmethod
     @np.errstate(invalid="ignore")  # a negative kp is rejected before its NaN kd
@@ -127,27 +118,21 @@ class GainSet:
         kp_task=KP_TASK,
         kp_rcm=KP_RCM,
         kp_null=0.0,
-        observer_gain: float = OBSERVER_GAIN,
-        n_joints: int = 7,
+        observer_gain=OBSERVER_GAIN,
         kd_task=None,
         kd_rcm=None,
         kd_null=None,
     ) -> "GainSet":
-        """Scalars repeat over their loop (``n_joints`` for the null-space
-        pair); derivative gains default element-wise to 2 sqrt(kp), and
-        ``kd_null`` with no null-space stiffness to ``NULL_DAMPING``."""
-        kp_task = _broadcast(kp_task, 3, "kp_task")
-        kp_rcm = _broadcast(kp_rcm, 2, "kp_rcm")
-        kp_null = _broadcast(kp_null, n_joints, "kp_null")
-        if kd_null is None and not kp_null.any():
+        """Derivative gains default to 2 sqrt(kp), and ``kd_null`` with no
+        null-space stiffness to ``NULL_DAMPING``."""
+        if kd_null is None and not np.any(kp_null):  # np.any: a list reaches the field check
             kd_null = NULL_DAMPING
 
-        def kd(value, kp, name):
-            return 2.0 * np.sqrt(kp) if value is None else _broadcast(value, kp.size, name)
+        def kd(value, kp):
+            return 2.0 * np.sqrt(kp) if value is None else value
 
-        return cls(kp_task, kd(kd_task, kp_task, "kd_task"), kp_rcm, kd(kd_rcm, kp_rcm, "kd_rcm"),
-                   kp_null, kd(kd_null, kp_null, "kd_null"),
-                   float(_broadcast(observer_gain, 1, "observer_gain")[0]))
+        return cls(kp_task, kd(kd_task, kp_task), kp_rcm, kd(kd_rcm, kp_rcm),
+                   kp_null, kd(kd_null, kp_null), observer_gain)
 
 
 COMP_OFF = "off"

@@ -48,25 +48,29 @@ SETTLE_TIME = 1.0
 # --- configuration ---------------------------------------------------------
 
 
+# Null-space stiffness of the compliance experiment [N m/rad]: a config's
+# ``gains.kp_null`` when ``scenario.nullspace`` is true and it gives none.
+COMPLIANCE_KP_NULL = 5.0
+
+
 @dataclass
 class GainsConfig(Schema):
-    """Proportional gains; derivative gains default to 2 sqrt(kp) element-wise.
+    """One number per gain, as ``controllers.GainSet`` holds them.
 
     The defaults are the library's (``controllers.KP_TASK`` and the rest), so
     a config with ``scenario.nullspace`` false runs the gains of a default
-    ``ControlSetup``. The one intended difference is ``kp_null``: 5.0 here,
-    the stiffness of the compliance experiment, applied only with
-    ``scenario.nullspace`` (the library default is no null-space stiffness).
-    Null derivative gains take ``GainSet.from_proportional``'s defaults:
-    2 sqrt(kp), and for ``kd_null`` with no null-space stiffness
-    ``controllers.NULL_DAMPING``.
+    ``ControlSetup``. ``kp_null`` is set only with ``scenario.nullspace``
+    (null there: ``COMPLIANCE_KP_NULL``); without it the arm has no
+    null-space stiffness. Null derivative gains take
+    ``GainSet.from_proportional``'s defaults: 2 sqrt(kp), and for
+    ``kd_null`` with no null-space stiffness ``controllers.NULL_DAMPING``.
     """
 
     kp_task: float = setting(ctl.KP_TASK, NON_NEGATIVE)
     kd_task: float | None = setting(None, NON_NEGATIVE)
     kp_rcm: float = setting(ctl.KP_RCM, NON_NEGATIVE)
     kd_rcm: float | None = setting(None, NON_NEGATIVE)
-    kp_null: float = setting(5.0, NON_NEGATIVE)
+    kp_null: float | None = setting(None, NON_NEGATIVE)
     kd_null: float | None = setting(None, NON_NEGATIVE)
     observer_gain: float = setting(ctl.OBSERVER_GAIN, NON_NEGATIVE)
 
@@ -114,6 +118,8 @@ class RunConfig(Schema):
             n = _load_model(self.model).n
         except ModelError as exc:
             fail("model", str(exc))
+        if self.gains.kp_null is not None and not sc.nullspace:
+            fail("gains.kp_null", "must be null when scenario.nullspace is false")
         check_joint_vectors(n, sc)
 
     def build(self):
@@ -121,8 +127,8 @@ class RunConfig(Schema):
         scenario and the sim config are the loaded sections themselves."""
         model = _load_model(self.model)
         sc, g = self.scenario, self.gains
-        kp_null = g.kp_null if sc.nullspace else 0.0
-        gains = ctl.GainSet.from_proportional(n_joints=model.n, **(vars(g) | {"kp_null": kp_null}))
+        kp_null = (COMPLIANCE_KP_NULL if g.kp_null is None else g.kp_null) if sc.nullspace else 0.0
+        gains = ctl.GainSet.from_proportional(**(vars(g) | {"kp_null": kp_null}))
         control = ControlSetup(
             variant=self.controller, gains=gains, observer=sc.observer, compensation=sc.compensation
         )

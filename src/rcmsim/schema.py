@@ -53,7 +53,7 @@ def fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}" if path else message)
 
 
-def _is_number(v) -> bool:
+def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
@@ -61,7 +61,7 @@ def _is_number(v) -> bool:
 _SCALARS = {
     bool: (lambda v: isinstance(v, bool), "true/false"),
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (_is_number, "a number"),
+    float: (is_number, "a number"),
     str: (lambda v: isinstance(v, str), "a string"),
 }
 
@@ -73,7 +73,7 @@ def _config_fields(cls) -> tuple:
     return tuple((f, hints[f.name]) for f in fields(cls))
 
 
-def _finite(value, path: str) -> float:
+def finite(value, path: str) -> float:
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -102,9 +102,9 @@ def _parse(hint, value, path: str, kind: str | None):
     if optional and value is None:
         return None
     if item is float:
-        if not (isinstance(value, list) and all(map(_is_number, value))):
+        if not (isinstance(value, list) and all(map(is_number, value))):
             fail(path, f"expected {kind or 'a list of numbers'}")
-        return [_finite(v, path) for v in value]
+        return [finite(v, path) for v in value]
     if item is not None:
         if not isinstance(value, list):
             fail(path, f"expected {kind or 'a list'}")
@@ -114,7 +114,7 @@ def _parse(hint, value, path: str, kind: str | None):
     accepts, noun = _SCALARS[hint]
     if not accepts(value):
         fail(path, f"expected {kind or noun + (' or null' if optional else '')}")
-    return _finite(value, path) if hint is float else value
+    return finite(value, path) if hint is float else value
 
 
 def _dump(value):

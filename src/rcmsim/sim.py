@@ -166,12 +166,16 @@ class Scenario(Schema):
     q_init: list[float] | None = None
 
 
-def check_joint_vectors(n: int, scenario: Scenario, *more):
-    """The scenario's ``q_init``, each (path, vector) of ``more`` and every
-    joint-torque disturbance hold one finite entry per joint; an error names
-    the vector by its path from the run config's root."""
+def check_joint_vectors(n: int, scenario: Scenario):
+    """The scenario's ``q_init`` and every joint-torque disturbance hold one
+    finite entry per joint, and an arm whose joint count is not
+    ``DEFAULT_HOME``'s has a ``q_init``; an error names the vector by its
+    path from the run config's root."""
+    if scenario.q_init is None and n != DEFAULT_HOME.size:
+        fail("scenario.q_init", f"required for an arm of {n} joints "
+             f"(the default start pose has {DEFAULT_HOME.size})")
     rule = length(n)
-    vectors = [("scenario.q_init", scenario.q_init), *more] + [
+    vectors = [("scenario.q_init", scenario.q_init)] + [
         (f"scenario.disturbances[{i}].joint_torque", event.joint_torque)
         for i, event in enumerate(scenario.disturbances)
     ]
@@ -238,11 +242,11 @@ class SimTrace:
     view over its CSV columns and has no diagnostics.
     """
 
-    def __init__(self, n_joints: int, records: int, table: np.ndarray | None = None):
-        self.n = n_joints
+    def __init__(self, n: int, records: int, table: np.ndarray | None = None):
+        self.n = n
         self.capacity = records
         self.filled = 0
-        csv, memory = _trace_columns(n_joints)
+        csv, memory = _trace_columns(n)
         groups = csv
         if table is None:
             groups = csv + memory
@@ -350,9 +354,7 @@ def run_episode(
     sim.validate("sim")
     scenario.validate("scenario")
     duration = run_duration(sim, scenario.spiral)
-    check_joint_vectors(model.n, scenario,
-                        ("control.gains.kp_null", control.gains.kp_null),
-                        ("control.gains.kd_null", control.gains.kd_null))
+    check_joint_vectors(model.n, scenario)
     q0 = DEFAULT_HOME.copy() if scenario.q_init is None else np.asarray(scenario.q_init, dtype=float)
     state = JointState(q0.copy(), np.zeros(model.n))
 

@@ -75,7 +75,7 @@ def observer_runs(model, warmed):
 
 @pytest.fixture(scope="session")
 def compliance_runs(model, warmed):
-    gains = GainSet.from_proportional(kp_null=5.0, n_joints=model.n)
+    gains = GainSet.from_proportional(kp_null=5.0)
     control = ControlSetup(gains=gains, observer=True, compensation="preserve_null")
     base = run_episode(model, control, Scenario(alpha=0.5), SIM20)
     push = [DisturbanceEvent(t0=4.0, t1=7.0, link2_force=np.array([0.0, 8.0, 0.0]))]

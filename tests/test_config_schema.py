@@ -74,8 +74,8 @@ REJECTED = [
     ("gains.kp_rcm", "x", "gains.kp_rcm: expected a number"),
     ("gains.kp_rcm", True, "gains.kp_rcm: expected a number"),
     ("gains.kp_rcm", -1.0, "gains.kp_rcm: must be non-negative"),
-    ("gains.kp_null", "x", "gains.kp_null: expected a number"),
-    ("gains.kp_null", True, "gains.kp_null: expected a number"),
+    ("gains.kp_null", "x", "gains.kp_null: expected a number or null"),
+    ("gains.kp_null", True, "gains.kp_null: expected a number or null"),
     ("gains.kp_null", -1.0, "gains.kp_null: must be non-negative"),
     ("gains.observer_gain", "x", "gains.observer_gain: expected a number"),
     ("gains.observer_gain", True, "gains.observer_gain: expected a number"),
@@ -168,6 +168,8 @@ REJECTED = [
     ("scenario.spiral.start", [0.0, 0.0, 0.0], "scenario.spiral.start: unknown field", "value111"),
     ("scenario.trocar.p0", [0.0, 0.0, 0.0], "scenario.trocar.p0: unknown field", "value112"),
     ("scenario.spiral.duration", 0.0005, "scenario.spiral.duration: must cover at least one step"),
+    # the null-space stiffness acts only in the compliance experiment
+    ("gains.kp_null", 50.0, "gains.kp_null: must be null when scenario.nullspace is false"),
 ]
 
 
@@ -253,7 +255,7 @@ def _configs():
             "settle_time": st.floats(0.0, 1.5, **finite),
             "gains": _optional(
                 kp_task=gain, kd_task=st.none() | gain, kp_rcm=gain, kd_rcm=st.none() | gain,
-                kp_null=gain, kd_null=st.none() | gain, observer_gain=gain,
+                kp_null=st.none() | gain, kd_null=st.none() | gain, observer_gain=gain,
             ),
             "sim": _optional(
                 dt=st.floats(1e-4, 1e-2, **finite),
@@ -271,8 +273,16 @@ def _configs():
     )
 
 
+def _with_nullspace_gains(data):
+    """``data`` with ``gains.kp_null`` dropped unless ``scenario.nullspace``
+    is true: the stiffness is set only for the compliance experiment."""
+    if not data["scenario"].get("nullspace"):
+        data.get("gains", {}).pop("kp_null", None)
+    return data
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_configs())
+@given(_configs().map(_with_nullspace_gains))
 def test_to_dict_round_trip(data):
     cfg = config_from_dict(data)
     dumped = cfg.to_dict()
@@ -362,6 +372,32 @@ def test_malformed_model_file_starts_no_run(command, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err == f"config error: {configs / 'a.json'}: model: links: expected a list\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_other_joint_count_needs_a_start_pose(command, tmp_path, capsys):
+    # the default start pose has 7 joints; a 6-joint model without q_init is
+    # rejected when the config loads, not by a traceback in the run
+    from rcmsim.robot import default_model_path
+
+    with open(default_model_path()) as fh:
+        data = json.load(fh)
+    model_path = tmp_path / "six.json"
+    model_path.write_text(json.dumps(
+        {**data, "n": 6, "joints": data["joints"][:6], "links": data["links"][:6]}
+    ))
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    config = {"controller": "p_approach", "scenario": {"alpha": 0.5}, "model": str(model_path)}
+    (configs / "a.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    args = ["--config", str(configs / "a.json")] if command == "run" else ["--configs", str(configs)]
+    assert main([command, *args, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"config error: {configs / 'a.json'}: scenario.q_init: required for an arm of 6 joints"
+        " (the default start pose has 7)\n"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(ESCAPES))

@@ -7,6 +7,7 @@ import pytest
 
 from rcmsim.errors import ConfigError
 from rcmsim.harness import (
+    COMPLIANCE_KP_NULL,
     EXIT_DIVERGED,
     EXIT_OK,
     MetricsRecord,
@@ -37,7 +38,8 @@ def test_minimal_config_defaults():
 
 
 def test_default_gains_match_library_defaults():
-    # kp_null differs on purpose (5.0, applied only with scenario.nullspace)
+    # without scenario.nullspace a config has no null-space stiffness, as a
+    # default ControlSetup has none
     from dataclasses import fields
 
     from rcmsim.sim import ControlSetup
@@ -46,6 +48,14 @@ def test_default_gains_match_library_defaults():
     library = ControlSetup().gains
     for f in fields(library):
         assert np.array_equal(getattr(control.gains, f.name), getattr(library, f.name)), f.name
+
+
+@pytest.mark.parametrize("kp_null, expected", [(None, COMPLIANCE_KP_NULL), (50.0, 50.0)])
+def test_nullspace_stiffness(kp_null, expected):
+    # the compliance experiment's stiffness, unless the config gives its own
+    data = {**MINIMAL, "scenario": {"alpha": 0.5, "nullspace": True}, "gains": {"kp_null": kp_null}}
+    _, control, _, _ = config_from_dict(data).build()
+    assert control.gains.kp_null == expected
 
 
 def test_config_alpha_bound():

@@ -342,7 +342,7 @@ def test_unreadable_trace_is_a_config_error(model, tmp_path, capsys, fault, mess
 
 
 def test_diverged_trace_reads_back_its_filled_rows(model, tmp_path):
-    bad = GainSet.from_proportional(kp_task=1e9, kd_task=0.0, n_joints=model.n)
+    bad = GainSet.from_proportional(kp_task=1e9, kd_task=0.0)
     with pytest.raises(SimulationDiverged) as exc_info:
         run_episode(model, ControlSetup(gains=bad), Scenario(alpha=0.5), SimConfig(duration=0.3))
     partial = exc_info.value.trace
@@ -428,7 +428,7 @@ def test_env_soft_episode_limits_residual(model):
 
 @pytest.mark.parametrize("integrator", ["semi_implicit", "rk4"])
 def test_divergence_carries_tick_and_partial_trace(model, integrator, recwarn):
-    bad = GainSet.from_proportional(kp_task=1e9, kd_task=0.0, n_joints=model.n)
+    bad = GainSet.from_proportional(kp_task=1e9, kd_task=0.0)
     sim = SimConfig(dt=1e-3, duration=2.0, integrator=integrator)
     with pytest.raises(SimulationDiverged) as exc_info:
         run_episode(model, ControlSetup(gains=bad), Scenario(alpha=0.5), sim)
@@ -496,9 +496,7 @@ def test_noisy_run_keeps_the_plant_and_the_records_on_the_true_state(model):
 def _closed_loop(model, variant, q_offset, alpha, kp_task, kp_rcm, trocar,
                  integrator="semi_implicit", port="off"):
     """A 0.05 s episode: its trace, and the tick it diverged at (or None)."""
-    gains = GainSet.from_proportional(
-        kp_task=kp_task, kp_rcm=kp_rcm, kd_null=NULL_DAMPING, n_joints=model.n
-    )
+    gains = GainSet.from_proportional(kp_task=kp_task, kp_rcm=kp_rcm, kd_null=NULL_DAMPING)
     scenario = Scenario(alpha=alpha, trocar=trocar, q_init=DEFAULT_HOME + np.asarray(q_offset))
     sim = SimConfig(duration=0.05, integrator=integrator, env=EnvModel(mode=port))
     try:
@@ -576,17 +574,17 @@ def test_non_finite_q_init_rejected_at_the_boundary(model, variant):
 
 @pytest.mark.parametrize("variant", ["p_approach", "z_approach", "uk"])
 def test_null_gains_must_fit_the_joint_count(model, variant):
-    # A default ControlSetup holds 7-joint null-space gains. On a 6-joint arm
-    # (the default arm's first six rows) the episode is refused before its
-    # first tick; gains built for 6 joints run it.
+    # A gain set holds one number per loop, so the null-space gains fit every
+    # joint count: a default ControlSetup runs a 6-joint arm (the default
+    # arm's first six rows). Its start pose is a setting: without q_init the
+    # episode is refused before its first tick.
     six = replace(model, n=6, dh=model.dh[:6], masses=model.masses[:6],
                   coms=model.coms[:6], inertias=model.inertias[:6])
-    scenario = Scenario(alpha=0.5, q_init=DEFAULT_HOME[:6])
     sim = SimConfig(duration=0.05)
-    with pytest.raises(ConfigError, match=r"^control\.gains\.kp_null: expected 6 numbers$"):
-        run_episode(six, ControlSetup(variant=variant), scenario, sim)
-    gains = GainSet.from_proportional(n_joints=6)
-    trace = run_episode(six, ControlSetup(variant=variant, gains=gains), scenario, sim)
+    with pytest.raises(ConfigError, match=r"^scenario\.q_init: required for an arm of 6 joints"):
+        run_episode(six, ControlSetup(variant=variant), Scenario(alpha=0.5), sim)
+    scenario = Scenario(alpha=0.5, q_init=DEFAULT_HOME[:6])
+    trace = run_episode(six, ControlSetup(variant=variant), scenario, sim)
     assert trace.filled == 51
     assert trace.constraint_gap.max() <= 1e-9
 
