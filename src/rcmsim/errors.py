@@ -13,13 +13,10 @@ class SingularExtendedJacobian(RcmSimError):
     """Stacked constraint/null-space Jacobian is not invertible."""
 
 
-class ModelError(RcmSimError):
-    """Robot model file is missing or malformed; message names the field path."""
-
-
 class ConfigError(RcmSimError, ValueError):
-    """Run configuration or library input is malformed (also a ``ValueError``);
-    the message names the field path."""
+    """Malformed input (also a ``ValueError``): a run config, model, metrics or
+    trace file, or a library argument; the message names the file or the
+    field's path."""
 
 
 class SimulationDiverged(RcmSimError):

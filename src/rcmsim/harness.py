@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import controllers as ctl
-from .errors import ConfigError, ModelError, SimulationDiverged
+from .errors import ConfigError, SimulationDiverged
 from .rcm import ALPHA
 from .robot import RobotModel, default_model_path, load_model
 from .schema import NON_NEGATIVE, Rule, Schema, fail, naming_file, read_json, setting
@@ -116,7 +116,7 @@ class RunConfig(Schema):
             fail("settle_time", "must be smaller than the run duration")
         try:
             n = _load_model(self.model).n
-        except ModelError as exc:
+        except ConfigError as exc:
             fail("model", str(exc))
         if self.gains.kp_null is not None and not sc.nullspace:
             fail("gains.kp_null", "must be null when scenario.nullspace is false")

@@ -18,9 +18,8 @@ from importlib import resources
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ModelError
 from .kernels import KinFrames, Pose
-from .schema import POSITIVE, Rule, Schema, fail, join, length, read_json, setting
+from .schema import POSITIVE, Rule, Schema, fail, join, length, naming_file, read_json, setting
 
 DEFAULT_HOME = np.array(
     [0.0, -np.pi / 4, 0.0, -3 * np.pi / 4, 0.0, np.pi / 2, np.pi / 4]
@@ -36,9 +35,9 @@ class RobotModel:
         the resulting frame is the tool-reference frame.
     masses/coms/inertias: per-link mass [kg], COM [m] and rotational inertia
         about the COM [kg m^2], all in the link frame.
+    n: the joint count, derived from the rows of ``dh``.
     """
 
-    n: int
     dh: np.ndarray
     masses: np.ndarray
     coms: np.ndarray
@@ -47,9 +46,11 @@ class RobotModel:
     l_tool: float
     flange: np.ndarray = field(default_factory=lambda: np.zeros(4))
     description: str = ""
+    n: int = field(init=False)
     chain: kernels.Chain = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", self.dh.shape[0])
         chain = kernels.Chain.build(
             self.dh, self.flange, self.l_tool, self.masses, self.coms, self.inertias,
             self.gravity,
@@ -124,15 +125,11 @@ class ModelFile(Schema):
 
 
 def model_from_dict(data: dict) -> RobotModel:
-    """Build and validate a RobotModel from parsed JSON."""
-    try:
-        spec = ModelFile.from_dict(data)
-        spec.validate()
-    except ConfigError as exc:
-        raise ModelError(str(exc)) from exc
+    """Build and validate a RobotModel from parsed JSON; a ConfigError names the field."""
+    spec = ModelFile.from_dict(data)
+    spec.validate()
     f, links = spec.flange, spec.links
     return RobotModel(
-        n=spec.n,
         dh=np.array([[j.a, j.d, j.alpha, j.theta_offset] for j in spec.joints]),
         masses=np.array([link.mass for link in links]),
         coms=np.array([link.com for link in links]),
@@ -145,12 +142,10 @@ def model_from_dict(data: dict) -> RobotModel:
 
 
 def load_model(path: str) -> RobotModel:
-    """The model file at ``path``; a ModelError names the file or the field."""
-    try:
-        data = read_json(path)
-    except ConfigError as exc:
-        raise ModelError(str(exc)) from exc
-    return model_from_dict(data)
+    """The model file at ``path``; a ConfigError names the file (and the field)."""
+    data = read_json(path)
+    with naming_file(path, "model"):
+        return model_from_dict(data)
 
 
 def default_model_path() -> str:

@@ -26,8 +26,9 @@ PACKAGE = os.path.dirname(rcmsim.__file__) + os.sep
 
 # (Python calls, C calls) per tick at most, for each controller, and for
 # p_approach with the momentum observer, under RK4 with the soft port (three
-# more frame passes per tick) and with sensor noise (a second pass, at the
-# true state). Lower them when a change saves calls.
+# more frame passes per tick), with sensor noise (a second pass, at the true
+# state) and with the observer's preserve_null compensation (the link-2 push
+# sweep's path). Lower them when a change saves calls.
 CASES = {
     "p_approach": ({}, {}, (35.48, 88.82)),
     "z_approach": ({"variant": "z_approach"}, {}, (40.48, 115.82)),
@@ -37,6 +38,9 @@ CASES = {
         {}, {"integrator": "rk4", "env": EnvModel(mode="soft")}, (73.30, 224.14)
     ),
     "p_approach+noise": ({}, {"sensor_noise_std": 1e-5}, (41.48, 125.82)),
+    "p_approach+preserve_null": (
+        {"observer": True, "compensation": "preserve_null"}, {}, (43.48, 102.95)
+    ),
 }
 
 

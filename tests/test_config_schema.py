@@ -371,7 +371,8 @@ def test_malformed_model_file_starts_no_run(command, tmp_path, capsys):
     assert main([command, *args, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err == f"config error: {configs / 'a.json'}: model: links: expected a list\n"
+    cfg = configs / "a.json"
+    assert err == f"config error: {cfg}: model: {model_path}: links: expected a list\n"
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rcmsim import numerics
 from rcmsim.errors import RankDeficientConstraint
@@ -53,17 +53,24 @@ def test_pinv_rejects_non_finite():
         pinv(np.array([[np.nan, 1.0]]))
 
 
+# Rounding error of the Moore-Penrose identities, in units of eps cond(A)
+# times the size of each identity's term: 2x the worst ratio (38.8) over
+# 100 000 seeded draws of the shapes below, rounded up to a power of two.
+PINV_ERROR_UNITS = 128
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))
+@example(rows=6, cols=6, seed=12847)  # cond 1.7e4: 1.33e-9 in Ap A Ap - Ap
 def test_pinv_moore_penrose_identities(rows, cols, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((rows, cols))
     Ap = pinv(A)
-    tol = 1e-9
-    assert np.abs(A @ Ap @ A - A).max() < tol
-    assert np.abs(Ap @ A @ Ap - Ap).max() < tol
-    assert np.abs((A @ Ap).T - A @ Ap).max() < tol
-    assert np.abs((Ap @ A).T - Ap @ A).max() < tol
+    unit = PINV_ERROR_UNITS * np.finfo(float).eps * np.linalg.cond(A)
+    assert np.abs(A @ Ap @ A - A).max() <= unit * np.abs(A).max()
+    assert np.abs(Ap @ A @ Ap - Ap).max() <= unit * np.abs(Ap).max()
+    assert np.abs((A @ Ap).T - A @ Ap).max() <= unit
+    assert np.abs((Ap @ A).T - Ap @ A).max() <= unit
 
 
 def _spd(rng, n):

@@ -6,14 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rcmsim.errors import ModelError
+from rcmsim.errors import ConfigError
 from rcmsim.robot import (
     DEFAULT_HOME,
+    RobotModel,
     default_model_path,
     kinematics,
     load_model,
     model_from_dict,
 )
+from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
 from conftest import (
     PENDULUM_LENGTH,
     PENDULUM_MASS,
@@ -277,25 +279,25 @@ def _minimal_dict():
 def test_model_missing_field_names_path():
     d = _minimal_dict()
     del d["joints"][0]["alpha"]
-    with pytest.raises(ModelError, match=r"joints\[0\].alpha"):
+    with pytest.raises(ConfigError, match=r"joints\[0\].alpha"):
         model_from_dict(d)
 
 
 def test_model_rejects_bad_mass_and_inertia():
     d = _minimal_dict()
     d["links"][0]["mass"] = 0.0
-    with pytest.raises(ModelError, match=r"links\[0\].mass"):
+    with pytest.raises(ConfigError, match=r"links\[0\].mass"):
         model_from_dict(d)
     d = _minimal_dict()
     d["links"][0]["inertia"] = [[1e-3, 0, 0], [0, -1e-3, 0], [0, 0, 1e-3]]
-    with pytest.raises(ModelError, match=r"links\[0\].inertia"):
+    with pytest.raises(ConfigError, match=r"links\[0\].inertia"):
         model_from_dict(d)
 
 
 def test_model_rejects_bad_tool_length():
     d = _minimal_dict()
     d["l_tool"] = 0.0
-    with pytest.raises(ModelError, match="l_tool"):
+    with pytest.raises(ConfigError, match="l_tool"):
         model_from_dict(d)
 
 
@@ -387,25 +389,47 @@ MODEL_REJECTED = [
 
 @pytest.mark.parametrize("path,value,message", [rejected_case(*row) for row in MODEL_REJECTED])
 def test_model_rejection_message(path, value, message):
-    with pytest.raises(ModelError) as info:
+    with pytest.raises(ConfigError) as info:
         model_from_dict(_model_with(path, value))
     assert str(info.value) == message
 
 
 def test_model_file_errors_name_the_file(tmp_path):
     missing = tmp_path / "missing.json"
-    with pytest.raises(ModelError, match=f"^file not found: {missing}$"):
+    with pytest.raises(ConfigError, match=f"^file not found: {missing}$"):
         load_model(str(missing))
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
-    with pytest.raises(ModelError, match=f"^invalid JSON in {bad}: "):
+    with pytest.raises(ConfigError, match=f"^invalid JSON in {bad}: "):
         load_model(str(bad))
     bad.write_text("[]")
-    with pytest.raises(ModelError, match=f"^{bad}: root must be a JSON object$"):
+    with pytest.raises(ConfigError, match=f"^{bad}: root must be a JSON object$"):
         load_model(str(bad))
     bad.write_text(json.dumps(_model_with("joints[0].a", NAN)))  # the bare token NaN
-    with pytest.raises(ModelError, match=r"^joints\[0\]\.a: must be finite$"):
+    with pytest.raises(ConfigError, match=rf"^{bad}: joints\[0\]\.a: must be finite$"):
         load_model(str(bad))
+
+
+@pytest.mark.parametrize("how", ["arrays", "replace"])
+def test_joint_count_is_the_dh_table_rows(model, how):
+    # n is derived, so a model built from arrays or cut down with replace
+    # cannot disagree with its table: the default arm's first six rows run
+    # a 6-joint episode.
+    six = {"dh": model.dh[:6], "masses": model.masses[:6], "coms": model.coms[:6],
+           "inertias": model.inertias[:6]}
+    if how == "arrays":
+        arm = RobotModel(**six, gravity=model.gravity, l_tool=model.l_tool, flange=model.flange)
+    else:
+        arm = replace(model, **six)
+    assert arm.n == 6
+    scenario = Scenario(alpha=0.5, q_init=DEFAULT_HOME[:6])
+    trace = run_episode(arm, ControlSetup(), scenario, SimConfig(duration=0.05))
+    assert trace.filled == 51
+    assert trace.constraint_gap.max() <= 1e-9
+    with pytest.raises(TypeError):
+        RobotModel(n=6, **six, gravity=model.gravity, l_tool=model.l_tool)
+    with pytest.raises((TypeError, ValueError), match="init=False"):
+        replace(model, n=6)
 
 
 def _file_arrays(raw: dict) -> dict:

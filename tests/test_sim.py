@@ -403,14 +403,21 @@ def test_rk4_episode_runs(model):
         ),
         (ControlSetup(variant="z_approach"), SimConfig(duration=0.05)),
         (ControlSetup(variant="uk"), SimConfig(duration=0.05)),
+        *[
+            (ControlSetup(variant=v, observer=True, compensation=controllers.COMP_PRESERVE_NULL),
+             SimConfig(duration=0.05))
+            for v in ("p_approach", "z_approach", "uk")
+        ],
     ],
-    ids=["p_approach", "p_approach_rk4_port_noise_observer", "z_approach", "uk"],
+    ids=["p_approach", "p_approach_rk4_port_noise_observer", "z_approach", "uk",
+         "p_approach_observer_preserve_null", "z_approach_observer_preserve_null",
+         "uk_observer_preserve_null"],
 )
 def test_tick_calls_no_numpy_linalg_inverse_or_solve(model, monkeypatch, control, sim):
     # The inertia inverse and the plant solves go to LAPACK without numpy's
-    # wrapper, whose per-call cost exceeds the factorisation's. Only the
-    # preserve_null compensation (a 5 x 5 inverse that must raise when
-    # singular) keeps np.linalg.inv on the tick, so it is not run here.
+    # wrapper, whose per-call cost exceeds the factorisation's. The
+    # preserve_null compensation's 5 x 5 inverse goes through sym_inv's
+    # lu_inv, so it runs here too.
     def forbidden(*_):
         raise AssertionError("numpy.linalg wrapper called on the tick")
 
@@ -578,7 +585,7 @@ def test_null_gains_must_fit_the_joint_count(model, variant):
     # joint count: a default ControlSetup runs a 6-joint arm (the default
     # arm's first six rows). Its start pose is a setting: without q_init the
     # episode is refused before its first tick.
-    six = replace(model, n=6, dh=model.dh[:6], masses=model.masses[:6],
+    six = replace(model, dh=model.dh[:6], masses=model.masses[:6],
                   coms=model.coms[:6], inertias=model.inertias[:6])
     sim = SimConfig(duration=0.05)
     with pytest.raises(ConfigError, match=r"^scenario\.q_init: required for an arm of 6 joints"):
