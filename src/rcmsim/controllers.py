@@ -203,7 +203,12 @@ def build_snapshot(
 def nullspace_torque(
     q: np.ndarray, qdot: np.ndarray, q_init: np.ndarray, gains: GainSet
 ) -> np.ndarray:
-    """Joint-space compliance about the initial configuration."""
+    """Joint-space compliance about the initial configuration,
+    -kd_null qdot - kp_null (q - q_init). With no null-space stiffness
+    (``kp_null`` 0, the default) the stiffness term is exactly zero and is
+    not formed."""
+    if gains.kp_null == 0.0:
+        return -gains.kd_null * qdot
     return -gains.kd_null * qdot - gains.kp_null * (q - q_init)
 
 

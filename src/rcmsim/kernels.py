@@ -330,11 +330,15 @@ class KinFrames:
         columns z_j x (p - o_j)."""
         return (self._skew_z.dot(p) - self._z_x_o).reshape(self.chain.n, 3).T
 
-    def coincident_rate(self, p: np.ndarray, pdot: np.ndarray) -> np.ndarray:
+    def coincident_rate(self, p: np.ndarray, pdot: np.ndarray | None) -> np.ndarray:
         """Rate of ``coincident_jacobian(p)`` when ``p`` itself moves with
-        ``pdot``: columns zdot_j x (p - o_j) + z_j x (pdot - v(o_j))."""
+        ``pdot``: columns zdot_j x (p - o_j) + z_j x (pdot - v(o_j)). A
+        ``p`` at rest (``pdot`` None) forms no z_j x pdot product."""
         _, _, skew_zdot, z_x_o_dot = self._rates
-        Jdot = skew_zdot.dot(p) + self._skew_z.dot(pdot) - z_x_o_dot
+        Jdot = skew_zdot.dot(p)
+        if pdot is not None:
+            Jdot += self._skew_z.dot(pdot)
+        Jdot -= z_x_o_dot
         return Jdot.reshape(self.chain.n, 3).T
 
     def _dynamics(self):

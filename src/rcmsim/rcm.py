@@ -2,10 +2,11 @@
 
 The pivot residual is the trocar-to-reference vector expressed in the tool
 reference frame and projected onto the frame's lateral plane (its first two
-axes); its norm is the trocar's distance from the tool axis. All rates treat
-the trocar point as time varying, so a moving trocar makes the constraint
-rheonomic: the residual rate and the acceleration bias ``b_c`` carry the
-trocar velocity/acceleration terms.
+axes); its norm is the trocar's distance from the tool axis. A moving trocar
+makes the constraint rheonomic: the residual rate and the acceleration bias
+``b_c`` carry the trocar velocity/acceleration terms. A trocar at rest
+(``TrocarState(p, None, None)``) makes it scleronomic: those terms are
+exactly zero, so they are not formed.
 
 ``constraint_from_kin`` is the one source of the constraint terms the
 controllers and the soft-port force use, all read from one frame pass: the
@@ -28,11 +29,16 @@ from .schema import Rule, fail
 
 @dataclass
 class TrocarState:
-    """Trocar point and its known motion, base frame [m, m/s, m/s^2]."""
+    """Trocar point and its known motion, base frame [m, m/s, m/s^2].
+
+    ``pdot`` and ``pddot`` are both None for a trocar at rest; the
+    constraint terms they would scale are then not formed, which gives the
+    same values as zero vectors would.
+    """
 
     p: np.ndarray
-    pdot: np.ndarray
-    pddot: np.ndarray
+    pdot: np.ndarray | None
+    pddot: np.ndarray | None
 
 
 class ConstraintState:
@@ -84,21 +90,28 @@ def constraint_from_kin(kin: KinFrames, trocar: TrocarState) -> ConstraintState:
     (columns z_j x (p_c - o_j), equal to J_p + skew(p_cr) J_w) and Jdot_pc
     its rate with the trocar moving; with B^T the lateral basis rows,
     J_c = B^T J_pc and d/dt(B^T) = -B^T skew(w_r) give
-    Jdot_c = B^T (Jdot_pc - skew(w_r) J_pc) and
+    Jdot_c = B^T (Jdot_pc - skew(w_r) J_pc),
+    xdot = J_c qdot - B^T pdot_c and
     b = Jdot_c qdot + B^T (w_r x pdot_c - pddot_c).
+    A trocar at rest (``pdot`` None) is scleronomic: xdot = J_c qdot and
+    b = Jdot_c qdot, with no trocar-motion product formed.
     """
-    pose_r, qdot = kin.pose_r, kin.qdot
+    pose_r, qdot, pdot = kin.pose_r, kin.qdot, trocar.pdot
     Bt = pose_r.R.T[:2]
     J_pc = kin.coincident_jacobian(trocar.p)
     # ndarray.dot: the cheapest product call for these small operands
     J = Bt.dot(J_pc)
 
     def rates():
-        Jdot_pc = kin.coincident_rate(trocar.p, trocar.pdot)
+        Jdot_pc = kin.coincident_rate(trocar.p, pdot)
         W = skew_stack(kin.omega_r)
         J_dot = Bt.dot(Jdot_pc - W.dot(J_pc))
-        return J_dot, J_dot.dot(qdot) + Bt.dot(W.dot(trocar.pdot) - trocar.pddot)
+        b = J_dot.dot(qdot)
+        if pdot is not None:
+            b = b + Bt.dot(W.dot(pdot) - trocar.pddot)
+        return J_dot, b
 
-    return ConstraintState(
-        Bt.dot(pose_r.p - trocar.p), J, J.dot(qdot) - Bt.dot(trocar.pdot), rates
-    )
+    xdot = J.dot(qdot)
+    if pdot is not None:
+        xdot = xdot - Bt.dot(pdot)
+    return ConstraintState(Bt.dot(pose_r.p - trocar.p), J, xdot, rates)

@@ -347,6 +347,12 @@ def run_episode(
 ) -> SimTrace:
     """Closed-loop episode at control rate = simulation rate.
 
+    The trocar schedule is tabulated once; when every tabulated velocity
+    and acceleration is zero (a static schedule, or a sinusoid of zero
+    amplitude or frequency) the trocar rests, and every tick and RK4 stage
+    shares one ``TrocarState(p_c, None, None)``, so the constraint forms no
+    trocar-motion term.
+
     Raises SimulationDiverged (carrying the partial trace and the tick index)
     if the state or the controller output becomes non-finite. A diverging run
     overflows before that; numpy stays quiet, and the tick reports it.
@@ -385,8 +391,14 @@ def run_episode(
     )
     trace.p_c[:] = trocars.p[::per_tick]
 
-    def trocar_at(i: int) -> TrocarState:
-        return TrocarState(trocars.p[i], trocars.pdot[i], trocars.pddot[i])
+    if trocars.pdot.any() or trocars.pddot.any():
+        def trocar_at(i: int) -> TrocarState:
+            return TrocarState(trocars.p[i], trocars.pdot[i], trocars.pddot[i])
+    else:
+        resting = TrocarState(trocars.p[0], None, None)
+
+        def trocar_at(i: int) -> TrocarState:
+            return resting
 
     disturbances = disturbance_arrays(scenario.disturbances)
 

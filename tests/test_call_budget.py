@@ -20,6 +20,7 @@ import sys
 import pytest
 
 import rcmsim
+from rcmsim.scenarios import TrocarSchedule
 from rcmsim.sim import ControlSetup, EnvModel, Scenario, SimConfig, run_episode
 
 PACKAGE = os.path.dirname(rcmsim.__file__) + os.sep
@@ -28,24 +29,31 @@ PACKAGE = os.path.dirname(rcmsim.__file__) + os.sep
 # p_approach with the momentum observer, under RK4 with the soft port (three
 # more frame passes per tick), with sensor noise (a second pass, at the true
 # state) and with the observer's preserve_null compensation (the link-2 push
-# sweep's path). Lower them when a change saves calls.
+# sweep's path); then each controller with a moving trocar, whose rheonomic
+# terms the resting trocar of the other rows does not form. Lower them when
+# a change saves calls.
+MOVING = {"trocar": TrocarSchedule(mode="sinusoidal")}
 CASES = {
-    "p_approach": ({}, {}, (35.48, 88.82)),
-    "z_approach": ({"variant": "z_approach"}, {}, (40.48, 115.82)),
-    "uk": ({"variant": "uk"}, {}, (35.48, 85.82)),
-    "p_approach+observer": ({"observer": True}, {}, (41.49, 97.96)),
+    "p_approach": ({}, {}, {}, (34.47, 84.81)),
+    "z_approach": ({"variant": "z_approach"}, {}, {}, (39.47, 111.81)),
+    "uk": ({"variant": "uk"}, {}, {}, (34.47, 81.81)),
+    "p_approach+observer": ({"observer": True}, {}, {}, (40.48, 93.96)),
     "p_approach+rk4_soft_port": (
-        {}, {"integrator": "rk4", "env": EnvModel(mode="soft")}, (73.30, 224.14)
+        {}, {"integrator": "rk4", "env": EnvModel(mode="soft")}, {}, (70.30, 217.15)
     ),
-    "p_approach+noise": ({}, {"sensor_noise_std": 1e-5}, (41.48, 125.82)),
+    "p_approach+noise": ({}, {"sensor_noise_std": 1e-5}, {}, (40.47, 121.81)),
     "p_approach+preserve_null": (
-        {"observer": True, "compensation": "preserve_null"}, {}, (43.48, 102.95)
+        {"observer": True, "compensation": "preserve_null"}, {}, {}, (42.48, 98.96)
     ),
+    "p_approach+moving_trocar": ({}, {}, MOVING, (35.47, 88.81)),
+    "z_approach+moving_trocar": ({"variant": "z_approach"}, {}, MOVING, (40.47, 115.81)),
+    "uk+moving_trocar": ({"variant": "uk"}, {}, MOVING, (35.47, 85.81)),
 }
 
 
-def _calls_per_tick(model, setup: dict, sim: dict) -> tuple[float, float]:
-    args = (model, ControlSetup(**setup), Scenario(alpha=0.5), SimConfig(duration=0.2, **sim))
+def _calls_per_tick(model, setup: dict, sim: dict, scenario: dict) -> tuple[float, float]:
+    args = (model, ControlSetup(**setup), Scenario(alpha=0.5, **scenario),
+            SimConfig(duration=0.2, **sim))
     run_episode(*args)  # first calls of lazily imported code are not a tick's
     calls = {"call": 0, "c_call": 0}
 
@@ -70,7 +78,7 @@ def _calls_per_tick(model, setup: dict, sim: dict) -> tuple[float, float]:
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_tick_call_budget(model, case):
-    setup, sim, (python_budget, c_budget) = CASES[case]
-    python_calls, c_calls = _calls_per_tick(model, setup, sim)
+    setup, sim, scenario, (python_budget, c_budget) = CASES[case]
+    python_calls, c_calls = _calls_per_tick(model, setup, sim, scenario)
     assert python_calls <= python_budget, f"{python_calls:.2f} Python calls per tick"
     assert c_calls <= c_budget, f"{c_calls:.2f} C calls per tick"

@@ -156,6 +156,17 @@ def test_nullspace_torque_examples():
     assert np.all(np.sign(tau[nz]) == -np.sign(dq[nz]))
 
 
+def test_nullspace_torque_without_stiffness_is_the_two_term_formula(rng):
+    # kp_null 0 forms no stiffness term; the torque is still, bit for bit,
+    # -kd_null qdot - kp_null (q - q_init).
+    g = GainSet.from_proportional()
+    assert g.kp_null == 0.0
+    q, qd, q0 = rng.uniform(-1.0, 1.0, (3, 7))
+    for qdot in (qd, np.zeros(7)):
+        expected = -g.kd_null * qdot - g.kp_null * (q - q0)
+        assert np.array_equal(nullspace_torque(q, qdot, q0, g), expected)
+
+
 # --- projected controller ----------------------------------------------------
 
 

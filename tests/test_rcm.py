@@ -6,7 +6,7 @@ from rcmsim.rcm import TrocarState, constraint_from_kin, place_trocar
 from rcmsim.robot import DEFAULT_HOME, Pose, kinematics
 from rcmsim.sim import ControlSetup, Scenario, SimConfig, run_episode
 from conftest import random_states, static_trocar
-from oracles import InconsistentTool, rcm_point, residual_jacobian
+from oracles import InconsistentTool, constraint_rate_fd, jacobians, rcm_point, residual_jacobian
 
 
 def _rotz(angle):
@@ -147,6 +147,33 @@ def test_residual_rate_static_and_moving(model, rng):
     expected = J @ np.zeros(model.n) - kin.pose_r.R.T[:2] @ v
     got = constraint_from_kin(kin, moving).xdot
     assert np.abs(got - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+def test_resting_trocar_is_the_zero_motion_constraint(model, rng, alpha):
+    # A trocar at rest (pdot, pddot None) forms no trocar-motion term: its
+    # constraint state equals, bit for bit, the one of a trocar whose motion
+    # is given as zero vectors, and both agree with the skew-form reference.
+    qs, qds = random_states(rng, model.n, 6)
+    qds[0] = 0.0
+    for q, qd in zip(qs, qds):
+        kin = kinematics(model, q, qd)
+        p_c = place_trocar(kin.pose_r.p, kin.p_t, alpha) + rng.uniform(-0.01, 0.01, 3)
+        rest = constraint_from_kin(kin, TrocarState(p_c, None, None))
+        zero = constraint_from_kin(kinematics(model, q, qd), static_trocar(p_c))
+        for name in ("x", "J", "xdot", "J_dot", "b"):
+            assert np.array_equal(getattr(rest, name), getattr(zero, name)), name
+        assert np.array_equal(kin.coincident_rate(p_c, None),
+                              kin.coincident_rate(p_c, np.zeros(3)))
+
+        R_r, p_r, J_r, _ = jacobians(model, q)
+        J_ref = residual_jacobian(Pose(p=p_r, R=R_r), J_r, p_c)
+        J_dot_ref, b_ref = constraint_rate_fd(model, q, qd, static_trocar(p_c))
+        assert np.abs(rest.x - R_r.T[:2] @ (p_r - p_c)).max() < 1e-12
+        assert np.abs(rest.J - J_ref).max() < 1e-12
+        assert np.abs(rest.xdot - J_ref @ qd).max() < 1e-12
+        assert np.abs(rest.J_dot - J_dot_ref).max() < 1e-6
+        assert np.abs(rest.b - b_ref).max() < 1e-6
 
 
 def _analytic_motion(model, t, q0, amp, omega):

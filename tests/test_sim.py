@@ -210,6 +210,40 @@ def test_soft_port_tick_evaluation_counts(model, monkeypatch, integrator, passes
     assert counts["rates"] == ticks
 
 
+@pytest.mark.parametrize("schedule,rests", [
+    (TrocarSchedule(), True),
+    (TrocarSchedule(mode="sinusoidal", amplitude=0.0), True),
+    (TrocarSchedule(mode="sinusoidal", frequency=0.0), True),
+    (TrocarSchedule(mode="sinusoidal"), False),
+], ids=["static", "zero_amplitude", "zero_frequency", "moving"])
+def test_a_resting_trocar_shares_one_scleronomic_state(model, monkeypatch, schedule, rests):
+    # Whether the trocar rests is read from the tabulated schedule, not from
+    # its mode. At rest, every tick and RK4 stage gets the one
+    # TrocarState(p_c, None, None), and the trace is the static schedule's;
+    # a moving trocar gets its motion at each evaluation time.
+    sim = SimConfig(duration=0.01, integrator="rk4", env=EnvModel(mode="soft"))
+    static = run_episode(model, ControlSetup(), Scenario(), sim)
+    seen = []
+
+    def spy(kin, trocar):
+        seen.append(trocar)
+        return original(kin, trocar)
+
+    original = rcm.constraint_from_kin
+    for module in (controllers, sim_module):
+        monkeypatch.setattr(module, "constraint_from_kin", spy)
+    trace = run_episode(model, ControlSetup(), Scenario(trocar=schedule), sim)
+    # the tick's snapshot, then the three RK4 stages of every step
+    assert len(seen) == trace.filled + 3 * (trace.filled - 1)
+    if rests:
+        assert all(trocar is seen[0] for trocar in seen)
+        assert seen[0].pdot is None and seen[0].pddot is None
+        assert np.array_equal(trace.table, static.table)
+    else:
+        assert all(trocar.pdot is not None and trocar.pddot is not None for trocar in seen)
+        assert np.abs(trace.p_c - static.p_c).max() > 0.0
+
+
 def test_record_count_and_time_grid(model):
     sim = SimConfig(dt=1e-3, duration=0.05)
     trace = run_episode(model, ControlSetup(), Scenario(alpha=0.5), sim)
